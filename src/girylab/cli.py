@@ -187,6 +187,9 @@ def _cmd_markov(args) -> int:
 
 def _cmd_report(args) -> int:
     docs = [_load_json(path) for path in args.inputs]
+    for path, doc in zip(args.inputs, docs):
+        if not isinstance(doc, dict):
+            raise IngestionError(f"{path} is not a report: expected a JSON object")
     merged = {"reports": docs,
               "result": "pass" if all(d.get("result") == "pass" for d in docs)
               else "fail"}
@@ -253,9 +256,6 @@ def main(argv=None) -> int:
                 "report": _cmd_report}
     try:
         return handlers[args.command](args)
-    except IngestionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except GirylabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import ActionSquareError, InvariantError
-from .rational import ONE, ZERO, format_rational, require_unit
+from .rational import ONE, ZERO, format_rational, random_fraction, require_unit
 from .spaces import FinSpace, IFunction
 from .duality import Functional
 from .verdicts import Verdict, failed, passed
@@ -159,11 +159,6 @@ class SequenceAffineMap:
 # -- sampling valid affine maps ------------------------------------------
 
 
-def _random_fraction(rng: random.Random, lo: int, hi: int, max_den: int = 16) -> Fraction:
-    den = rng.randint(1, max_den)
-    return Fraction(rng.randint(lo * den, hi * den), den)
-
-
 def sample_affine(rng: random.Random, arity: int,
                   kind: Optional[str] = None) -> AffineMap:
     """Draw a valid affine map of the n-cube into I.
@@ -177,20 +172,20 @@ def sample_affine(rng: random.Random, arity: int,
     if kind == "projection" or (kind is None and arity >= 1 and rng.random() < 0.15):
         return AffineMap.projection(arity, rng.randrange(arity))
     if kind == "constant" or (kind is None and rng.random() < 0.15):
-        return AffineMap.constant(arity, _random_fraction(rng, 0, 1))
+        return AffineMap.constant(arity, random_fraction(rng, max_den=16))
     if kind == "blend":
         if arity != 2:
             raise InvariantError("blend maps have arity 2")
-        return AffineMap.blend(_random_fraction(rng, 0, 1))
+        return AffineMap.blend(random_fraction(rng, max_den=16))
 
-    raw0 = _random_fraction(rng, -2, 2)
-    raw = [_random_fraction(rng, -2, 2) for _ in range(arity)]
+    raw0 = random_fraction(rng, -2, 2, max_den=16)
+    raw = [random_fraction(rng, -2, 2, max_den=16) for _ in range(arity)]
     lo, hi = _extremes(raw0, raw)
     if hi == lo:  # all coefficients zero: clamp the constant into I
         return AffineMap.constant(arity, min(ONE, max(ZERO, raw0)))
-    span = _random_fraction(rng, 0, 1, 8) or Fraction(1, 2)
+    span = random_fraction(rng, max_den=8) or Fraction(1, 2)
     scale = span / (hi - lo)
-    shift = _random_fraction(rng, 0, 1, 8) * (ONE - span)
+    shift = random_fraction(rng, max_den=8) * (ONE - span)
     a0 = (raw0 - lo) * scale + shift
     coeffs = tuple(c * scale for c in raw)
     return AffineMap(arity, a0, coeffs)
@@ -312,11 +307,6 @@ def action_of(alpha: CodensityElement) -> Action:
     return alpha.at_sequences
 
 
-def embed_first(f: IFunction) -> list[IFunction]:
-    """The function placed at the first coordinate, zero elsewhere."""
-    return [f]
-
-
 def functional_from_action(action: Action, space: FinSpace,
                            rng: random.Random, trials: int = 40,
                            max_len: int = 4) -> Functional:
@@ -331,7 +321,7 @@ def functional_from_action(action: Action, space: FinSpace,
     functional is f -> first entry of action(f at the first coordinate).
     """
     def phi(f: IFunction) -> Fraction:
-        return action(embed_first(f)).at(0)
+        return action([f]).at(0)
 
     def sample_list(k: int) -> list[IFunction]:
         return [IFunction(space, tuple(

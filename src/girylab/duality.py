@@ -29,9 +29,10 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import InvariantError, RejectionError, SpaceMismatchError
-from .rational import HALF, ONE, ZERO, format_rational, require_unit
-from .spaces import (FinSpace, IFunction, MeasMap, atom_image,
-                     atom_indicator, require_measurable)
+from .rational import (HALF, ONE, ZERO, format_rational, random_fraction,
+                       require_unit)
+from .spaces import (FinSpace, IFunction, MeasMap, atom_image, atom_indicator,
+                     generate_ifunction, require_measurable)
 from .measures import Measure
 from .monad import MetaMeasure
 from .verdicts import Verdict, failed, passed
@@ -90,10 +91,6 @@ class Functional:
             return {"kind": "extensional",
                     "coefficients": [format_rational(c) for c in self.coeffs]}
         return {"kind": "intensional", "label": self.label}
-
-
-def evaluate(phi: Functional, f: IFunction) -> Fraction:
-    return phi(f)
 
 
 # -- the bijection with measures --------------------------------------
@@ -227,16 +224,6 @@ def mix_functionals(psi: FunctionalMixture) -> Functional:
 # -- randomized verdicts ------------------------------------------------
 
 
-def _random_unit(rng: random.Random, max_den: int = 64) -> Fraction:
-    den = rng.randint(1, max_den)
-    return Fraction(rng.randint(0, den), den)
-
-
-def _random_ifunction(rng: random.Random, space: FinSpace) -> IFunction:
-    return IFunction(space, tuple(
-        _random_unit(rng) for _ in space.atoms))
-
-
 def is_affine(phi: Functional, trials: int = 200,
               seed: Optional[int] = None) -> Verdict:
     """Verdict on the affine and weakly averaging axioms, with the
@@ -252,54 +239,36 @@ def is_affine(phi: Functional, trials: int = 200,
     rng = random.Random(seed)
     space = phi.space
     for t in range(trials):
-        f = _random_ifunction(rng, space)
-        g = _random_ifunction(rng, space)
-        r = _random_unit(rng)
-
-        lhs = phi(f.blend(g, r))
-        rhs = r * phi(f) + (1 - r) * phi(g)
-        if lhs != rhs:
-            return failed(name, {
-                "axiom": "affine: phi(r*f + (1-r)*g) = r*phi(f) + (1-r)*phi(g)",
-                "f": f.describe(), "g": g.describe(), "r": format_rational(r),
-                "lhs": format_rational(lhs), "rhs": format_rational(rhs),
-                "case": t}, trials=t + 1, seed=seed)
-
-        want = phi(IFunction.constant(space, r))
-        if want != r:
-            return failed(name, {
-                "axiom": "weakly averaging: phi(constant r) = r",
-                "r": format_rational(r), "got": format_rational(want),
-                "case": t}, trials=t + 1, seed=seed)
-
-        scaled = phi(f.scale(r))
-        if scaled != r * phi(f):
-            return failed(name, {
-                "axiom": "homogeneity: phi(r*f) = r*phi(f)",
-                "f": f.describe(), "r": format_rational(r),
-                "lhs": format_rational(scaled),
-                "rhs": format_rational(r * phi(f)),
-                "case": t}, trials=t + 1, seed=seed)
-
-        headroom = IFunction(space, tuple(ONE - v for v in f.values))
-        h = IFunction(space, tuple(
-            min(a, b) for a, b in zip(g.values, headroom.values)))
-        if phi(f.add(h)) != phi(f) + phi(h):
-            return failed(name, {
-                "axiom": "additivity: phi(f+h) = phi(f) + phi(h) when f+h <= 1",
-                "f": f.describe(), "h": h.describe(),
-                "lhs": format_rational(phi(f.add(h))),
-                "rhs": format_rational(phi(f) + phi(h)),
-                "case": t}, trials=t + 1, seed=seed)
-
+        f = generate_ifunction(rng, space)
+        g = generate_ifunction(rng, space)
+        r = random_fraction(rng)
+        h = IFunction(space, tuple(min(b, ONE - a)
+                                   for a, b in zip(f.values, g.values)))
         bigger = f.blend(IFunction.constant(space, ONE), r)
-        if not phi(f) <= phi(bigger):
-            return failed(name, {
-                "axiom": "monotone: f <= f' pointwise implies phi(f) <= phi(f')",
-                "f": f.describe(), "f_prime": bigger.describe(),
-                "lhs": format_rational(phi(f)),
-                "rhs": format_rational(phi(bigger)),
-                "case": t}, trials=t + 1, seed=seed)
+        pf, pg, ph, p_big = phi(f), phi(g), phi(h), phi(bigger)
+        blended, mixed = phi(f.blend(g, r)), r * pf + (1 - r) * pg
+        const = phi(IFunction.constant(space, r))
+        scaled, summed = phi(f.scale(r)), phi(f.add(h))
+        # (axiom, holds, witness fields) in the order they are checked
+        for axiom, holds, fields in (
+                ("affine: phi(r*f + (1-r)*g) = r*phi(f) + (1-r)*phi(g)",
+                 blended == mixed,
+                 {"f": f, "g": g, "r": r, "lhs": blended, "rhs": mixed}),
+                ("weakly averaging: phi(constant r) = r",
+                 const == r, {"r": r, "got": const}),
+                ("homogeneity: phi(r*f) = r*phi(f)", scaled == r * pf,
+                 {"f": f, "r": r, "lhs": scaled, "rhs": r * pf}),
+                ("additivity: phi(f+h) = phi(f) + phi(h) when f+h <= 1",
+                 summed == pf + ph,
+                 {"f": f, "h": h, "lhs": summed, "rhs": pf + ph}),
+                ("monotone: f <= f' pointwise implies phi(f) <= phi(f')",
+                 pf <= p_big,
+                 {"f": f, "f_prime": bigger, "lhs": pf, "rhs": p_big})):
+            if not holds:
+                witness = {k: format_rational(v) if isinstance(v, Fraction)
+                           else v.describe() for k, v in fields.items()}
+                return failed(name, dict(witness, axiom=axiom, case=t),
+                              trials=t + 1, seed=seed)
     return passed(name, trials=trials, seed=seed)
 
 

@@ -7,6 +7,14 @@ bounded denominators (the identities under test are denominator
 agnostic) and measures are built from integer compositions normalized
 exactly, never from floats.
 
+Each suite is a table of properties.  Most are equality laws, registered
+as ``_law(name, law, sides)``: ``sides(cfg, rng)`` draws one case and
+returns ``(lhs, rhs)`` or ``(lhs, rhs, context)``, and a mismatch fails
+with both sides and the context described.  Checks that already return a
+Verdict are registered as ``_check(name, law, check)``, where
+``check(cfg, rng)`` returns ``(verdict, context)``.  The few checks that
+fit neither shape, and the refutation runners, stay bespoke.
+
 Refutation searches walk a smallest-first ladder of candidate
 witnesses (projections, constants, binary blends, then random shapes
 of growing arity) under a bounded step budget, so a reported witness is
@@ -26,9 +34,10 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import ActionSquareError, GirylabError, RejectionError
-from .rational import HALF, ONE, ZERO, format_rational
-from .spaces import FinSpace, IFunction, MeasMap, atom_indicator, generate_sigma
-from .measures import Measure, change_of_variables_check, pushforward
+from .rational import HALF, ONE, ZERO, format_rational, random_fraction
+from .spaces import (FinSpace, IFunction, MeasMap, atom_indicator,
+                     generate_ifunction, generate_sigma)
+from .measures import Measure, integrate, pushforward
 from .monad import Kernel, MetaMeasure, bind, dirac, flatten, kleisli_compose
 from .duality import (Functional, FunctionalMixture, LimitWitness,
                       clamped_sum_functional, evaluation_at, is_affine,
@@ -111,11 +120,6 @@ class Report:
 # -- generators ----------------------------------------------------------
 
 
-def random_unit_fraction(rng: random.Random, max_den: int = 64) -> Fraction:
-    den = rng.randint(1, max_den)
-    return Fraction(rng.randint(0, den), den)
-
-
 def generate_space(rng: random.Random, cfg: SuiteConfig,
                    min_points: int = 1) -> FinSpace:
     n = rng.randint(min_points, max(min_points, cfg.max_carrier))
@@ -134,11 +138,6 @@ def generate_measure(rng: random.Random, space: FinSpace) -> Measure:
         parts[rng.randrange(n)] = 1
     total = sum(parts)
     return Measure(space, tuple(Fraction(p, total) for p in parts))
-
-
-def generate_ifunction(rng: random.Random, space: FinSpace) -> IFunction:
-    return IFunction(space, tuple(
-        random_unit_fraction(rng) for _ in space.atoms))
 
 
 def generate_measurable_map(rng: random.Random, dom: FinSpace,
@@ -207,8 +206,8 @@ def point_in_hull(rng: random.Random, verts) -> tuple[Fraction, ...]:
 
 def generate_eventual_fn(rng: random.Random) -> EventualFn:
     width = rng.randint(0, 6)
-    return EventualFn(tuple(random_unit_fraction(rng) for _ in range(width)),
-                      random_unit_fraction(rng))
+    return EventualFn(tuple(random_fraction(rng) for _ in range(width)),
+                      random_fraction(rng))
 
 
 def generate_fincof(rng: random.Random) -> FinCofSet:
@@ -220,7 +219,7 @@ def generate_limit_witness(rng: random.Random, space: FinSpace) -> LimitWitness:
     """A certified sequence vanishing pointwise: each atom gets a cutoff
     index, before which the values shrink dyadically."""
     certs = [rng.randint(0, 6) for _ in space.atoms]
-    starts = [random_unit_fraction(rng) for _ in space.atoms]
+    starts = [random_fraction(rng) for _ in space.atoms]
 
     def term(n: int) -> IFunction:
         vals = tuple(
@@ -317,70 +316,92 @@ def _per_case(name: str, law: str, case: Callable[[SuiteConfig, random.Random],
     return Property(name, law, run)
 
 
-def _measures_equal(a: Measure, b: Measure) -> bool:
-    return a.space == b.space and a.weights == b.weights
+def _describe(value):
+    """The JSON-able form of a law side or a witness context value."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, (tuple, list)):
+        return [_describe(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _describe(v) for k, v in value.items()}
+    return value.describe() if hasattr(value, "describe") else value
+
+
+def _law(name: str, law: str, sides) -> Property:
+    """An equality law: ``sides(cfg, rng)`` builds (lhs, rhs) or
+    (lhs, rhs, context).  Functionals compare by coefficients; a mismatch
+    fails with both sides and the context described."""
+
+    def compared(side):
+        return side.coeffs if isinstance(side, Functional) else side
+
+    def case(cfg, rng):
+        lhs, rhs, *context = sides(cfg, rng)
+        if compared(lhs) == compared(rhs):
+            return None
+        return dict(_describe(context[0]) if context else {},
+                    lhs=_describe(lhs), rhs=_describe(rhs))
+
+    return _per_case(name, law, case)
+
+
+def _check(name: str, law: str, check) -> Property:
+    """A case decided by a Verdict: ``check(cfg, rng)`` returns
+    (verdict, context), and a failing verdict's witness gains the
+    described context."""
+
+    def case(cfg, rng):
+        verdict, context = check(cfg, rng)
+        if verdict.passed:
+            return None
+        return dict(verdict.witness or {}, **_describe(context))
+
+    return _per_case(name, law, case)
 
 
 # monad laws ---------------------------------------------------------------
 
 
-def _case_left_unit(cfg, rng):
+def _left_unit(cfg, rng):
     space = generate_space(rng, cfg)
     cod = generate_space(rng, cfg)
     k = generate_kernel(rng, space, cod)
     point = rng.choice(space.carrier)
-    got = bind(dirac(space, point), k)
-    want = k.at_point(point)
-    if not _measures_equal(got, want):
-        return {"point": point, "got": got.describe(), "want": want.describe()}
-    return None
+    return bind(dirac(space, point), k), k.at_point(point), {"point": point}
 
 
-def _case_right_unit(cfg, rng):
+def _right_unit(cfg, rng):
     space = generate_space(rng, cfg)
     pi = generate_measure(rng, space)
-    got = bind(pi, Kernel.identity(space))
-    if not _measures_equal(got, pi):
-        return {"pi": pi.describe(), "got": got.describe()}
-    return None
+    return bind(pi, Kernel.identity(space)), pi
 
 
-def _case_associativity(cfg, rng):
+def _associativity(cfg, rng):
     a = generate_space(rng, cfg)
     b = generate_space(rng, cfg)
     c = generate_space(rng, cfg)
     pi = generate_measure(rng, a)
     k1 = generate_kernel(rng, a, b)
     k2 = generate_kernel(rng, b, c)
-    lhs = bind(bind(pi, k1), k2)
-    rhs = bind(pi, kleisli_compose(k1, k2))
-    if not _measures_equal(lhs, rhs):
-        return {"lhs": lhs.describe(), "rhs": rhs.describe()}
-    return None
+    return bind(bind(pi, k1), k2), bind(pi, kleisli_compose(k1, k2))
 
 
-def _case_flatten_point(cfg, rng):
+def _flatten_point(cfg, rng):
     space = generate_space(rng, cfg)
     pi = generate_measure(rng, space)
-    got = flatten(MetaMeasure.point(pi))
-    if not _measures_equal(got, pi):
-        return {"pi": pi.describe(), "got": got.describe()}
-    return None
+    return flatten(MetaMeasure.point(pi)), pi
 
 
-def _case_flatten_dirac_decomposition(cfg, rng):
+def _flatten_dirac_decomposition(cfg, rng):
     space = generate_space(rng, cfg)
     pi = generate_measure(rng, space)
     support = tuple(
         (dirac(space, space.labels_of(atom)[0]), w)
         for atom, w in zip(space.atoms, pi.weights))
-    got = flatten(MetaMeasure(space, support))
-    if not _measures_equal(got, pi):
-        return {"pi": pi.describe(), "got": got.describe()}
-    return None
+    return flatten(MetaMeasure(space, support)), pi
 
 
-def _case_flatten_associativity(cfg, rng):
+def _flatten_associativity(cfg, rng):
     space = generate_space(rng, cfg)
     k = rng.randint(1, 3)
     mix = generate_measure(rng, _simplex_space(k))
@@ -393,93 +414,69 @@ def _case_flatten_associativity(cfg, rng):
         (measure, w * inner_w)
         for mm, w in zip(metas, mix.weights)
         for measure, inner_w in mm.support))
-    outer_first = flatten(merged)
-    if not _measures_equal(inner_first, outer_first):
-        return {"inner_first": inner_first.describe(),
-                "outer_first": outer_first.describe()}
-    return None
+    return inner_first, flatten(merged)
 
 
-def _case_unit_naturality(cfg, rng):
+def _unit_naturality(cfg, rng):
     dom = generate_space(rng, cfg)
     cod = generate_space(rng, cfg)
     g = generate_measurable_map(rng, dom, cod)
     point = rng.choice(dom.carrier)
-    lhs = pushforward(g, dirac(dom, point))
-    rhs = dirac(cod, g.apply(point))
-    if not _measures_equal(lhs, rhs):
-        return {"point": point, "lhs": lhs.describe(), "rhs": rhs.describe()}
-    return None
+    return (pushforward(g, dirac(dom, point)), dirac(cod, g.apply(point)),
+            {"point": point})
 
 
-def _case_flatten_naturality(cfg, rng):
+def _flatten_naturality(cfg, rng):
     dom = generate_space(rng, cfg)
     cod = generate_space(rng, cfg)
     g = generate_measurable_map(rng, dom, cod)
     mm = generate_meta_measure(rng, dom)
-    lhs = pushforward(g, flatten(mm))
-    rhs = flatten(MetaMeasure(cod, tuple(
+    return pushforward(g, flatten(mm)), flatten(MetaMeasure(cod, tuple(
         (pushforward(g, measure), w) for measure, w in mm.support)))
-    if not _measures_equal(lhs, rhs):
-        return {"lhs": lhs.describe(), "rhs": rhs.describe()}
-    return None
 
 
-def _case_bind_is_mixture(cfg, rng):
+def _bind_is_mixture(cfg, rng):
     dom = generate_space(rng, cfg)
     cod = generate_space(rng, cfg)
     pi = generate_measure(rng, dom)
     k = generate_kernel(rng, dom, cod)
-    lhs = bind(pi, k)
-    rhs = flatten(MetaMeasure(cod, tuple(zip(k.rows, pi.weights))))
-    if not _measures_equal(lhs, rhs):
-        return {"lhs": lhs.describe(), "rhs": rhs.describe()}
-    return None
+    return bind(pi, k), flatten(MetaMeasure(cod, tuple(zip(k.rows, pi.weights))))
 
 
 MONAD_LAWS = [
-    _per_case("left-unit", "bind(dirac(w), k) = k(w)", _case_left_unit),
-    _per_case("right-unit", "bind(pi, identity kernel) = pi", _case_right_unit),
-    _per_case("associativity",
-              "bind(bind(pi,k1),k2) = bind(pi, k1 then k2)", _case_associativity),
-    _per_case("flatten-point",
-              "flatten(point mixture at pi) = pi", _case_flatten_point),
-    _per_case("flatten-dirac-decomposition",
-              "flatten(diracs weighted by pi) = pi",
-              _case_flatten_dirac_decomposition),
-    _per_case("flatten-associativity",
-              "flattening two mixture layers is order-independent",
-              _case_flatten_associativity),
-    _per_case("unit-naturality",
-              "pushforward(g, dirac(w)) = dirac(g(w))", _case_unit_naturality),
-    _per_case("flatten-naturality",
-              "pushforward after flatten = flatten after mapped pushforwards",
-              _case_flatten_naturality),
-    _per_case("bind-is-mixture",
-              "bind(pi, k) = flatten(rows of k weighted by pi)",
-              _case_bind_is_mixture),
+    _law("left-unit", "bind(dirac(w), k) = k(w)", _left_unit),
+    _law("right-unit", "bind(pi, identity kernel) = pi", _right_unit),
+    _law("associativity",
+         "bind(bind(pi,k1),k2) = bind(pi, k1 then k2)", _associativity),
+    _law("flatten-point", "flatten(point mixture at pi) = pi", _flatten_point),
+    _law("flatten-dirac-decomposition",
+         "flatten(diracs weighted by pi) = pi", _flatten_dirac_decomposition),
+    _law("flatten-associativity",
+         "flattening two mixture layers is order-independent",
+         _flatten_associativity),
+    _law("unit-naturality",
+         "pushforward(g, dirac(w)) = dirac(g(w))", _unit_naturality),
+    _law("flatten-naturality",
+         "pushforward after flatten = flatten after mapped pushforwards",
+         _flatten_naturality),
+    _law("bind-is-mixture",
+         "bind(pi, k) = flatten(rows of k weighted by pi)", _bind_is_mixture),
 ]
 
 
 # duality -------------------------------------------------------------------
 
 
-def _case_measure_roundtrip(cfg, rng):
+def _measure_roundtrip(cfg, rng):
     space = generate_space(rng, cfg)
     pi = generate_measure(rng, space)
-    back = to_measure(to_functional(pi))
-    if not _measures_equal(back, pi):
-        return {"pi": pi.describe(), "back": back.describe()}
-    return None
+    return to_measure(to_functional(pi)), pi
 
 
-def _case_functional_roundtrip(cfg, rng):
+def _functional_roundtrip(cfg, rng):
     space = generate_space(rng, cfg)
     phi = to_functional(generate_measure(rng, space))
-    back = to_functional(to_measure(phi))
-    if back.coeffs != phi.coeffs:
-        return {"phi": phi.describe(), "back": back.describe()}
-    return None
+    return to_functional(to_measure(phi)), phi
 
 
 def _case_max_rejected(cfg, rng):
@@ -517,13 +514,13 @@ def _case_int_prop_extensional(cfg, rng):
     space = generate_space(rng, cfg)
     phi = to_functional(generate_measure(rng, space))
     f = generate_ifunction(rng, space)
-    r = random_unit_fraction(rng)
+    r = random_fraction(rng)
     if phi(f.scale(r)) != r * phi(f):
         return {"axiom": "homogeneity", "f": f.describe(),
                 "r": format_rational(r)}
     headroom = IFunction(space, tuple(ONE - v for v in f.values))
     g = IFunction(space, tuple(
-        min(random_unit_fraction(rng), cap) for cap in headroom.values))
+        min(random_fraction(rng), cap) for cap in headroom.values))
     if phi(f.add(g)) != phi(f) + phi(g):
         return {"axiom": "additivity", "f": f.describe(), "g": g.describe()}
     bigger = f.blend(IFunction.constant(space, ONE), r)
@@ -544,66 +541,50 @@ def _adversarial_refuted(maker, label: str) -> Runner:
     return run
 
 
-def _case_unit_diagram(cfg, rng):
+def _unit_diagram(cfg, rng):
     space = generate_space(rng, cfg)
     point = rng.choice(space.carrier)
-    lhs = to_measure(evaluation_at(space, point))
-    rhs = dirac(space, point)
-    if not _measures_equal(lhs, rhs):
-        return {"point": point, "lhs": lhs.describe(), "rhs": rhs.describe()}
-    return None
+    return (to_measure(evaluation_at(space, point)), dirac(space, point),
+            {"point": point})
 
 
-def _case_multiplication_diagram(cfg, rng):
+def _multiplication_diagram(cfg, rng):
     space = generate_space(rng, cfg)
     psi = generate_functional_mixture(rng, space)
-    lhs = to_measure(mix_functionals(psi))
-    rhs = flatten(psi.measure_image())
-    if not _measures_equal(lhs, rhs):
-        return {"lhs": lhs.describe(), "rhs": rhs.describe()}
-    return None
+    return to_measure(mix_functionals(psi)), flatten(psi.measure_image())
 
 
-def _case_functional_naturality(cfg, rng):
-    dom = generate_space(rng, cfg)
-    cod = generate_space(rng, cfg)
-    g = generate_measurable_map(rng, dom, cod)
-    phi = to_functional(generate_measure(rng, dom))
-    lhs = to_measure(pushforward_functional(g, phi))
-    rhs = pushforward(g, to_measure(phi))
-    if not _measures_equal(lhs, rhs):
-        return {"lhs": lhs.describe(), "rhs": rhs.describe()}
-    return None
-
-
-def _case_unit_functional_naturality(cfg, rng):
+def _unit_functional_naturality(cfg, rng):
     dom = generate_space(rng, cfg)
     cod = generate_space(rng, cfg)
     g = generate_measurable_map(rng, dom, cod)
     point = rng.choice(dom.carrier)
-    lhs = pushforward_functional(g, evaluation_at(dom, point))
-    rhs = evaluation_at(cod, g.apply(point))
-    if lhs.coeffs != rhs.coeffs:
-        return {"point": point, "lhs": lhs.describe(), "rhs": rhs.describe()}
-    return None
+    return (pushforward_functional(g, evaluation_at(dom, point)),
+            evaluation_at(cod, g.apply(point)), {"point": point})
 
 
-def _case_respects_limits_extensional(cfg, rng):
+def _bijection_naturality(cfg, rng):
+    dom = generate_space(rng, cfg)
+    cod = generate_space(rng, cfg)
+    g = generate_measurable_map(rng, dom, cod)
+    phi = to_functional(generate_measure(rng, dom))
+    return (to_measure(pushforward_functional(g, phi)),
+            pushforward(g, to_measure(phi)))
+
+
+def _respects_limits_extensional(cfg, rng):
     space = generate_space(rng, cfg)
     phi = to_functional(generate_measure(rng, space))
     w = generate_limit_witness(rng, space)
-    verdict = respects_limits(phi, w)
-    if not verdict.passed:
-        return dict(verdict.witness or {}, error="extensional functional failed")
-    return None
+    return respects_limits(phi, w), {"error": "extensional functional failed"}
 
 
 DUALITY = [
-    _per_case("measure-roundtrip",
-              "to_measure(to_functional(pi)) = pi", _case_measure_roundtrip),
-    _per_case("functional-roundtrip",
-              "to_functional(to_measure(phi)) = phi on coefficients",
-              _case_functional_roundtrip),
+    _law("measure-roundtrip",
+         "to_measure(to_functional(pi)) = pi", _measure_roundtrip),
+    _law("functional-roundtrip",
+         "to_functional(to_measure(phi)) = phi on coefficients",
+         _functional_roundtrip),
     _per_case("max-functional-rejected",
               "to_measure rejects the max functional with an additivity witness",
               _case_max_rejected),
@@ -620,145 +601,116 @@ DUALITY = [
     Property("affine-refutes-square",
              "randomized affineness search refutes the square functional",
              _adversarial_refuted(square_functional, "square")),
-    _per_case("unit-diagram",
-              "to_measure(evaluation at w) = dirac(w)", _case_unit_diagram),
-    _per_case("multiplication-diagram",
-              "to_measure(mixture) = flatten of the componentwise measures",
-              _case_multiplication_diagram),
-    _per_case("unit-functional-naturality",
-              "mapping evaluation-at-w forward gives evaluation at g(w)",
-              _case_unit_functional_naturality),
-    _per_case("bijection-naturality",
-              "to_measure commutes with pushforward on both sides",
-              _case_functional_naturality),
-    _per_case("respects-limits-extensional",
-              "coefficient functionals respect certified vanishing sequences",
-              _case_respects_limits_extensional),
+    _law("unit-diagram",
+         "to_measure(evaluation at w) = dirac(w)", _unit_diagram),
+    _law("multiplication-diagram",
+         "to_measure(mixture) = flatten of the componentwise measures",
+         _multiplication_diagram),
+    _law("unit-functional-naturality",
+         "mapping evaluation-at-w forward gives evaluation at g(w)",
+         _unit_functional_naturality),
+    _law("bijection-naturality",
+         "to_measure commutes with pushforward on both sides",
+         _bijection_naturality),
+    _check("respects-limits-extensional",
+           "coefficient functionals respect certified vanishing sequences",
+           _respects_limits_extensional),
 ]
 
 
 # change of variables --------------------------------------------------------
 
 
-def _case_change_of_variables(cfg, rng):
+def _change_of_variables(cfg, rng):
     dom = generate_space(rng, cfg)
     cod = generate_space(rng, cfg)
     g = generate_measurable_map(rng, dom, cod)
     pi = generate_measure(rng, dom)
     f = generate_ifunction(rng, cod)
-    if not change_of_variables_check(g, pi, f):
-        return {"g": [g.apply(x) for x in dom.carrier],
-                "pi": pi.describe(), "f": f.describe()}
-    return None
+    return (integrate(f.compose_with(g), pi), integrate(f, pushforward(g, pi)),
+            {"g": [g.apply(x) for x in dom.carrier], "pi": pi, "f": f})
 
 
-def _case_pushforward_identity(cfg, rng):
+def _pushforward_identity(cfg, rng):
     space = generate_space(rng, cfg)
     pi = generate_measure(rng, space)
-    got = pushforward(MeasMap.identity(space), pi)
-    if not _measures_equal(got, pi):
-        return {"pi": pi.describe(), "got": got.describe()}
-    return None
+    return pushforward(MeasMap.identity(space), pi), pi
 
 
-def _case_pushforward_composition(cfg, rng):
+def _pushforward_composition(cfg, rng):
     a = generate_space(rng, cfg)
     b = generate_space(rng, cfg)
     c = generate_space(rng, cfg)
     h = generate_measurable_map(rng, a, b)
     g = generate_measurable_map(rng, b, c)
     pi = generate_measure(rng, a)
-    lhs = pushforward(g.compose(h), pi)
-    rhs = pushforward(g, pushforward(h, pi))
-    if not _measures_equal(lhs, rhs):
-        return {"lhs": lhs.describe(), "rhs": rhs.describe()}
-    return None
+    return pushforward(g.compose(h), pi), pushforward(g, pushforward(h, pi))
 
 
 CHANGE_OF_VARIABLES = [
-    _per_case("change-of-variables",
-              "integral of f after g against pi = integral of f against "
-              "the pushforward", _case_change_of_variables),
-    _per_case("pushforward-identity",
-              "pushforward along the identity is the identity",
-              _case_pushforward_identity),
-    _per_case("pushforward-composition",
-              "pushforward of a composite = composite of pushforwards",
-              _case_pushforward_composition),
+    _law("change-of-variables",
+         "integral of f after g against pi = integral of f against "
+         "the pushforward", _change_of_variables),
+    _law("pushforward-identity",
+         "pushforward along the identity is the identity",
+         _pushforward_identity),
+    _law("pushforward-composition",
+         "pushforward of a composite = composite of pushforwards",
+         _pushforward_composition),
 ]
 
 
 # naturality -----------------------------------------------------------------
 
 
-def _case_lifted_naturality(cfg, rng):
+def _lifted_naturality(cfg, rng):
     space = generate_space(rng, cfg)
     phi = to_functional(generate_measure(rng, space))
-    alpha = lift(phi)
     arity = rng.randint(1, cfg.max_arity)
     kind = rng.choice(("projection", "constant", "blend", None, None, None))
     if kind == "blend":
         arity = 2
     h = sample_affine(rng, arity, kind)
     fs = tuple(generate_ifunction(rng, space) for _ in range(arity))
-    verdict = check_naturality(alpha, h, fs)
-    if not verdict.passed:
-        return dict(verdict.witness, functional=phi.describe())
-    return None
+    return check_naturality(lift(phi), h, fs), {"functional": phi}
 
 
-def _case_sequence_naturality(cfg, rng):
+def _sequence_naturality(cfg, rng):
     space = generate_space(rng, cfg)
     phi = to_functional(generate_measure(rng, space))
-    alpha = lift(phi)
     length = rng.randint(1, cfg.max_arity)
     h = sample_sequence_affine(rng, length)
     fs = tuple(generate_ifunction(rng, space) for _ in range(length))
-    verdict = check_naturality(alpha, h, fs)
-    if not verdict.passed:
-        return dict(verdict.witness, functional=phi.describe())
-    return None
+    return check_naturality(lift(phi), h, fs), {"functional": phi}
 
 
-def _case_vanishing_component(cfg, rng):
+def _vanishing_component(cfg, rng):
     space = generate_space(rng, cfg)
     phi = to_functional(generate_measure(rng, space))
     length = rng.randint(0, cfg.max_arity)
     fs = [generate_ifunction(rng, space) for _ in range(length)]
     fs += [IFunction.constant(space, ZERO)] * rng.randint(0, 2)
-    verdict = check_vanishing_component(lift(phi), fs, certified_len=length)
-    if not verdict.passed:
-        return dict(verdict.witness)
-    return None
+    return check_vanishing_component(lift(phi), fs, certified_len=length), {}
 
 
-def _case_unit_element_evaluation(cfg, rng):
+def _unit_element_evaluation(cfg, rng):
     space = generate_space(rng, cfg)
     point = rng.choice(space.carrier)
     alpha = lift(evaluation_at(space, point))
     arity = rng.randint(1, cfg.max_arity)
     fs = tuple(generate_ifunction(rng, space) for _ in range(arity))
-    got = alpha.at_power(fs)
-    want = tuple(f.at_point(point) for f in fs)
-    if got != want:
-        return {"point": point,
-                "got": [format_rational(v) for v in got],
-                "want": [format_rational(v) for v in want]}
-    return None
+    return (alpha.at_power(fs), tuple(f.at_point(point) for f in fs),
+            {"point": point})
 
 
-def _case_affine_composition(cfg, rng):
+def _affine_composition(cfg, rng):
     outer_arity = rng.randint(1, cfg.max_arity)
     inner_arity = rng.randint(1, cfg.max_arity)
     h = sample_affine(rng, outer_arity)
     gs = tuple(sample_affine(rng, inner_arity) for _ in range(outer_arity))
-    composite = h.compose(gs)
-    xs = tuple(random_unit_fraction(rng) for _ in range(inner_arity))
-    direct = h([g(xs) for g in gs])
-    if composite(xs) != direct:
-        return {"h": h.describe(), "inner": [g.describe() for g in gs],
-                "x": [format_rational(x) for x in xs]}
-    return None
+    xs = tuple(random_fraction(rng) for _ in range(inner_arity))
+    return (h.compose(gs)(xs), h([g(xs) for g in gs]),
+            {"h": h, "inner": gs, "x": xs})
 
 
 def _refutes_naturality(maker, label: str) -> Runner:
@@ -775,21 +727,21 @@ def _refutes_naturality(maker, label: str) -> Runner:
 
 
 NATURALITY = [
-    _per_case("lifted-extensional-naturality",
-              "families lifted from coefficient functionals pass every "
-              "affine naturality square", _case_lifted_naturality),
-    _per_case("sequence-naturality",
-              "the sequence component commutes with affine sequence maps",
-              _case_sequence_naturality),
-    _per_case("vanishing-component",
-              "the sequence component outputs vanishing sequences",
-              _case_vanishing_component),
-    _per_case("unit-element-evaluation",
-              "the lifted evaluation family evaluates tuples pointwise",
-              _case_unit_element_evaluation),
-    _per_case("affine-composition-closure",
-              "composing canonical affine forms composes their coefficients",
-              _case_affine_composition),
+    _check("lifted-extensional-naturality",
+           "families lifted from coefficient functionals pass every "
+           "affine naturality square", _lifted_naturality),
+    _check("sequence-naturality",
+           "the sequence component commutes with affine sequence maps",
+           _sequence_naturality),
+    _check("vanishing-component",
+           "the sequence component outputs vanishing sequences",
+           _vanishing_component),
+    _law("unit-element-evaluation",
+         "the lifted evaluation family evaluates tuples pointwise",
+         _unit_element_evaluation),
+    _law("affine-composition-closure",
+         "composing canonical affine forms composes their coefficients",
+         _affine_composition),
     Property("naturality-refutes-max",
              "a failing square for the max functional is found and minimized",
              _refutes_naturality(max_functional, "max")),
@@ -861,86 +813,64 @@ def _case_hull_closure(cfg, rng):
     return None
 
 
-def _case_dirac_extension(cfg, rng):
+def _dirac_extension(cfg, rng):
     verts = generate_polytope(rng, cfg)
     space = generate_space(rng, cfg)
     i = rng.randrange(len(space.atoms))
     coeffs = tuple(ONE if j == i else ZERO for j in range(len(space.atoms)))
     phi = Functional.extensional(space, coeffs)
     points = [point_in_hull(rng, verts) for _ in space.atoms]
-    out = extend_to_convex(phi, verts, points, max_dim=cfg.max_hull_dim)
-    if out != points[i]:
-        return {"expected": [format_rational(c) for c in points[i]],
-                "got": [format_rational(c) for c in out]}
-    return None
+    return (extend_to_convex(phi, verts, points, max_dim=cfg.max_hull_dim),
+            points[i])
 
 
 CONVEX_BOUND = [
     _per_case("hull-closure",
               "coordinatewise application of a coefficient functional stays "
               "in the hull, certified by exact feasibility", _case_hull_closure),
-    _per_case("dirac-extension",
-              "a point-mass functional extends to exact selection of its "
-              "atom's hull point", _case_dirac_extension),
+    _law("dirac-extension",
+         "a point-mass functional extends to exact selection of its "
+         "atom's hull point", _dirac_extension),
 ]
 
 
 # counterexample -------------------------------------------------------------
 
 
-def _case_limit_affine(cfg, rng):
+def _limit_affine(cfg, rng):
     f = generate_eventual_fn(rng)
     g = generate_eventual_fn(rng)
-    r = random_unit_fraction(rng)
-    lhs = limit_functional(f.blend(g, r))
-    rhs = r * limit_functional(f) + (1 - r) * limit_functional(g)
-    if lhs != rhs:
-        return {"r": format_rational(r), "lhs": format_rational(lhs),
-                "rhs": format_rational(rhs)}
-    return None
+    r = random_fraction(rng)
+    return (limit_functional(f.blend(g, r)),
+            r * limit_functional(f) + (1 - r) * limit_functional(g), {"r": r})
 
 
-def _case_limit_weakly_averaging(cfg, rng):
-    r = random_unit_fraction(rng)
-    got = limit_functional(EventualFn.constant(r))
-    if got != r:
-        return {"r": format_rational(r), "got": format_rational(got)}
-    return None
+def _limit_weakly_averaging(cfg, rng):
+    r = random_fraction(rng)
+    return limit_functional(EventualFn.constant(r)), r
 
 
-def _case_limit_lipschitz(cfg, rng):
+def _limit_lipschitz(cfg, rng):
     f = generate_eventual_fn(rng)
     g = generate_eventual_fn(rng)
-    verdict = sup_continuity_check(f, g)
-    if not verdict.passed:
-        return dict(verdict.witness)
-    return None
+    return sup_continuity_check(f, g), {}
 
 
-def _case_measure_consistency(cfg, rng):
+def _measure_consistency(cfg, rng):
     a = generate_fincof(rng)
-    lhs = cofinite_measure(a)
-    rhs = limit_functional(a.indicator())
-    if lhs != rhs:
-        return {"set": sorted(a.elements), "cofinite": a.cofinite,
-                "measure": format_rational(lhs),
-                "functional": format_rational(rhs)}
-    return None
+    return (cofinite_measure(a), limit_functional(a.indicator()),
+            {"set": sorted(a.elements), "cofinite": a.cofinite})
 
 
-def _case_finite_additivity(cfg, rng):
+def _finite_additivity(cfg, rng):
     a = generate_fincof(rng)
     b = generate_fincof(rng)
     if not a.disjoint_from(b):
         b = a.complement()
-    union = a.union(b)
-    lhs = cofinite_measure(union)
-    rhs = cofinite_measure(a) + cofinite_measure(b)
-    if lhs != rhs:
-        return {"a": sorted(a.elements), "a_cofinite": a.cofinite,
-                "b": sorted(b.elements), "b_cofinite": b.cofinite,
-                "lhs": format_rational(lhs), "rhs": format_rational(rhs)}
-    return None
+    return (cofinite_measure(a.union(b)),
+            cofinite_measure(a) + cofinite_measure(b),
+            {"a": sorted(a.elements), "a_cofinite": a.cofinite,
+             "b": sorted(b.elements), "b_cofinite": b.cofinite})
 
 
 def _limits_refuted(cfg: SuiteConfig):
@@ -958,21 +888,20 @@ def _limits_refuted(cfg: SuiteConfig):
 
 
 COUNTEREXAMPLE = [
-    _per_case("limit-affine",
-              "the tail functional preserves convex combinations exactly",
-              _case_limit_affine),
-    _per_case("limit-weakly-averaging",
-              "the tail functional fixes every constant",
-              _case_limit_weakly_averaging),
-    _per_case("limit-sup-lipschitz",
-              "the tail functional is 1-Lipschitz for the sup metric",
-              _case_limit_lipschitz),
-    _per_case("measure-functional-consistency",
-              "the zero/one set measure is the tail functional on indicators",
-              _case_measure_consistency),
-    _per_case("finite-additivity",
-              "disjoint representable unions add their measures",
-              _case_finite_additivity),
+    _law("limit-affine",
+         "the tail functional preserves convex combinations exactly",
+         _limit_affine),
+    _law("limit-weakly-averaging",
+         "the tail functional fixes every constant", _limit_weakly_averaging),
+    _check("limit-sup-lipschitz",
+           "the tail functional is 1-Lipschitz for the sup metric",
+           _limit_lipschitz),
+    _law("measure-functional-consistency",
+         "the zero/one set measure is the tail functional on indicators",
+         _measure_consistency),
+    _law("finite-additivity",
+         "disjoint representable unions add their measures",
+         _finite_additivity),
     Property("limits-axiom-refuted",
              "final-segment indicators vanish pointwise while the functional "
              "stays pinned at one; singleton masses sum to zero against "

@@ -8,6 +8,7 @@ are lossless and no float ever appears in serialized output.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from .errors import InvariantError
@@ -36,6 +37,14 @@ def parse_rational(s: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse rational {s!r}: {exc}") from None
+
+
+def random_fraction(rng: random.Random, lo: int = 0, hi: int = 1,
+                    max_den: int = 64) -> Fraction:
+    """A random rational in [lo, hi]: draw a denominator up to ``max_den``,
+    then a numerator over it."""
+    den = rng.randint(1, max_den)
+    return Fraction(rng.randint(lo * den, hi * den), den)
 
 
 def in_unit_interval(x: Fraction) -> bool:

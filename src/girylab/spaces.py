@@ -11,29 +11,43 @@ codomain, which is what makes the atomwise representations downstream
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvariantError, NotMeasurableError, SpaceMismatchError
-from .rational import ONE, ZERO, format_rational, require_unit
+from .rational import ONE, ZERO, format_rational, random_fraction, require_unit
 
-#: Default carrier cap; 2^16 subsets is the worst case we enumerate.
+#: Carrier cap: a named size limit, enforced by ``generate_sigma``.
 MAX_CARRIER_POINTS = 16
 
 
 @dataclass(frozen=True)
 class FinSpace:
-    """A finite carrier with an explicit sigma-algebra and its atom partition.
+    """A finite carrier with the atom partition of its sigma-algebra.
 
-    ``carrier`` fixes the point order; ``sigma`` is the frozenset of
-    measurable bitmasks; ``atoms`` lists the atom bitmasks ordered by
-    their smallest member, so atom indices are deterministic.
+    ``carrier`` fixes the point order; ``atoms`` lists the atom bitmasks
+    ordered by their smallest member, so atom indices are deterministic.
+    The measurable sets are exactly the unions of atoms, so the pair
+    determines the space; the point tables built from it are caches and
+    take no part in equality or hashing.
     """
 
     carrier: tuple[str, ...]
-    sigma: frozenset[int]
     atoms: tuple[int, ...]
+    _position: dict = field(init=False, repr=False, compare=False)
+    _atom_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        atom_at = [0] * len(self.carrier)
+        for j, atom in enumerate(self.atoms):
+            for i in range(len(self.carrier)):
+                if atom >> i & 1:
+                    atom_at[i] = j
+        object.__setattr__(self, "_position",
+                           {lab: i for i, lab in enumerate(self.carrier)})
+        object.__setattr__(self, "_atom_at", tuple(atom_at))
 
     # -- mask helpers -------------------------------------------------
 
@@ -41,10 +55,18 @@ class FinSpace:
     def full_mask(self) -> int:
         return (1 << len(self.carrier)) - 1
 
+    @property
+    def sigma(self) -> frozenset[int]:
+        """Every measurable set: the unions of atoms, enumerated on demand."""
+        sets = {0}
+        for atom in self.atoms:
+            sets |= {mask | atom for mask in sets}
+        return frozenset(sets)
+
     def point_index(self, label: str) -> int:
         try:
-            return self.carrier.index(label)
-        except ValueError:
+            return self._position[label]
+        except (KeyError, TypeError):
             raise NotMeasurableError(f"point {label!r} is not in the carrier") from None
 
     def mask_of(self, labels: Iterable[str]) -> int:
@@ -57,20 +79,18 @@ class FinSpace:
         return tuple(lab for i, lab in enumerate(self.carrier) if mask >> i & 1)
 
     def is_measurable_set(self, mask: int) -> bool:
-        return mask in self.sigma
+        """No bit outside the carrier, and no atom straddles the set."""
+        return (0 <= mask <= self.full_mask
+                and all(atom & mask in (0, atom) for atom in self.atoms))
 
     def require_measurable_set(self, mask: int) -> int:
-        if mask not in self.sigma:
+        if not self.is_measurable_set(mask):
             raise NotMeasurableError(
                 f"set {set(self.labels_of(mask))} is not in the sigma-algebra")
         return mask
 
     def atom_index_of_point(self, label: str) -> int:
-        bit = 1 << self.point_index(label)
-        for i, atom in enumerate(self.atoms):
-            if atom & bit:
-                return i
-        raise InvariantError(f"atoms do not cover point {label!r}")  # unreachable
+        return self._atom_at[self.point_index(label)]
 
     def atoms_in(self, mask: int) -> tuple[int, ...]:
         """Indices of the atoms contained in a measurable set."""
@@ -90,14 +110,15 @@ class FinSpace:
         return generate_sigma(labels, [])
 
 
-def generate_sigma(carrier: Sequence[str], generators: Iterable[Iterable[str]],
+def generate_sigma(carrier: Sequence[str], generators: Iterable[Sequence[str]],
                    max_points: int = MAX_CARRIER_POINTS) -> FinSpace:
     """Smallest sigma-algebra on ``carrier`` containing every generator.
 
     Points are split into atoms by their generator signature (which
     generators contain them); the closure under complement and union is
-    then exactly the set of unions of atoms.  Finite carriers make
-    countable and finite closure coincide.
+    then exactly the set of unions of atoms, so the atoms are all that
+    is kept.  Finite carriers make countable and finite closure coincide.
+    Each generator must be a list (or tuple) of carrier labels.
     """
     labels = tuple(carrier)
     if len(labels) != len(set(labels)):
@@ -111,9 +132,12 @@ def generate_sigma(carrier: Sequence[str], generators: Iterable[Iterable[str]],
     index = {lab: i for i, lab in enumerate(labels)}
     gen_masks = []
     for gen in generators:
+        if not isinstance(gen, (list, tuple)):
+            raise InvariantError(
+                f"generator {gen!r} must be a list of carrier labels")
         mask = 0
         for lab in gen:
-            if lab not in index:
+            if not isinstance(lab, str) or lab not in index:
                 raise InvariantError(
                     f"generator element {lab!r} is not in the carrier")
             mask |= 1 << index[lab]
@@ -125,15 +149,7 @@ def generate_sigma(carrier: Sequence[str], generators: Iterable[Iterable[str]],
         signatures[sig] = signatures.get(sig, 0) | (1 << i)
     # order atoms by smallest member so indices are reproducible
     atoms = tuple(sorted(signatures.values(), key=lambda m: (m & -m).bit_length()))
-
-    sigma = set()
-    for bits in range(1 << len(atoms)):
-        mask = 0
-        for j, atom in enumerate(atoms):
-            if bits >> j & 1:
-                mask |= atom
-        sigma.add(mask)
-    return FinSpace(labels, frozenset(sigma), atoms)
+    return FinSpace(labels, atoms)
 
 
 def atoms(space: FinSpace) -> tuple[int, ...]:
@@ -199,8 +215,8 @@ class MeasMap:
 
 
 def is_measurable(candidate: MeasMap) -> bool:
-    """True iff every cod-atom preimage lies in the dom sigma-algebra."""
-    return all(candidate.preimage(atom) in candidate.dom.sigma
+    """True iff every cod-atom preimage is a dom-measurable set."""
+    return all(candidate.dom.is_measurable_set(candidate.preimage(atom))
                for atom in candidate.cod.atoms)
 
 
@@ -214,8 +230,7 @@ def atom_image(g: MeasMap, dom_atom_index: int) -> int:
     """Index of the cod atom that a dom atom lands in (g measurable)."""
     atom = g.dom.atoms[dom_atom_index]
     first_point = (atom & -atom).bit_length() - 1
-    cod_point = g.table[first_point]
-    return g.cod.atom_index_of_point(g.cod.carrier[cod_point])
+    return g.cod._atom_at[g.table[first_point]]
 
 
 @dataclass(frozen=True)
@@ -289,6 +304,11 @@ class IFunction:
     def describe(self) -> dict:
         return {"atoms": [" ".join(self.space.labels_of(a)) for a in self.space.atoms],
                 "values": [format_rational(v) for v in self.values]}
+
+
+def generate_ifunction(rng: random.Random, space: FinSpace) -> IFunction:
+    """A random function: one ``random_fraction`` value per atom."""
+    return IFunction(space, tuple(random_fraction(rng) for _ in space.atoms))
 
 
 def characteristic(space: FinSpace, mask: int) -> IFunction:

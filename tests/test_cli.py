@@ -217,3 +217,8 @@ class TestReport:
         out = capsys.readouterr().out
         assert code == 0
         assert "<testsuite" in out and "testcase" in out
+
+    def test_non_object_report_named(self, tmp_path, capsys):
+        code = main(["report", write(tmp_path, "r.json", [1, 2])])
+        assert code == 2
+        assert "expected a JSON object" in capsys.readouterr().err

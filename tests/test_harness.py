@@ -1,10 +1,15 @@
 """Suite runner: determinism, generators, refutation minimization."""
 
+import hashlib
+import sys
 from fractions import Fraction
 
 import pytest
 
+from girylab import harness
+from girylab.cli import main
 from girylab.errors import GirylabError
+from girylab.measures import Measure
 from girylab.spaces import FinSpace
 from girylab.duality import max_functional, square_functional
 from girylab.harness import (SUITE_NAMES, SuiteConfig, case_rng,
@@ -139,3 +144,53 @@ class TestMinimization:
         phi = Functional.extensional(space, (F(1, 3), F(2, 3)))
         assert find_naturality_refutation(
             phi, 3, case_rng(0, "ok", 0), budget=400) is None
+
+
+#: sha256 of ``girylab verify all --seed 7 --trials 500`` stdout.
+GOLDEN_SHA256 = "80fc569c6bdf6c740b6e920ae368a95140b1e8706cfdef8ecaed44febcb2a099"
+
+
+class TestGoldenReport:
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="golden digest recorded under Python 3.11.7")
+    def test_verify_all_digest(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # no stray girylab.cfg
+        assert main(["verify", "all", "--seed", "7", "--trials", "500"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256
+
+
+def _swap_weights(fn):
+    """fn with weights 0 and 2 of its resulting measure swapped, when
+    there are at least three and they differ."""
+
+    def mutated(*args):
+        pi = fn(*args)
+        w = list(pi.weights)
+        if len(w) >= 3 and w[0] != w[2]:
+            w[0], w[2] = w[2], w[0]
+            return Measure(pi.space, tuple(w))
+        return pi
+
+    return mutated
+
+
+class TestRefutingPower:
+    # The first failing case of each law depends on every draw the cases
+    # make, so these indices also pin the generated instances.
+    @pytest.mark.parametrize("target, expected", [
+        ("bind", {"left-unit": 4, "right-unit": 11, "associativity": 0,
+                  "bind-is-mixture": 4}),
+        ("flatten", {"flatten-point": 0, "flatten-dirac-decomposition": 0,
+                     "flatten-associativity": 4, "flatten-naturality": 2,
+                     "bind-is-mixture": 4, "multiplication-diagram": 10}),
+    ])
+    def test_weight_swap_is_refuted(self, monkeypatch, target, expected):
+        monkeypatch.setattr(harness, target,
+                            _swap_weights(getattr(harness, target)))
+        report = run_suite("all", SuiteConfig(seed=7, trials=200))
+        failing = {r.name: r.witness for r in report.records
+                   if r.result != "pass"}
+        assert {name: w["case"] for name, w in failing.items()} == expected
+        for witness in failing.values():
+            assert {"case", "lhs", "rhs"} <= set(witness)

@@ -47,9 +47,15 @@ class TestSpaceJson:
         s = FinSpace.discrete(["z", "y", "x"])
         assert space_from_json(space_to_json(s)).carrier == ("z", "y", "x")
 
-    def test_bad_generator_named(self):
-        with pytest.raises(IngestionError, match="not in the carrier"):
-            space_from_json({"carrier": ["a"], "generators": [["b"]]})
+    @pytest.mark.parametrize("carrier, generators, message", [
+        (["a"], [["b"]], "not in the carrier"),
+        (["a", "b"], [1], "must be a list of carrier labels"),
+        (["a", "b"], [[["a"]]], "not in the carrier"),
+        (["a", "b"], ["ab"], "must be a list of carrier labels"),
+    ], ids=["outside-carrier", "int-generator", "list-label", "string-generator"])
+    def test_bad_generator_named(self, carrier, generators, message):
+        with pytest.raises(IngestionError, match=message):
+            space_from_json({"carrier": carrier, "generators": generators})
 
     def test_carrier_must_be_labels(self):
         with pytest.raises(IngestionError, match="carrier"):

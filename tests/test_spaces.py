@@ -10,7 +10,7 @@ from girylab.errors import InvariantError, NotMeasurableError
 from girylab.spaces import (FinSpace, IFunction, MeasMap, atoms,
                             characteristic, generate_sigma, is_measurable)
 
-from strategies import (brute_closure, exhaustive_measurable,
+from strategies import (LABELS, brute_closure, exhaustive_measurable,
                         minimal_nonempty, spaces)
 
 F = Fraction
@@ -61,6 +61,20 @@ class TestGenerateSigma:
             space.carrier, [space.labels_of(m) for m in space.sigma])
         assert again.sigma == space.sigma
         assert again.atoms == space.atoms
+
+
+class TestMeasurableSet:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.lists(st.sampled_from(LABELS[:n]),
+                                      unique=True), max_size=3))))
+    def test_atom_rule_matches_brute_closure(self, drawn):
+        # masks up to 2^(n+1) include sets with a bit outside the carrier
+        n, gens = drawn
+        space = generate_sigma(list(LABELS[:n]), gens)
+        closure = brute_closure(n, [space.mask_of(g) for g in gens])
+        for m in range(1 << (n + 1)):
+            assert space.is_measurable_set(m) == (m in closure)
 
 
 class TestAtoms:
