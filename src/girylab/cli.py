@@ -23,7 +23,8 @@ from .harness import (SUITE_NAMES, SuiteConfig, case_rng, generate_ifunction,
 from .codensity import check_naturality, lift, sample_affine
 from .jsonio import (functional_from_json, kernel_from_json,
                      measure_from_json, space_from_json)
-from .monad import trajectory
+from .monad import n_step, trajectory
+from .rational import parse_int
 
 CONFIG_KEYS = ("seed", "trials", "max_carrier", "max_arity", "max_hull_dim")
 DEFAULT_CONFIG_FILE = "girylab.cfg"
@@ -76,28 +77,30 @@ def _build_config(args) -> SuiteConfig:
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), parse_int=parse_int)
     except FileNotFoundError:
         raise IngestionError(f"file {path} does not exist")
     except json.JSONDecodeError as exc:
         raise IngestionError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise IngestionError(f"{path} nests JSON arrays or objects too deeply")
 
 
 def _junit_suite_lines(report_doc: dict) -> list:
     props = report_doc.get("properties", [])
     failures = sum(1 for p in props if p.get("result") != "pass")
     lines = [
-        f'<testsuite name={quoteattr(report_doc.get("suite", "girylab"))} '
+        f'<testsuite name={quoteattr(str(report_doc.get("suite", "girylab")))} '
         f'tests="{len(props)}" failures="{failures}" errors="0">',
     ]
     for p in props:
         lines.append(
-            f'  <testcase classname={quoteattr(report_doc.get("suite", ""))} '
-            f'name={quoteattr(p.get("property", "?"))}>')
+            f'  <testcase classname={quoteattr(str(report_doc.get("suite", "")))} '
+            f'name={quoteattr(str(p.get("property", "?")))}>')
         if p.get("result") != "pass":
             detail = escape(json.dumps(p.get("witness"), sort_keys=True))
             lines.append(
-                f'    <failure message={quoteattr(p.get("law", ""))}>'
+                f'    <failure message={quoteattr(str(p.get("law", "")))}>'
                 f'{detail}</failure>')
         lines.append('  </testcase>')
     lines.append('</testsuite>')
@@ -175,8 +178,10 @@ def _cmd_markov(args) -> int:
     if kernel.dom != kernel.cod:
         raise IngestionError("markov evolution needs an endo-kernel "
                              "(dom and cod must agree)")
-    states = trajectory(kernel, init, args.steps)
-    shown = enumerate(states) if args.trace else [(args.steps, states[-1])]
+    if args.trace:
+        shown = enumerate(trajectory(kernel, init, args.steps))
+    else:
+        shown = [(args.steps, n_step(kernel, init, args.steps))]
     for step, pi in shown:
         doc = {"step": step,
                "weights": {str(i): w for i, w in
@@ -190,6 +195,10 @@ def _cmd_report(args) -> int:
     for path, doc in zip(args.inputs, docs):
         if not isinstance(doc, dict):
             raise IngestionError(f"{path} is not a report: expected a JSON object")
+        props = doc.get("properties", [])
+        if not isinstance(props, list) or not all(isinstance(p, dict) for p in props):
+            raise IngestionError(
+                f"{path} is not a report: 'properties' must be a list of objects")
     merged = {"reports": docs,
               "result": "pass" if all(d.get("result") == "pass" for d in docs)
               else "fail"}

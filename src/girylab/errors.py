@@ -42,3 +42,8 @@ class ActionSquareError(GirylabError):
 
 class IngestionError(GirylabError):
     """Malformed JSON input; the message names the first violated invariant."""
+
+
+class DigitLimitError(GirylabError):
+    """A rational's numerator or denominator has more decimal digits than
+    ``rational.MAX_DIGITS``; raised on parse, format and Markov evolution."""

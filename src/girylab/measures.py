@@ -49,9 +49,6 @@ class Measure:
         return sum((w for atom, w in zip(self.space.atoms, self.weights)
                     if atom & mask == atom), ZERO)
 
-    def of_labels(self, labels) -> Fraction:
-        return self.of(self.space.mask_of(labels))
-
     def describe(self) -> dict:
         return {"atoms": [" ".join(self.space.labels_of(a)) for a in self.space.atoms],
                 "weights": [format_rational(w) for w in self.weights]}

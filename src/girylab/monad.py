@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvariantError, SpaceMismatchError
-from .rational import ONE, ZERO, format_rational
+from .rational import ONE, ZERO, fits_digits, format_rational, require_digits
 from .spaces import FinSpace
 from .measures import Measure
 
@@ -80,6 +81,26 @@ def dirac(space: FinSpace, point: str) -> Measure:
         ONE if j == i else ZERO for j in range(len(space.atoms))))
 
 
+def _mix(space: FinSpace, coeffs, measures) -> Measure:
+    """The measure sum_i coeffs[i] * measures[i] on ``space``.
+
+    The coefficients are lifted to integer numerators over their lcm
+    denominator, and the measures' weights to an integer matrix over the
+    lcm of all its denominators.  Each output weight is then one integer
+    dot product and one Fraction, instead of a Fraction sum whose every
+    addition takes a gcd.
+    """
+    rows = [m.weights for m in measures]
+    cden = lcm(*(c.denominator for c in coeffs))
+    cnum = [c.numerator * (cden // c.denominator) for c in coeffs]
+    rden = lcm(*(w.denominator for row in rows for w in row))
+    rnum = [[w.numerator * (rden // w.denominator) for w in row] for row in rows]
+    den = cden * rden
+    return Measure(space, tuple(
+        Fraction(sum(c * row[j] for c, row in zip(cnum, rnum)), den)
+        for j in range(len(space.atoms))))
+
+
 def flatten(rho: MetaMeasure) -> Measure:
     """Multiplication: average the support measures by their weights.
 
@@ -87,12 +108,8 @@ def flatten(rho: MetaMeasure) -> Measure:
     component measures of A, which is the defining integral of the
     evaluation map collapsed over the finite support.
     """
-    n = len(rho.base.atoms)
-    weights = [ZERO] * n
-    for measure, w in rho.support:
-        for j in range(n):
-            weights[j] += w * measure.weights[j]
-    return Measure(rho.base, tuple(weights))
+    return _mix(rho.base, [w for _, w in rho.support],
+                [m for m, _ in rho.support])
 
 
 def bind(pi: Measure, k: Kernel) -> Measure:
@@ -104,12 +121,7 @@ def bind(pi: Measure, k: Kernel) -> Measure:
     """
     if pi.space != k.dom:
         raise SpaceMismatchError("measure does not live on the kernel domain")
-    n = len(k.cod.atoms)
-    weights = [ZERO] * n
-    for w, row in zip(pi.weights, k.rows):
-        for j in range(n):
-            weights[j] += w * row.weights[j]
-    return Measure(k.cod, tuple(weights))
+    return _mix(k.cod, pi.weights, k.rows)
 
 
 def kleisli_compose(k1: Kernel, k2: Kernel) -> Kernel:
@@ -119,23 +131,63 @@ def kleisli_compose(k1: Kernel, k2: Kernel) -> Kernel:
     return Kernel(k1.dom, k2.cod, tuple(bind(row, k2) for row in k1.rows))
 
 
+def _require_digits(pi: Measure, what: str) -> None:
+    """Stop Markov evolution once a weight passes rational.MAX_DIGITS."""
+    for w in pi.weights:
+        require_digits(w, what)
+
+
+def _den(measures) -> int:
+    """The lcm of the weights' denominators over ``measures``."""
+    return lcm(*(w.denominator for m in measures for w in m.weights))
+
+
 def n_step(k: Kernel, pi0: Measure, n: int) -> Measure:
-    """n-fold Kleisli extension of an endo-kernel; n = 0 returns pi0."""
+    """n-fold Kleisli extension of an endo-kernel; n = 0 returns pi0.
+
+    Binary exponentiation: associativity of Kleisli composition gives
+    pi0 * K^n = pi0 * K^(2^a) * K^(2^b) * ..., so this makes O(log n)
+    kernel products, each through ``bind``.
+
+    It stops with DigitLimitError at exactly the first step whose state
+    ``trajectory`` would reject, although it computes only some states.
+    With den(.) the lcm of the denominators, every state at step
+    done + t with t < 2^j has denominators dividing
+    den(state at done) * den(K^1) * den(K^2) * ... * den(K^(2^(j-1))),
+    and a probability weight's numerator is at most its denominator.  A
+    jump of 2^j steps is taken only when that product is within the limit,
+    so every state it passes over fits; the state it lands on is checked
+    like each state of ``trajectory``.  One step (j = 0) is always
+    allowed, and a kernel power is squared only when it could be used, so
+    the powers stay within about twice the limit's digits.
+    """
     if k.dom != k.cod:
         raise SpaceMismatchError("n_step needs an endo-kernel")
     if pi0.space != k.dom:
         raise SpaceMismatchError("initial measure lives off the kernel space")
     if n < 0:
         raise InvariantError("step count must be nonnegative")
-    pi = pi0
-    for _ in range(n):
-        pi = bind(pi, k)
+    powers = [k]          # powers[i] = K^(2^i)
+    spans = [1, _den(k.rows)]  # spans[j] = den(K^1) * ... * den(K^(2^(j-1)))
+    pi, done = pi0, 0
+    while done < n:
+        left, den = n - done, _den((pi,))
+        while (1 << len(powers)) <= left and fits_digits(den * spans[-1]):
+            powers.append(kleisli_compose(powers[-1], powers[-1]))
+            spans.append(spans[-1] * _den(powers[-1].rows))
+        j = next((j for j in range(len(powers) - 1, 0, -1)
+                  if (1 << j) <= left and fits_digits(den * spans[j])), 0)
+        pi = bind(pi, powers[j])
+        done += 1 << j
+        _require_digits(pi, f"a weight of the state at step {done}")
     return pi
 
 
 def trajectory(k: Kernel, pi0: Measure, n: int) -> list[Measure]:
-    """Distributions at steps 0..n inclusive."""
+    """Distributions at steps 0..n inclusive; it stops with DigitLimitError
+    at the first state with a weight past rational.MAX_DIGITS."""
     out = [pi0]
-    for _ in range(n):
+    for step in range(1, n + 1):
         out.append(bind(out[-1], k))
+        _require_digits(out[-1], f"a weight of the state at step {step}")
     return out

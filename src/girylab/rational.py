@@ -3,7 +3,9 @@
 Every number in this package is a ``fractions.Fraction`` (arbitrary
 precision, always in lowest terms).  On the wire rationals are the
 strings ``"p/q"``; the denominator is always written, so round trips
-are lossless and no float ever appears in serialized output.
+are lossless and no float ever appears in serialized output.  Numerators
+and denominators are capped at ``MAX_DIGITS`` decimal digits, on parse,
+on format and in Markov evolution.
 """
 
 from __future__ import annotations
@@ -11,32 +13,95 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import InvariantError
+from .errors import DigitLimitError, InvariantError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
+#: The most decimal digits a numerator or denominator may have.  It equals
+#: CPython's default int-to-str limit (the CVE-2020-10735 guard), so every
+#: number within it can be written out and read back.
+MAX_DIGITS = 4300
+_DIGIT_BOUND = 10 ** MAX_DIGITS
+
+
+def _digit_limit_error(what: str, digits: int) -> DigitLimitError:
+    return DigitLimitError(f"{what} has {digits:,} digits, more than the "
+                           f"limit of {MAX_DIGITS:,} (rational.MAX_DIGITS)")
+
+
+def _decimal_digits(n: int) -> int:
+    """Decimal digits of ``abs(n)``, counted without converting it to str."""
+    n = abs(n)
+    digits = max(1, n.bit_length() * 1233 >> 12)  # 1233/4096 < log10(2)
+    while n >= 10 ** digits:
+        digits += 1
+    return digits
+
+
+def fits_digits(n: int) -> bool:
+    """Whether ``abs(n)`` has at most MAX_DIGITS decimal digits."""
+    return abs(n) < _DIGIT_BOUND
+
+
+def _string_digits(s: str) -> int:
+    """Digits written in an integer string: its length without surrounding
+    space, sign or '_' separators, counted before any conversion."""
+    return len(s.strip().lstrip("+-").replace("_", ""))
+
+
+def require_digits(x: Fraction, what: str) -> Fraction:
+    """``x`` unchanged if its numerator and denominator fit in MAX_DIGITS
+    decimal digits; otherwise DigitLimitError naming ``what``."""
+    if fits_digits(x.numerator) and fits_digits(x.denominator):
+        return x
+    raise _digit_limit_error(what, max(_decimal_digits(x.numerator),
+                                       _decimal_digits(x.denominator)))
+
+
+def _shown(s: str) -> str:
+    """``s`` quoted for an error message, cut short if it is long."""
+    return repr(s) if len(s) <= 40 else f"{s[:40]!r}... ({len(s):,} characters)"
+
 
 def format_rational(x: Fraction) -> str:
     """Render ``x`` canonically as ``"p/q"`` (``"3/4"``, ``"1/1"``, ``"0/1"``)."""
-    f = Fraction(x)
+    f = require_digits(Fraction(x), "rational to format")
     return f"{f.numerator}/{f.denominator}"
+
+
+def parse_int(s: str) -> int:
+    """Parse a decimal integer string; DigitLimitError past MAX_DIGITS digits."""
+    digits = _string_digits(s)
+    if digits > MAX_DIGITS:
+        raise _digit_limit_error(f"integer {_shown(s)}", digits)
+    return int(s)
 
 
 def parse_rational(s: str) -> Fraction:
     """Parse ``"p/q"`` (or a bare integer string) into a Fraction.
 
     Raises ValueError on floats or malformed input; '.' is rejected
-    outright so decimal notation cannot sneak inexact values in.
+    outright so decimal notation cannot sneak inexact values in.  A
+    numerator or denominator past MAX_DIGITS digits raises
+    DigitLimitError (a ValueError) before any conversion.
     """
     text = s.strip()
     if "." in text or "e" in text.lower():
-        raise ValueError(f"rational {s!r} must be written as 'p/q', not a decimal")
+        raise ValueError(
+            f"rational {_shown(s)} must be written as 'p/q', not a decimal")
+    for part in text.split("/"):
+        digits = _string_digits(part)
+        if digits > MAX_DIGITS:
+            raise _digit_limit_error(f"rational {_shown(s)}", digits)
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse rational {s!r}: {exc}") from None
+    except ValueError:
+        raise ValueError(f"cannot parse rational {_shown(s)}: "
+                         "expected 'p/q' with integers p and q") from None
+    except ZeroDivisionError:
+        raise ValueError(f"rational {_shown(s)} has a zero denominator") from None
 
 
 def random_fraction(rng: random.Random, lo: int = 0, hi: int = 1,

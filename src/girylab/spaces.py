@@ -92,10 +92,6 @@ class FinSpace:
     def atom_index_of_point(self, label: str) -> int:
         return self._atom_at[self.point_index(label)]
 
-    def atoms_in(self, mask: int) -> tuple[int, ...]:
-        """Indices of the atoms contained in a measurable set."""
-        return tuple(i for i, atom in enumerate(self.atoms) if atom & mask == atom)
-
     def describe_atoms(self) -> list[list[str]]:
         return [list(self.labels_of(a)) for a in self.atoms]
 
@@ -288,10 +284,6 @@ class IFunction:
         _same_space(self, other)
         return IFunction(self.space, tuple(
             a + b for a, b in zip(self.values, other.values)))
-
-    def leq(self, other: "IFunction") -> bool:
-        _same_space(self, other)
-        return all(a <= b for a, b in zip(self.values, other.values))
 
     def compose_with(self, g: MeasMap) -> "IFunction":
         """self after g, an IFunction on g.dom (g must be measurable)."""

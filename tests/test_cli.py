@@ -1,11 +1,15 @@
 """Command surface: markov evolution, verification, reports, config."""
 
 import json
+import random
 import re
 
 import pytest
 
 from girylab.cli import main
+from girylab.harness import generate_kernel, generate_measure
+from girylab.jsonio import kernel_to_json, measure_to_json
+from girylab.spaces import FinSpace, generate_sigma
 
 TWO_STATE = {"carrier": ["0", "1"], "generators": [["0"], ["1"]]}
 
@@ -64,6 +68,75 @@ class TestMarkov:
                      "--steps", "1"])
         assert code == 2
         assert "endo-kernel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("carrier, generators, steps", [
+        ("abcde", [[c] for c in "abcde"], 37),
+        ("abcde", [[c] for c in "abcde"], 64),
+        ("abcdef", [["a", "b"], ["c"]], 45),
+    ])
+    def test_final_state_is_last_trace_line(self, tmp_path, capsys,
+                                            carrier, generators, steps):
+        space = generate_sigma(list(carrier), generators)
+        rng = random.Random(steps)
+        argv = ["markov", "--kernel", write(tmp_path, "k.json", kernel_to_json(
+                    generate_kernel(rng, space, space))),
+                "--init", write(tmp_path, "pi.json", measure_to_json(
+                    generate_measure(rng, space))),
+                "--steps", str(steps)]
+        assert main(argv) == 0
+        final = capsys.readouterr().out
+        assert main(argv + ["--trace"]) == 0
+        trace = capsys.readouterr().out.splitlines(keepends=True)
+        assert len(trace) == steps + 1
+        assert final == trace[-1]
+
+    @pytest.mark.parametrize("steps, trace", [
+        ("900", True), ("900", False), ("1000000000", False)])
+    def test_digit_limit_exits_2(self, tmp_path, capsys, steps, trace):
+        """The chain of ROADMAP defect D1 passes 4,300 digits before step 900."""
+        space = FinSpace.discrete([f"s{i}" for i in range(8)])
+        rng = random.Random(1)
+        argv = ["markov", "--kernel", write(tmp_path, "k.json", kernel_to_json(
+                    generate_kernel(rng, space, space))),
+                "--init", write(tmp_path, "pi.json", measure_to_json(
+                    generate_measure(rng, space))),
+                "--steps", steps] + (["--trace"] if trace else [])
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "more than the limit of 4,300" in err
+        assert "state at step 824 has" in err
+
+    def test_stationary_start_runs_past_its_kernel_powers(self, tmp_path,
+                                                          capsys):
+        """K^m has 2^m as denominator (past 4,300 digits from m = 14,285),
+        but the uniform start stays uniform on both paths."""
+        three = {"carrier": ["a", "b", "c"],
+                 "generators": [["a"], ["b"], ["c"]]}
+        k = {"dom": three, "cod": three,
+             "rows": {"0": {"0": "1/2", "1": "1/2"}, "1": {"1": "1/2", "2": "1/2"},
+                      "2": {"0": "1/2", "2": "1/2"}}}
+        uniform = {"space": three,
+                   "weights": {"0": "1/3", "1": "1/3", "2": "1/3"}}
+        argv = ["markov", "--kernel", write(tmp_path, "k.json", k),
+                "--init", write(tmp_path, "pi.json", uniform),
+                "--steps", "16384"]
+        assert main(argv) == 0
+        final = capsys.readouterr().out
+        assert json.loads(final) == {
+            "step": 16384, "weights": {"0": "1/3", "1": "1/3", "2": "1/3"}}
+        assert main(argv + ["--trace"]) == 0
+        assert capsys.readouterr().out.splitlines(keepends=True)[-1] == final
+
+    def test_oversized_json_integer_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "pi.json"
+        path.write_text('{"space": {"carrier": ["a"]}, "weights": {"0": '
+                        + "1" * 5000 + "}}")
+        code = main(["markov", "--kernel", write(tmp_path, "k.json", ABSORBING),
+                     "--init", str(path), "--steps", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "5,000 digits" in err and len(err) < 300
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["markov", "--kernel", str(tmp_path / "nope.json"),
@@ -218,7 +291,30 @@ class TestReport:
         assert code == 0
         assert "<testsuite" in out and "testcase" in out
 
+    def test_deeply_nested_json_named(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text("[" * 100000)
+        assert main(["report", str(path)]) == 2
+        assert "too deeply" in capsys.readouterr().err
+
     def test_non_object_report_named(self, tmp_path, capsys):
         code = main(["report", write(tmp_path, "r.json", [1, 2])])
         assert code == 2
         assert "expected a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"properties": [1]}, {"properties": "all"}, {"properties": [{}, None]}])
+    def test_junit_rejects_malformed_properties(self, tmp_path, capsys, doc):
+        code = main(["report", write(tmp_path, "r.json", doc),
+                     "--format", "junit"])
+        assert code == 2
+        assert "'properties' must be a list of objects" in capsys.readouterr().err
+
+    def test_junit_quotes_non_string_names(self, tmp_path, capsys):
+        doc = {"suite": 3, "properties": [
+            {"property": 4, "result": "fail", "law": None, "witness": [1]}]}
+        code = main(["report", write(tmp_path, "r.json", doc),
+                     "--format", "junit"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert '<testsuite name="3"' in out and 'name="4"' in out

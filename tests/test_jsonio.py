@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from girylab.errors import IngestionError
+from girylab.errors import DigitLimitError, IngestionError
 from girylab.spaces import FinSpace, generate_sigma
 from girylab.measures import IntervalMeasure, Measure
 from girylab.monad import Kernel
@@ -14,7 +14,8 @@ from girylab.jsonio import (functional_from_json, functional_to_json,
                             interval_measure_to_json, kernel_from_json,
                             kernel_to_json, measure_from_json,
                             measure_to_json, space_from_json, space_to_json)
-from girylab.rational import format_rational, parse_rational
+from girylab.rational import (MAX_DIGITS, format_rational, parse_int,
+                              parse_rational)
 
 F = Fraction
 
@@ -35,6 +36,44 @@ class TestRationalStrings:
             parse_rational("0.5")
         with pytest.raises(ValueError):
             parse_rational("1e-3")
+
+
+class TestDigitLimit:
+    """Numerators and denominators are capped at MAX_DIGITS decimal digits,
+    the same bound on format and on parse."""
+
+    def test_format_at_and_past_the_limit(self):
+        at = 10 ** MAX_DIGITS - 1
+        assert format_rational(F(1, at)) == f"1/{at}"
+        assert parse_rational(format_rational(F(-at, 7))) == F(-at, 7)
+        with pytest.raises(DigitLimitError, match="4,301 digits.*4,300"):
+            format_rational(F(1, at + 1))
+        with pytest.raises(DigitLimitError, match="4,301 digits"):
+            format_rational(F(-(at + 1), 3))
+
+    def test_parse_past_the_limit_names_it_without_echo(self):
+        text = "1/" + "7" * 5000
+        with pytest.raises(DigitLimitError, match="5,000 digits.*4,300") as info:
+            parse_rational(text)
+        assert len(str(info.value)) < 200
+        with pytest.raises(DigitLimitError, match="5,000 digits"):
+            parse_rational(" -" + "3" * 5000 + "/7 ")
+
+    def test_malformed_input_not_echoed_whole(self):
+        with pytest.raises(ValueError) as info:
+            parse_rational("x" * 5000)
+        assert len(str(info.value)) < 200
+
+    def test_parse_int(self):
+        assert parse_int("-" + "9" * MAX_DIGITS) == -(10 ** MAX_DIGITS - 1)
+        with pytest.raises(DigitLimitError, match="4,301 digits"):
+            parse_int("1" * (MAX_DIGITS + 1))
+
+    def test_ingestion_names_the_limit(self):
+        doc = {"space": {"carrier": ["a", "b"]},
+               "weights": {"0": "1/" + "1" * 5000, "1": "0/1"}}
+        with pytest.raises(IngestionError, match="5,000 digits.*4,300"):
+            measure_from_json(doc)
 
 
 class TestSpaceJson:

@@ -1,20 +1,51 @@
 """Dirac unit, mixture flattening, Kleisli kernels, Markov chains."""
 
+import random
+import time
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from girylab.errors import InvariantError, NotMeasurableError, SpaceMismatchError
+from girylab.errors import (DigitLimitError, InvariantError,
+                            NotMeasurableError, SpaceMismatchError)
+from girylab.harness import generate_kernel, generate_measure
 from girylab.spaces import FinSpace, generate_sigma
 from girylab.measures import Measure, pushforward
 from girylab.monad import (Kernel, MetaMeasure, bind, dirac, flatten,
-                           kleisli_compose, n_step)
+                           kleisli_compose, n_step, trajectory)
 
-from strategies import matrix_apply, spaces_with_measures
+from strategies import matrix_apply, measures, spaces, spaces_with_measures
 
 F = Fraction
+
+
+def bind_oracle(pi: Measure, k: Kernel) -> Measure:
+    """Kleisli extension as a Fraction loop, one weight at a time."""
+    n = len(k.cod.atoms)
+    weights = [F(0)] * n
+    for w, row in zip(pi.weights, k.rows):
+        for j in range(n):
+            weights[j] += w * row.weights[j]
+    return Measure(k.cod, tuple(weights))
+
+
+def flatten_oracle(rho: MetaMeasure) -> Measure:
+    """Multiplication as a Fraction loop over the mixture's support."""
+    n = len(rho.base.atoms)
+    weights = [F(0)] * n
+    for measure, w in rho.support:
+        for j in range(n):
+            weights[j] += w * measure.weights[j]
+    return Measure(rho.base, tuple(weights))
+
+
+def d1_chain():
+    """The chain of ROADMAP defect D1: 8 discrete states, random.Random(1)."""
+    space = FinSpace.discrete([f"s{i}" for i in range(8)])
+    rng = random.Random(1)
+    return generate_kernel(rng, space, space), generate_measure(rng, space)
 
 
 def two_state():
@@ -120,6 +151,38 @@ class TestBind:
             MetaMeasure(cod, tuple(zip(k.rows, pi.weights))))
 
 
+class TestIntegerMixOracle:
+    """bind and flatten take integer dot products over lcm denominators;
+    the Fraction loops above are the reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_bind_equals_fraction_loop(self, data):
+        dom = data.draw(spaces(5))
+        cod = data.draw(spaces(5))
+        pi = data.draw(measures(dom))
+        k = Kernel(dom, cod, tuple(data.draw(measures(cod)) for _ in dom.atoms))
+        assert bind(pi, k) == bind_oracle(pi, k)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_flatten_equals_fraction_loop(self, data):
+        base = data.draw(spaces(5))
+        width = data.draw(st.integers(1, 5))
+        mix = data.draw(measures(FinSpace.discrete([str(i) for i in range(width)])))
+        rho = MetaMeasure(base, tuple(
+            (data.draw(measures(base)), w) for w in mix.weights))
+        assert flatten(rho) == flatten_oracle(rho)
+
+    def test_large_denominators(self):
+        kernel, pi = d1_chain()
+        for _ in range(3):
+            pi = bind_oracle(pi, kernel)
+        assert bind(pi, kernel) == bind_oracle(pi, kernel)
+        rho = MetaMeasure(pi.space, ((pi, F(1, 3)), (kernel.rows[0], F(2, 3))))
+        assert flatten(rho) == flatten_oracle(rho)
+
+
 class TestKleisliCompose:
     def test_unit_laws(self):
         s = two_state()
@@ -177,6 +240,26 @@ class TestNStep:
         for n in range(5):
             assert n_step(k, uniform, n) == uniform
 
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("carrier, generators", [
+        ("abcde", [[c] for c in "abcde"]),
+        ("abcdef", [["a", "b"], ["b", "c", "d"]]),
+        ("abc", [["a"]]),
+    ], ids=["discrete", "coarse", "two-atoms"])
+    def test_squaring_equals_stepping(self, seed, carrier, generators):
+        """Every n up to 70 crosses each power-of-two boundary up to 64."""
+        space = generate_sigma(list(carrier), generators)
+        rng = random.Random(seed)
+        k, pi = generate_kernel(rng, space, space), generate_measure(rng, space)
+        states = trajectory(k, pi, 70)
+        for n in range(71):
+            assert n_step(k, pi, n) == states[n]
+
+    def test_negative_steps(self):
+        s = two_state()
+        with pytest.raises(InvariantError):
+            n_step(absorbing_kernel(s), dirac(s, "0"), -1)
+
     def test_requires_endo_kernel(self):
         dom = two_state()
         cod = FinSpace.discrete(["x"])
@@ -205,3 +288,69 @@ class TestNaturality:
         rhs = flatten(MetaMeasure(cod, tuple(
             (pushforward(g, m), w) for m, w in rho.support)))
         assert lhs == rhs
+
+
+class TestDigitLimit:
+    """Markov evolution stops with DigitLimitError once a weight passes
+    rational.MAX_DIGITS; stepping and squaring stop at the same step."""
+
+    def test_stepping_and_squaring_agree_on_the_d1_chain(self):
+        k, pi = d1_chain()
+        with pytest.raises(DigitLimitError, match="step \\d+ has") as info:
+            trajectory(k, pi, 900)
+        first = int(info.value.args[0].split("step ")[1].split()[0])
+        tail = trajectory(k, n_step(k, pi, first - 3), 2)
+        for i, state in enumerate(tail):
+            assert n_step(k, pi, first - 3 + i) == state
+        for n in range(first, first + 3):
+            with pytest.raises(DigitLimitError, match="4,300") as stopped:
+                n_step(k, pi, n)
+            assert stopped.value.args == info.value.args
+
+    def test_huge_step_count_stops_quickly(self):
+        k, pi = d1_chain()
+        start = time.perf_counter()
+        with pytest.raises(DigitLimitError, match="state at step \\d+ has"):
+            n_step(k, pi, 10 ** 9)
+        assert time.perf_counter() - start < 5
+
+    def test_powers_that_stay_small_never_stop(self):
+        s = two_state()
+        rank_one = Kernel(s, s, (Measure(s, (F(1, 3), F(2, 3))),) * 2)
+        assert n_step(rank_one, dirac(s, "0"), 10 ** 9) == rank_one.rows[0]
+
+    def test_stationary_start_outlives_its_kernel_powers(self):
+        """K^m has denominator 2^m, past the limit from m = 14,285 on, but
+        the uniform start is stationary, so every state is small."""
+        s = FinSpace.discrete(["a", "b", "c"])
+        h, z = F(1, 2), F(0)
+        k = Kernel(s, s, (Measure(s, (h, h, z)), Measure(s, (z, h, h)),
+                          Measure(s, (h, z, h))))
+        uniform = Measure(s, (F(1, 3),) * 3)
+        assert n_step(k, uniform, 16384) == trajectory(k, uniform, 16384)[-1]
+        assert n_step(k, uniform, 16384) == uniform
+
+    def test_passed_over_states_are_held_to_the_limit(self):
+        """A state with 4,618 digits at step 3 between small ones: the
+        mass splits off by 1/q1, 1/q2 and 1/q3 on steps 1-3, then all of
+        it is absorbed in w, so K^4 and the states at steps 2 and 4 fit."""
+        s = FinSpace.discrete(["x", "y1", "y2", "z1", "z2", "t1", "t2", "w"])
+        q1, q2, q3 = 2 ** 5000, 3 ** 3300, 5 ** 2200
+
+        def row(**weights):
+            return Measure(s, tuple(F(weights.get(p, 0)) for p in s.carrier))
+
+        k = Kernel(s, s, (
+            row(y1=F(1, q1), y2=1 - F(1, q1)),
+            row(z1=F(1, q2), z2=1 - F(1, q2)), row(z2=1),
+            row(t1=F(1, q3), t2=1 - F(1, q3)), row(t2=1),
+            row(w=1), row(w=1), row(w=1)))
+        x = dirac(s, "x")
+        assert n_step(k, x, 2) == trajectory(k, x, 2)[-1]
+        for n in (3, 4, 5):
+            with pytest.raises(DigitLimitError,
+                               match="state at step 3 has 4,618 digits"):
+                trajectory(k, x, n)
+            with pytest.raises(DigitLimitError,
+                               match="state at step 3 has 4,618 digits"):
+                n_step(k, x, n)
