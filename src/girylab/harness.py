@@ -303,11 +303,16 @@ class Property:
 def _per_case(name: str, law: str, case: Callable[[SuiteConfig, random.Random],
                                                   Optional[dict]]) -> Property:
     """Lift a single-case checker (returns a witness dict on failure)
-    into a trials-driven property."""
+    into a trials-driven property.  A case that raises a GirylabError
+    fails the property with witness {"error": message, "case": i}, so
+    the rest of the suite still runs; other exceptions propagate."""
 
     def run(cfg: SuiteConfig):
         for i in range(cfg.trials):
-            witness = case(cfg, case_rng(cfg.seed, name, i))
+            try:
+                witness = case(cfg, case_rng(cfg.seed, name, i))
+            except GirylabError as exc:
+                witness = {"error": str(exc)}
             if witness is not None:
                 witness.setdefault("case", i)
                 return False, witness, i + 1

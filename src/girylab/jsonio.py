@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import GirylabError, IngestionError
-from .rational import format_rational, parse_rational
+from .errors import DigitLimitError, GirylabError, IngestionError
+from .rational import _shown, format_rational, parse_int, parse_rational
 from .spaces import FinSpace, generate_sigma
 from .measures import IntervalMeasure, Measure
 from .monad import Kernel
@@ -53,6 +53,19 @@ def space_from_json(doc: dict) -> FinSpace:
         raise IngestionError(f"space: {exc}") from None
 
 
+def _index(key, what: str) -> int:
+    """A JSON object key read as an integer index; a key past
+    rational.MAX_DIGITS digits raises DigitLimitError."""
+    if isinstance(key, int) and not isinstance(key, bool):
+        return key
+    try:
+        return parse_int(key)
+    except DigitLimitError:
+        raise
+    except (AttributeError, TypeError, ValueError):
+        raise IngestionError(f"{what} {_shown(str(key))} is not an integer") from None
+
+
 def _weights_from_json(doc, space: FinSpace, what: str) -> tuple[Fraction, ...]:
     n = len(space.atoms)
     if not isinstance(doc, dict):
@@ -60,13 +73,11 @@ def _weights_from_json(doc, space: FinSpace, what: str) -> tuple[Fraction, ...]:
     weights = [Fraction(0)] * n
     seen = set()
     for key, value in doc.items():
-        try:
-            idx = int(key)
-        except (TypeError, ValueError):
-            raise IngestionError(f"{what}: atom index {key!r} is not an integer")
+        idx = _index(key, f"{what}: atom index")
         if not 0 <= idx < n:
             raise IngestionError(
-                f"{what}: atom index {idx} out of range (space has {n} atoms)")
+                f"{what}: atom index {_shown(str(idx))} out of range "
+                f"(space has {n} atoms)")
         if idx in seen:
             raise IngestionError(f"{what}: atom index {idx} repeated")
         seen.add(idx)
@@ -143,14 +154,12 @@ def kernel_from_json(doc: dict) -> Kernel:
     n = len(dom.atoms)
     rows: list[Measure | None] = [None] * n
     for key, wdoc in rows_doc.items():
-        try:
-            idx = int(key)
-        except (TypeError, ValueError):
-            raise IngestionError(f"kernel row key {key!r} is not an atom index")
+        idx = _index(key, "kernel row key")
         if not 0 <= idx < n:
-            raise IngestionError(f"kernel row index {idx} out of range")
+            raise IngestionError(f"kernel row index {_shown(str(idx))} out of range")
+        weights = _weights_from_json(wdoc, cod, f"row {idx}")
         try:
-            rows[idx] = Measure(cod, _weights_from_json(wdoc, cod, f"row {idx}"))
+            rows[idx] = Measure(cod, weights)
         except GirylabError as exc:
             raise IngestionError(f"kernel row {idx}: {exc}") from None
     missing = [i for i, r in enumerate(rows) if r is None]

@@ -8,6 +8,14 @@ The unit interval gets a computable measure class of its own
 here is exactly computable; the only approximate operation in the whole
 package is ``integrate_approx``, whose error is certified by an explicit
 modulus of uniform continuity.
+
+Staircases on [0,1] are integrated on integers: one routine takes
+integer breakpoints and integer values, each over one shared
+denominator, and builds a few Fractions per point mass or uniform piece,
+not per cell.  ``integrate_step`` lifts a step function into it, and the
+certified integrator lifts its dyadic samples.  No float enters: step
+functions, mixtures, the integrand, the modulus and eps must give ints
+or Fractions, else InvariantError.
 """
 
 from __future__ import annotations
@@ -15,6 +23,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
+from math import lcm
+from operator import mul, sub
 from typing import Callable, Sequence
 
 from .errors import InvariantError, SpaceMismatchError
@@ -85,6 +96,15 @@ def integrate(f: IFunction, pi: Measure) -> Fraction:
     return sum((v * w for v, w in zip(f.values, pi.weights)), ZERO)
 
 
+def _exact(x, what: str):
+    """``x`` if it is an int or a Fraction; no float enters
+    the staircases on [0,1] or their integrals."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return x
+    raise InvariantError(
+        f"{what} must be an int or a Fraction, got {type(x).__name__}")
+
+
 @dataclass(frozen=True)
 class StepFunction:
     """A simple function on [0,1]: constant on [t_i, t_{i+1}), explicit value at 1."""
@@ -95,6 +115,8 @@ class StepFunction:
 
     def __post_init__(self):
         bp = self.breakpoints
+        for t in bp:
+            _exact(t, "breakpoint")
         if len(bp) < 2 or bp[0] != ZERO or bp[-1] != ONE:
             raise InvariantError("breakpoints must run from 0/1 to 1/1")
         if any(a >= b for a, b in zip(bp, bp[1:])):
@@ -102,7 +124,7 @@ class StepFunction:
         if len(self.values) != len(bp) - 1:
             raise InvariantError("need exactly one value per piece")
         for v in (*self.values, self.value_at_one):
-            require_unit(Fraction(v), "step value")
+            require_unit(_exact(v, "step value"), "step value")
 
     @staticmethod
     def constant(r: Fraction) -> "StepFunction":
@@ -142,16 +164,16 @@ class IntervalMeasure:
     def __post_init__(self):
         total = ZERO
         for loc, mass in self.points:
-            require_unit(Fraction(loc), "point-mass location")
-            if mass < 0:
+            require_unit(_exact(loc, "point-mass location"), "point-mass location")
+            if _exact(mass, "point mass") < 0:
                 raise InvariantError("point masses must be nonnegative")
             total += mass
         for a, b, mass in self.pieces:
-            require_unit(Fraction(a), "piece endpoint")
-            require_unit(Fraction(b), "piece endpoint")
+            require_unit(_exact(a, "piece endpoint"), "piece endpoint")
+            require_unit(_exact(b, "piece endpoint"), "piece endpoint")
             if a >= b:
                 raise InvariantError("uniform pieces need a < b")
-            if mass < 0:
+            if _exact(mass, "piece mass") < 0:
                 raise InvariantError("piece masses must be nonnegative")
             total += mass
         if total != ONE:
@@ -167,24 +189,47 @@ class IntervalMeasure:
         return IntervalMeasure(((Fraction(loc), ONE),), ())
 
 
-def _integrate_staircase(breaks: Sequence[Fraction], values: Sequence[Fraction],
-                         at_one: Fraction, m: IntervalMeasure) -> Fraction:
-    """Integral of a piecewise-constant function against m; values are
-    arbitrary rationals (internal staircases may leave [0,1])."""
+def _staircase_integral(breaks: Sequence[int], bden: int, values: Sequence[int],
+                        vden: int, at_one: int, m: IntervalMeasure) -> Fraction:
+    """Integral against ``m`` of the staircase that is values[k]/vden on
+    [breaks[k]/bden, breaks[k+1]/bden) and at_one/vden at 1.
+
+    ``breaks`` are strictly increasing integers from 0 to ``bden``; the
+    values are integer numerators over one denominator and may leave
+    [0, vden].  A point mass finds its cell by floor division; a uniform
+    piece [a, b] is the difference of the running integral at b and at a,
+    so it builds a few Fractions however many cells it covers.
+    """
+    last = len(values) - 1
+
+    def cell(p: int, q: int) -> int:
+        """The k with breaks[k] <= bden*p/q < breaks[k+1] (the last at 1)."""
+        return min(bisect_right(breaks, p * bden // q) - 1, last)
+
     total = ZERO
     for loc, mass in m.points:
-        if loc == ONE:
-            total += mass * at_one
-        else:
-            total += mass * values[bisect_right(breaks, loc) - 1]
+        total += mass * (at_one if loc == ONE
+                         else values[cell(loc.numerator, loc.denominator)])
+    running = [0, *accumulate(map(mul, values, map(sub, breaks[1:], breaks)))]
+
+    def integral_to(x: Fraction) -> int:
+        """q*bden*vden times the staircase's integral over [0, x = p/q]."""
+        p, q = x.numerator, x.denominator
+        k = cell(p, q)
+        return running[k] * q + values[k] * (p * bden - breaks[k] * q)
+
     for a, b, mass in m.pieces:
-        acc = ZERO
-        for lo, hi, v in zip(breaks, breaks[1:], values):
-            left, right = max(lo, a), min(hi, b)
-            if left < right:
-                acc += v * (right - left)
-        total += mass * acc / (b - a)
-    return total
+        p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+        total += mass * Fraction(integral_to(b) * q - integral_to(a) * s,
+                                 (r * q - p * s) * bden)
+    return total / vden
+
+
+def _lift(xs: Sequence[Fraction], den: int = 1) -> tuple[list[int], int]:
+    """Integer numerators of the rationals ``xs`` over
+    lcm(den, their denominators), and that lcm."""
+    den = lcm(den, *(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def integrate_step(s: StepFunction, m: IntervalMeasure) -> Fraction:
@@ -192,12 +237,28 @@ def integrate_step(s: StepFunction, m: IntervalMeasure) -> Fraction:
 
     Point masses evaluate s at their location; a uniform piece [a,b]
     with mass w contributes w times the average of s over [a,b],
-    computed piecewise (single points carry no uniform mass).
+    computed piecewise (single points carry no uniform mass).  The
+    breakpoints and the values are lifted to integers over one
+    denominator each.
     """
-    return _integrate_staircase(s.breakpoints, s.values, s.value_at_one, m)
+    breaks, bden = _lift(s.breakpoints)
+    values, vden = _lift((*s.values, s.value_at_one))
+    return _staircase_integral(breaks, bden, values[:-1], vden, values[-1], m)
 
 
 Modulus = Callable[[Fraction], Fraction]
+
+
+def _sample(f: Callable[[Fraction], Fraction], cells: int,
+            indices: range) -> list:
+    """f at i/cells for each index, each value checked to lie in [0,1]."""
+    out = []
+    for i in indices:
+        y = _exact(f(Fraction(i, cells)), "integrand value")
+        if not 0 <= y.numerator <= y.denominator:
+            require_unit(Fraction(y), "sampled value")
+        out.append(y)
+    return out
 
 
 def integrate_approx_bounds(f: Callable[[Fraction], Fraction], modulus: Modulus,
@@ -214,12 +275,21 @@ def integrate_approx_bounds(f: Callable[[Fraction], Fraction], modulus: Modulus,
     halves the cells and takes the pointwise max (resp. min) with the
     parent staircase, so the lower bounds are non-decreasing and the
     upper bounds non-increasing by construction.
+
+    The grid runs on integers: the samples f(i/2^n) and eps/2 are lifted
+    to numerators over their lcm denominator (each ``refine`` level
+    lifts once more to the new lcm), both staircases are integer lists,
+    and only the integral against ``m`` builds Fractions, a few per point
+    mass or piece.  ``eps``, ``f`` and ``modulus`` must give ints or
+    Fractions; a float, or a negative ``refine``, raises InvariantError.
     """
-    eps = Fraction(eps)
+    eps = _exact(eps, "eps")
     if eps <= 0:
         raise InvariantError("eps must be positive")
-    half = eps / 2
-    delta = Fraction(modulus(half))
+    if not isinstance(refine, int) or refine < 0:
+        raise InvariantError(f"refine must be a nonnegative int, got {refine!r}")
+    half = Fraction(eps, 2)
+    delta = _exact(modulus(half), "modulus value")
     if delta <= 0:
         raise InvariantError("modulus must return a positive width")
     n = 0
@@ -227,27 +297,27 @@ def integrate_approx_bounds(f: Callable[[Fraction], Fraction], modulus: Modulus,
         n += 1
 
     cells = 1 << n
-    samples = [Fraction(i, cells) for i in range(cells + 1)]
-    fs = [require_unit(Fraction(f(x)), "sampled value") for x in samples]
-    lo = [max(fs[i], fs[i + 1]) - half for i in range(cells)]
-    hi = [min(fs[i], fs[i + 1]) + half for i in range(cells)]
+    ys, den = _lift(_sample(f, cells, range(cells + 1)), half.denominator)
+    h = half.numerator * (den // half.denominator)
+    lo = [max(y, z) - h for y, z in zip(ys, ys[1:])]
+    hi = [min(y, z) + h for y, z in zip(ys, ys[1:])]
 
     for _ in range(refine):
         cells *= 2
-        new_samples = [Fraction(i, cells) for i in range(cells + 1)]
-        new_fs = []
-        for i, x in enumerate(new_samples):
-            new_fs.append(fs[i // 2] if i % 2 == 0
-                          else require_unit(Fraction(f(x)), "sampled value"))
-        lo = [max(lo[i // 2], max(new_fs[i], new_fs[i + 1]) - half)
-              for i in range(cells)]
-        hi = [min(hi[i // 2], min(new_fs[i], new_fs[i + 1]) + half)
-              for i in range(cells)]
-        samples, fs = new_samples, new_fs
+        odd, new_den = _lift(_sample(f, cells, range(1, cells, 2)), den)
+        scale, den = new_den // den, new_den
+        h *= scale
+        even = [y * scale for y in ys]
+        ys = [0] * (cells + 1)
+        ys[::2], ys[1::2] = even, odd
+        lo = [max(p * scale, max(y, z) - h)
+              for p, y, z in zip(chain.from_iterable(zip(lo, lo)), ys, ys[1:])]
+        hi = [min(p * scale, min(y, z) + h)
+              for p, y, z in zip(chain.from_iterable(zip(hi, hi)), ys, ys[1:])]
 
-    f_one = fs[-1]
-    return (_integrate_staircase(samples, lo, f_one, m),
-            _integrate_staircase(samples, hi, f_one, m))
+    grid = range(cells + 1)
+    return (_staircase_integral(grid, cells, lo, den, ys[-1], m),
+            _staircase_integral(grid, cells, hi, den, ys[-1], m))
 
 
 def integrate_approx(f: Callable[[Fraction], Fraction], modulus: Modulus,

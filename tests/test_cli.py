@@ -138,6 +138,14 @@ class TestMarkov:
         err = capsys.readouterr().err
         assert "5,000 digits" in err and len(err) < 300
 
+    def test_long_weight_key_exits_2(self, tmp_path, capsys):
+        init = {"space": TWO_STATE, "weights": {"1" * 5000: "1/1"}}
+        code = main(["markov", "--kernel", write(tmp_path, "k.json", ABSORBING),
+                     "--init", write(tmp_path, "pi.json", init), "--steps", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "5,000 digits" in err and len(err) < 300
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["markov", "--kernel", str(tmp_path / "nope.json"),
                      "--init", str(tmp_path / "nope2.json"), "--steps", "1"])

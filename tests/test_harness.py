@@ -1,6 +1,7 @@
 """Suite runner: determinism, generators, refutation minimization."""
 
 import hashlib
+import json
 import sys
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 
 from girylab import harness
 from girylab.cli import main
-from girylab.errors import GirylabError
+from girylab.errors import GirylabError, InvariantError
 from girylab.measures import Measure
 from girylab.spaces import FinSpace
 from girylab.duality import max_functional, square_functional
@@ -147,6 +148,38 @@ class TestMinimization:
 
 
 #: sha256 of ``girylab verify all --seed 7 --trials 500`` stdout.
+class TestFailSoftCases:
+    def test_raising_case_fails_its_property_only(self, monkeypatch):
+        def case(cfg, rng):
+            calls.append(rng)
+            if len(calls) == 4:  # case index 3
+                raise InvariantError("weights must sum to 1/1, got 2/1")
+            return None
+
+        calls = []
+        later = []
+        props = [harness._per_case("raises-at-3", "a law", case),
+                 harness.Property("runs-after", "another law",
+                                  lambda cfg: later.append(cfg) or (True, None, 1))]
+        monkeypatch.setitem(harness.SUITES, "monad-laws", props)
+        report = run_suite("monad-laws", SuiteConfig(seed=7, trials=10))
+        first, second = report.records
+        assert (first.result, first.trials) == ("fail", 4)
+        assert first.witness == {"error": "weights must sum to 1/1, got 2/1",
+                                 "case": 3}
+        assert second.result == "pass" and len(later) == 1
+        assert json.loads(report.to_json())["result"] == "fail"
+
+    def test_programming_errors_still_surface(self, monkeypatch):
+        def case(cfg, rng):
+            raise ZeroDivisionError("a bug, not a refutation")
+
+        monkeypatch.setitem(harness.SUITES, "monad-laws",
+                            [harness._per_case("buggy", "a law", case)])
+        with pytest.raises(ZeroDivisionError):
+            run_suite("monad-laws", SuiteConfig(seed=7, trials=10))
+
+
 GOLDEN_SHA256 = "80fc569c6bdf6c740b6e920ae368a95140b1e8706cfdef8ecaed44febcb2a099"
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from girylab.errors import DigitLimitError, IngestionError
+from girylab.errors import DigitLimitError, GirylabError, IngestionError
 from girylab.spaces import FinSpace, generate_sigma
 from girylab.measures import IntervalMeasure, Measure
 from girylab.monad import Kernel
@@ -126,6 +126,33 @@ class TestMeasureJson:
         s = FinSpace.discrete(["a"])
         with pytest.raises(IngestionError, match="out of range"):
             measure_from_json({"weights": {"3": "1/1"}}, s)
+
+    def test_long_index_keys_hit_the_digit_limit_unechoed(self):
+        s = FinSpace.discrete(["a", "b"])
+        long_key = "1" * 5000
+        kernel = kernel_to_json(Kernel(s, s, (
+            Measure(s, (F(1), F(0))), Measure(s, (F(0), F(1))))))
+        bad_row_key = dict(kernel, rows={**kernel["rows"], long_key: {"0": "1/1"}})
+        bad_weight_key = dict(kernel, rows={"0": {long_key: "1/1"}, "1": {"1": "1/1"}})
+        for parse in (lambda: measure_from_json({"weights": {long_key: "1/1"}}, s),
+                      lambda: functional_from_json(
+                          {"coefficients": {long_key: "1/1"}}, s),
+                      lambda: kernel_from_json(bad_row_key),
+                      lambda: kernel_from_json(bad_weight_key)):
+            with pytest.raises(DigitLimitError, match="5,000 digits.*4,300") as info:
+                parse()
+            assert len(str(info.value)) < 200
+
+    @pytest.mark.parametrize("key, error", [
+        ("1.5", "atom index '1.5' is not an integer"),
+        ("x" * 60, "atom index 'x{40}'... \\(60 characters\\) is not an integer"),
+        ("x" * 5000, "5,000 digits"),
+        ("9" * 4000, "out of range")])
+    def test_bad_index_keys_quoted_short(self, key, error):
+        s = FinSpace.discrete(["a"])
+        with pytest.raises(GirylabError, match=error) as info:
+            measure_from_json({"weights": {key: "1/1"}}, s)
+        assert len(str(info.value)) < 200
 
 
 class TestIntervalMeasureJson:

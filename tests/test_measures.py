@@ -1,5 +1,7 @@
 """Measures, pushforward, exact and certified integration."""
 
+import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from girylab.errors import InvariantError, NotMeasurableError, SpaceMismatchError
+from girylab.rational import random_fraction
 from girylab.spaces import FinSpace, IFunction, MeasMap, characteristic
 from girylab.measures import (IntervalMeasure, Measure, StepFunction,
                               change_of_variables_check, integrate,
@@ -16,6 +19,98 @@ from girylab.measures import (IntervalMeasure, Measure, StepFunction,
 from strategies import spaces, spaces_with_measures, unit_fractions
 
 F = Fraction
+
+
+def staircase_oracle(breaks, values, at_one, m: IntervalMeasure) -> Fraction:
+    """Fraction-per-cell integral of a staircase against a mixture: the
+    integrator's former implementation, kept as the oracle."""
+    total = F(0)
+    for loc, mass in m.points:
+        if loc == 1:
+            total += mass * at_one
+        else:
+            total += mass * values[bisect_right(breaks, loc) - 1]
+    for a, b, mass in m.pieces:
+        acc = F(0)
+        for lo, hi, v in zip(breaks, breaks[1:], values):
+            left, right = max(lo, a), min(hi, b)
+            if left < right:
+                acc += v * (right - left)
+        total += mass * acc / (b - a)
+    return total
+
+
+def approx_bounds_oracle(f, modulus, eps, m, refine=0):
+    """The former Fraction-grid ``integrate_approx_bounds``, kept as the
+    oracle for the integer grid."""
+    eps = F(eps)
+    half = eps / 2
+    delta = F(modulus(half))
+    n = 0
+    while F(1, 1 << n) > delta:
+        n += 1
+    cells = 1 << n
+    samples = [F(i, cells) for i in range(cells + 1)]
+    fs = [F(f(x)) for x in samples]
+    lo = [max(fs[i], fs[i + 1]) - half for i in range(cells)]
+    hi = [min(fs[i], fs[i + 1]) + half for i in range(cells)]
+    for _ in range(refine):
+        cells *= 2
+        new_samples = [F(i, cells) for i in range(cells + 1)]
+        new_fs = [fs[i // 2] if i % 2 == 0 else F(f(x))
+                  for i, x in enumerate(new_samples)]
+        lo = [max(lo[i // 2], max(new_fs[i], new_fs[i + 1]) - half)
+              for i in range(cells)]
+        hi = [min(hi[i // 2], min(new_fs[i], new_fs[i + 1]) + half)
+              for i in range(cells)]
+        samples, fs = new_samples, new_fs
+    return (staircase_oracle(samples, lo, fs[-1], m),
+            staircase_oracle(samples, hi, fs[-1], m))
+
+
+def random_mixture(rng: random.Random, lines) -> IntervalMeasure:
+    """A point/uniform mixture that hits a staircase's edge cases: point
+    masses at 0, at 1 and on the breakpoints ``lines``, pieces narrower
+    than one cell (inside a cell or across a line), pieces ending at 1,
+    and free rational endpoints."""
+    narrow = min(b - a for a, b in zip(lines, lines[1:])) / 2
+
+    def location():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.choice((F(0), F(1)))
+        return rng.choice(lines) if kind == 1 else random_fraction(rng, max_den=97)
+
+    def piece():
+        kind = rng.randrange(3)
+        if kind == 0:
+            width = narrow / rng.randint(1, 5)
+            a = min(max(location() - width / 2, F(0)), 1 - width)
+            return a, a + width
+        if kind == 1:
+            return min(location(), F(1) - narrow), F(1)
+        while True:
+            a, b = sorted((location(), location()))
+            if a < b:
+                return a, b
+
+    weights = [rng.randint(1, 6) for _ in range(rng.randint(1, 5))]
+    n_points = rng.randint(0, len(weights))
+    total = sum(weights)
+    points = tuple((location(), F(w, total)) for w in weights[:n_points])
+    pieces = tuple((*piece(), F(w, total)) for w in weights[n_points:])
+    return IntervalMeasure(points, pieces)
+
+
+#: name -> (integrand on [0,1] -> [0,1], a modulus of uniform continuity).
+INTEGRANDS = {
+    "x": (lambda x: x, lambda e: e),
+    "x^2": (lambda x: x * x, lambda e: e / 2),
+    "4x(1-x)": (lambda x: 4 * x * (1 - x), lambda e: e / 4),
+    "|3x-1|/2": (lambda x: abs(3 * x - 1) / 2, lambda e: e * 2 / 3),
+    "tent-int": (lambda x: 1 if x <= F(1, 3) else F(3, 2) - 3 * x / 2,
+                 lambda e: e * 2 / 3),
+}
 
 
 def exact_linear_moment(m: IntervalMeasure) -> Fraction:
@@ -250,6 +345,92 @@ class TestIntegrateApprox:
             if prev is not None:
                 assert lo >= prev[0] and hi <= prev[1]
             prev = (lo, hi)
+
+
+class TestIntegerGrid:
+    """The integer grid gives exactly the bounds of the former Fraction
+    grid, kept above as ``approx_bounds_oracle``."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bounds_equal_oracle(self, seed):
+        rng = random.Random(seed)
+        for f, modulus in INTEGRANDS.values():
+            for eps in (F(1, 16), F(3, 100), F(1, 64)):
+                refine = rng.randint(0, 3)
+                grid = 1 << rng.randint(1, 7)
+                m = random_mixture(rng, [F(i, grid) for i in range(grid + 1)])
+                assert integrate_approx_bounds(f, modulus, eps, m, refine) == \
+                    approx_bounds_oracle(f, modulus, eps, m, refine)
+
+    def test_int_values_and_coarsest_grid(self):
+        m = IntervalMeasure(((F(1), F(1, 2)),), ((F(0), F(1), F(1, 2)),))
+        for refine in range(3):
+            got = integrate_approx_bounds(lambda x: 1, lambda e: 1, 1, m, refine)
+            assert got == approx_bounds_oracle(lambda x: 1, lambda e: 1, 1, m,
+                                               refine) == (F(3, 4), F(5, 4))
+
+    def test_integrate_step_equals_oracle(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            inner = {random_fraction(rng, max_den=40) for _ in range(rng.randint(0, 6))}
+            bp = (F(0), *sorted(inner - {F(0), F(1)}), F(1))
+            values = tuple(random_fraction(rng, max_den=30) for _ in bp[:-1])
+            s = StepFunction(bp, values, random_fraction(rng))
+            m = random_mixture(rng, bp)
+            assert integrate_step(s, m) == \
+                staircase_oracle(s.breakpoints, s.values, s.value_at_one, m)
+
+
+class TestIntegratorRejectsFloats:
+    """No float enters the integrator: eps, f and the modulus must give
+    ints or Fractions, and refine must be a nonnegative int."""
+
+    def test_float_integrand_named(self):
+        with pytest.raises(InvariantError,
+                           match="integrand value must be an int or a Fraction, got float"):
+            integrate_approx_bounds(lambda x: float(x), lambda e: e, F(1, 8),
+                                    IntervalMeasure.uniform())
+
+    def test_float_modulus_named(self):
+        with pytest.raises(InvariantError,
+                           match="modulus value must be an int or a Fraction, got float"):
+            integrate_approx_bounds(lambda x: x, lambda e: 0.01, F(1, 8),
+                                    IntervalMeasure.uniform())
+
+    def test_float_eps_named(self):
+        with pytest.raises(InvariantError, match="eps must be an int or a Fraction"):
+            integrate_approx(lambda x: x, lambda e: e, 1 / 8,
+                             IntervalMeasure.uniform())
+
+    @pytest.mark.parametrize("refine", [-1, -5, 1.0])
+    def test_bad_refine_named(self, refine):
+        with pytest.raises(InvariantError, match="refine must be a nonnegative int"):
+            integrate_approx_bounds(lambda x: x, lambda e: e, F(1, 8),
+                                    IntervalMeasure.uniform(), refine)
+
+    @pytest.mark.parametrize("build, what", [
+        (lambda: IntervalMeasure(((0.5, F(1)),), ()), "point-mass location"),
+        (lambda: IntervalMeasure(((F(1, 2), 1.0),), ()), "point mass"),
+        (lambda: IntervalMeasure((), ((F(0), 0.5, F(1)),)), "piece endpoint"),
+        (lambda: IntervalMeasure((), ((F(0), F(1), 1.0),)), "piece mass"),
+        (lambda: StepFunction((F(0), 1.0), (F(1),), F(0)), "breakpoint"),
+        (lambda: StepFunction((F(0), F(1)), (0.5,), F(0)), "step value")])
+    def test_float_data_named(self, build, what):
+        with pytest.raises(InvariantError,
+                           match=f"{what} must be an int or a Fraction, got float"):
+            build()
+
+    def test_out_of_range_sample_message_unchanged(self):
+        with pytest.raises(InvariantError,
+                           match=r"sampled value must lie in \[0,1\], got 3/2"):
+            integrate_approx_bounds(lambda x: F(3, 2) if x == 1 else x,
+                                    lambda e: e, F(1, 8),
+                                    IntervalMeasure.uniform())
+
+    def test_nonpositive_modulus_rejected(self):
+        with pytest.raises(InvariantError, match="positive width"):
+            integrate_approx_bounds(lambda x: x, lambda e: 0, F(1, 8),
+                                    IntervalMeasure.uniform())
 
 
 class TestChangeOfVariables:
