@@ -6,6 +6,11 @@ canonical JSON (sorted keys, no timestamps, no durations) so identical
 seed and configuration reproduce identical bytes.  Durations go to
 stderr on request.  Configuration precedence is flags, then config
 file, then defaults; GIRYLAB_SEED supplies the default seed.
+
+Exit codes: 0 when the command succeeds and every property holds, 1 when
+a property is refuted, 2 on a named error (a GirylabError, printed as
+``error: ...``), 3 on any other exception, a fault of the program
+(printed as one ``internal error: <Type>: <message>`` line).
 """
 
 from __future__ import annotations
@@ -268,6 +273,10 @@ def main(argv=None) -> int:
     except GirylabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

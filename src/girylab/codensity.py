@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import ActionSquareError, InvariantError
-from .rational import ONE, ZERO, format_rational, random_fraction, require_unit
+from .rational import (ONE, ZERO, exact, format_rational, random_fraction,
+                       require_unit)
 from .spaces import FinSpace, IFunction
 from .duality import Functional
 from .verdicts import Verdict, failed, passed
@@ -35,6 +36,18 @@ def _extremes(a0: Fraction, coeffs: Sequence[Fraction]) -> tuple[Fraction, Fract
     lo = a0 + sum((min(c, ZERO) for c in coeffs), ZERO)
     hi = a0 + sum((max(c, ZERO) for c in coeffs), ZERO)
     return lo, hi
+
+
+def _store_into_unit(m) -> None:
+    """Store an affine map's ``a0`` and ``coeffs`` as Fractions, and check
+    that its extreme values lie in I."""
+    object.__setattr__(m, "a0", exact(m.a0, "constant term"))
+    object.__setattr__(m, "coeffs", tuple(exact(c, "coefficient") for c in m.coeffs))
+    lo, hi = _extremes(m.a0, m.coeffs)
+    if lo < ZERO or hi > ONE:
+        raise InvariantError(
+            "map leaves the unit interval: extremes "
+            f"[{format_rational(lo)}, {format_rational(hi)}]")
 
 
 @dataclass(frozen=True)
@@ -48,18 +61,13 @@ class AffineMap:
     def __post_init__(self):
         if len(self.coeffs) != self.arity:
             raise InvariantError("need one coefficient per coordinate")
-        lo, hi = _extremes(self.a0, self.coeffs)
-        if lo < ZERO or hi > ONE:
-            raise InvariantError(
-                "map leaves the unit interval: extremes "
-                f"[{format_rational(lo)}, {format_rational(hi)}]")
+        _store_into_unit(self)
 
     def __call__(self, xs: Sequence[Fraction]) -> Fraction:
         if len(xs) != self.arity:
             raise InvariantError(f"expected {self.arity} coordinates, got {len(xs)}")
-        for x in xs:
-            require_unit(Fraction(x), "coordinate")
-        return self.a0 + sum((c * Fraction(x) for c, x in zip(self.coeffs, xs)), ZERO)
+        xs = [require_unit(x, "coordinate") for x in xs]
+        return self.a0 + sum((c * x for c, x in zip(self.coeffs, xs)), ZERO)
 
     @staticmethod
     def projection(arity: int, i: int) -> "AffineMap":
@@ -70,13 +78,13 @@ class AffineMap:
 
     @staticmethod
     def constant(arity: int, r: Fraction) -> "AffineMap":
-        r = require_unit(Fraction(r), "constant")
+        r = require_unit(r, "constant")
         return AffineMap(arity, r, (ZERO,) * arity)
 
     @staticmethod
     def blend(r: Fraction) -> "AffineMap":
         """The binary convex combination (x, y) -> r*x + (1-r)*y."""
-        r = require_unit(Fraction(r), "blend weight")
+        r = require_unit(r, "blend weight")
         return AffineMap(2, ZERO, (r, ONE - r))
 
     def compose(self, inner: Sequence["AffineMap"]) -> "AffineMap":
@@ -112,13 +120,10 @@ class VanishingSequence:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
-        for v in self.entries:
-            require_unit(Fraction(v), "sequence entry")
-        k = len(self.entries)
-        while k > 0 and self.entries[k - 1] == ZERO:
-            k -= 1
-        if k != len(self.entries):
-            object.__setattr__(self, "entries", self.entries[:k])
+        entries = [require_unit(v, "sequence entry") for v in self.entries]
+        while entries and entries[-1] == ZERO:
+            entries.pop()
+        object.__setattr__(self, "entries", tuple(entries))
 
     def at(self, i: int) -> Fraction:
         return self.entries[i] if i < len(self.entries) else ZERO
@@ -141,11 +146,7 @@ class SequenceAffineMap:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        lo, hi = _extremes(self.a0, self.coeffs)
-        if lo < ZERO or hi > ONE:
-            raise InvariantError(
-                "map leaves the unit interval: extremes "
-                f"[{format_rational(lo)}, {format_rational(hi)}]")
+        _store_into_unit(self)
 
     def __call__(self, x: VanishingSequence) -> Fraction:
         return self.a0 + sum(

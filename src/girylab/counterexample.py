@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import GirylabError, InvariantError
-from .rational import ONE, ZERO, format_rational, require_unit
+from .rational import ONE, ZERO, exact, format_rational, require_unit
 from .duality import LimitWitness, respects_limits
 from .verdicts import Verdict, failed, passed
 
@@ -39,13 +39,13 @@ class EventualFn:
     tail: Fraction
 
     def __post_init__(self):
-        for v in self.prefix:
-            require_unit(Fraction(v), "prefix value")
-        require_unit(Fraction(self.tail), "tail value")
+        object.__setattr__(self, "prefix", tuple(
+            require_unit(v, "prefix value") for v in self.prefix))
+        object.__setattr__(self, "tail", require_unit(self.tail, "tail value"))
 
     @staticmethod
     def constant(r: Fraction) -> "EventualFn":
-        return EventualFn((), Fraction(r))
+        return EventualFn((), r)
 
     @staticmethod
     def final_segment_indicator(n: int) -> "EventualFn":
@@ -58,7 +58,7 @@ class EventualFn:
         return self.prefix[n] if n < len(self.prefix) else self.tail
 
     def blend(self, other: "EventualFn", r: Fraction) -> "EventualFn":
-        r = Fraction(r)
+        r = exact(r, "blend weight")
         width = max(len(self.prefix), len(other.prefix))
         prefix = tuple(r * self.value(i) + (1 - r) * other.value(i)
                        for i in range(width))

@@ -29,12 +29,12 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import InvariantError, RejectionError, SpaceMismatchError
-from .rational import (HALF, ONE, ZERO, format_rational, random_fraction,
-                       require_unit)
+from .rational import (HALF, ONE, ZERO, exact, format_rational, probability,
+                       random_fraction, require_unit)
 from .spaces import (FinSpace, IFunction, MeasMap, atom_image, atom_indicator,
                      generate_ifunction, require_measurable)
 from .measures import Measure
-from .monad import MetaMeasure
+from .monad import MetaMeasure, mixture_support
 from .verdicts import Verdict, failed, passed
 
 
@@ -59,16 +59,12 @@ class Functional:
         if self.coeffs is not None:
             if len(self.coeffs) != len(self.space.atoms):
                 raise InvariantError("need one coefficient per atom")
-            for c in self.coeffs:
-                if c < 0:
-                    raise InvariantError("extensional coefficients must be >= 0")
-            if sum(self.coeffs, ZERO) != ONE:
-                raise InvariantError("extensional coefficients must sum to 1")
+            object.__setattr__(self, "coeffs", probability(
+                self.coeffs, "extensional coefficients"))
 
     @staticmethod
     def extensional(space: FinSpace, coeffs, label: str = "") -> "Functional":
-        return Functional(space, tuple(Fraction(c) for c in coeffs), None,
-                          label or "extensional")
+        return Functional(space, tuple(coeffs), None, label or "extensional")
 
     @staticmethod
     def intensional(space: FinSpace, evaluator, label: str) -> "Functional":
@@ -83,8 +79,8 @@ class Functional:
             raise SpaceMismatchError("argument lives on a different space")
         if self.coeffs is not None:
             return sum((c * v for c, v in zip(self.coeffs, f.values)), ZERO)
-        value = Fraction(self.evaluator(f))
-        return require_unit(value, f"value of {self.label or 'functional'}")
+        return require_unit(self.evaluator(f),
+                            f"value of {self.label or 'functional'}")
 
     def describe(self) -> dict:
         if self.is_extensional:
@@ -178,18 +174,7 @@ class FunctionalMixture:
     support: tuple[tuple[Functional, Fraction], ...]
 
     def __post_init__(self):
-        if not self.support:
-            raise InvariantError("mixture support must be nonempty")
-        total = ZERO
-        for phi, w in self.support:
-            if phi.space != self.space:
-                raise SpaceMismatchError("mixture component lives off the space")
-            if w < 0:
-                raise InvariantError("mixture weights must be nonnegative")
-            total += w
-        if total != ONE:
-            raise InvariantError(
-                f"mixture weights must sum to 1/1, got {format_rational(total)}")
+        object.__setattr__(self, "support", mixture_support(self.space, self.support))
 
     @staticmethod
     def point(phi: Functional) -> "FunctionalMixture":
@@ -353,7 +338,7 @@ def respects_limits(phi: PhiLike, w: LimitWitness, thresholds: int = 12,
     horizon = probe
     if w.points is not None:
         horizon = max(probe, w.max_cert() + 4)
-    values = [Fraction(phi(w.terms(n))) for n in range(horizon)]
+    values = [exact(phi(w.terms(n)), "functional value") for n in range(horizon)]
 
     suffix_max = values[:]
     for i in range(horizon - 2, -1, -1):

@@ -130,14 +130,18 @@ def generate_space(rng: random.Random, cfg: SuiteConfig,
     return generate_sigma(labels, gens)
 
 
-def generate_measure(rng: random.Random, space: FinSpace) -> Measure:
-    """Integer composition normalized exactly; no floats involved."""
-    n = len(space.atoms)
-    parts = [rng.randint(0, 8) for _ in range(n)]
+def _random_weights(rng: random.Random, k: int) -> tuple[Fraction, ...]:
+    """k probability weights: an integer composition normalized exactly,
+    no floats involved."""
+    parts = [rng.randint(0, 8) for _ in range(k)]
     if sum(parts) == 0:
-        parts[rng.randrange(n)] = 1
+        parts[rng.randrange(k)] = 1
     total = sum(parts)
-    return Measure(space, tuple(Fraction(p, total) for p in parts))
+    return tuple(Fraction(p, total) for p in parts)
+
+
+def generate_measure(rng: random.Random, space: FinSpace) -> Measure:
+    return Measure(space, _random_weights(rng, len(space.atoms)))
 
 
 def generate_measurable_map(rng: random.Random, dom: FinSpace,
@@ -160,9 +164,8 @@ def generate_kernel(rng: random.Random, dom: FinSpace, cod: FinSpace) -> Kernel:
 def generate_meta_measure(rng: random.Random, space: FinSpace,
                           width: int = 4) -> MetaMeasure:
     k = rng.randint(1, width)
-    mix = generate_measure(rng, _simplex_space(k))
     return MetaMeasure(space, tuple(
-        (generate_measure(rng, space), w) for w in mix.weights))
+        (generate_measure(rng, space), w) for w in _random_weights(rng, k)))
 
 
 def generate_functional(rng: random.Random, space: FinSpace,
@@ -178,13 +181,8 @@ def generate_functional(rng: random.Random, space: FinSpace,
 def generate_functional_mixture(rng: random.Random, space: FinSpace,
                                 width: int = 4) -> FunctionalMixture:
     k = rng.randint(1, width)
-    mix = generate_measure(rng, _simplex_space(k))
     return FunctionalMixture(space, tuple(
-        (generate_functional(rng, space), w) for w in mix.weights))
-
-
-def _simplex_space(k: int) -> FinSpace:
-    return FinSpace.discrete([f"s{i}" for i in range(k)])
+        (generate_functional(rng, space), w) for w in _random_weights(rng, k)))
 
 
 def generate_polytope(rng: random.Random, cfg: SuiteConfig,
@@ -197,10 +195,10 @@ def generate_polytope(rng: random.Random, cfg: SuiteConfig,
 
 
 def point_in_hull(rng: random.Random, verts) -> tuple[Fraction, ...]:
-    mix = generate_measure(rng, _simplex_space(len(verts)))
+    weights = _random_weights(rng, len(verts))
     dim = len(verts[0])
     return tuple(
-        sum((w * v[d] for w, v in zip(mix.weights, verts)), ZERO)
+        sum((w * v[d] for w, v in zip(weights, verts)), ZERO)
         for d in range(dim))
 
 
@@ -409,15 +407,15 @@ def _flatten_dirac_decomposition(cfg, rng):
 def _flatten_associativity(cfg, rng):
     space = generate_space(rng, cfg)
     k = rng.randint(1, 3)
-    mix = generate_measure(rng, _simplex_space(k))
+    weights = _random_weights(rng, k)
     metas = [generate_meta_measure(rng, space, width=3) for _ in range(k)]
     # flatten the inner layer first, then the outer mixture
     inner_first = flatten(MetaMeasure(space, tuple(
-        (flatten(mm), w) for mm, w in zip(metas, mix.weights))))
+        (flatten(mm), w) for mm, w in zip(metas, weights))))
     # merge the two outer layers first, then flatten once
     merged = MetaMeasure(space, tuple(
         (measure, w * inner_w)
-        for mm, w in zip(metas, mix.weights)
+        for mm, w in zip(metas, weights)
         for measure, inner_w in mm.support))
     return inner_first, flatten(merged)
 
@@ -926,7 +924,9 @@ SUITES: dict[str, list[Property]] = {
 
 
 def run_suite(name: str, cfg: SuiteConfig) -> Report:
-    """Execute one named suite (or 'all') under the given configuration."""
+    """Execute one named suite (or 'all') under the given configuration.
+    A runner that raises a GirylabError fails its property with witness
+    {"error": message} and 0 trials; the other properties still run."""
     if name == "all":
         report = Report("all", cfg)
         for suite_name in SUITE_NAMES:
@@ -939,7 +939,10 @@ def run_suite(name: str, cfg: SuiteConfig) -> Report:
     report = Report(name, cfg)
     for prop in SUITES[name]:
         start = time.perf_counter()
-        ok, witness, trials = prop.run(cfg)
+        try:
+            ok, witness, trials = prop.run(cfg)
+        except GirylabError as exc:
+            ok, witness, trials = False, {"error": str(exc)}, 0
         duration = time.perf_counter() - start
         report.records.append(PropertyRecord(
             name=prop.name, law=prop.law,

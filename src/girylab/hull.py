@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import GirylabError, InvariantError
-from .rational import ONE, ZERO
+from .rational import ONE, ZERO, exact
 from .duality import Functional
 
 MAX_HULL_DIM = 4
@@ -86,8 +86,8 @@ def hull_membership(vertices: Sequence[Sequence[Fraction]],
     if len(x) != dim or any(len(v) != dim for v in vertices):
         raise GirylabError("dimension mismatch between vertices and point")
 
-    verts = [tuple(Fraction(c) for c in v) for v in vertices]
-    target = [Fraction(c) for c in x]
+    verts = [tuple(exact(c, "vertex coordinate") for c in v) for v in vertices]
+    target = [exact(c, "point coordinate") for c in x]
     rows = [[v[d] for v in verts] for d in range(dim)]
     rows.append([ONE] * len(verts))
     rhs = target + [ONE]
@@ -112,7 +112,7 @@ def extend_to_convex(phi: Functional,
     if len(points_by_atom) != n_atoms:
         raise GirylabError("need one hull point per atom")
     dim = len(vertices[0])
-    pts = [tuple(Fraction(c) for c in p) for p in points_by_atom]
+    pts = [tuple(exact(c, "point coordinate") for c in p) for p in points_by_atom]
     for p in pts:
         if len(p) != dim:
             raise GirylabError("dimension mismatch among the atom points")

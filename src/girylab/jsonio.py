@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DigitLimitError, GirylabError, IngestionError
-from .rational import _shown, format_rational, parse_int, parse_rational
+from .rational import ZERO, _shown, exact, format_rational, parse_int, parse_rational
 from .spaces import FinSpace, generate_sigma
 from .measures import IntervalMeasure, Measure
 from .monad import Kernel
@@ -22,7 +22,7 @@ def _rational(value, what: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise IngestionError(f"{what} must be a 'p/q' string, got {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return exact(value, what)
     if isinstance(value, str):
         try:
             return parse_rational(value)
@@ -70,7 +70,7 @@ def _weights_from_json(doc, space: FinSpace, what: str) -> tuple[Fraction, ...]:
     n = len(space.atoms)
     if not isinstance(doc, dict):
         raise IngestionError(f"{what} must map atom indices to 'p/q' strings")
-    weights = [Fraction(0)] * n
+    weights = [ZERO] * n
     seen = set()
     for key, value in doc.items():
         idx = _index(key, f"{what}: atom index")

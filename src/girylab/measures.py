@@ -14,8 +14,8 @@ integer breakpoints and integer values, each over one shared
 denominator, and builds a few Fractions per point mass or uniform piece,
 not per cell.  ``integrate_step`` lifts a step function into it, and the
 certified integrator lifts its dyadic samples.  No float enters: step
-functions, mixtures, the integrand, the modulus and eps must give ints
-or Fractions, else InvariantError.
+functions, mixtures, the integrand, the modulus and eps go through
+``rational.exact``.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
-from math import lcm
 from operator import mul, sub
 from typing import Callable, Sequence
 
 from .errors import InvariantError, SpaceMismatchError
-from .rational import ONE, ZERO, format_rational, require_unit
+from .rational import (ONE, ZERO, exact, format_rational, lift, probability,
+                       require_unit)
 from .spaces import FinSpace, IFunction, MeasMap, atom_image, require_measurable
 
 
@@ -43,16 +43,7 @@ class Measure:
     def __post_init__(self):
         if len(self.weights) != len(self.space.atoms):
             raise InvariantError("need exactly one weight per atom")
-        for w in self.weights:
-            if not isinstance(w, Fraction):
-                raise InvariantError("weights must be Fractions")
-            if w < 0:
-                raise InvariantError(
-                    f"weights must be nonnegative, got {format_rational(w)}")
-        total = sum(self.weights, ZERO)
-        if total != ONE:
-            raise InvariantError(
-                f"weights must sum to 1/1, got {format_rational(total)}")
+        object.__setattr__(self, "weights", probability(self.weights, "weights"))
 
     def of(self, mask: int) -> Fraction:
         """Measure of a measurable set: the sum of its atoms' weights."""
@@ -96,15 +87,6 @@ def integrate(f: IFunction, pi: Measure) -> Fraction:
     return sum((v * w for v, w in zip(f.values, pi.weights)), ZERO)
 
 
-def _exact(x, what: str):
-    """``x`` if it is an int or a Fraction; no float enters
-    the staircases on [0,1] or their integrals."""
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return x
-    raise InvariantError(
-        f"{what} must be an int or a Fraction, got {type(x).__name__}")
-
-
 @dataclass(frozen=True)
 class StepFunction:
     """A simple function on [0,1]: constant on [t_i, t_{i+1}), explicit value at 1."""
@@ -114,27 +96,27 @@ class StepFunction:
     value_at_one: Fraction
 
     def __post_init__(self):
-        bp = self.breakpoints
-        for t in bp:
-            _exact(t, "breakpoint")
+        bp = tuple(exact(t, "breakpoint") for t in self.breakpoints)
         if len(bp) < 2 or bp[0] != ZERO or bp[-1] != ONE:
             raise InvariantError("breakpoints must run from 0/1 to 1/1")
         if any(a >= b for a, b in zip(bp, bp[1:])):
             raise InvariantError("breakpoints must be strictly increasing")
         if len(self.values) != len(bp) - 1:
             raise InvariantError("need exactly one value per piece")
-        for v in (*self.values, self.value_at_one):
-            require_unit(_exact(v, "step value"), "step value")
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "values", tuple(
+            require_unit(v, "step value") for v in self.values))
+        object.__setattr__(self, "value_at_one",
+                           require_unit(self.value_at_one, "step value"))
 
     @staticmethod
     def constant(r: Fraction) -> "StepFunction":
-        r = Fraction(r)
         return StepFunction((ZERO, ONE), (r,), r)
 
     @staticmethod
     def indicator(a: Fraction, b: Fraction) -> "StepFunction":
         """Indicator of [a, b) inside [0,1] (of [a, 1] when b = 1)."""
-        a, b = Fraction(a), Fraction(b)
+        a, b = exact(a, "indicator endpoint"), exact(b, "indicator endpoint")
         if not ZERO <= a < b <= ONE:
             raise InvariantError("need 0 <= a < b <= 1")
         points = [ZERO, a, b, ONE]
@@ -143,8 +125,7 @@ class StepFunction:
         return StepFunction(bp, vals, ONE if b == ONE else ZERO)
 
     def __call__(self, x: Fraction) -> Fraction:
-        x = Fraction(x)
-        require_unit(x, "argument")
+        x = require_unit(x, "argument")
         if x == ONE:
             return self.value_at_one
         return self.values[bisect_right(self.breakpoints, x) - 1]
@@ -162,23 +143,17 @@ class IntervalMeasure:
     pieces: tuple[tuple[Fraction, Fraction, Fraction], ...]
 
     def __post_init__(self):
-        total = ZERO
-        for loc, mass in self.points:
-            require_unit(_exact(loc, "point-mass location"), "point-mass location")
-            if _exact(mass, "point mass") < 0:
-                raise InvariantError("point masses must be nonnegative")
-            total += mass
-        for a, b, mass in self.pieces:
-            require_unit(_exact(a, "piece endpoint"), "piece endpoint")
-            require_unit(_exact(b, "piece endpoint"), "piece endpoint")
-            if a >= b:
-                raise InvariantError("uniform pieces need a < b")
-            if _exact(mass, "piece mass") < 0:
-                raise InvariantError("piece masses must be nonnegative")
-            total += mass
-        if total != ONE:
-            raise InvariantError(
-                f"total mass must be 1/1, got {format_rational(total)}")
+        points = tuple((require_unit(loc, "point-mass location"),
+                        exact(mass, "point mass")) for loc, mass in self.points)
+        pieces = tuple((require_unit(a, "piece endpoint"),
+                        require_unit(b, "piece endpoint"),
+                        exact(mass, "piece mass")) for a, b, mass in self.pieces)
+        if any(a >= b for a, b, _ in pieces):
+            raise InvariantError("uniform pieces need a < b")
+        probability([m for _, m in points] + [m for _, _, m in pieces],
+                    "point and piece masses")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "pieces", pieces)
 
     @staticmethod
     def uniform() -> "IntervalMeasure":
@@ -186,7 +161,7 @@ class IntervalMeasure:
 
     @staticmethod
     def dirac(loc: Fraction) -> "IntervalMeasure":
-        return IntervalMeasure(((Fraction(loc), ONE),), ())
+        return IntervalMeasure(((loc, ONE),), ())
 
 
 def _staircase_integral(breaks: Sequence[int], bden: int, values: Sequence[int],
@@ -225,13 +200,6 @@ def _staircase_integral(breaks: Sequence[int], bden: int, values: Sequence[int],
     return total / vden
 
 
-def _lift(xs: Sequence[Fraction], den: int = 1) -> tuple[list[int], int]:
-    """Integer numerators of the rationals ``xs`` over
-    lcm(den, their denominators), and that lcm."""
-    den = lcm(den, *(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs], den
-
-
 def integrate_step(s: StepFunction, m: IntervalMeasure) -> Fraction:
     """Exact integral of a step function against a point/uniform mixture.
 
@@ -241,8 +209,8 @@ def integrate_step(s: StepFunction, m: IntervalMeasure) -> Fraction:
     breakpoints and the values are lifted to integers over one
     denominator each.
     """
-    breaks, bden = _lift(s.breakpoints)
-    values, vden = _lift((*s.values, s.value_at_one))
+    breaks, bden = lift(s.breakpoints)
+    values, vden = lift((*s.values, s.value_at_one))
     return _staircase_integral(breaks, bden, values[:-1], vden, values[-1], m)
 
 
@@ -252,13 +220,8 @@ Modulus = Callable[[Fraction], Fraction]
 def _sample(f: Callable[[Fraction], Fraction], cells: int,
             indices: range) -> list:
     """f at i/cells for each index, each value checked to lie in [0,1]."""
-    out = []
-    for i in indices:
-        y = _exact(f(Fraction(i, cells)), "integrand value")
-        if not 0 <= y.numerator <= y.denominator:
-            require_unit(Fraction(y), "sampled value")
-        out.append(y)
-    return out
+    return [require_unit(exact(f(Fraction(i, cells)), "integrand value"),
+                         "sampled value") for i in indices]
 
 
 def integrate_approx_bounds(f: Callable[[Fraction], Fraction], modulus: Modulus,
@@ -283,13 +246,13 @@ def integrate_approx_bounds(f: Callable[[Fraction], Fraction], modulus: Modulus,
     mass or piece.  ``eps``, ``f`` and ``modulus`` must give ints or
     Fractions; a float, or a negative ``refine``, raises InvariantError.
     """
-    eps = _exact(eps, "eps")
+    eps = exact(eps, "eps")
     if eps <= 0:
         raise InvariantError("eps must be positive")
     if not isinstance(refine, int) or refine < 0:
         raise InvariantError(f"refine must be a nonnegative int, got {refine!r}")
     half = Fraction(eps, 2)
-    delta = _exact(modulus(half), "modulus value")
+    delta = exact(modulus(half), "modulus value")
     if delta <= 0:
         raise InvariantError("modulus must return a positive width")
     n = 0
@@ -297,14 +260,14 @@ def integrate_approx_bounds(f: Callable[[Fraction], Fraction], modulus: Modulus,
         n += 1
 
     cells = 1 << n
-    ys, den = _lift(_sample(f, cells, range(cells + 1)), half.denominator)
+    ys, den = lift(_sample(f, cells, range(cells + 1)), half.denominator)
     h = half.numerator * (den // half.denominator)
     lo = [max(y, z) - h for y, z in zip(ys, ys[1:])]
     hi = [min(y, z) + h for y, z in zip(ys, ys[1:])]
 
     for _ in range(refine):
         cells *= 2
-        odd, new_den = _lift(_sample(f, cells, range(1, cells, 2)), den)
+        odd, new_den = lift(_sample(f, cells, range(1, cells, 2)), den)
         scale, den = new_den // den, new_den
         h *= scale
         even = [y * scale for y in ys]

@@ -18,9 +18,22 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InvariantError, SpaceMismatchError
-from .rational import ONE, ZERO, fits_digits, format_rational, require_digits
+from .rational import ONE, ZERO, fits_digits, lift, probability, require_digits
 from .spaces import FinSpace
 from .measures import Measure
+
+
+def mixture_support(space: FinSpace, support) -> tuple:
+    """The (component, weight) pairs of a finite mixture on ``space``, with
+    the weights as Fractions: the support must be nonempty, every
+    component must live on ``space``, and the weights must be a
+    probability vector."""
+    if not support:
+        raise InvariantError("mixture support must be nonempty")
+    if any(component.space != space for component, _ in support):
+        raise SpaceMismatchError("mixture component lives off the base space")
+    weights = probability([w for _, w in support], "mixture weights")
+    return tuple((component, w) for (component, _), w in zip(support, weights))
 
 
 @dataclass(frozen=True)
@@ -31,18 +44,7 @@ class MetaMeasure:
     support: tuple[tuple[Measure, Fraction], ...]
 
     def __post_init__(self):
-        if not self.support:
-            raise InvariantError("support must be nonempty")
-        total = ZERO
-        for measure, w in self.support:
-            if measure.space != self.base:
-                raise SpaceMismatchError("support measure lives off the base space")
-            if w < 0:
-                raise InvariantError("mixture weights must be nonnegative")
-            total += w
-        if total != ONE:
-            raise InvariantError(
-                f"mixture weights must sum to 1/1, got {format_rational(total)}")
+        object.__setattr__(self, "support", mixture_support(self.base, self.support))
 
     @staticmethod
     def point(measure: Measure) -> "MetaMeasure":
@@ -90,11 +92,10 @@ def _mix(space: FinSpace, coeffs, measures) -> Measure:
     dot product and one Fraction, instead of a Fraction sum whose every
     addition takes a gcd.
     """
-    rows = [m.weights for m in measures]
-    cden = lcm(*(c.denominator for c in coeffs))
-    cnum = [c.numerator * (cden // c.denominator) for c in coeffs]
-    rden = lcm(*(w.denominator for row in rows for w in row))
-    rnum = [[w.numerator * (rden // w.denominator) for w in row] for row in rows]
+    cnum, cden = lift(coeffs)
+    rden = _den(measures)
+    rnum = [[w.numerator * (rden // w.denominator) for w in m.weights]
+            for m in measures]
     den = cden * rden
     return Measure(space, tuple(
         Fraction(sum(c * row[j] for c, row in zip(cnum, rnum)), den)

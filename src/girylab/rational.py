@@ -1,17 +1,22 @@
-"""Exact rationals: parsing, formatting, and range guards.
+"""Exact rationals: the two number rules, parsing, formatting, range guards.
 
-Every number in this package is a ``fractions.Fraction`` (arbitrary
-precision, always in lowest terms).  On the wire rationals are the
-strings ``"p/q"``; the denominator is always written, so round trips
-are lossless and no float ever appears in serialized output.  Numerators
-and denominators are capped at ``MAX_DIGITS`` decimal digits, on parse,
-on format and in Markov evolution.
+Every number in this package is a ``fractions.Fraction``, and every value
+it builds stores what two rules return.  ``exact`` admits a caller's
+number: a Fraction as the same object, an int as a new Fraction; a float,
+a bool or anything else raises InvariantError naming the argument.
+``probability`` admits a probability vector: exact, nonnegative entries
+whose integer-numerator sum is 1.  On the wire rationals are ``"p/q"``
+strings, so round trips are lossless and no float appears in output.
+Numerators and denominators are capped at ``MAX_DIGITS`` decimal digits,
+on parse, on format and in Markov evolution.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
+from typing import Iterable, Sequence
 
 from .errors import DigitLimitError, InvariantError
 
@@ -65,9 +70,45 @@ def _shown(s: str) -> str:
     return repr(s) if len(s) <= 40 else f"{s[:40]!r}... ({len(s):,} characters)"
 
 
+def exact(x, what: str) -> Fraction:
+    """``x`` as a Fraction: the same object if it is one, a new one if it
+    is an int.  A float, a bool or anything else raises InvariantError
+    naming ``what``."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise InvariantError(
+        f"{what} must be an int or a Fraction, got {type(x).__name__}")
+
+
+def lift(xs: Sequence[Fraction], den: int = 1) -> tuple[list[int], int]:
+    """Integer numerators of the rationals ``xs`` over
+    lcm(den, their denominators), and that lcm."""
+    den = lcm(den, *(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def probability(xs: Iterable, what: str) -> tuple[Fraction, ...]:
+    """``xs`` as a tuple of Fractions if it is a probability vector: every
+    entry ``exact`` and nonnegative, and the sum 1.  The sum is taken over
+    integer numerators on the lcm of the denominators (``lift``), not as a
+    Fraction sum that takes a gcd at every addition."""
+    ps = tuple(exact(x, what) for x in xs)
+    for p in ps:
+        if p.numerator < 0:
+            raise InvariantError(
+                f"{what} must be nonnegative, got {format_rational(p)}")
+    nums, den = lift(ps)
+    if sum(nums) != den:
+        raise InvariantError(f"{what} must sum to 1/1, got total mass "
+                             f"{format_rational(Fraction(sum(nums), den))}")
+    return ps
+
+
 def format_rational(x: Fraction) -> str:
     """Render ``x`` canonically as ``"p/q"`` (``"3/4"``, ``"1/1"``, ``"0/1"``)."""
-    f = require_digits(Fraction(x), "rational to format")
+    f = require_digits(exact(x, "rational to format"), "rational to format")
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -112,12 +153,9 @@ def random_fraction(rng: random.Random, lo: int = 0, hi: int = 1,
     return Fraction(rng.randint(lo * den, hi * den), den)
 
 
-def in_unit_interval(x: Fraction) -> bool:
-    return ZERO <= x <= ONE
-
-
-def require_unit(x: Fraction, what: str) -> Fraction:
-    if not in_unit_interval(x):
-        raise InvariantError(
-            f"{what} must lie in [0,1], got {format_rational(x)}")
-    return x
+def require_unit(x, what: str) -> Fraction:
+    """``exact(x, what)`` if it lies in [0,1]; else InvariantError."""
+    x = exact(x, what)
+    if 0 <= x.numerator <= x.denominator:
+        return x
+    raise InvariantError(f"{what} must lie in [0,1], got {format_rational(x)}")

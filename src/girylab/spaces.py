@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvariantError, NotMeasurableError, SpaceMismatchError
-from .rational import ONE, ZERO, format_rational, random_fraction, require_unit
+from .rational import (ONE, ZERO, exact, format_rational, random_fraction,
+                       require_unit)
 
 #: Carrier cap: a named size limit, enforced by ``generate_sigma``.
 MAX_CARRIER_POINTS = 16
@@ -244,27 +245,24 @@ class IFunction:
     def __post_init__(self):
         if len(self.values) != len(self.space.atoms):
             raise InvariantError("need exactly one value per atom")
-        for v in self.values:
-            if not isinstance(v, Fraction):
-                raise InvariantError("values must be Fractions")
-            require_unit(v, "function value")
+        object.__setattr__(self, "values", tuple(
+            require_unit(v, "function value") for v in self.values))
 
     @staticmethod
     def from_points(space: FinSpace, table: Mapping[str, Fraction]) -> "IFunction":
         vals = []
         for atom in space.atoms:
             pts = space.labels_of(atom)
-            got = {table[p] for p in pts}
+            got = {require_unit(table[p], "function value") for p in pts}
             if len(got) != 1:
                 raise InvariantError(
                     f"table is not constant on the atom {set(pts)}; "
                     "such a function is not measurable")
-            vals.append(Fraction(got.pop()))
+            vals.append(got.pop())
         return IFunction(space, tuple(vals))
 
     @staticmethod
     def constant(space: FinSpace, r: Fraction) -> "IFunction":
-        r = Fraction(r)
         return IFunction(space, (r,) * len(space.atoms))
 
     def at_point(self, label: str) -> Fraction:
@@ -273,12 +271,13 @@ class IFunction:
     def blend(self, other: "IFunction", r: Fraction) -> "IFunction":
         """The convex combination r*self + (1-r)*other."""
         _same_space(self, other)
-        r = Fraction(r)
+        r = exact(r, "blend weight")
         return IFunction(self.space, tuple(
             r * a + (1 - r) * b for a, b in zip(self.values, other.values)))
 
     def scale(self, r: Fraction) -> "IFunction":
-        return IFunction(self.space, tuple(Fraction(r) * v for v in self.values))
+        r = exact(r, "scale factor")
+        return IFunction(self.space, tuple(r * v for v in self.values))
 
     def add(self, other: "IFunction") -> "IFunction":
         _same_space(self, other)

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from girylab import cli
 from girylab.cli import main
 from girylab.harness import generate_kernel, generate_measure
 from girylab.jsonio import kernel_to_json, measure_to_json
@@ -204,6 +205,17 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             main(["verify", "nonsense"])
         assert err.value.code == 2
+
+    def test_internal_error_exits_3_on_one_line(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("a bug,\nnot an input error")
+
+        monkeypatch.setattr(cli, "_cmd_verify", broken)
+        assert main(["verify", "counterexample"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "internal error: RuntimeError: a bug, not an input error\n"
 
 
 class TestConfigPrecedence:

@@ -170,6 +170,21 @@ class TestFailSoftCases:
         assert second.result == "pass" and len(later) == 1
         assert json.loads(report.to_json())["result"] == "fail"
 
+    def test_raising_bespoke_runner_fails_its_property_only(self, monkeypatch):
+        def run(cfg):
+            raise InvariantError("certificate lies: tail term is not zero")
+
+        later = []
+        props = [harness.Property("raises", "a law", run),
+                 harness.Property("runs-after", "another law",
+                                  lambda cfg: later.append(cfg) or (True, None, 1))]
+        monkeypatch.setitem(harness.SUITES, "counterexample", props)
+        report = run_suite("counterexample", SuiteConfig(seed=7, trials=10))
+        first, second = report.records
+        assert (first.result, first.trials) == ("fail", 0)
+        assert first.witness == {"error": "certificate lies: tail term is not zero"}
+        assert second.result == "pass" and len(later) == 1
+
     def test_programming_errors_still_surface(self, monkeypatch):
         def case(cfg, rng):
             raise ZeroDivisionError("a bug, not a refutation")
