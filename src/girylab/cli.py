@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
@@ -31,7 +32,7 @@ from .jsonio import (functional_from_json, kernel_from_json,
 from .monad import n_step, trajectory
 from .rational import parse_int
 
-CONFIG_KEYS = ("seed", "trials", "max_carrier", "max_arity", "max_hull_dim")
+CONFIG_KEYS = tuple(f.name for f in fields(SuiteConfig))
 DEFAULT_CONFIG_FILE = "girylab.cfg"
 
 
@@ -61,9 +62,7 @@ def _build_config(args) -> SuiteConfig:
         default_seed = int(os.environ.get("GIRYLAB_SEED", "0"))
     except ValueError:
         raise IngestionError("GIRYLAB_SEED must be an integer")
-    values = {"seed": default_seed,
-              "trials": 500, "max_carrier": 8, "max_arity": 4,
-              "max_hull_dim": 3}
+    values = {"seed": default_seed}
     config_path = None
     if args.config is not None:
         config_path = Path(args.config)
@@ -125,6 +124,11 @@ def _junit_xml(*report_docs: dict) -> str:
 
 
 def _cmd_verify(args) -> int:
+    if args.functional is None and args.space is not None:
+        raise IngestionError("--space applies only with --functional")
+    if args.functional is not None and (args.junit or args.timings):
+        raise IngestionError("--junit and --timings apply only without "
+                             "--functional")
     cfg = _build_config(args)
     if args.functional is not None:
         return _verify_user_functional(args, cfg)
@@ -215,16 +219,13 @@ def _cmd_report(args) -> int:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None,
-                        help="suite seed (default: GIRYLAB_SEED or 0)")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="cases per property (default 500)")
-    parser.add_argument("--max-carrier", dest="max_carrier", type=int,
-                        default=None, help="largest generated carrier (default 8)")
-    parser.add_argument("--max-arity", dest="max_arity", type=int,
-                        default=None, help="largest affine-map arity (default 4)")
-    parser.add_argument("--max-hull-dim", dest="max_hull_dim", type=int,
-                        default=None, help="largest hull dimension (default 3)")
+    for f in fields(SuiteConfig):
+        default = "GIRYLAB_SEED or 0" if f.name == "seed" else f.default
+        cap = f.metadata.get("cap")
+        bounds = f"default {default}" + (f", at most {cap}" if cap else "")
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            type=int, default=None,
+                            help=f"{f.metadata['help']} ({bounds})")
     parser.add_argument("--config", default=None,
                         help=f"key=value config file (default ./{DEFAULT_CONFIG_FILE} "
                              "when present)")

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import GirylabError, InvariantError
-from .rational import ONE, ZERO, exact, format_rational, require_unit
+from .rational import ONE, ZERO, exact, format_rational, index, require_unit
 from .duality import LimitWitness, respects_limits
 from .verdicts import Verdict, failed, passed
 
@@ -50,9 +49,7 @@ class EventualFn:
     @staticmethod
     def final_segment_indicator(n: int) -> "EventualFn":
         """The indicator of [n, infinity): n leading zeros, then ones."""
-        if n < 0:
-            raise InvariantError("segment start must be a natural number")
-        return EventualFn((ZERO,) * n, ONE)
+        return EventualFn((ZERO,) * index(n, "segment start"), ONE)
 
     def value(self, n: int) -> Fraction:
         return self.prefix[n] if n < len(self.prefix) else self.tail
@@ -79,8 +76,8 @@ class FinCofSet:
     elements: frozenset[int]
 
     def __post_init__(self):
-        if any(n < 0 for n in self.elements):
-            raise InvariantError("elements must be natural numbers")
+        for n in self.elements:
+            index(n, "element")
 
     @staticmethod
     def finite(elements: Iterable[int]) -> "FinCofSet":
@@ -164,10 +161,8 @@ def vanishing_segment_witness() -> LimitWitness:
 def singleton_mass_sum(upto: int) -> Fraction:
     """The exact partial sum of the singleton masses below ``upto``
     (every term is zero, and the sum is computed, not asserted)."""
-    if upto < 0:
-        raise GirylabError("bound must be a natural number")
     total = ZERO
-    for n in range(upto):
+    for n in range(index(upto, "bound")):
         total += cofinite_measure(FinCofSet.finite((n,)))
     return total
 

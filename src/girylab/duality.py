@@ -29,8 +29,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import InvariantError, RejectionError, SpaceMismatchError
-from .rational import (HALF, ONE, ZERO, exact, format_rational, probability,
-                       random_fraction, require_unit)
+from .rational import (HALF, ONE, ZERO, exact, format_rational, index,
+                       probability, random_fraction, require_unit)
 from .spaces import (FinSpace, IFunction, MeasMap, atom_image, atom_indicator,
                      generate_ifunction, require_measurable)
 from .measures import Measure
@@ -295,7 +295,7 @@ class LimitWitness:
     @staticmethod
     def on_space(space: FinSpace, terms: Callable[[int], IFunction],
                  atom_certs) -> "LimitWitness":
-        certs = tuple(int(c) for c in atom_certs)
+        certs = tuple(index(c, "certificate index") for c in atom_certs)
         if len(certs) != len(space.atoms):
             raise InvariantError("need one certificate index per atom")
         w = LimitWitness(terms, lambda i: certs[i],

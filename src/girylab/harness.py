@@ -7,13 +7,13 @@ bounded denominators (the identities under test are denominator
 agnostic) and measures are built from integer compositions normalized
 exactly, never from floats.
 
-Each suite is a table of properties.  Most are equality laws, registered
-as ``_law(name, law, sides)``: ``sides(cfg, rng)`` draws one case and
-returns ``(lhs, rhs)`` or ``(lhs, rhs, context)``, and a mismatch fails
-with both sides and the context described.  Checks that already return a
-Verdict are registered as ``_check(name, law, check)``, where
-``check(cfg, rng)`` returns ``(verdict, context)``.  The few checks that
-fit neither shape, and the refutation runners, stay bespoke.
+Each suite is a table of ``Property(name, law, case)`` run by one loop:
+``case(cfg, rng)`` checks case i on its own stream, returning None when it
+holds or a witness dict when it fails; the first failing case ends the
+run, and a GirylabError fails only its property.  Most cases come from
+equality laws, ``_law(sides)``, or Verdict checks, ``_check(check)``.  A
+refutation is one case that returns a Verdict with its own result,
+witness and trials, so a failing one replays as case 0.
 
 Refutation searches walk a smallest-first ladder of candidate
 witnesses (projections, constants, binary blends, then random shapes
@@ -29,14 +29,14 @@ import json
 import random
 import string
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import ActionSquareError, GirylabError, RejectionError
 from .rational import HALF, ONE, ZERO, format_rational, random_fraction
-from .spaces import (FinSpace, IFunction, MeasMap, atom_indicator,
-                     generate_ifunction, generate_sigma)
+from .spaces import (MAX_CARRIER_POINTS, FinSpace, IFunction, MeasMap,
+                     atom_indicator, generate_ifunction, generate_sigma)
 from .measures import Measure, integrate, pushforward
 from .monad import Kernel, MetaMeasure, bind, dirac, flatten, kleisli_compose
 from .duality import (Functional, FunctionalMixture, LimitWitness,
@@ -48,32 +48,37 @@ from .codensity import (AffineMap, VanishingSequence, action_of,
                         check_naturality, check_vanishing_component,
                         functional_from_action, lift, sample_affine,
                         sample_sequence_affine)
-from .hull import extend_to_convex, hull_membership
+from .hull import MAX_HULL_DIM, extend_to_convex, hull_membership
 from .counterexample import (EventualFn, FinCofSet, cofinite_measure,
                              countable_additivity_violation, limit_functional,
                              sup_continuity_check, vanishing_segment_witness)
+from .verdicts import Verdict, failed, passed
 
-SUITE_NAMES = ("monad-laws", "duality", "change-of-variables", "naturality",
-               "monoid-reduction", "convex-bound", "counterexample")
+
+def _count(default: int, help: str, cap: Optional[int] = None):
+    """A config field that counts something: at least 1, at most ``cap``."""
+    return field(default=default, metadata={"help": help, "cap": cap})
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    seed: int = 0
-    trials: int = 500
-    max_carrier: int = 8
-    max_arity: int = 4
-    max_hull_dim: int = 3
+    """A suite run's configuration.  Each field is also a flag and a config
+    file key of ``girylab verify``, with the default and help given here."""
+
+    seed: int = field(default=0, metadata={"help": "suite seed"})
+    trials: int = _count(500, "cases per property")
+    max_carrier: int = _count(8, "largest generated carrier", MAX_CARRIER_POINTS)
+    max_arity: int = _count(4, "largest affine-map arity")
+    max_hull_dim: int = _count(3, "largest hull dimension", MAX_HULL_DIM)
 
     def __post_init__(self):
-        for name in ("trials", "max_carrier", "max_arity", "max_hull_dim"):
-            if getattr(self, name) < 1:
-                raise GirylabError(f"{name} must be at least 1")
-
-    def to_jsonable(self) -> dict:
-        return {"seed": self.seed, "trials": self.trials,
-                "max_carrier": self.max_carrier, "max_arity": self.max_arity,
-                "max_hull_dim": self.max_hull_dim}
+        for f in fields(self)[1:]:  # the counts: every field but the seed
+            value, cap = getattr(self, f.name), f.metadata["cap"]
+            if value < 1:
+                raise GirylabError(f"{f.name} must be at least 1")
+            if cap is not None and value > cap:
+                raise GirylabError(
+                    f"{f.name} must be at most {cap}, got {value}")
 
 
 def case_rng(seed: int, prop: str, index: int) -> random.Random:
@@ -102,14 +107,14 @@ class PropertyRecord:
 class Report:
     suite: str
     config: SuiteConfig
-    records: list[PropertyRecord] = field(default_factory=list)
+    records: list[PropertyRecord]
 
     @property
     def passed(self) -> bool:
         return all(r.result == "pass" for r in self.records)
 
     def to_jsonable(self) -> dict:
-        return {"suite": self.suite, "config": self.config.to_jsonable(),
+        return {"suite": self.suite, "config": asdict(self.config),
                 "result": "pass" if self.passed else "fail",
                 "properties": [r.to_jsonable() for r in self.records]}
 
@@ -286,37 +291,41 @@ def minimize_refutation(phi: Functional, max_arity: int, seed: int,
                                       case_rng(seed, "minimize", 0), budget)
 
 
-# -- property runners -------------------------------------------------------
-
-Runner = Callable[[SuiteConfig], tuple[bool, Optional[dict], int]]
+# -- properties -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Property:
+    """A law checked case by case.  ``case(cfg, rng)`` checks case i on
+    the stream ``case_rng(seed, name, i)`` and returns None when it holds,
+    a witness dict when it fails, or a Verdict that decides the property
+    with its own result, witness and trials.  The first failing case ends
+    the run.  A case that raises a GirylabError fails the property with
+    witness {"error": message, "case": i}, so the rest of the suite still
+    runs; other exceptions propagate."""
+
     name: str
     law: str
-    run: Runner
+    case: Callable[[SuiteConfig, random.Random], Union[None, dict, Verdict]]
 
-
-def _per_case(name: str, law: str, case: Callable[[SuiteConfig, random.Random],
-                                                  Optional[dict]]) -> Property:
-    """Lift a single-case checker (returns a witness dict on failure)
-    into a trials-driven property.  A case that raises a GirylabError
-    fails the property with witness {"error": message, "case": i}, so
-    the rest of the suite still runs; other exceptions propagate."""
-
-    def run(cfg: SuiteConfig):
+    def run(self, cfg: SuiteConfig) -> PropertyRecord:
+        start = time.perf_counter()
+        verdict = passed(self.name, cfg.trials)
         for i in range(cfg.trials):
             try:
-                witness = case(cfg, case_rng(cfg.seed, name, i))
+                outcome = self.case(cfg, case_rng(cfg.seed, self.name, i))
             except GirylabError as exc:
-                witness = {"error": str(exc)}
-            if witness is not None:
-                witness.setdefault("case", i)
-                return False, witness, i + 1
-        return True, None, cfg.trials
-
-    return Property(name, law, run)
+                outcome = {"error": str(exc)}
+            if isinstance(outcome, dict):
+                outcome = failed(self.name, outcome, i + 1)
+            if outcome is not None:
+                verdict = outcome
+                if not verdict.passed:
+                    verdict.witness.setdefault("case", i)
+                break
+        return PropertyRecord(self.name, self.law, verdict.result,
+                              verdict.witness, verdict.trials, cfg.seed,
+                              duration=time.perf_counter() - start)
 
 
 def _describe(value):
@@ -330,10 +339,10 @@ def _describe(value):
     return value.describe() if hasattr(value, "describe") else value
 
 
-def _law(name: str, law: str, sides) -> Property:
-    """An equality law: ``sides(cfg, rng)`` builds (lhs, rhs) or
-    (lhs, rhs, context).  Functionals compare by coefficients; a mismatch
-    fails with both sides and the context described."""
+def _law(sides):
+    """The case of an equality law: ``sides(cfg, rng)`` builds (lhs, rhs)
+    or (lhs, rhs, context), and a mismatch fails with both sides and the
+    context described.  Functionals compare by coefficients."""
 
     def compared(side):
         return side.coeffs if isinstance(side, Functional) else side
@@ -345,12 +354,12 @@ def _law(name: str, law: str, sides) -> Property:
         return dict(_describe(context[0]) if context else {},
                     lhs=_describe(lhs), rhs=_describe(rhs))
 
-    return _per_case(name, law, case)
+    return case
 
 
-def _check(name: str, law: str, check) -> Property:
-    """A case decided by a Verdict: ``check(cfg, rng)`` returns
-    (verdict, context), and a failing verdict's witness gains the
+def _check(check):
+    """The case of a check decided by a Verdict: ``check(cfg, rng)``
+    returns (verdict, context), and a failing verdict's witness gains the
     described context."""
 
     def case(cfg, rng):
@@ -359,7 +368,7 @@ def _check(name: str, law: str, check) -> Property:
             return None
         return dict(verdict.witness or {}, **_describe(context))
 
-    return _per_case(name, law, case)
+    return case
 
 
 # monad laws ---------------------------------------------------------------
@@ -447,23 +456,28 @@ def _bind_is_mixture(cfg, rng):
 
 
 MONAD_LAWS = [
-    _law("left-unit", "bind(dirac(w), k) = k(w)", _left_unit),
-    _law("right-unit", "bind(pi, identity kernel) = pi", _right_unit),
-    _law("associativity",
-         "bind(bind(pi,k1),k2) = bind(pi, k1 then k2)", _associativity),
-    _law("flatten-point", "flatten(point mixture at pi) = pi", _flatten_point),
-    _law("flatten-dirac-decomposition",
-         "flatten(diracs weighted by pi) = pi", _flatten_dirac_decomposition),
-    _law("flatten-associativity",
-         "flattening two mixture layers is order-independent",
-         _flatten_associativity),
-    _law("unit-naturality",
-         "pushforward(g, dirac(w)) = dirac(g(w))", _unit_naturality),
-    _law("flatten-naturality",
-         "pushforward after flatten = flatten after mapped pushforwards",
-         _flatten_naturality),
-    _law("bind-is-mixture",
-         "bind(pi, k) = flatten(rows of k weighted by pi)", _bind_is_mixture),
+    Property("left-unit", "bind(dirac(w), k) = k(w)", _law(_left_unit)),
+    Property("right-unit",
+             "bind(pi, identity kernel) = pi", _law(_right_unit)),
+    Property("associativity",
+             "bind(bind(pi,k1),k2) = bind(pi, k1 then k2)",
+             _law(_associativity)),
+    Property("flatten-point",
+             "flatten(point mixture at pi) = pi", _law(_flatten_point)),
+    Property("flatten-dirac-decomposition",
+             "flatten(diracs weighted by pi) = pi",
+             _law(_flatten_dirac_decomposition)),
+    Property("flatten-associativity",
+             "flattening two mixture layers is order-independent",
+             _law(_flatten_associativity)),
+    Property("unit-naturality",
+             "pushforward(g, dirac(w)) = dirac(g(w))", _law(_unit_naturality)),
+    Property("flatten-naturality",
+             "pushforward after flatten = flatten after mapped pushforwards",
+             _law(_flatten_naturality)),
+    Property("bind-is-mixture",
+             "bind(pi, k) = flatten(rows of k weighted by pi)",
+             _law(_bind_is_mixture)),
 ]
 
 
@@ -533,15 +547,15 @@ def _case_int_prop_extensional(cfg, rng):
     return None
 
 
-def _adversarial_refuted(maker, label: str) -> Runner:
-    def run(cfg: SuiteConfig):
+def _adversarial_refuted(maker, label: str):
+    def case(cfg, rng):
         space = FinSpace.discrete(["a", "b", "c"])
         verdict = is_affine(maker(space), trials=cfg.trials, seed=cfg.seed)
         if verdict.passed:
-            return False, {"error": f"{label} functional passed is_affine"}, \
-                verdict.trials
-        return True, verdict.witness, verdict.trials
-    return run
+            return failed(verdict.property, {
+                "error": f"{label} functional passed is_affine"}, verdict.trials)
+        return passed(verdict.property, verdict.trials, witness=verdict.witness)
+    return case
 
 
 def _unit_diagram(cfg, rng):
@@ -583,41 +597,41 @@ def _respects_limits_extensional(cfg, rng):
 
 
 DUALITY = [
-    _law("measure-roundtrip",
-         "to_measure(to_functional(pi)) = pi", _measure_roundtrip),
-    _law("functional-roundtrip",
-         "to_functional(to_measure(phi)) = phi on coefficients",
-         _functional_roundtrip),
-    _per_case("max-functional-rejected",
-              "to_measure rejects the max functional with an additivity witness",
-              _case_max_rejected),
-    _per_case("extensional-characterization",
-              "affine into-I form is weakly averaging iff a0=0 and "
-              "coefficients form a probability vector",
-              _case_extensional_characterization),
-    _per_case("linearity-consequences",
-              "homogeneity, additivity, monotonicity hold for coefficient bodies",
-              _case_int_prop_extensional),
+    Property("measure-roundtrip",
+             "to_measure(to_functional(pi)) = pi", _law(_measure_roundtrip)),
+    Property("functional-roundtrip",
+             "to_functional(to_measure(phi)) = phi on coefficients",
+             _law(_functional_roundtrip)),
+    Property("max-functional-rejected",
+             "to_measure rejects the max functional with an additivity "
+             "witness", _case_max_rejected),
+    Property("extensional-characterization",
+             "affine into-I form is weakly averaging iff a0=0 and "
+             "coefficients form a probability vector",
+             _case_extensional_characterization),
+    Property("linearity-consequences",
+             "homogeneity, additivity, monotonicity hold for coefficient "
+             "bodies", _case_int_prop_extensional),
     Property("affine-refutes-max",
              "randomized affineness search refutes the max functional",
              _adversarial_refuted(max_functional, "max")),
     Property("affine-refutes-square",
              "randomized affineness search refutes the square functional",
              _adversarial_refuted(square_functional, "square")),
-    _law("unit-diagram",
-         "to_measure(evaluation at w) = dirac(w)", _unit_diagram),
-    _law("multiplication-diagram",
-         "to_measure(mixture) = flatten of the componentwise measures",
-         _multiplication_diagram),
-    _law("unit-functional-naturality",
-         "mapping evaluation-at-w forward gives evaluation at g(w)",
-         _unit_functional_naturality),
-    _law("bijection-naturality",
-         "to_measure commutes with pushforward on both sides",
-         _bijection_naturality),
-    _check("respects-limits-extensional",
-           "coefficient functionals respect certified vanishing sequences",
-           _respects_limits_extensional),
+    Property("unit-diagram",
+             "to_measure(evaluation at w) = dirac(w)", _law(_unit_diagram)),
+    Property("multiplication-diagram",
+             "to_measure(mixture) = flatten of the componentwise measures",
+             _law(_multiplication_diagram)),
+    Property("unit-functional-naturality",
+             "mapping evaluation-at-w forward gives evaluation at g(w)",
+             _law(_unit_functional_naturality)),
+    Property("bijection-naturality",
+             "to_measure commutes with pushforward on both sides",
+             _law(_bijection_naturality)),
+    Property("respects-limits-extensional",
+             "coefficient functionals respect certified vanishing sequences",
+             _check(_respects_limits_extensional)),
 ]
 
 
@@ -651,15 +665,15 @@ def _pushforward_composition(cfg, rng):
 
 
 CHANGE_OF_VARIABLES = [
-    _law("change-of-variables",
-         "integral of f after g against pi = integral of f against "
-         "the pushforward", _change_of_variables),
-    _law("pushforward-identity",
-         "pushforward along the identity is the identity",
-         _pushforward_identity),
-    _law("pushforward-composition",
-         "pushforward of a composite = composite of pushforwards",
-         _pushforward_composition),
+    Property("change-of-variables",
+             "integral of f after g against pi = integral of f against the "
+             "pushforward", _law(_change_of_variables)),
+    Property("pushforward-identity",
+             "pushforward along the identity is the identity",
+             _law(_pushforward_identity)),
+    Property("pushforward-composition",
+             "pushforward of a composite = composite of pushforwards",
+             _law(_pushforward_composition)),
 ]
 
 
@@ -716,35 +730,36 @@ def _affine_composition(cfg, rng):
             {"h": h, "inner": gs, "x": xs})
 
 
-def _refutes_naturality(maker, label: str) -> Runner:
-    def run(cfg: SuiteConfig):
+def _refutes_naturality(maker, label: str):
+    def case(cfg, rng):
         space = FinSpace.discrete(["a", "b"])
         phi = maker(space)
         witness = find_naturality_refutation(
             phi, min(cfg.max_arity, 3), case_rng(cfg.seed, f"refute-{label}", 0))
         if witness is None:
-            return False, {"error": f"no refutation found for {label}"}, 1
+            return {"error": f"no refutation found for {label}"}
         minimized = minimize_refutation(phi, min(cfg.max_arity, 3), cfg.seed)
-        return True, minimized or witness, witness["search_steps"]
-    return run
+        return passed("naturality refuted", witness["search_steps"],
+                      witness=minimized or witness)
+    return case
 
 
 NATURALITY = [
-    _check("lifted-extensional-naturality",
-           "families lifted from coefficient functionals pass every "
-           "affine naturality square", _lifted_naturality),
-    _check("sequence-naturality",
-           "the sequence component commutes with affine sequence maps",
-           _sequence_naturality),
-    _check("vanishing-component",
-           "the sequence component outputs vanishing sequences",
-           _vanishing_component),
-    _law("unit-element-evaluation",
-         "the lifted evaluation family evaluates tuples pointwise",
-         _unit_element_evaluation),
-    _law("affine-composition-closure",
-         "composing canonical affine forms composes their coefficients",
-         _affine_composition),
+    Property("lifted-extensional-naturality",
+             "families lifted from coefficient functionals pass every affine "
+             "naturality square", _check(_lifted_naturality)),
+    Property("sequence-naturality",
+             "the sequence component commutes with affine sequence maps",
+             _check(_sequence_naturality)),
+    Property("vanishing-component",
+             "the sequence component outputs vanishing sequences",
+             _check(_vanishing_component)),
+    Property("unit-element-evaluation",
+             "the lifted evaluation family evaluates tuples pointwise",
+             _law(_unit_element_evaluation)),
+    Property("affine-composition-closure",
+             "composing canonical affine forms composes their coefficients",
+             _law(_affine_composition)),
     Property("naturality-refutes-max",
              "a failing square for the max functional is found and minimized",
              _refutes_naturality(max_functional, "max")),
@@ -773,28 +788,26 @@ def _case_reconstruction_roundtrip(cfg, rng):
     return None
 
 
-def _entrywise_max_refuted(cfg: SuiteConfig):
+def _entrywise_max_refuted(cfg, rng):
     space = FinSpace.discrete(["a", "b"])
 
     def entrywise_max(fs: Sequence[IFunction]) -> VanishingSequence:
         return VanishingSequence(tuple(max(f.values) for f in fs))
 
-    rng = case_rng(cfg.seed, "entrywise-max-refuted", 0)
     try:
         functional_from_action(entrywise_max, space, rng, trials=64)
     except ActionSquareError as exc:
         witness = dict(exc.witness, generator=exc.generator)
         if "blend" not in exc.generator:
-            return False, dict(witness,
-                               error="expected the blend square to fail"), 1
-        return True, witness, 1
-    return False, {"error": "entrywise max action was not refuted"}, 1
+            return dict(witness, error="expected the blend square to fail")
+        return passed("entrywise max refuted", 1, witness=witness)
+    return {"error": "entrywise max action was not refuted"}
 
 
 MONOID_REDUCTION = [
-    _per_case("reconstruction-roundtrip",
-              "the functional recovered from the lifted action equals the "
-              "original, coefficientwise", _case_reconstruction_roundtrip),
+    Property("reconstruction-roundtrip",
+             "the functional recovered from the lifted action equals the "
+             "original, coefficientwise", _case_reconstruction_roundtrip),
     Property("entrywise-max-refuted",
              "the entrywise-max action fails the blend generator square",
              _entrywise_max_refuted),
@@ -828,12 +841,13 @@ def _dirac_extension(cfg, rng):
 
 
 CONVEX_BOUND = [
-    _per_case("hull-closure",
-              "coordinatewise application of a coefficient functional stays "
-              "in the hull, certified by exact feasibility", _case_hull_closure),
-    _law("dirac-extension",
-         "a point-mass functional extends to exact selection of its "
-         "atom's hull point", _dirac_extension),
+    Property("hull-closure",
+             "coordinatewise application of a coefficient functional stays "
+             "in the hull, certified by exact feasibility",
+             _case_hull_closure),
+    Property("dirac-extension",
+             "a point-mass functional extends to exact selection of its "
+             "atom's hull point", _law(_dirac_extension)),
 ]
 
 
@@ -876,35 +890,36 @@ def _finite_additivity(cfg, rng):
              "b": sorted(b.elements), "b_cofinite": b.cofinite})
 
 
-def _limits_refuted(cfg: SuiteConfig):
+def _limits_refuted(cfg, rng):
     verdict = respects_limits(limit_functional, vanishing_segment_witness())
     if verdict.passed:
-        return False, {"error": "limit functional passed respects-limits"}, 1
+        return {"error": "limit functional passed respects-limits"}
     witness = dict(verdict.witness)
     if witness.get("stuck_at") != "1/1":
-        return False, dict(witness, error="expected the value pinned at 1"), 1
+        return dict(witness, error="expected the value pinned at 1")
     report = countable_additivity_violation()
     witness["report"] = report
     if report["singleton_partial_sum"] != "0/1" or report["total_mass"] != "1/1":
-        return False, dict(witness, error="mass accounting is off"), 1
-    return True, witness, 1
+        return dict(witness, error="mass accounting is off")
+    return passed("limits refuted", 1, witness=witness)
 
 
 COUNTEREXAMPLE = [
-    _law("limit-affine",
-         "the tail functional preserves convex combinations exactly",
-         _limit_affine),
-    _law("limit-weakly-averaging",
-         "the tail functional fixes every constant", _limit_weakly_averaging),
-    _check("limit-sup-lipschitz",
-           "the tail functional is 1-Lipschitz for the sup metric",
-           _limit_lipschitz),
-    _law("measure-functional-consistency",
-         "the zero/one set measure is the tail functional on indicators",
-         _measure_consistency),
-    _law("finite-additivity",
-         "disjoint representable unions add their measures",
-         _finite_additivity),
+    Property("limit-affine",
+             "the tail functional preserves convex combinations exactly",
+             _law(_limit_affine)),
+    Property("limit-weakly-averaging",
+             "the tail functional fixes every constant",
+             _law(_limit_weakly_averaging)),
+    Property("limit-sup-lipschitz",
+             "the tail functional is 1-Lipschitz for the sup metric",
+             _check(_limit_lipschitz)),
+    Property("measure-functional-consistency",
+             "the zero/one set measure is the tail functional on indicators",
+             _law(_measure_consistency)),
+    Property("finite-additivity",
+             "disjoint representable unions add their measures",
+             _law(_finite_additivity)),
     Property("limits-axiom-refuted",
              "final-segment indicators vanish pointwise while the functional "
              "stays pinned at one; singleton masses sum to zero against "
@@ -921,32 +936,16 @@ SUITES: dict[str, list[Property]] = {
     "convex-bound": CONVEX_BOUND,
     "counterexample": COUNTEREXAMPLE,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, cfg: SuiteConfig) -> Report:
-    """Execute one named suite (or 'all') under the given configuration.
-    A runner that raises a GirylabError fails its property with witness
-    {"error": message} and 0 trials; the other properties still run."""
+    """Execute one named suite (or 'all') under the given configuration."""
     if name == "all":
-        report = Report("all", cfg)
-        for suite_name in SUITE_NAMES:
-            report.records.extend(run_suite(suite_name, cfg).records)
-        return report
+        return Report("all", cfg, [record for suite in SUITE_NAMES
+                                   for record in run_suite(suite, cfg).records])
     if name not in SUITES:
         raise GirylabError(
             f"unknown suite {name!r}; expected one of "
             f"{', '.join((*SUITE_NAMES, 'all'))}")
-    report = Report(name, cfg)
-    for prop in SUITES[name]:
-        start = time.perf_counter()
-        try:
-            ok, witness, trials = prop.run(cfg)
-        except GirylabError as exc:
-            ok, witness, trials = False, {"error": str(exc)}, 0
-        duration = time.perf_counter() - start
-        report.records.append(PropertyRecord(
-            name=prop.name, law=prop.law,
-            result="pass" if ok else "fail",
-            witness=witness, trials=trials, seed=cfg.seed,
-            duration=duration))
-    return report
+    return Report(name, cfg, [prop.run(cfg) for prop in SUITES[name]])

@@ -1,14 +1,16 @@
-"""Exact rationals: the two number rules, parsing, formatting, range guards.
+"""Exact rationals: the three number rules, parsing, formatting, range guards.
 
-Every number in this package is a ``fractions.Fraction``, and every value
-it builds stores what two rules return.  ``exact`` admits a caller's
-number: a Fraction as the same object, an int as a new Fraction; a float,
-a bool or anything else raises InvariantError naming the argument.
-``probability`` admits a probability vector: exact, nonnegative entries
-whose integer-numerator sum is 1.  On the wire rationals are ``"p/q"``
-strings, so round trips are lossless and no float appears in output.
-Numerators and denominators are capped at ``MAX_DIGITS`` decimal digits,
-on parse, on format and in Markov evolution.
+Every number in this package is a ``fractions.Fraction`` or an index, and
+every value it builds stores what three rules return.  ``exact`` admits a
+caller's number: a Fraction as the same object, an int as a new Fraction;
+a float, a bool or anything else raises InvariantError naming the
+argument.  ``probability`` admits a probability vector: exact, nonnegative
+entries whose integer-numerator sum is 1.  ``index`` admits a natural
+number used as a position or a count: an int, not a bool, at least 0.
+On the wire rationals are ``"p/q"`` strings, so round trips are lossless
+and no float appears in output.  Numerators and denominators are capped
+at ``MAX_DIGITS`` decimal digits, on parse, on format and in Markov
+evolution.
 """
 
 from __future__ import annotations
@@ -80,6 +82,16 @@ def exact(x, what: str) -> Fraction:
         return Fraction(x)
     raise InvariantError(
         f"{what} must be an int or a Fraction, got {type(x).__name__}")
+
+
+def index(x, what: str) -> int:
+    """``x`` unchanged if it is an int, not a bool, and at least 0;
+    otherwise InvariantError naming ``what``."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise InvariantError(f"{what} must be an int, got {type(x).__name__}")
+    if x < 0:
+        raise InvariantError(f"{what} must be nonnegative, got {x}")
+    return x
 
 
 def lift(xs: Sequence[Fraction], den: int = 1) -> tuple[list[int], int]:

@@ -251,6 +251,33 @@ class TestConfigPrecedence:
         assert json.loads(capsys.readouterr().out)["config"]["trials"] == 8
 
 
+class TestConfigCaps:
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-carrier", "17"], "max_carrier must be at most 16, got 17"),
+        (["--max-carrier", "10000"],
+         "max_carrier must be at most 16, got 10000"),
+        (["--max-hull-dim", "5"], "max_hull_dim must be at most 4, got 5"),
+        (["--max-hull-dim", "50"], "max_hull_dim must be at most 4, got 50"),
+    ])
+    def test_over_cap_is_a_named_error(self, tmp_path, capsys, monkeypatch,
+                                       flags, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "monad-laws", "--trials", "1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("suite", ["monad-laws", "convex-bound"])
+    def test_at_cap_runs(self, tmp_path, capsys, monkeypatch, suite):
+        monkeypatch.chdir(tmp_path)
+        code = main(["verify", suite, "--trials", "3", "--seed", "5",
+                     "--max-carrier", "16", "--max-hull-dim", "4"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and doc["result"] == "pass"
+        assert (doc["config"]["max_carrier"],
+                doc["config"]["max_hull_dim"]) == (16, 4)
+
+
 class TestUserFunctionalNaturality:
     def test_extensional_streams_passes(self, tmp_path, capsys):
         space = {"carrier": ["a", "b"], "generators": [["a"], ["b"]]}
@@ -288,6 +315,25 @@ class TestUserFunctionalNaturality:
         code = main(["verify", "duality",
                      "--functional", write(tmp_path, "phi.json", phi)])
         assert code == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--space", "s.json"], "--space applies only with --functional"),
+        (["--junit", "out.xml", "--functional", "phi.json"],
+         "--junit and --timings apply only without --functional"),
+        (["--timings", "--functional", "phi.json"],
+         "--junit and --timings apply only without --functional"),
+    ])
+    def test_ignored_flags_rejected(self, tmp_path, capsys, monkeypatch,
+                                    flags, message):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "s.json", {"carrier": ["a", "b"],
+                                   "generators": [["a"], ["b"]]})
+        write(tmp_path, "phi.json", {"kind": "max"})
+        assert main(["verify", "naturality", "--trials", "2", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "out.xml").exists()
 
 
 class TestReport:

@@ -1,7 +1,8 @@
 """One exactness rule for every entry point: a number from the caller must
 be an int or a Fraction.  A float or a bool raises InvariantError naming
 the argument; an int is stored as a Fraction.  Probability vectors are
-checked by ``rational.probability``."""
+checked by ``rational.probability``, and indices (positions and counts)
+by ``rational.index``: an int, not a bool, at least 0."""
 
 from fractions import Fraction
 
@@ -9,8 +10,10 @@ import pytest
 
 from girylab import rational
 from girylab.codensity import AffineMap, SequenceAffineMap, VanishingSequence
-from girylab.counterexample import EventualFn, vanishing_segment_witness
-from girylab.duality import Functional, FunctionalMixture, respects_limits
+from girylab.counterexample import (EventualFn, FinCofSet,
+                                    vanishing_segment_witness)
+from girylab.duality import (Functional, FunctionalMixture, LimitWitness,
+                             respects_limits)
 from girylab.errors import InvariantError
 from girylab.hull import extend_to_convex, hull_membership
 from girylab.measures import IntervalMeasure, Measure, StepFunction
@@ -137,6 +140,47 @@ def test_bool_rejected(what, make):
 def test_int_stored_as_fraction(what, make):
     stored = make(1)
     assert type(stored) is Fraction and stored == 1
+
+
+#: (entry point, the name its error gives the argument, make).  ``make(x)``
+#: passes x where the entry point takes an index and returns the index it
+#: stored for it.
+INDEX_ENTRY_POINTS = [
+    ("LimitWitness.on_space", "certificate index",
+     lambda x: LimitWitness.on_space(
+         S1, lambda n: IFunction.constant(S1, F(0)), (x,)).max_cert()),
+    ("FinCofSet", "element",
+     lambda x: min(FinCofSet.finite((x,)).elements)),
+    ("EventualFn.final_segment_indicator", "segment start",
+     lambda x: len(EventualFn.final_segment_indicator(x).prefix)),
+]
+
+
+def _index_cases():
+    return [pytest.param(what, make, id=name)
+            for name, what, make in INDEX_ENTRY_POINTS]
+
+
+@pytest.mark.parametrize("what, make", _index_cases())
+@pytest.mark.parametrize("x, kind", [(1.5, "float"), (1.0, "float"),
+                                     (True, "bool"), (F(1), "Fraction")])
+def test_index_not_an_int_rejected(what, make, x, kind):
+    with pytest.raises(InvariantError,
+                       match=f"^{what} must be an int, got {kind}$"):
+        make(x)
+
+
+@pytest.mark.parametrize("what, make", _index_cases())
+def test_negative_index_rejected(what, make):
+    with pytest.raises(InvariantError,
+                       match=f"^{what} must be nonnegative, got -1$"):
+        make(-1)
+
+
+@pytest.mark.parametrize("what, make", _index_cases())
+def test_index_stored_as_given(what, make):
+    stored = make(2)
+    assert type(stored) is int and stored == 2
 
 
 def test_float_mixture_weights_never_reach_flatten():

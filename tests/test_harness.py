@@ -12,7 +12,7 @@ from girylab.cli import main
 from girylab.errors import GirylabError, InvariantError
 from girylab.measures import Measure
 from girylab.spaces import FinSpace
-from girylab.duality import max_functional, square_functional
+from girylab.duality import Functional, max_functional, square_functional
 from girylab.harness import (SUITE_NAMES, SuiteConfig, case_rng,
                              find_naturality_refutation, generate_functional,
                              generate_kernel, generate_measure,
@@ -140,14 +140,12 @@ class TestMinimization:
         assert witness["h"]["arity"] <= 2
 
     def test_ladder_finds_nothing_for_admissible(self):
-        from girylab.duality import Functional
         space = FinSpace.discrete(["a", "b"])
         phi = Functional.extensional(space, (F(1, 3), F(2, 3)))
         assert find_naturality_refutation(
             phi, 3, case_rng(0, "ok", 0), budget=400) is None
 
 
-#: sha256 of ``girylab verify all --seed 7 --trials 500`` stdout.
 class TestFailSoftCases:
     def test_raising_case_fails_its_property_only(self, monkeypatch):
         def case(cfg, rng):
@@ -158,43 +156,61 @@ class TestFailSoftCases:
 
         calls = []
         later = []
-        props = [harness._per_case("raises-at-3", "a law", case),
+        props = [harness.Property("raises-at-3", "a law", case),
                  harness.Property("runs-after", "another law",
-                                  lambda cfg: later.append(cfg) or (True, None, 1))]
+                                  lambda cfg, rng: later.append(rng))]
         monkeypatch.setitem(harness.SUITES, "monad-laws", props)
         report = run_suite("monad-laws", SuiteConfig(seed=7, trials=10))
         first, second = report.records
         assert (first.result, first.trials) == ("fail", 4)
         assert first.witness == {"error": "weights must sum to 1/1, got 2/1",
                                  "case": 3}
-        assert second.result == "pass" and len(later) == 1
+        assert (second.result, second.trials) == ("pass", 10)
+        assert len(later) == 10
         assert json.loads(report.to_json())["result"] == "fail"
 
-    def test_raising_bespoke_runner_fails_its_property_only(self, monkeypatch):
-        def run(cfg):
-            raise InvariantError("certificate lies: tail term is not zero")
+    def test_raising_refutation_fails_its_property_only(self, monkeypatch):
+        def raising_is_affine(phi, trials, seed):
+            raise InvariantError("function value must lie in [0,1], got 3/2")
 
-        later = []
-        props = [harness.Property("raises", "a law", run),
-                 harness.Property("runs-after", "another law",
-                                  lambda cfg: later.append(cfg) or (True, None, 1))]
-        monkeypatch.setitem(harness.SUITES, "counterexample", props)
-        report = run_suite("counterexample", SuiteConfig(seed=7, trials=10))
-        first, second = report.records
-        assert (first.result, first.trials) == ("fail", 0)
-        assert first.witness == {"error": "certificate lies: tail term is not zero"}
-        assert second.result == "pass" and len(later) == 1
+        monkeypatch.setattr(harness, "is_affine", raising_is_affine)
+        report = run_suite("duality", SuiteConfig(seed=7, trials=10))
+        failing = [i for i, r in enumerate(report.records)
+                   if r.result != "pass"]
+        assert [report.records[i].name for i in failing] == [
+            "affine-refutes-max", "affine-refutes-square"]
+        for i in failing:
+            assert report.records[i].trials == 1
+            assert report.records[i].witness == {
+                "error": "function value must lie in [0,1], got 3/2",
+                "case": 0}
+        assert failing[-1] < len(report.records) - 1  # later ones still ran
+
+    def test_refutation_not_found_fails_as_case_0(self, monkeypatch):
+        def admissible(space):
+            return Functional.extensional(space, (F(1, 3), F(2, 3)))
+
+        props = [harness.Property(
+            "naturality-refutes-admissible", "a law",
+            harness._refutes_naturality(admissible, "admissible"))]
+        monkeypatch.setitem(harness.SUITES, "naturality", props)
+        (record,) = run_suite("naturality",
+                              SuiteConfig(seed=7, trials=10)).records
+        assert (record.result, record.trials) == ("fail", 1)
+        assert record.witness == {
+            "error": "no refutation found for admissible", "case": 0}
 
     def test_programming_errors_still_surface(self, monkeypatch):
         def case(cfg, rng):
             raise ZeroDivisionError("a bug, not a refutation")
 
         monkeypatch.setitem(harness.SUITES, "monad-laws",
-                            [harness._per_case("buggy", "a law", case)])
+                            [harness.Property("buggy", "a law", case)])
         with pytest.raises(ZeroDivisionError):
             run_suite("monad-laws", SuiteConfig(seed=7, trials=10))
 
 
+#: sha256 of ``girylab verify all --seed 7 --trials 500`` stdout.
 GOLDEN_SHA256 = "80fc569c6bdf6c740b6e920ae368a95140b1e8706cfdef8ecaed44febcb2a099"
 
 
