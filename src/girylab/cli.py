@@ -23,7 +23,7 @@ from dataclasses import fields
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
-from .errors import GirylabError, IngestionError
+from .errors import DigitLimitError, GirylabError, IngestionError
 from .harness import (SUITE_NAMES, SuiteConfig, case_rng, generate_ifunction,
                       run_suite)
 from .codensity import check_naturality, lift, sample_affine
@@ -51,7 +51,9 @@ def _read_config_file(path: Path) -> dict:
                 f"{path}:{lineno}: unknown key {key!r}; "
                 f"expected one of {', '.join(CONFIG_KEYS)}")
         try:
-            values[key] = int(value.strip())
+            values[key] = parse_int(value.strip())
+        except DigitLimitError as exc:
+            raise DigitLimitError(f"{path}:{lineno}: {key}: {exc}") from None
         except ValueError:
             raise IngestionError(f"{path}:{lineno}: {key} must be an integer")
     return values
@@ -59,7 +61,9 @@ def _read_config_file(path: Path) -> dict:
 
 def _build_config(args) -> SuiteConfig:
     try:
-        default_seed = int(os.environ.get("GIRYLAB_SEED", "0"))
+        default_seed = parse_int(os.environ.get("GIRYLAB_SEED", "0"))
+    except DigitLimitError as exc:
+        raise DigitLimitError(f"GIRYLAB_SEED: {exc}") from None
     except ValueError:
         raise IngestionError("GIRYLAB_SEED must be an integer")
     values = {"seed": default_seed}

@@ -26,10 +26,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from functools import cached_property
+from operator import mul
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import InvariantError, RejectionError, SpaceMismatchError
-from .rational import (HALF, ONE, ZERO, exact, format_rational, index,
+from .rational import (HALF, ONE, ZERO, exact, format_rational, index, lift,
                        probability, random_fraction, require_unit)
 from .spaces import (FinSpace, IFunction, MeasMap, atom_image, atom_indicator,
                      generate_ifunction, require_measurable)
@@ -70,6 +72,17 @@ class Functional:
     def intensional(space: FinSpace, evaluator, label: str) -> "Functional":
         return Functional(space, None, evaluator, label)
 
+    @cached_property
+    def _lifted(self) -> tuple[list[int], int]:
+        return lift(self.coeffs)
+
+    def dot(self, values: Sequence[Fraction]) -> Fraction:
+        """The coefficient-weighted sum of ``values``, one per atom, as one
+        integer dot product over ``rational.lift``; extensional only."""
+        coeffs, den = self._lifted
+        nums, vden = lift(values)
+        return Fraction(sum(map(mul, coeffs, nums)), den * vden)
+
     @property
     def is_extensional(self) -> bool:
         return self.coeffs is not None
@@ -78,7 +91,7 @@ class Functional:
         if f.space != self.space:
             raise SpaceMismatchError("argument lives on a different space")
         if self.coeffs is not None:
-            return sum((c * v for c, v in zip(self.coeffs, f.values)), ZERO)
+            return self.dot(f.values)
         return require_unit(self.evaluator(f),
                             f"value of {self.label or 'functional'}")
 

@@ -251,6 +251,39 @@ class TestConfigPrecedence:
         assert json.loads(capsys.readouterr().out)["config"]["trials"] == 8
 
 
+class TestConfigDigits:
+    """Config-file integers and GIRYLAB_SEED are read like JSON integers:
+    past rational.MAX_DIGITS digits they raise DigitLimitError (exit 2)."""
+
+    def assert_digit_limit(self, capsys, code):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "5,000 digits" in err and "4,300" in err
+        assert "must be an integer" not in err and len(err) < 300
+
+    def test_long_config_integer(self, tmp_path, capsys):
+        cfg = tmp_path / "girylab.cfg"
+        cfg.write_text("trials = " + "1" * 5000 + "\n")
+        self.assert_digit_limit(
+            capsys, main(["verify", "monad-laws", "--config", str(cfg)]))
+
+    def test_long_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("GIRYLAB_SEED", "1" * 5000)
+        self.assert_digit_limit(capsys, main(["verify", "monad-laws"]))
+
+    def test_env_seed_at_the_limit_runs(self, capsys, monkeypatch):
+        seed = "9" * 4300
+        monkeypatch.setenv("GIRYLAB_SEED", seed)
+        assert main(["verify", "monad-laws", "--trials", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == int(seed)
+
+    def test_malformed_config_integer_still_named(self, tmp_path, capsys):
+        cfg = tmp_path / "girylab.cfg"
+        cfg.write_text("trials = 1/2\n")
+        assert main(["verify", "monad-laws", "--config", str(cfg)]) == 2
+        assert "trials must be an integer" in capsys.readouterr().err
+
+
 class TestConfigCaps:
     @pytest.mark.parametrize("flags, message", [
         (["--max-carrier", "17"], "max_carrier must be at most 16, got 17"),

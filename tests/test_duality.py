@@ -17,7 +17,7 @@ from girylab.duality import (Functional, FunctionalMixture, LimitWitness,
                              pushforward_functional, respects_limits,
                              square_functional, to_functional, to_measure)
 
-from strategies import spaces_with_measures, unit_fractions
+from strategies import LABELS, spaces, spaces_with_measures, unit_fractions
 
 F = Fraction
 
@@ -42,6 +42,23 @@ class TestEvaluate:
         s = two_discrete()
         phi = max_functional(s)
         assert phi(IFunction(s, (F(1, 2), F(1)))) == F(1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_integer_dot_product_matches_fraction_sum(self, data):
+        discrete = st.integers(1, 6).map(
+            lambda n: FinSpace.discrete(list(LABELS[:n])))
+        space = data.draw(st.one_of(discrete, spaces(max_points=6)))
+        n = len(space.atoms)
+        parts = data.draw(st.lists(st.sampled_from((0, 0, 1, 2, 5, 7)),
+                                   min_size=n, max_size=n)
+                          .filter(lambda p: sum(p) > 0))
+        coeffs = tuple(F(p, sum(parts)) for p in parts)
+        vals = tuple(data.draw(unit_fractions(max_den=60)) for _ in range(n))
+        phi = Functional.extensional(space, coeffs)
+        got = phi(IFunction(space, vals))
+        assert type(got) is Fraction
+        assert got == sum((c * v for c, v in zip(phi.coeffs, vals)), F(0))
 
     def test_space_mismatch(self):
         phi = Functional.extensional(two_discrete(), (F(1), F(0)))

@@ -6,14 +6,96 @@ from fractions import Fraction
 
 import pytest
 
-from girylab.errors import GirylabError
+from girylab.errors import GirylabError, InvariantError
+from girylab.harness import SuiteConfig, generate_polytope, point_in_hull
 from girylab.spaces import FinSpace
 from girylab.duality import Functional
-from girylab.hull import extend_to_convex, hull_membership
+from girylab.hull import _phase_one_feasible, extend_to_convex, hull_membership
+from girylab.rational import ONE, ZERO
 
 F = Fraction
 
 TRIANGLE = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
+
+
+def phase_one_oracle(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
+    """Is {x >= 0 : A x = b} nonempty?  Bland's rule, exact arithmetic."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    tab = []
+    for i in range(m):
+        row = list(rows[i])
+        b = rhs[i]
+        if b < 0:
+            row = [-v for v in row]
+            b = -b
+        art = [ZERO] * m
+        art[i] = ONE
+        tab.append(row + art + [b])
+    basis = [n + i for i in range(m)]
+
+    # reduced costs for minimizing the artificial total
+    cost = [ZERO] * (n + m + 1)
+    for i in range(m):
+        for j in range(n + m + 1):
+            cost[j] -= tab[i][j]
+    for i in range(m):
+        cost[n + i] += ONE
+
+    while True:
+        enter = next((j for j in range(n + m) if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave, best = None, None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or ratio < best or \
+                        (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        if leave is None:
+            raise InvariantError("feasibility program is unbounded")  # unreachable
+        pivot = tab[leave][enter]
+        tab[leave] = [v / pivot for v in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                factor = tab[i][enter]
+                tab[i] = [a - factor * b for a, b in zip(tab[i], tab[leave])]
+        if cost[enter] != 0:
+            factor = cost[enter]
+            cost = [a - factor * b for a, b in zip(cost, tab[leave])]
+        basis[leave] = enter
+
+    return -cost[-1] == ZERO
+
+
+def membership_program(verts, x):
+    """The rows and right-hand side hull_membership hands the solver."""
+    rows = [[v[d] for v in verts] for d in range(len(x))]
+    rows.append([ONE] * len(verts))
+    return rows, list(x) + [ONE]
+
+
+def oracle_instance(rng: random.Random, cfg: SuiteConfig):
+    """A hull program in dimension 1-4 of one of five kinds: a point
+    inside, a point moved out, repeated vertices, a point on a vertex,
+    or a coordinate that is zero on every vertex and on the point (the
+    last three make ratio-test ties).  Coordinates lie in [-8, 8], so
+    many right-hand sides are negative."""
+    verts = generate_polytope(rng, cfg)
+    kind = rng.randrange(5)
+    if kind == 2:
+        verts += [rng.choice(verts) for _ in range(rng.randint(1, 3))]
+    if kind == 3:
+        return verts, rng.choice(verts)
+    if kind == 4:
+        d = rng.randrange(len(verts[0]))
+        verts = [v[:d] + (ZERO,) + v[d + 1:] for v in verts]
+    x = list(point_in_hull(rng, verts))
+    if kind == 1:
+        d = rng.randrange(len(x))
+        x[d] += F(rng.choice((-1, 1)) * rng.randint(1, 8), rng.randint(1, 8))
+    return verts, tuple(x)
 
 
 def solve_linear(matrix, rhs):
@@ -113,6 +195,21 @@ class TestHullMembership:
                           for _ in range(dim))
             assert hull_membership(verts, x) == caratheodory_member(verts, x)
 
+    def test_integer_tableau_agrees_with_fraction_oracle(self):
+        rng = random.Random(1968)
+        cfg = SuiteConfig(max_hull_dim=4)
+        verdicts = {True: 0, False: 0}
+        negative_rhs = 0
+        for _ in range(2400):
+            verts, x = oracle_instance(rng, cfg)
+            rows, rhs = membership_program(verts, x)
+            verdict = phase_one_oracle(rows, rhs)
+            assert _phase_one_feasible(rows, rhs) == verdict, (verts, x)
+            verdicts[verdict] += 1
+            negative_rhs += any(b < 0 for b in rhs)
+        assert verdicts[True] > 1000 and verdicts[False] > 200
+        assert negative_rhs > 1000
+
 
 class TestExtendToConvex:
     def test_uniform_on_triangle_gives_centroid(self):
@@ -133,6 +230,12 @@ class TestExtendToConvex:
         phi = Functional.extensional(space, (F(1),))
         with pytest.raises(GirylabError):
             extend_to_convex(phi, TRIANGLE, [(F(2), F(2))])
+
+    def test_no_vertices_is_a_named_error(self):
+        space = FinSpace.discrete(["a"])
+        phi = Functional.extensional(space, (F(1),))
+        with pytest.raises(GirylabError, match="need at least one vertex"):
+            extend_to_convex(phi, [], [(F(0), F(0))])
 
     def test_intensional_rejected(self):
         from girylab.duality import max_functional
