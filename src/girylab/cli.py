@@ -21,7 +21,6 @@ import os
 import sys
 from dataclasses import fields
 from pathlib import Path
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import DigitLimitError, GirylabError, IngestionError
 from .harness import (SUITE_NAMES, SuiteConfig, case_rng, generate_ifunction,
@@ -59,14 +58,19 @@ def _read_config_file(path: Path) -> dict:
     return values
 
 
-def _build_config(args) -> SuiteConfig:
+def _env_seed() -> int:
     try:
-        default_seed = parse_int(os.environ.get("GIRYLAB_SEED", "0"))
+        return parse_int(os.environ.get("GIRYLAB_SEED", "0"))
     except DigitLimitError as exc:
         raise DigitLimitError(f"GIRYLAB_SEED: {exc}") from None
     except ValueError:
         raise IngestionError("GIRYLAB_SEED must be an integer")
-    values = {"seed": default_seed}
+
+
+def _build_config(args) -> SuiteConfig:
+    """Flags over the config file over defaults; GIRYLAB_SEED is read only
+    when neither a flag nor the file sets the seed."""
+    values = {}
     config_path = None
     if args.config is not None:
         config_path = Path(args.config)
@@ -80,6 +84,8 @@ def _build_config(args) -> SuiteConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
+    if "seed" not in values:
+        values["seed"] = _env_seed()
     return SuiteConfig(**values)
 
 
@@ -92,6 +98,32 @@ def _load_json(path: str) -> dict:
         raise IngestionError(f"{path} is not valid JSON: {exc}")
     except RecursionError:
         raise IngestionError(f"{path} nests JSON arrays or objects too deeply")
+
+
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_XML_ATTR = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
+                           "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})
+
+
+def escape(data: str) -> str:
+    """XML character data: ``&``, ``<`` and ``>`` as entities, the same
+    bytes as ``xml.sax.saxutils.escape``, whose import pulls in
+    ``urllib.request`` and ``email``."""
+    return data.translate(_XML_TEXT)
+
+
+def quoteattr(data: str) -> str:
+    """An XML attribute value in quotes, the same bytes as
+    ``xml.sax.saxutils.quoteattr``: ``escape`` plus newline, carriage
+    return and tab as character references, in double quotes unless the
+    value holds a double quote and no single one; with both, ``"`` is
+    written ``&quot;``."""
+    data = data.translate(_XML_ATTR)
+    if '"' not in data:
+        return f'"{data}"'
+    if "'" not in data:
+        return f"'{data}'"
+    return '"' + data.replace('"', "&quot;") + '"'
 
 
 def _junit_suite_lines(report_doc: dict) -> list:

@@ -135,18 +135,23 @@ def generate_space(rng: random.Random, cfg: SuiteConfig,
     return generate_sigma(labels, gens)
 
 
-def _random_weights(rng: random.Random, k: int) -> tuple[Fraction, ...]:
-    """k probability weights: an integer composition normalized exactly,
-    no floats involved."""
+def _random_parts(rng: random.Random, k: int) -> tuple[list[int], int]:
+    """k probability weights as an integer composition and its total:
+    the weights are parts[i] / total, no floats involved."""
     parts = [rng.randint(0, 8) for _ in range(k)]
     if sum(parts) == 0:
         parts[rng.randrange(k)] = 1
-    total = sum(parts)
+    return parts, sum(parts)
+
+
+def _random_weights(rng: random.Random, k: int) -> tuple[Fraction, ...]:
+    """k probability weights: ``_random_parts`` normalized exactly."""
+    parts, total = _random_parts(rng, k)
     return tuple(Fraction(p, total) for p in parts)
 
 
 def generate_measure(rng: random.Random, space: FinSpace) -> Measure:
-    return Measure(space, _random_weights(rng, len(space.atoms)))
+    return Measure(space, *_random_parts(rng, len(space.atoms)))
 
 
 def generate_measurable_map(rng: random.Random, dom: FinSpace,

@@ -33,7 +33,7 @@ from math import prod
 from typing import Sequence
 
 from .errors import GirylabError, InvariantError
-from .rational import ONE, exact, lift
+from .rational import ONE, exact, format_rational, lift
 from .duality import Functional
 
 MAX_HULL_DIM = 4
@@ -142,5 +142,6 @@ def extend_to_convex(phi: Functional,
         if len(p) != dim:
             raise GirylabError("dimension mismatch among the atom points")
         if not hull_membership(vertices, p, max_dim):
-            raise GirylabError(f"atom point {p} lies outside the hull")
+            shown = ", ".join(map(format_rational, p))
+            raise GirylabError(f"atom point ({shown}) lies outside the hull")
     return tuple(phi.dot([p[d] for p in pts]) for d in range(dim))

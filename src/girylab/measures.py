@@ -1,8 +1,11 @@
 """Probability measures and exact integration.
 
-Measures on a FinSpace are stored atomwise, so finite additivity is
-structural: the measure of a set is the sum of its atoms' weights, and
-on a finite sigma-algebra that already forces countable additivity.
+Measures on a FinSpace are stored atomwise, as int numerators over one
+denominator in lowest terms, so finite additivity is structural: the
+measure of a set is the sum of its atoms' numerators over that
+denominator, and on a finite sigma-algebra that already forces countable
+additivity.  Pushforward and integration work on the numerators; the
+Fraction weights are built only when read.
 The unit interval gets a computable measure class of its own
 (point-mass / uniform-piece mixtures) on which every identity exercised
 here is exactly computable; the only approximate operation in the whole
@@ -23,37 +26,63 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, chain
 from operator import mul, sub
 from typing import Callable, Sequence
 
 from .errors import InvariantError, SpaceMismatchError
 from .rational import (ONE, ZERO, exact, format_rational, lift, probability,
-                       require_unit)
+                       probability_numerators, require_unit)
 from .spaces import FinSpace, IFunction, MeasMap, atom_image, require_measurable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Measure:
-    """An exact-rational probability assignment on the atoms of a FinSpace."""
+    """An exact-rational probability assignment on the atoms of a FinSpace,
+    stored as int numerators ``nums`` over one denominator ``den`` in
+    lowest terms, so equality and hashing compare integers.
+
+    ``Measure(space, weights)`` takes rationals and checks them with
+    ``rational.probability``; ``Measure(space, nums, den)`` takes int
+    numerators over ``den``, checks them with
+    ``rational.probability_numerators`` and reduces them.  ``weights``,
+    the tuple of Fractions, is built when it is first read.
+    """
 
     space: FinSpace
-    weights: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.space.atoms):
+    def __init__(self, space: FinSpace, weights, den: int | None = None):
+        if len(weights) != len(space.atoms):
             raise InvariantError("need exactly one weight per atom")
-        object.__setattr__(self, "weights", probability(self.weights, "weights"))
+        if den is None:
+            weights = probability(weights, "weights")
+            nums, den = lift(weights)
+            self.__dict__["weights"] = weights
+        else:
+            nums, den = probability_numerators(weights, den, "weights")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def of(self, mask: int) -> Fraction:
         """Measure of a measurable set: the sum of its atoms' weights."""
         self.space.require_measurable_set(mask)
-        return sum((w for atom, w in zip(self.space.atoms, self.weights)
-                    if atom & mask == atom), ZERO)
+        return Fraction(sum(n for atom, n in zip(self.space.atoms, self.nums)
+                            if atom & mask == atom), self.den)
 
     def describe(self) -> dict:
+        """Atom labels and ``"p/q"`` weights; the weights' Fractions are
+        built for the output and not kept."""
         return {"atoms": [" ".join(self.space.labels_of(a)) for a in self.space.atoms],
-                "weights": [format_rational(w) for w in self.weights]}
+                "weights": [format_rational(Fraction(n, self.den))
+                            for n in self.nums]}
 
 
 def measure_of(pi: Measure, mask: int) -> Fraction:
@@ -65,26 +94,29 @@ def pushforward(g: MeasMap, pi: Measure) -> Measure:
 
     Each dom atom lands inside exactly one cod atom (the cod-atom
     preimages are measurable and partition the domain), so the image
-    weights are plain atom-weight transfers; total mass is preserved.
+    numerators are plain atom-numerator transfers over the same
+    denominator; total mass is preserved.
     """
     require_measurable(g)
     if pi.space != g.dom:
         raise SpaceMismatchError("measure does not live on the domain of g")
-    weights = [ZERO] * len(g.cod.atoms)
-    for i, w in enumerate(pi.weights):
-        weights[atom_image(g, i)] += w
-    return Measure(g.cod, tuple(weights))
+    nums = [0] * len(g.cod.atoms)
+    for i, n in enumerate(pi.nums):
+        nums[atom_image(g, i)] += n
+    return Measure(g.cod, nums, pi.den)
 
 
 def integrate(f: IFunction, pi: Measure) -> Fraction:
-    """Exact integral of an atomwise function: sum of value * weight.
+    """Exact integral of an atomwise function: sum of value * weight, one
+    integer dot product of the lifted values and the numerators.
 
     Linear and order-preserving in f; equals the measure of A when f is
     the indicator of A.
     """
     if f.space != pi.space:
         raise SpaceMismatchError("function and measure live on different spaces")
-    return sum((v * w for v, w in zip(f.values, pi.weights)), ZERO)
+    values, vden = lift(f.values)
+    return Fraction(sum(map(mul, values, pi.nums)), vden * pi.den)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,12 @@ Kernels are atomwise tables of measures, hence measurable into the
 evaluation-generated sigma-algebra by construction; on discrete spaces
 a kernel is a row-stochastic matrix and ``bind`` is row-vector times
 matrix.
+
+``bind`` and ``flatten`` work on the measures' int numerators over
+their denominators (see ``measures.Measure``): each output numerator is
+one integer dot product, and the result is reduced by one gcd, not one
+per weight.  ``Measure.den`` is the lcm of the reduced weights'
+denominators, which is what the digit bounds of ``n_step`` multiply.
 """
 
 from __future__ import annotations
@@ -16,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import InvariantError, SpaceMismatchError
-from .rational import ONE, ZERO, fits_digits, lift, probability, require_digits
+from .rational import ONE, fits_digits, lift, probability, require_digits
 from .spaces import FinSpace
 from .measures import Measure
 
@@ -79,27 +86,23 @@ class Kernel:
 def dirac(space: FinSpace, point: str) -> Measure:
     """The point measure at ``point``: weight 1 on the atom containing it."""
     i = space.atom_index_of_point(point)
-    return Measure(space, tuple(
-        ONE if j == i else ZERO for j in range(len(space.atoms))))
+    return Measure(space, [int(j == i) for j in range(len(space.atoms))], 1)
 
 
-def _mix(space: FinSpace, coeffs, measures) -> Measure:
-    """The measure sum_i coeffs[i] * measures[i] on ``space``.
+def _mix(space: FinSpace, cnum, cden: int, measures) -> Measure:
+    """The measure sum_i (cnum[i] / cden) * measures[i] on ``space``.
 
-    The coefficients are lifted to integer numerators over their lcm
-    denominator, and the measures' weights to an integer matrix over the
-    lcm of all its denominators.  Each output weight is then one integer
-    dot product and one Fraction, instead of a Fraction sum whose every
-    addition takes a gcd.
+    With D the lcm of the measures' denominators, measure i scales to D
+    by one integer, which folds into its coefficient.  Each output
+    numerator over cden * D is then one integer dot product of those
+    scales with a column of numerators; ``Measure`` reduces the result
+    by one gcd, and no Fraction is built.
     """
-    cnum, cden = lift(coeffs)
     rden = _den(measures)
-    rnum = [[w.numerator * (rden // w.denominator) for w in m.weights]
-            for m in measures]
-    den = cden * rden
-    return Measure(space, tuple(
-        Fraction(sum(c * row[j] for c, row in zip(cnum, rnum)), den)
-        for j in range(len(space.atoms))))
+    scales = [c * (rden // m.den) for c, m in zip(cnum, measures)]
+    return Measure(space, [sum(map(mul, scales, col))
+                           for col in zip(*(m.nums for m in measures))],
+                   cden * rden)
 
 
 def flatten(rho: MetaMeasure) -> Measure:
@@ -109,8 +112,8 @@ def flatten(rho: MetaMeasure) -> Measure:
     component measures of A, which is the defining integral of the
     evaluation map collapsed over the finite support.
     """
-    return _mix(rho.base, [w for _, w in rho.support],
-                [m for m, _ in rho.support])
+    cnum, cden = lift([w for _, w in rho.support])
+    return _mix(rho.base, cnum, cden, [m for m, _ in rho.support])
 
 
 def bind(pi: Measure, k: Kernel) -> Measure:
@@ -122,7 +125,7 @@ def bind(pi: Measure, k: Kernel) -> Measure:
     """
     if pi.space != k.dom:
         raise SpaceMismatchError("measure does not live on the kernel domain")
-    return _mix(k.cod, pi.weights, k.rows)
+    return _mix(k.cod, pi.nums, pi.den, k.rows)
 
 
 def kleisli_compose(k1: Kernel, k2: Kernel) -> Kernel:
@@ -133,14 +136,22 @@ def kleisli_compose(k1: Kernel, k2: Kernel) -> Kernel:
 
 
 def _require_digits(pi: Measure, what: str) -> None:
-    """Stop Markov evolution once a weight passes rational.MAX_DIGITS."""
-    for w in pi.weights:
-        require_digits(w, what)
+    """Stop Markov evolution once a weight passes rational.MAX_DIGITS.
+
+    When ``pi.den`` fits, every weight does: its reduced denominator
+    divides ``pi.den`` and its numerator is at most that denominator.
+    Otherwise the reduced weights are checked one by one, since they may
+    all fit although their common denominator does not.
+    """
+    if fits_digits(pi.den):
+        return
+    for n in pi.nums:
+        require_digits(Fraction(n, pi.den), what)
 
 
 def _den(measures) -> int:
-    """The lcm of the weights' denominators over ``measures``."""
-    return lcm(*(w.denominator for m in measures for w in m.weights))
+    """The lcm of the measures' denominators."""
+    return lcm(*(m.den for m in measures))
 
 
 def n_step(k: Kernel, pi0: Measure, n: int) -> Measure:

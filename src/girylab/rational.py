@@ -1,23 +1,25 @@
-"""Exact rationals: the three number rules, parsing, formatting, range guards.
+"""Exact rationals: the four number rules, parsing, formatting, range guards.
 
-Every number in this package is a ``fractions.Fraction`` or an index, and
-every value it builds stores what three rules return.  ``exact`` admits a
-caller's number: a Fraction as the same object, an int as a new Fraction;
-a float, a bool or anything else raises InvariantError naming the
-argument.  ``probability`` admits a probability vector: exact, nonnegative
-entries whose integer-numerator sum is 1.  ``index`` admits a natural
-number used as a position or a count: an int, not a bool, at least 0.
-On the wire rationals are ``"p/q"`` strings, so round trips are lossless
-and no float appears in output.  Numerators and denominators are capped
-at ``MAX_DIGITS`` decimal digits, on parse, on format and in Markov
-evolution.
+Every number in this package is a ``fractions.Fraction``, an index, or
+an int numerator over an int denominator, and every value it builds
+stores what four rules return.  ``exact`` admits a caller's number: a
+Fraction as the same object, an int as a new Fraction; a float, a bool or
+anything else raises InvariantError naming the argument.
+``probability`` admits a probability vector: exact, nonnegative entries
+whose integer-numerator sum is 1.  ``probability_numerators`` is the same
+check on int numerators over one int denominator, and returns them in
+lowest terms.  ``index`` admits a natural number used as a position or a
+count: an int, not a bool, at least 0.  On the wire rationals are
+``"p/q"`` strings, so round trips are lossless and no float appears in
+output.  Numerators and denominators are capped at ``MAX_DIGITS``
+decimal digits, on parse, on format and in Markov evolution.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DigitLimitError, InvariantError
@@ -97,24 +99,44 @@ def index(x, what: str) -> int:
 def lift(xs: Sequence[Fraction], den: int = 1) -> tuple[list[int], int]:
     """Integer numerators of the rationals ``xs`` over
     lcm(den, their denominators), and that lcm."""
-    den = lcm(den, *(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs], den
+    dens = [x.denominator for x in xs]
+    den = lcm(den, *dens)
+    return [x.numerator * (den // d) for x, d in zip(xs, dens)], den
+
+
+def probability_numerators(nums: Iterable, den: int,
+                           what: str) -> tuple[tuple[int, ...], int]:
+    """``nums`` over ``den`` in lowest terms if it is a probability vector:
+    ``den`` and every numerator an int, not a bool, every numerator
+    nonnegative, and their sum ``den``.  All are then divided by their
+    gcd; otherwise InvariantError naming ``what``."""
+    nums = tuple(nums)
+    for n in (den, *nums):
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise InvariantError(f"{what} must be int numerators over an int "
+                                 f"denominator, got {type(n).__name__}")
+    if den <= 0:
+        raise InvariantError(f"{what} must have a positive denominator")
+    for n in nums:
+        if n < 0:
+            raise InvariantError(f"{what} must be nonnegative, got "
+                                 f"{format_rational(Fraction(n, den))}")
+    if sum(nums) != den:
+        raise InvariantError(f"{what} must sum to 1/1, got total mass "
+                             f"{format_rational(Fraction(sum(nums), den))}")
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return tuple(n // g for n in nums), den // g
 
 
 def probability(xs: Iterable, what: str) -> tuple[Fraction, ...]:
     """``xs`` as a tuple of Fractions if it is a probability vector: every
-    entry ``exact`` and nonnegative, and the sum 1.  The sum is taken over
-    integer numerators on the lcm of the denominators (``lift``), not as a
-    Fraction sum that takes a gcd at every addition."""
+    entry ``exact``, and the integer numerators over the lcm of the
+    denominators (``lift``) pass ``probability_numerators``, so the sum
+    takes no gcd per addition."""
     ps = tuple(exact(x, what) for x in xs)
-    for p in ps:
-        if p.numerator < 0:
-            raise InvariantError(
-                f"{what} must be nonnegative, got {format_rational(p)}")
-    nums, den = lift(ps)
-    if sum(nums) != den:
-        raise InvariantError(f"{what} must sum to 1/1, got total mass "
-                             f"{format_rational(Fraction(sum(nums), den))}")
+    probability_numerators(*lift(ps), what)
     return ps
 
 

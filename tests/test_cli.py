@@ -1,8 +1,12 @@
 """Command surface: markov evolution, verification, reports, config."""
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +248,23 @@ class TestConfigPrecedence:
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--seed", "3"], ""), ([], "seed = 3\n")], ids=["flag", "config"])
+    def test_env_seed_unread_when_the_seed_is_set(self, tmp_path, capsys,
+                                                  monkeypatch, flags, config):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("GIRYLAB_SEED", "abc")
+        (tmp_path / "girylab.cfg").write_text(config)
+        assert main(["verify", "counterexample", "--trials", "1", *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == 3
+
+    def test_bad_env_seed_named_when_it_is_used(self, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("GIRYLAB_SEED", "abc")
+        assert main(["verify", "counterexample", "--trials", "1"]) == 2
+        assert "GIRYLAB_SEED must be an integer" in capsys.readouterr().err
+
     def test_comments_and_blank_lines(self, tmp_path, capsys):
         cfg = tmp_path / "girylab.cfg"
         cfg.write_text("# comment\n\ntrials = 8  # inline\n")
@@ -417,3 +438,29 @@ class TestReport:
         assert code == 1
         out = capsys.readouterr().out
         assert '<testsuite name="3"' in out and 'name="4"' in out
+
+
+class TestXmlEscape:
+    """``cli`` writes JUnit XML with its own escaper; ``xml.sax.saxutils``
+    is the reference, and its import stays out of start-up."""
+
+    ALPHABET = "&<>\"'\n\r\t ab;#1\u00e9\u4e2d\u2028\U0001f600"
+
+    def test_escape_and_quoteattr_equal_saxutils(self):
+        from xml.sax import saxutils
+        rng = random.Random(8)
+        for _ in range(3000):
+            text = "".join(rng.choice(self.ALPHABET)
+                           for _ in range(rng.randint(0, 12)))
+            assert cli.escape(text) == saxutils.escape(text)
+            assert cli.quoteattr(text) == saxutils.quoteattr(text)
+
+    def test_cli_import_leaves_xml_out(self):
+        code = ("import sys, girylab.cli; print(sorted(m for m in "
+                "('xml', 'xml.sax.saxutils', 'urllib.request') "
+                "if m in sys.modules))")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -230,6 +231,13 @@ class TestExtendToConvex:
         phi = Functional.extensional(space, (F(1),))
         with pytest.raises(GirylabError):
             extend_to_convex(phi, TRIANGLE, [(F(2), F(2))])
+
+    def test_point_outside_hull_written_as_rationals(self):
+        space = FinSpace.discrete(["a"])
+        phi = Functional.extensional(space, (F(1),))
+        with pytest.raises(GirylabError, match=re.escape(
+                "atom point (2/1, 1/2) lies outside the hull")):
+            extend_to_convex(phi, [(F(0), F(0))], [(2, F(1, 2))])
 
     def test_no_vertices_is_a_named_error(self):
         space = FinSpace.discrete(["a"])

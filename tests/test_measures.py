@@ -1,5 +1,6 @@
 """Measures, pushforward, exact and certified integration."""
 
+import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 
 from girylab.errors import InvariantError, NotMeasurableError, SpaceMismatchError
+from girylab.harness import (SuiteConfig, generate_ifunction, generate_measure,
+                             generate_measurable_map, generate_space)
 from girylab.rational import random_fraction
 from girylab.spaces import FinSpace, IFunction, MeasMap, characteristic
 from girylab.measures import (IntervalMeasure, Measure, StepFunction,
@@ -152,6 +155,78 @@ class TestMeasure:
         pi = Measure(s, (F(1),))
         with pytest.raises(NotMeasurableError):
             pi.of(s.mask_of(["a"]))
+
+
+def pushforward_oracle(g: MeasMap, pi: Measure) -> Measure:
+    """The former Fraction ``pushforward``: atom weights moved one by one."""
+    weights = [F(0)] * len(g.cod.atoms)
+    for i, atom in enumerate(g.dom.atoms):
+        j = next(j for j, b in enumerate(g.cod.atoms)
+                 if g.preimage(b) & atom == atom)
+        weights[j] += pi.weights[i]
+    return Measure(g.cod, tuple(weights))
+
+
+def integrate_oracle(f: IFunction, pi: Measure) -> Fraction:
+    """The former Fraction ``integrate``: a sum of value * weight."""
+    return sum((v * w for v, w in zip(f.values, pi.weights)), F(0))
+
+
+def measure_of_oracle(pi: Measure, mask: int) -> Fraction:
+    """The former ``Measure.of``: a Fraction sum of the atoms' weights."""
+    return sum((w for atom, w in zip(pi.space.atoms, pi.weights)
+                if atom & mask == atom), F(0))
+
+
+class TestNumeratorStorage:
+    """``Measure`` keeps int numerators over one denominator in lowest
+    terms; the former Fraction routines are the reference."""
+
+    CFG = SuiteConfig(max_carrier=6)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_pushforward_integrate_of_equal_the_fraction_routines(self, seed):
+        rng = random.Random(seed)
+        dom, cod = generate_space(rng, self.CFG), generate_space(rng, self.CFG)
+        pi, g = generate_measure(rng, dom), generate_measurable_map(rng, dom, cod)
+        out, want = pushforward(g, pi), pushforward_oracle(g, pi)
+        assert out == want
+        assert (out.nums, out.den, out.weights) == (want.nums, want.den,
+                                                    want.weights)
+        f = generate_ifunction(rng, dom)
+        assert integrate(f, pi) == integrate_oracle(f, pi)
+        for mask in dom.sigma:
+            assert pi.of(mask) == measure_of_oracle(pi, mask)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_weights_and_numerators_agree(self, seed):
+        """Measure(space, weights) equals and hashes as the int numerators
+        of the same weights over any common denominator."""
+        rng = random.Random(seed)
+        space = generate_space(rng, self.CFG)
+        pi = Measure(space, tuple(generate_measure(rng, space).weights))
+        assert math.gcd(pi.den, *pi.nums) == 1
+        assert pi.weights == tuple(F(n, pi.den) for n in pi.nums)
+        scale = rng.randint(2, 50)
+        same = Measure(space, [n * scale for n in pi.nums], pi.den * scale)
+        assert same == pi and hash(same) == hash(pi)
+        assert (same.nums, same.den) == (pi.nums, pi.den)
+        assert same.weights == pi.weights
+
+    def test_numerators_must_be_a_probability_vector(self):
+        s = FinSpace.discrete(["a", "b"])
+        with pytest.raises(InvariantError, match="nonnegative, got -1/2"):
+            Measure(s, (-1, 3), 2)
+        with pytest.raises(InvariantError, match="total mass 3/4"):
+            Measure(s, (1, 2), 4)
+        with pytest.raises(InvariantError, match="positive denominator"):
+            Measure(s, (0, 0), 0)
+        with pytest.raises(InvariantError, match="need exactly one weight"):
+            Measure(s, (1,), 1)
+        for nums, den, kind in [((0.5, 0.5), 1, "float"), ((1, 1), 2.0, "float"),
+                                ((True, 0), 1, "bool"), ((1, 0), True, "bool")]:
+            with pytest.raises(InvariantError, match=f"int numerators .* {kind}"):
+                Measure(s, nums, den)
 
 
 class TestPushforward:

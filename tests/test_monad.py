@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import hypothesis.strategies as st
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 
 from girylab.errors import (DigitLimitError, InvariantError,
                             NotMeasurableError, SpaceMismatchError)
-from girylab.harness import generate_kernel, generate_measure
+from girylab.harness import (SuiteConfig, generate_kernel, generate_measure,
+                             generate_meta_measure, generate_space)
 from girylab.spaces import FinSpace, generate_sigma
 from girylab.measures import Measure, pushforward
+from girylab.rational import fits_digits
 from girylab.monad import (Kernel, MetaMeasure, bind, dirac, flatten,
                            kleisli_compose, n_step, trajectory)
 
@@ -39,6 +42,21 @@ def flatten_oracle(rho: MetaMeasure) -> Measure:
         for j in range(n):
             weights[j] += w * measure.weights[j]
     return Measure(rho.base, tuple(weights))
+
+
+def mix_oracle(space: FinSpace, coeffs, measures) -> Measure:
+    """The former ``monad._mix``: coefficients and weights lifted to
+    integers over their lcm denominators, one Fraction per output weight,
+    and the result checked as Fraction weights."""
+    cden = lcm(*(c.denominator for c in coeffs))
+    cnum = [c.numerator * (cden // c.denominator) for c in coeffs]
+    rden = lcm(*(w.denominator for m in measures for w in m.weights))
+    rnum = [[w.numerator * (rden // w.denominator) for w in m.weights]
+            for m in measures]
+    den = cden * rden
+    return Measure(space, tuple(
+        F(sum(c * row[j] for c, row in zip(cnum, rnum)), den)
+        for j in range(len(space.atoms))))
 
 
 def d1_chain():
@@ -181,6 +199,47 @@ class TestIntegerMixOracle:
         assert bind(pi, kernel) == bind_oracle(pi, kernel)
         rho = MetaMeasure(pi.space, ((pi, F(1, 3)), (kernel.rows[0], F(2, 3))))
         assert flatten(rho) == flatten_oracle(rho)
+
+
+class TestNumeratorStorage:
+    """Measures store int numerators over one denominator; the former
+    Fraction ``_mix`` is the reference, on seeded harness spaces (coarse
+    ones included), kernels and mixtures."""
+
+    CFG = SuiteConfig(max_carrier=6)
+
+    @staticmethod
+    def same(out: Measure, want: Measure):
+        assert out == want
+        assert (out.nums, out.den) == (want.nums, want.den)
+        assert out.weights == want.weights
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bind_flatten_compose_equal_the_fraction_mix(self, seed):
+        rng = random.Random(seed)
+        dom, cod = generate_space(rng, self.CFG), generate_space(rng, self.CFG)
+        pi, k = generate_measure(rng, dom), generate_kernel(rng, dom, cod)
+        self.same(bind(pi, k), mix_oracle(cod, pi.weights, k.rows))
+        rho = generate_meta_measure(rng, cod)
+        self.same(flatten(rho), mix_oracle(
+            cod, [w for _, w in rho.support], [m for m, _ in rho.support]))
+        k2 = generate_kernel(rng, cod, dom)
+        composed = kleisli_compose(k, k2)
+        for row, got in zip(k.rows, composed.rows):
+            self.same(got, mix_oracle(dom, row.weights, k2.rows))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_n_step_and_trajectory_equal_the_fraction_mix(self, seed):
+        rng = random.Random(seed)
+        space = generate_space(rng, self.CFG, min_points=3)
+        k, pi = generate_kernel(rng, space, space), generate_measure(rng, space)
+        want = [pi]
+        for _ in range(40):
+            want.append(mix_oracle(space, want[-1].weights, k.rows))
+        for got, state in zip(trajectory(k, pi, 40), want):
+            self.same(got, state)
+        for n in (0, 1, 7, 16, 33, 40):
+            self.same(n_step(k, pi, n), want[n])
 
 
 class TestKleisliCompose:
@@ -329,6 +388,19 @@ class TestDigitLimit:
         uniform = Measure(s, (F(1, 3),) * 3)
         assert n_step(k, uniform, 16384) == trajectory(k, uniform, 16384)[-1]
         assert n_step(k, uniform, 16384) == uniform
+
+    def test_small_weights_over_a_large_common_denominator(self):
+        """Every weight fits, but their common denominator 2pq has 5,821
+        digits: the state must be checked weight by weight, not by its
+        denominator alone."""
+        s = FinSpace.discrete(["a", "b", "c", "d"])
+        p, q = 3 ** 6000, 7 ** 3500
+        pi = Measure(s, (F(1, 2 * p), F(p - 1, 2 * p),
+                         F(1, 2 * q), F(q - 1, 2 * q)))
+        assert pi.den == 2 * p * q and not fits_digits(pi.den)
+        k = Kernel.identity(s)
+        assert trajectory(k, pi, 3) == [pi] * 4
+        assert n_step(k, pi, 5) == pi
 
     def test_passed_over_states_are_held_to_the_limit(self):
         """A state with 4,618 digits at step 3 between small ones: the
