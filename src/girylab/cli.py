@@ -28,16 +28,30 @@ from .harness import (SUITE_NAMES, SuiteConfig, case_rng, generate_ifunction,
 from .codensity import check_naturality, lift, sample_affine
 from .jsonio import (functional_from_json, kernel_from_json,
                      measure_from_json, space_from_json)
-from .monad import n_step, trajectory
-from .rational import parse_int
+from .monad import denominator_base, n_step, trajectory
+from .rational import format_rational, parse_int
 
 CONFIG_KEYS = tuple(f.name for f in fields(SuiteConfig))
 DEFAULT_CONFIG_FILE = "girylab.cfg"
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of the file ``path``; IngestionError naming it when
+    it is missing, unreadable (a directory, say) or not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise IngestionError(f"file {path} does not exist") from None
+    except OSError as exc:
+        raise IngestionError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path} is not UTF-8 text: byte "
+                             f"{exc.start} cannot be decoded") from None
+
+
 def _read_config_file(path: Path) -> dict:
     values = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -90,10 +104,9 @@ def _build_config(args) -> SuiteConfig:
 
 
 def _load_json(path: str) -> dict:
+    text = _read_text(path)
     try:
-        return json.loads(Path(path).read_text(), parse_int=parse_int)
-    except FileNotFoundError:
-        raise IngestionError(f"file {path} does not exist")
+        return json.loads(text, parse_int=parse_int)
     except json.JSONDecodeError as exc:
         raise IngestionError(f"{path} is not valid JSON: {exc}")
     except RecursionError:
@@ -227,10 +240,11 @@ def _cmd_markov(args) -> int:
         shown = enumerate(trajectory(kernel, init, args.steps))
     else:
         shown = [(args.steps, n_step(kernel, init, args.steps))]
+    base = denominator_base(kernel, init)
     for step, pi in shown:
         doc = {"step": step,
-               "weights": {str(i): w for i, w in
-                           enumerate(pi.describe()["weights"])}}
+               "weights": {str(i): format_rational(n, pi.den, base)
+                           for i, n in enumerate(pi.nums)}}
         print(json.dumps(doc, sort_keys=True))
     return 0
 
@@ -244,8 +258,11 @@ def _cmd_report(args) -> int:
         if not isinstance(props, list) or not all(isinstance(p, dict) for p in props):
             raise IngestionError(
                 f"{path} is not a report: 'properties' must be a list of objects")
+        if doc.get("result") not in ("pass", "fail"):
+            raise IngestionError(
+                f"{path} is not a report: 'result' must be \"pass\" or \"fail\"")
     merged = {"reports": docs,
-              "result": "pass" if all(d.get("result") == "pass" for d in docs)
+              "result": "pass" if all(d["result"] == "pass" for d in docs)
               else "fail"}
     if args.format == "json":
         print(json.dumps(merged, sort_keys=True))

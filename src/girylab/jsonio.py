@@ -87,8 +87,8 @@ def _weights_from_json(doc, space: FinSpace, what: str) -> tuple[Fraction, ...]:
 
 def measure_to_json(pi: Measure) -> dict:
     return {"space": space_to_json(pi.space),
-            "weights": {str(i): format_rational(w)
-                        for i, w in enumerate(pi.weights)}}
+            "weights": {str(i): format_rational(n, pi.den)
+                        for i, n in enumerate(pi.nums)}}
 
 
 def measure_from_json(doc: dict, space: FinSpace | None = None) -> Measure:

@@ -78,11 +78,10 @@ class Measure:
                             if atom & mask == atom), self.den)
 
     def describe(self) -> dict:
-        """Atom labels and ``"p/q"`` weights; the weights' Fractions are
-        built for the output and not kept."""
+        """Atom labels and ``"p/q"`` weights, each written from its
+        numerator over ``den`` without building a Fraction."""
         return {"atoms": [" ".join(self.space.labels_of(a)) for a in self.space.atoms],
-                "weights": [format_rational(Fraction(n, self.den))
-                            for n in self.nums]}
+                "weights": [format_rational(n, self.den) for n in self.nums]}
 
 
 def measure_of(pi: Measure, mask: int) -> Fraction:

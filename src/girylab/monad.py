@@ -154,6 +154,24 @@ def _den(measures) -> int:
     return lcm(*(m.den for m in measures))
 
 
+def denominator_base(k: Kernel, pi0: Measure) -> int:
+    """``den(pi0) * L``, with L the lcm of the rows' denominators: every
+    prime factor of the denominator of any state of ``trajectory`` or
+    ``n_step`` from ``pi0`` under the endo-kernel ``k`` divides it, so it
+    is a ``base`` for ``rational.format_rational``.
+
+    ``bind(pi, K)`` has a denominator dividing ``pi.den * den(K)``,
+    where den(K) is the lcm of K's row denominators (``_mix``), so the
+    state at step t has a denominator dividing ``den(pi0) * L**t``.
+    ``n_step`` binds by the powers K^(2^j) = kleisli_compose(K^(2^(j-1)),
+    K^(2^(j-1))), whose rows are ``bind``s of K^(2^(j-1))'s rows, so by
+    induction den(K^(2^j)) divides L^(2^j), and its states too have
+    denominators dividing ``den(pi0) * L**t``.  Every prime factor of
+    that number divides ``den(pi0) * L``.
+    """
+    return pi0.den * _den(k.rows)
+
+
 def n_step(k: Kernel, pi0: Measure, n: int) -> Measure:
     """n-fold Kleisli extension of an endo-kernel; n = 0 returns pi0.
 

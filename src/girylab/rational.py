@@ -13,6 +13,17 @@ count: an int, not a bool, at least 0.  On the wire rationals are
 ``"p/q"`` strings, so round trips are lossless and no float appears in
 output.  Numerators and denominators are capped at ``MAX_DIGITS``
 decimal digits, on parse, on format and in Markov evolution.
+
+``format_rational`` writes a Fraction, or an int numerator over an int
+denominator, in lowest terms.  The int form ``format_rational(n, den)``
+takes one ``gcd(n, den)`` and builds no Fraction.  With a third argument
+``base`` the caller promises that every prime factor of ``den`` divides
+``base``; the common factors of ``n`` and ``den`` are then divided out
+by gcds with ``base`` and with squares of the factors already found,
+never by a gcd of the two full numbers.  A Markov state gives such a base: its denominator divides
+``den(pi0) * L**t``, with ``L`` the lcm of the kernel rows'
+denominators, so ``den(pi0) * L`` serves every step
+(``monad.denominator_base``).
 """
 
 from __future__ import annotations
@@ -60,13 +71,19 @@ def _string_digits(s: str) -> int:
     return len(s.strip().lstrip("+-").replace("_", ""))
 
 
+def _require_pair_digits(n: int, den: int, what: str) -> None:
+    """DigitLimitError naming ``what`` unless ``n`` and ``den`` both fit
+    in MAX_DIGITS decimal digits."""
+    if not (fits_digits(n) and fits_digits(den)):
+        raise _digit_limit_error(what, max(_decimal_digits(n),
+                                           _decimal_digits(den)))
+
+
 def require_digits(x: Fraction, what: str) -> Fraction:
     """``x`` unchanged if its numerator and denominator fit in MAX_DIGITS
     decimal digits; otherwise DigitLimitError naming ``what``."""
-    if fits_digits(x.numerator) and fits_digits(x.denominator):
-        return x
-    raise _digit_limit_error(what, max(_decimal_digits(x.numerator),
-                                       _decimal_digits(x.denominator)))
+    _require_pair_digits(x.numerator, x.denominator, what)
+    return x
 
 
 def _shown(s: str) -> str:
@@ -86,12 +103,26 @@ def exact(x, what: str) -> Fraction:
         f"{what} must be an int or a Fraction, got {type(x).__name__}")
 
 
+def _int(x, what: str) -> int:
+    """``x`` unchanged if it is an int, not a bool; otherwise
+    InvariantError naming ``what``."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise InvariantError(f"{what} must be an int, got {type(x).__name__}")
+    return x
+
+
+def _positive(x, what: str) -> int:
+    """``x`` unchanged if it is an int, not a bool, and at least 1;
+    otherwise InvariantError naming ``what``."""
+    if _int(x, what) <= 0:
+        raise InvariantError(f"{what} must be positive, got {x}")
+    return x
+
+
 def index(x, what: str) -> int:
     """``x`` unchanged if it is an int, not a bool, and at least 0;
     otherwise InvariantError naming ``what``."""
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise InvariantError(f"{what} must be an int, got {type(x).__name__}")
-    if x < 0:
+    if _int(x, what) < 0:
         raise InvariantError(f"{what} must be nonnegative, got {x}")
     return x
 
@@ -120,10 +151,10 @@ def probability_numerators(nums: Iterable, den: int,
     for n in nums:
         if n < 0:
             raise InvariantError(f"{what} must be nonnegative, got "
-                                 f"{format_rational(Fraction(n, den))}")
+                                 f"{format_rational(n, den)}")
     if sum(nums) != den:
         raise InvariantError(f"{what} must sum to 1/1, got total mass "
-                             f"{format_rational(Fraction(sum(nums), den))}")
+                             f"{format_rational(sum(nums), den)}")
     g = gcd(den, *nums)
     if g == 1:
         return nums, den
@@ -140,10 +171,49 @@ def probability(xs: Iterable, what: str) -> tuple[Fraction, ...]:
     return ps
 
 
-def format_rational(x: Fraction) -> str:
-    """Render ``x`` canonically as ``"p/q"`` (``"3/4"``, ``"1/1"``, ``"0/1"``)."""
-    f = require_digits(exact(x, "rational to format"), "rational to format")
-    return f"{f.numerator}/{f.denominator}"
+def format_rational(x, den: int | None = None, base: int | None = None) -> str:
+    """Render a rational canonically as ``"p/q"`` in lowest terms
+    (``"3/4"``, ``"1/1"``, ``"0/1"``).
+
+    ``format_rational(x)`` writes the Fraction or int ``x``.
+    ``format_rational(n, den)`` writes the int ``n`` over the positive int
+    ``den``, reduced by one ``gcd(n, den)``; no Fraction is built.
+
+    ``format_rational(n, den, base)`` takes the caller's promise that
+    every prime factor of ``den`` divides the positive int ``base``.  It
+    divides ``n`` and ``den`` by ``h = gcd(base, n % base, den % base)``
+    while ``h > 1``, and takes ``h * h`` as the next ``base``, so a
+    common factor of any power goes in a few rounds.  Every prime that
+    still divides both ``n`` and ``den`` divided both before the round,
+    hence divided ``h``: the promise carries over to ``h * h``.  When
+    ``h == 1`` no prime divides both, so the pair is in lowest terms.
+    Each gcd is of numbers no larger than ``base`` or ``h * h``, never of
+    ``n`` and ``den`` themselves.  A broken promise is not detected, and
+    the result may then not be in lowest terms.
+
+    The written numerator and denominator must fit in MAX_DIGITS
+    digits (DigitLimitError).  A float, a bool, a Fraction where an int
+    is needed, or a ``den`` or ``base`` below 1 raises InvariantError.
+    """
+    if den is None:
+        if base is not None:
+            raise InvariantError("base applies only with a denominator")
+        f = exact(x, "rational to format")
+        n, den = f.numerator, f.denominator
+    else:
+        n = _int(x, "numerator to format")
+        _positive(den, "denominator to format")
+        if base is None:
+            h = gcd(n, den)
+            n, den = n // h, den // h
+        else:
+            base = _positive(base, "base")
+            h = gcd(base, n % base, den % base)
+            while h > 1:
+                n, den, base = n // h, den // h, h * h
+                h = gcd(base, n % base, den % base)
+    _require_pair_digits(n, den, "rational to format")
+    return f"{n}/{den}"
 
 
 def parse_int(s: str) -> int:

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,8 @@ import pytest
 from girylab import cli
 from girylab.cli import main
 from girylab.harness import generate_kernel, generate_measure
-from girylab.jsonio import kernel_to_json, measure_to_json
+from girylab.jsonio import kernel_to_json, measure_to_json, space_to_json
+from girylab.rational import format_rational
 from girylab.spaces import FinSpace, generate_sigma
 
 TWO_STATE = {"carrier": ["0", "1"], "generators": [["0"], ["1"]]}
@@ -156,6 +158,119 @@ class TestMarkov:
                      "--init", str(tmp_path / "nope2.json"), "--steps", "1"])
         assert code == 2
         assert "does not exist" in capsys.readouterr().err
+
+
+def _chain_docs(space, matrix, init):
+    """Kernel and initial-measure JSON for a matrix and a vector of
+    Fractions indexed by ``space``'s atoms."""
+    space_doc = space_to_json(space)
+    rows = {str(i): {str(j): format_rational(w) for j, w in enumerate(row)}
+            for i, row in enumerate(matrix)}
+    return ({"dom": space_doc, "cod": space_doc, "rows": rows},
+            {"space": space_doc,
+             "weights": {str(i): format_rational(w) for i, w in enumerate(init)}})
+
+
+def _oracle_lines(matrix, init, steps):
+    """``markov --trace`` output by Fraction row-vector times matrix, each
+    weight written by the one-argument ``format_rational``."""
+    lines, vec = [], list(init)
+    for step in range(steps + 1):
+        doc = {"step": step, "weights": {str(i): format_rational(w)
+                                         for i, w in enumerate(vec)}}
+        lines.append(json.dumps(doc, sort_keys=True) + "\n")
+        vec = [sum((vec[i] * matrix[i][j] for i in range(len(vec))), Fraction(0))
+               for j in range(len(vec))]
+    return lines
+
+
+def _random_row(rng, n, zero=()):
+    """A seeded probability row of length n, zero at the indices ``zero``."""
+    raw = [0 if j in zero else rng.randint(1, 9) for j in range(n)]
+    return [Fraction(r, sum(raw)) for r in raw]
+
+
+def _chain(name):
+    rng = random.Random(name)
+    if name == "six points, three atoms":
+        space = generate_sigma(list("abcdef"), [["a", "b"], ["c", "d"]])
+        matrix = [_random_row(rng, 3) for _ in range(3)]
+        return space, matrix, _random_row(rng, 3), 40
+    if name == "deterministic kernel, point start (base 1)":
+        space = FinSpace.discrete(list("abcd"))
+        matrix = [[Fraction(int(j == (i + 1) % 4)) for j in range(4)]
+                  for i in range(4)]
+        return space, matrix, [Fraction(int(j == 1)) for j in range(4)], 9
+    if name == "zero initial weight":
+        space = FinSpace.discrete(list("abc"))
+        matrix = [_random_row(rng, 3, zero=(1,)), _random_row(rng, 3),
+                  _random_row(rng, 3, zero=(1,))]
+        return space, matrix, [Fraction(1, 3), Fraction(0), Fraction(2, 3)], 30
+    big = 10 ** 1500 + 7
+    space = FinSpace.discrete(list("abc"))
+    matrix = [_random_row(rng, 3) for _ in range(3)]
+    return space, matrix, [Fraction(1, big), Fraction(2, big),
+                           Fraction(big - 3, big)], 20
+
+
+class TestMarkovOracle:
+    """``markov`` writes states with ``format_rational``'s base form; its
+    output equals a Fraction computation written by the one-argument
+    form, final state and ``--trace`` alike."""
+
+    @pytest.mark.parametrize("name", [
+        "six points, three atoms", "deterministic kernel, point start (base 1)",
+        "zero initial weight", "initial denominator 10**1500 + 7"])
+    def test_output_equals_the_fraction_oracle(self, tmp_path, capsys, name):
+        space, matrix, init, steps = _chain(name)
+        kernel_doc, init_doc = _chain_docs(space, matrix, init)
+        argv = ["markov", "--kernel", write(tmp_path, "k.json", kernel_doc),
+                "--init", write(tmp_path, "pi.json", init_doc),
+                "--steps", str(steps)]
+        want = _oracle_lines(matrix, init, steps)
+        assert main(argv + ["--trace"]) == 0
+        assert capsys.readouterr().out.splitlines(keepends=True) == want
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want[-1]
+
+
+def _directory(tmp_path):
+    path = tmp_path / "a-directory"
+    path.mkdir()
+    return path
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b"\xff\xfe{}")
+    return path
+
+
+class TestUnreadableInput:
+    """A directory or a file that is not UTF-8, given where a file is
+    read, is a named input error (exit 2), not an internal one."""
+
+    COMMANDS = {
+        "markov --kernel": lambda bad, good: [
+            "markov", "--kernel", bad, "--init", good, "--steps", "1"],
+        "verify --functional": lambda bad, good: [
+            "verify", "naturality", "--functional", bad],
+        "report": lambda bad, good: ["report", bad],
+        "verify --config": lambda bad, good: [
+            "verify", "monad-laws", "--config", bad],
+    }
+
+    @pytest.mark.parametrize("make_bad, error", [
+        pytest.param(_directory, "error: cannot read {}: ", id="directory"),
+        pytest.param(_not_utf8, "error: {} is not UTF-8 text: ", id="not-utf8")])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_named_error(self, tmp_path, capsys, command, make_bad, error):
+        bad = str(make_bad(tmp_path))
+        argv = self.COMMANDS[command](bad, write(tmp_path, "pi.json", DELTA_0))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(error.format(bad))
 
 
 class TestVerify:
@@ -430,8 +545,35 @@ class TestReport:
         assert code == 2
         assert "'properties' must be a list of objects" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["json", "junit"])
+    @pytest.mark.parametrize("doc", [
+        pytest.param({"a": 1}, id="no-result"),
+        pytest.param({"properties": [{"property": "p", "result": "fail"}]},
+                     id="properties-without-result"),
+        pytest.param({"properties": [], "result": "refuted"}, id="other-result"),
+        pytest.param({"properties": [], "result": None}, id="null-result")])
+    def test_document_without_a_result_is_not_a_report(self, tmp_path,
+                                                       capsys, doc, fmt):
+        code = main(["report", write(tmp_path, "r.json", doc),
+                     "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "r.json is not a report: 'result' must be" in captured.err
+
+    @pytest.mark.parametrize("fmt", ["json", "junit"])
+    def test_own_reports_and_merged_output_accepted(self, tmp_path, capsys,
+                                                    fmt):
+        main(["verify", "counterexample", "--trials", "5", "--seed", "1"])
+        report = write(tmp_path, "r.json", json.loads(capsys.readouterr().out))
+        assert main(["report", report, report]) == 0
+        merged = write(tmp_path, "m.json", json.loads(capsys.readouterr().out))
+        failed = write(tmp_path, "f.json", {"properties": [], "result": "fail"})
+        assert main(["report", merged, report, "--format", fmt]) == 0
+        assert main(["report", merged, failed, "--format", fmt]) == 1
+        assert capsys.readouterr().err == ""
+
     def test_junit_quotes_non_string_names(self, tmp_path, capsys):
-        doc = {"suite": 3, "properties": [
+        doc = {"suite": 3, "result": "fail", "properties": [
             {"property": 4, "result": "fail", "law": None, "witness": [1]}]}
         code = main(["report", write(tmp_path, "r.json", doc),
                      "--format", "junit"])

@@ -2,7 +2,8 @@
 be an int or a Fraction.  A float or a bool raises InvariantError naming
 the argument; an int is stored as a Fraction.  Probability vectors are
 checked by ``rational.probability``, and indices (positions and counts)
-by ``rational.index``: an int, not a bool, at least 0."""
+by ``rational.index``: an int, not a bool, at least 0.  The int form of
+``rational.format_rational`` takes ints only."""
 
 from fractions import Fraction
 
@@ -181,6 +182,29 @@ def test_negative_index_rejected(what, make):
 def test_index_stored_as_given(what, make):
     stored = make(2)
     assert type(stored) is int and stored == 2
+
+
+#: (entry point, the name its error gives the argument, make) for the int
+#: arguments of ``format_rational``'s int form.  ``make(x)`` passes x as
+#: that argument, with 1 over 2 and base 2 elsewhere.
+INT_ENTRY_POINTS = [
+    ("format_rational numerator", "numerator to format",
+     lambda x: rational.format_rational(x, 2, 2)),
+    ("format_rational denominator", "denominator to format",
+     lambda x: rational.format_rational(1, x, 2)),
+    ("format_rational base", "base",
+     lambda x: rational.format_rational(1, 2, x)),
+]
+
+
+@pytest.mark.parametrize("what, make", [
+    pytest.param(what, make, id=name) for name, what, make in INT_ENTRY_POINTS])
+@pytest.mark.parametrize("x, kind", [(1.5, "float"), (1.0, "float"),
+                                     (True, "bool"), (F(1), "Fraction")])
+def test_int_argument_not_an_int_rejected(what, make, x, kind):
+    with pytest.raises(InvariantError,
+                       match=f"^{what} must be an int, got {kind}$"):
+        make(x)
 
 
 def test_float_mixture_weights_never_reach_flatten():

@@ -1,10 +1,13 @@
 """Wire formats: lossless round trips, invariant-naming ingestion errors."""
 
+import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from girylab.errors import DigitLimitError, GirylabError, IngestionError
+from girylab.errors import (DigitLimitError, GirylabError, IngestionError,
+                            InvariantError)
 from girylab.spaces import FinSpace, generate_sigma
 from girylab.measures import IntervalMeasure, Measure
 from girylab.monad import Kernel
@@ -36,6 +39,68 @@ class TestRationalStrings:
             parse_rational("0.5")
         with pytest.raises(ValueError):
             parse_rational("1e-3")
+
+
+class TestLowestTerms:
+    """``format_rational(n, den)`` and ``format_rational(n, den, base)``
+    write what ``format_rational(Fraction(n, den))`` writes."""
+
+    BASES = [2, 6, 12, 360, 2 ** 3 * 3 ** 2 * 7, 30 * 49 * 11 ** 3, 97]
+
+    @staticmethod
+    def dens(rng, base):
+        """Seeded denominators made of powers of ``base``'s primes."""
+        primes = [p for p in range(2, base + 1)
+                  if base % p == 0 and all(p % q for q in range(2, p))]
+        for _ in range(40):
+            yield prod(p ** rng.randint(0, 12) for p in primes)
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_base_form_equals_the_fraction_form(self, base):
+        rng = random.Random(base)
+        for den in self.dens(rng, base):
+            ns = {0, 1, den - 1, den} | {rng.randint(0, den) for _ in range(30)}
+            for n in ns:
+                want = format_rational(F(n, den))
+                assert format_rational(n, den, base) == want
+                assert format_rational(n, den) == want
+
+    def test_common_factor_of_a_high_power(self):
+        den = 2 ** 5000 * 3 ** 7
+        assert format_rational(2 ** 4999, den, 6) == "1/4374"
+        assert format_rational(3 * 2 ** 4000, den, 6) == \
+            format_rational(F(3 * 2 ** 4000, den))
+
+    @pytest.mark.parametrize("n, den, base, want", [
+        (0, 1, 1, "0/1"), (1, 1, 1, "1/1"), (5, 1, 1, "5/1"),
+        (0, 2 ** 40, 2, "0/1"), (2 ** 40, 2 ** 40, 2, "1/1"),
+        (-6, 8, 2, "-3/4"), (7, 10 ** 30, 10, f"7/{10 ** 30}"),
+        (3, 12, 12, "1/4"), (8, 36, 6, "2/9"),
+    ])
+    def test_edges(self, n, den, base, want):
+        assert format_rational(n, den, base) == want
+        assert format_rational(n, den) == want == format_rational(F(n, den))
+
+    @pytest.mark.parametrize("den, base", [(0, None), (-3, None), (0, 2),
+                                           (-4, 2), (4, 0), (4, -2)])
+    def test_nonpositive_denominator_or_base_rejected(self, den, base):
+        with pytest.raises(InvariantError, match="must be positive"):
+            format_rational(1, den, base)
+
+    def test_base_needs_a_denominator(self):
+        with pytest.raises(InvariantError, match="base applies only"):
+            format_rational(F(1, 2), None, 2)
+
+    def test_digit_limit_message_of_the_fraction_form(self):
+        big = 10 ** MAX_DIGITS
+        with pytest.raises(DigitLimitError) as fraction_form:
+            format_rational(F(big, 3))
+        for args in [(big, 3), (big, 3, 3), (-big, 3, 3)]:
+            with pytest.raises(DigitLimitError) as int_form:
+                format_rational(*args)
+            assert str(int_form.value) == str(fraction_form.value)
+        # reduced first, as the Fraction form is
+        assert format_rational(big, 2 * big, 10) == "1/2"
 
 
 class TestDigitLimit:

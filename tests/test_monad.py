@@ -16,8 +16,8 @@ from girylab.harness import (SuiteConfig, generate_kernel, generate_measure,
 from girylab.spaces import FinSpace, generate_sigma
 from girylab.measures import Measure, pushforward
 from girylab.rational import fits_digits
-from girylab.monad import (Kernel, MetaMeasure, bind, dirac, flatten,
-                           kleisli_compose, n_step, trajectory)
+from girylab.monad import (Kernel, MetaMeasure, bind, denominator_base, dirac,
+                           flatten, kleisli_compose, n_step, trajectory)
 
 from strategies import matrix_apply, measures, spaces, spaces_with_measures
 
@@ -313,6 +313,18 @@ class TestNStep:
         states = trajectory(k, pi, 70)
         for n in range(71):
             assert n_step(k, pi, n) == states[n]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_denominator_base_holds_every_prime_of_every_state(self, seed):
+        """den | base**bits, where bits bounds every prime's exponent in
+        den, exactly when every prime factor of den divides base."""
+        rng = random.Random(seed)
+        space = generate_space(rng, SuiteConfig(max_carrier=6))
+        k, pi = generate_kernel(rng, space, space), generate_measure(rng, space)
+        base = denominator_base(k, pi)
+        assert base == pi.den * lcm(*(row.den for row in k.rows))
+        for state in trajectory(k, pi, 60) + [n_step(k, pi, 100)]:
+            assert pow(base, state.den.bit_length(), state.den) == 0
 
     def test_negative_steps(self):
         s = two_state()
