@@ -210,16 +210,8 @@ def _verify_user_functional(args, cfg: SuiteConfig) -> int:
         h = sample_affine(rng, arity, kind)
         fs = tuple(generate_ifunction(rng, phi.space) for _ in range(arity))
         verdict = check_naturality(alpha, h, fs)
-        doc = verdict.to_jsonable()
-        doc["case"] = i
-        doc["seed"] = cfg.seed
-        if verdict.passed:
-            doc["witness"] = None
-        else:
-            witness = dict(verdict.witness)
-            witness["h"] = h.describe()
-            doc["witness"] = witness
-            all_pass = False
+        all_pass = all_pass and verdict.passed
+        doc = dict(verdict.to_jsonable(), case=i, seed=cfg.seed)
         print(json.dumps(doc, sort_keys=True))
     summary = {"property": "naturality", "trials": cfg.trials,
                "seed": cfg.seed, "result": "pass" if all_pass else "fail",
@@ -261,6 +253,12 @@ def _cmd_report(args) -> int:
         if doc.get("result") not in ("pass", "fail"):
             raise IngestionError(
                 f"{path} is not a report: 'result' must be \"pass\" or \"fail\"")
+        derived = ("pass" if all(p.get("result") == "pass" for p in props)
+                   else "fail")
+        if props and doc["result"] != derived:
+            raise IngestionError(
+                f"{path} is not a report: 'result' is {doc['result']!r}, "
+                f"but its properties say {derived!r}")
     merged = {"reports": docs,
               "result": "pass" if all(d["result"] == "pass" for d in docs)
               else "fail"}

@@ -29,7 +29,7 @@ from .rational import (ONE, ZERO, exact, format_rational, random_fraction,
                        require_unit)
 from .spaces import FinSpace, IFunction
 from .duality import Functional
-from .verdicts import Verdict, failed, passed
+from .verdicts import Verdict, describe, failed, passed
 
 
 def _extremes(a0: Fraction, coeffs: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
@@ -270,12 +270,9 @@ def check_naturality(alpha: CodensityElement, h, fs: Sequence[IFunction]) -> Ver
     name = f"naturality at {target}"
     if via_family == via_component:
         return passed(name)
-    return failed(name, {
-        "h": h.describe(),
-        "functions": [f.describe() for f in fs],
-        "via_family": format_rational(via_family),
-        "via_component": format_rational(via_component),
-        "residual": format_rational(via_component - via_family)})
+    return failed(name, {"h": h, "functions": fs, "via_family": via_family,
+                         "via_component": via_component,
+                         "residual": via_component - via_family})
 
 
 def check_vanishing_component(alpha: CodensityElement, fs: Sequence[IFunction],
@@ -292,10 +289,9 @@ def check_vanishing_component(alpha: CodensityElement, fs: Sequence[IFunction],
            if out.at(i) != ZERO]
     name = "sequence component lands in the vanishing set"
     if bad:
-        return failed(name, {
-            "nonzero_past_certified_index": bad,
-            "entries": out.describe(), "certified_len": certified_len})
-    return passed(name, witness={"entries": out.describe()})
+        return failed(name, {"nonzero_past_certified_index": bad,
+                             "entries": out, "certified_len": certified_len})
+    return passed(name, witness={"entries": out})
 
 
 # -- reconstruction from a sequence-space action ---------------------------
@@ -308,9 +304,12 @@ def action_of(alpha: CodensityElement) -> Action:
     return alpha.at_sequences
 
 
+#: The longest function list ``functional_from_action`` feeds the action.
+MAX_ACTION_INPUT = 4
+
+
 def functional_from_action(action: Action, space: FinSpace,
-                           rng: random.Random, trials: int = 40,
-                           max_len: int = 4) -> Functional:
+                           rng: random.Random, trials: int = 40) -> Functional:
     """Recover the determining functional from a sequence-space action
     and verify the three monoid generator squares.
 
@@ -330,7 +329,7 @@ def functional_from_action(action: Action, space: FinSpace,
             for _ in range(k)]
 
     for t in range(trials):
-        k = rng.randint(1, max_len)
+        k = rng.randint(1, MAX_ACTION_INPUT)
         fs = sample_list(k)
 
         # entrywise recovery: projecting then acting equals acting then projecting
@@ -340,9 +339,8 @@ def functional_from_action(action: Action, space: FinSpace,
         if lhs.at(0) != rhs_val or len(lhs.entries) > 1:
             raise ActionSquareError(
                 "projection square fails", f"projection onto entry {i}",
-                {"input": [f.describe() for f in fs],
-                 "acted_then_projected": format_rational(rhs_val),
-                 "projected_then_acted": lhs.describe(), "case": t})
+                describe({"input": fs, "acted_then_projected": rhs_val,
+                          "projected_then_acted": lhs, "case": t}))
 
         # affineness: blending the first two entries commutes with the action
         if k >= 2:
@@ -354,18 +352,16 @@ def functional_from_action(action: Action, space: FinSpace,
             if lhs != rhs:
                 raise ActionSquareError(
                     "convex-combination square fails",
-                    f"first-two-entries blend with weight {format_rational(r)}",
-                    {"input": [f.describe() for f in fs],
-                     "blend_then_act": format_rational(lhs),
-                     "act_then_blend": format_rational(rhs), "case": t})
+                    f"first-two-entries blend with weight {describe(r)}",
+                    describe({"input": fs, "blend_then_act": lhs,
+                              "act_then_blend": rhs, "case": t}))
 
         # weak averaging: the constant map forces constants to be fixed
         r = Fraction(rng.randint(0, 8), 8)
         lhs = action([IFunction.constant(space, r)]).at(0)
         if lhs != r:
             raise ActionSquareError(
-                "constant square fails", f"constant map at {format_rational(r)}",
-                {"expected": format_rational(r), "got": format_rational(lhs),
-                 "case": t})
+                "constant square fails", f"constant map at {describe(r)}",
+                describe({"expected": r, "got": lhs, "case": t}))
 
     return Functional.intensional(space, phi, "reconstructed from action")

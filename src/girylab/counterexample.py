@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .rational import ONE, ZERO, exact, format_rational, index, require_unit
+from .rational import ONE, ZERO, exact, index, require_unit
 from .duality import LimitWitness, respects_limits
-from .verdicts import Verdict, failed, passed
+from .verdicts import Verdict, describe, failed, passed
 
 
 @dataclass(frozen=True)
@@ -141,11 +141,9 @@ def sup_continuity_check(f: EventualFn, g: EventualFn) -> Verdict:
     gap = abs(limit_functional(f) - limit_functional(g))
     name = "sup-metric 1-Lipschitz"
     if gap <= eps:
-        return passed(name, witness={
-            "sup_distance": format_rational(eps), "gap": format_rational(gap)})
-    return failed(name, {
-        "sup_distance": format_rational(eps), "gap": format_rational(gap),
-        "f_tail": format_rational(f.tail), "g_tail": format_rational(g.tail)})
+        return passed(name, witness={"sup_distance": eps, "gap": gap})
+    return failed(name, {"sup_distance": eps, "gap": gap,
+                         "f_tail": f.tail, "g_tail": g.tail})
 
 
 def vanishing_segment_witness() -> LimitWitness:
@@ -167,8 +165,11 @@ def singleton_mass_sum(upto: int) -> Fraction:
     return total
 
 
-def countable_additivity_violation(segments: int = 12,
-                                   singleton_check: int = 1000) -> dict:
+#: How many singleton masses ``countable_additivity_violation`` sums.
+SINGLETONS_CHECKED = 1000
+
+
+def countable_additivity_violation(segments: int = 12) -> dict:
     """The separation report: vanishing singleton masses against total
     mass one, and the limits-axiom refutation on the final segments.
 
@@ -179,14 +180,13 @@ def countable_additivity_violation(segments: int = 12,
     w = vanishing_segment_witness()
     w.validate(lambda f, k: f.value(k), sample_points=range(24))
     verdict = respects_limits(limit_functional, w)
-    values = [format_rational(limit_functional(w.terms(n)))
-              for n in range(segments)]
-    return {
-        "singleton_partial_sum": format_rational(singleton_mass_sum(singleton_check)),
-        "singletons_checked": singleton_check,
-        "total_mass": format_rational(cofinite_measure(FinCofSet.whole())),
+    return describe({
+        "singleton_partial_sum": singleton_mass_sum(SINGLETONS_CHECKED),
+        "singletons_checked": SINGLETONS_CHECKED,
+        "total_mass": cofinite_measure(FinCofSet.whole()),
         "respects_limits": verdict.to_jsonable(),
         "witness_sequence": "indicator of [n, infinity)",
-        "pointwise_limit": "0/1",
-        "functional_values": values,
-    }
+        "pointwise_limit": ZERO,
+        "functional_values": [limit_functional(w.terms(n))
+                              for n in range(segments)],
+    })

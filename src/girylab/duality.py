@@ -37,7 +37,7 @@ from .spaces import (FinSpace, IFunction, MeasMap, atom_image, atom_indicator,
                      generate_ifunction, require_measurable)
 from .measures import Measure
 from .monad import MetaMeasure, mixture_support
-from .verdicts import Verdict, failed, passed
+from .verdicts import Verdict, describe, failed, passed
 
 
 @dataclass(frozen=True)
@@ -109,40 +109,31 @@ def to_measure(phi: Functional) -> Measure:
     """Weights read off by evaluating phi on the atom indicators.
 
     Admissibility is guarded on the atom basis plus constant spot
-    checks: the indicator weights must be a probability vector and phi
-    must fix the constants 0, 1/2, 1.  A failing check raises
-    RejectionError carrying the witness function and values (the max
-    functional fails the indicator sum; the square functional fails at
-    the constant 1/2).  Full affineness of intensional bodies is the
-    province of ``is_affine``.
+    checks: the indicator weights (each in [0,1], as every value of a
+    Functional is) must sum to 1 and phi must fix the constants 0, 1/2,
+    1.  A failing check raises RejectionError carrying the witness
+    function and values (the max functional fails the indicator sum; the
+    square functional fails at the constant 1/2).  Full affineness of
+    intensional bodies is the province of ``is_affine``.
     """
     space = phi.space
-    weights = []
-    for i in range(len(space.atoms)):
-        w = phi(atom_indicator(space, i))
-        if not ZERO <= w <= ONE:
-            raise RejectionError(
-                "atom indicator evaluates outside [0,1]",
-                {"check": "indicator weight in [0,1]", "atom": i,
-                 "value": format_rational(w)})
-        weights.append(w)
+    weights = tuple(phi(atom_indicator(space, i))
+                    for i in range(len(space.atoms)))
     total = sum(weights, ZERO)
     if total != ONE:
         raise RejectionError(
-            "atom indicator weights do not sum to 1",
-            {"check": "additivity on the atom indicators",
-             "witness_functions": "indicator of each atom",
-             "weights": [format_rational(w) for w in weights],
-             "sum": format_rational(total), "expected_sum": "1/1"})
+            "atom indicator weights do not sum to 1", describe(
+                {"check": "additivity on the atom indicators",
+                 "witness_functions": "indicator of each atom",
+                 "weights": weights, "sum": total, "expected_sum": ONE}))
     for r in (ZERO, HALF, ONE):
         got = phi(IFunction.constant(space, r))
         if got != r:
-            raise RejectionError(
-                "constant function is not fixed",
+            raise RejectionError("constant function is not fixed", describe(
                 {"check": "weak averaging on constants",
-                 "witness_function": f"constant {format_rational(r)}",
-                 "expected": format_rational(r), "got": format_rational(got)})
-    return Measure(space, tuple(weights))
+                 "witness_function": f"constant {describe(r)}",
+                 "expected": r, "got": got}))
+    return Measure(space, weights)
 
 
 def to_functional(pi: Measure) -> Functional:
@@ -263,14 +254,17 @@ def is_affine(phi: Functional, trials: int = 200,
                  pf <= p_big,
                  {"f": f, "f_prime": bigger, "lhs": pf, "rhs": p_big})):
             if not holds:
-                witness = {k: format_rational(v) if isinstance(v, Fraction)
-                           else v.describe() for k, v in fields.items()}
-                return failed(name, dict(witness, axiom=axiom, case=t),
+                return failed(name, dict(fields, axiom=axiom, case=t),
                               trials=t + 1, seed=seed)
     return passed(name, trials=trials, seed=seed)
 
 
 # -- the limits axiom ----------------------------------------------------
+
+
+#: How many terms, from each certified index on, ``LimitWitness.validate``
+#: checks are zero.
+CERT_CHECKED_TERMS = 3
 
 
 @dataclass(frozen=True)
@@ -294,11 +288,11 @@ class LimitWitness:
         return max((self.cert(p) for p in self.points), default=0)
 
     def validate(self, value_at: Callable[[object, object], Fraction],
-                 sample_points=None, extra_indices: int = 3) -> None:
+                 sample_points=None) -> None:
         pts = self.points if self.points is not None else tuple(sample_points or ())
         for p in pts:
             n0 = self.cert(p)
-            for n in range(n0, n0 + extra_indices):
+            for n in range(n0, n0 + CERT_CHECKED_TERMS):
                 v = value_at(self.terms(n), p)
                 if v != ZERO:
                     raise InvariantError(
@@ -320,8 +314,13 @@ class LimitWitness:
 PhiLike = Union[Functional, Callable]
 
 
-def respects_limits(phi: PhiLike, w: LimitWitness, thresholds: int = 12,
-                    probe: int = 48) -> Verdict:
+#: How many halvings 2^-k the probed tail of ``respects_limits`` must reach.
+LIMIT_THRESHOLDS = 12
+#: The fewest sequence terms ``respects_limits`` probes.
+LIMIT_PROBE = 48
+
+
+def respects_limits(phi: PhiLike, w: LimitWitness) -> Verdict:
     """Does phi send the certified vanishing sequence to values
     converging to zero?
 
@@ -329,7 +328,7 @@ def respects_limits(phi: PhiLike, w: LimitWitness, thresholds: int = 12,
     largest certified index the terms are identically zero, so the
     value there is zero.  Otherwise the sequence of values is probed on
     a finite window; pass requires, for every threshold 2^-k up to
-    ``thresholds``, a probed tail staying at or below it.  A fail
+    ``LIMIT_THRESHOLDS``, a probed tail staying at or below it.  A fail
     carries the stuck lower bound (the infimum of the probed tail).
     """
     name = "respects limits"
@@ -344,28 +343,24 @@ def respects_limits(phi: PhiLike, w: LimitWitness, thresholds: int = 12,
         if any(v != ZERO for v in tail.values):
             raise InvariantError("certificate lies: tail term is not zero")
         value = phi(tail)
-        return passed(name, witness={
-            "mode": "exact tail evaluation",
-            "tail_index": n_star, "value": format_rational(value)})
+        return passed(name, witness={"mode": "exact tail evaluation",
+                                     "tail_index": n_star, "value": value})
 
-    horizon = probe
+    horizon = LIMIT_PROBE
     if w.points is not None:
-        horizon = max(probe, w.max_cert() + 4)
+        horizon = max(LIMIT_PROBE, w.max_cert() + 4)
     values = [exact(phi(w.terms(n)), "functional value") for n in range(horizon)]
 
     suffix_max = values[:]
     for i in range(horizon - 2, -1, -1):
         suffix_max[i] = max(suffix_max[i], suffix_max[i + 1])
 
-    for k in range(1, thresholds + 1):
+    for k in range(1, LIMIT_THRESHOLDS + 1):
         bound = Fraction(1, 1 << k)
         if not any(sm <= bound for sm in suffix_max):
             stuck = min(values[-max(1, horizon // 4):])
-            return failed(name, {
-                "threshold": format_rational(bound),
-                "stuck_at": format_rational(stuck),
-                "probed": horizon,
-                "values_head": [format_rational(v) for v in values[:8]]})
+            return failed(name, {"threshold": bound, "stuck_at": stuck,
+                                 "probed": horizon, "values_head": values[:8]})
     return passed(name, witness={"mode": "probe window", "probed": horizon})
 
 

@@ -9,11 +9,13 @@ exactly, never from floats.
 
 Each suite is a table of ``Property(name, law, case)`` run by one loop:
 ``case(cfg, rng)`` checks case i on its own stream, returning None when it
-holds or a witness dict when it fails; the first failing case ends the
-run, and a GirylabError fails only its property.  Most cases come from
-equality laws, ``_law(sides)``, or Verdict checks, ``_check(check)``.  A
-refutation is one case that returns a Verdict with its own result,
-witness and trials, so a failing one replays as case 0.
+holds or a witness dict of raw values when it fails; the first failing
+case ends the run, and a GirylabError fails only its property.  Witnesses
+are written by ``verdicts.describe`` when the Verdict is made, so no case
+formats a value itself.  Most cases come from equality laws,
+``_law(sides)``, or Verdict checks, ``_check(check)``.  A refutation is
+one case that returns a Verdict with its own result, witness and trials,
+so a failing one replays as case 0.
 
 Refutation searches walk a smallest-first ladder of candidate
 witnesses (projections, constants, binary blends, then random shapes
@@ -34,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import ActionSquareError, GirylabError, RejectionError
-from .rational import HALF, ONE, ZERO, format_rational, random_fraction
+from .rational import HALF, ONE, ZERO, random_fraction
 from .spaces import (MAX_CARRIER_POINTS, FinSpace, IFunction, MeasMap,
                      atom_indicator, generate_ifunction, generate_sigma)
 from .measures import Measure, integrate, pushforward
@@ -195,10 +197,13 @@ def generate_functional_mixture(rng: random.Random, space: FinSpace,
         (generate_functional(rng, space), w) for w in _random_weights(rng, k)))
 
 
-def generate_polytope(rng: random.Random, cfg: SuiteConfig,
-                      max_vertices: int = 10):
+#: The most vertices a generated polytope has.
+MAX_POLYTOPE_VERTICES = 10
+
+
+def generate_polytope(rng: random.Random, cfg: SuiteConfig):
     dim = rng.randint(1, cfg.max_hull_dim)
-    n = rng.randint(1, max_vertices)
+    n = rng.randint(1, MAX_POLYTOPE_VERTICES)
     verts = [tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 8))
                    for _ in range(dim)) for _ in range(n)]
     return verts
@@ -269,9 +274,13 @@ def _witness_ladder(space: FinSpace, max_arity: int, rng: random.Random):
                 yield h, fs
 
 
+#: Candidate squares a refutation search tries before giving up.
+REFUTATION_BUDGET = 1000
+
+
 def find_naturality_refutation(phi: Functional, max_arity: int,
                                rng: random.Random,
-                               budget: int = 1000) -> Optional[dict]:
+                               budget: int = REFUTATION_BUDGET) -> Optional[dict]:
     """Smallest-first bounded search for a failing naturality square."""
     alpha = lift(phi)
     steps = 0
@@ -281,19 +290,17 @@ def find_naturality_refutation(phi: Functional, max_arity: int,
         steps += 1
         verdict = check_naturality(alpha, h, fs)
         if not verdict.passed:
-            witness = dict(verdict.witness)
-            witness["search_steps"] = steps
-            witness["functional"] = phi.describe()
-            return witness
+            return dict(verdict.witness, search_steps=steps,
+                        functional=phi.describe())
     return None
 
 
-def minimize_refutation(phi: Functional, max_arity: int, seed: int,
-                        budget: int = 1000) -> Optional[dict]:
+def minimize_refutation(phi: Functional, max_arity: int,
+                        seed: int) -> Optional[dict]:
     """Re-walk the ladder from the smallest candidates; the first hit is
     the minimized witness."""
     return find_naturality_refutation(phi, max_arity,
-                                      case_rng(seed, "minimize", 0), budget)
+                                      case_rng(seed, "minimize", 0))
 
 
 # -- properties -------------------------------------------------------------
@@ -303,11 +310,12 @@ def minimize_refutation(phi: Functional, max_arity: int, seed: int,
 class Property:
     """A law checked case by case.  ``case(cfg, rng)`` checks case i on
     the stream ``case_rng(seed, name, i)`` and returns None when it holds,
-    a witness dict when it fails, or a Verdict that decides the property
-    with its own result, witness and trials.  The first failing case ends
-    the run.  A case that raises a GirylabError fails the property with
-    witness {"error": message, "case": i}, so the rest of the suite still
-    runs; other exceptions propagate."""
+    a witness dict of raw values when it fails (``failed`` describes it),
+    or a Verdict that decides the property with its own result, witness
+    and trials.  The first failing case ends the run.  A case that raises
+    a GirylabError fails the property with witness {"error": message,
+    "case": i}, so the rest of the suite still runs; other exceptions
+    propagate."""
 
     name: str
     law: str
@@ -333,21 +341,10 @@ class Property:
                               duration=time.perf_counter() - start)
 
 
-def _describe(value):
-    """The JSON-able form of a law side or a witness context value."""
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, (tuple, list)):
-        return [_describe(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _describe(v) for k, v in value.items()}
-    return value.describe() if hasattr(value, "describe") else value
-
-
 def _law(sides):
     """The case of an equality law: ``sides(cfg, rng)`` builds (lhs, rhs)
     or (lhs, rhs, context), and a mismatch fails with both sides and the
-    context described.  Functionals compare by coefficients."""
+    context.  Functionals compare by coefficients."""
 
     def compared(side):
         return side.coeffs if isinstance(side, Functional) else side
@@ -356,8 +353,7 @@ def _law(sides):
         lhs, rhs, *context = sides(cfg, rng)
         if compared(lhs) == compared(rhs):
             return None
-        return dict(_describe(context[0]) if context else {},
-                    lhs=_describe(lhs), rhs=_describe(rhs))
+        return dict(context[0] if context else {}, lhs=lhs, rhs=rhs)
 
     return case
 
@@ -365,13 +361,13 @@ def _law(sides):
 def _check(check):
     """The case of a check decided by a Verdict: ``check(cfg, rng)``
     returns (verdict, context), and a failing verdict's witness gains the
-    described context."""
+    context."""
 
     def case(cfg, rng):
         verdict, context = check(cfg, rng)
         if verdict.passed:
             return None
-        return dict(verdict.witness or {}, **_describe(context))
+        return dict(verdict.witness or {}, **context)
 
     return case
 
@@ -522,13 +518,13 @@ def _case_extensional_characterization(cfg, rng):
     canonical = (h.a0 == ZERO and sum(h.coeffs, ZERO) == ONE
                  and all(c >= 0 for c in h.coeffs))
     if weakly_averaging != canonical:
-        return {"h": h.describe(), "weakly_averaging": weakly_averaging,
+        return {"h": h, "weakly_averaging": weakly_averaging,
                 "canonical_simplex_form": canonical}
     if canonical:
         phi = Functional.extensional(space, h.coeffs)
         f = generate_ifunction(rng, space)
         if phi(f) != h(f.values):
-            return {"h": h.describe(), "f": f.describe()}
+            return {"h": h, "f": f}
     return None
 
 
@@ -538,17 +534,15 @@ def _case_int_prop_extensional(cfg, rng):
     f = generate_ifunction(rng, space)
     r = random_fraction(rng)
     if phi(f.scale(r)) != r * phi(f):
-        return {"axiom": "homogeneity", "f": f.describe(),
-                "r": format_rational(r)}
+        return {"axiom": "homogeneity", "f": f, "r": r}
     headroom = IFunction(space, tuple(ONE - v for v in f.values))
     g = IFunction(space, tuple(
         min(random_fraction(rng), cap) for cap in headroom.values))
     if phi(f.add(g)) != phi(f) + phi(g):
-        return {"axiom": "additivity", "f": f.describe(), "g": g.describe()}
+        return {"axiom": "additivity", "f": f, "g": g}
     bigger = f.blend(IFunction.constant(space, ONE), r)
     if not phi(f) <= phi(bigger):
-        return {"axiom": "monotonicity", "f": f.describe(),
-                "f_prime": bigger.describe()}
+        return {"axiom": "monotonicity", "f": f, "f_prime": bigger}
     return None
 
 
@@ -785,11 +779,10 @@ def _case_reconstruction_roundtrip(cfg, rng):
     coeffs = tuple(recovered(atom_indicator(space, i))
                    for i in range(len(space.atoms)))
     if coeffs != phi.coeffs:
-        return {"phi": phi.describe(),
-                "recovered": [format_rational(c) for c in coeffs]}
+        return {"phi": phi, "recovered": coeffs}
     f = generate_ifunction(rng, space)
     if recovered(f) != phi(f):
-        return {"phi": phi.describe(), "f": f.describe()}
+        return {"phi": phi, "f": f}
     return None
 
 
@@ -827,10 +820,9 @@ def _case_hull_closure(cfg, rng):
     space = generate_space(rng, cfg)
     phi = to_functional(generate_measure(rng, space))
     points = [point_in_hull(rng, verts) for _ in space.atoms]
-    out = extend_to_convex(phi, verts, points, max_dim=cfg.max_hull_dim)
-    if not hull_membership(verts, out, max_dim=cfg.max_hull_dim):
-        return {"vertices": [[format_rational(c) for c in v] for v in verts],
-                "output": [format_rational(c) for c in out]}
+    out = extend_to_convex(phi, verts, points)
+    if not hull_membership(verts, out):
+        return {"vertices": verts, "output": out}
     return None
 
 
@@ -841,8 +833,7 @@ def _dirac_extension(cfg, rng):
     coeffs = tuple(ONE if j == i else ZERO for j in range(len(space.atoms)))
     phi = Functional.extensional(space, coeffs)
     points = [point_in_hull(rng, verts) for _ in space.atoms]
-    return (extend_to_convex(phi, verts, points, max_dim=cfg.max_hull_dim),
-            points[i])
+    return extend_to_convex(phi, verts, points), points[i]
 
 
 CONVEX_BOUND = [

@@ -98,14 +98,13 @@ def _phase_one_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool
 
 
 def hull_membership(vertices: Sequence[Sequence[Fraction]],
-                    x: Sequence[Fraction],
-                    max_dim: int = MAX_HULL_DIM) -> bool:
+                    x: Sequence[Fraction]) -> bool:
     """True iff x is a convex combination of the vertices, decided exactly."""
     if not vertices:
         raise GirylabError("need at least one vertex")
     dim = len(vertices[0])
-    if dim > max_dim:
-        raise GirylabError(f"dimension {dim} exceeds the cap {max_dim}")
+    if dim > MAX_HULL_DIM:
+        raise GirylabError(f"dimension {dim} exceeds the cap {MAX_HULL_DIM}")
     if len(x) != dim or any(len(v) != dim for v in vertices):
         raise GirylabError("dimension mismatch between vertices and point")
 
@@ -119,8 +118,7 @@ def hull_membership(vertices: Sequence[Sequence[Fraction]],
 
 def extend_to_convex(phi: Functional,
                      vertices: Sequence[Sequence[Fraction]],
-                     points_by_atom: Sequence[Sequence[Fraction]],
-                     max_dim: int = MAX_HULL_DIM) -> Point:
+                     points_by_atom: Sequence[Sequence[Fraction]]) -> Point:
     """Apply the linear extension of an extensional functional in each
     coordinate of an atom-indexed family of hull points.
 
@@ -141,7 +139,7 @@ def extend_to_convex(phi: Functional,
     for p in pts:
         if len(p) != dim:
             raise GirylabError("dimension mismatch among the atom points")
-        if not hull_membership(vertices, p, max_dim):
+        if not hull_membership(vertices, p):
             shown = ", ".join(map(format_rational, p))
             raise GirylabError(f"atom point ({shown}) lies outside the hull")
     return tuple(phi.dot([p[d] for p in pts]) for d in range(dim))

@@ -43,11 +43,12 @@ class Measure:
     stored as int numerators ``nums`` over one denominator ``den`` in
     lowest terms, so equality and hashing compare integers.
 
-    ``Measure(space, weights)`` takes rationals and checks them with
-    ``rational.probability``; ``Measure(space, nums, den)`` takes int
-    numerators over ``den``, checks them with
-    ``rational.probability_numerators`` and reduces them.  ``weights``,
-    the tuple of Fractions, is built when it is first read.
+    ``Measure(space, weights)`` takes rationals, admits each with
+    ``rational.exact`` and lifts them once to int numerators over the lcm
+    of their denominators; ``Measure(space, nums, den)`` takes int
+    numerators over ``den``.  Either way ``rational.probability_numerators``
+    checks and reduces them.  ``weights``, the tuple of Fractions, is kept
+    as given in the first form and built when first read in the second.
     """
 
     space: FinSpace
@@ -58,11 +59,10 @@ class Measure:
         if len(weights) != len(space.atoms):
             raise InvariantError("need exactly one weight per atom")
         if den is None:
-            weights = probability(weights, "weights")
-            nums, den = lift(weights)
+            weights = tuple(exact(w, "weights") for w in weights)
             self.__dict__["weights"] = weights
-        else:
-            nums, den = probability_numerators(weights, den, "weights")
+            weights, den = lift(weights)
+        nums, den = probability_numerators(weights, den, "weights")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)

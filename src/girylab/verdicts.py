@@ -1,15 +1,33 @@
 """Pass/fail verdicts with reproducible witnesses.
 
 A Verdict is the uniform result type of every randomized or exact check
-in the package.  Witnesses are plain JSON-able dicts whose rational
-values are already formatted as "p/q" strings.
+in the package.  Checks hand ``passed`` and ``failed`` their witnesses as
+raw values: Fractions, tuples, dicts and package objects.  ``describe``
+writes them, in this one place, as plain JSON-able values: a Fraction
+becomes ``"p/q"``, tuples and lists are written element by element,
+dicts value by value, and an object with a ``describe()`` method through
+it; ints, strings, bools and None stay as they are.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
+
+from .rational import format_rational
+
+
+def describe(value):
+    """The JSON-able form of a raw witness value (see the module doc)."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, (tuple, list)):
+        return [describe(v) for v in value]
+    if isinstance(value, dict):
+        return {k: describe(v) for k, v in value.items()}
+    return value.describe() if hasattr(value, "describe") else value
 
 
 @dataclass(frozen=True)
@@ -39,9 +57,9 @@ class Verdict:
 
 def passed(prop: str, trials: int = 0, seed: Optional[int] = None,
            witness: Optional[dict] = None) -> Verdict:
-    return Verdict(prop, "pass", witness, trials, seed)
+    return Verdict(prop, "pass", describe(witness), trials, seed)
 
 
 def failed(prop: str, witness: dict, trials: int = 0,
            seed: Optional[int] = None) -> Verdict:
-    return Verdict(prop, "fail", witness, trials, seed)
+    return Verdict(prop, "fail", describe(witness), trials, seed)

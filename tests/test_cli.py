@@ -572,6 +572,24 @@ class TestReport:
         assert main(["report", merged, failed, "--format", fmt]) == 1
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("fmt", ["json", "junit"])
+    @pytest.mark.parametrize("doc, derived", [
+        pytest.param({"result": "pass", "properties": [
+            {"property": "p", "result": "pass"},
+            {"property": "q", "result": "fail"}]}, "fail", id="pass-with-fail"),
+        pytest.param({"result": "pass", "properties": [
+            {"property": "p", "result": "error"}]}, "fail", id="pass-with-other"),
+        pytest.param({"result": "fail", "properties": [
+            {"property": "p", "result": "pass"}]}, "pass", id="fail-all-pass")])
+    def test_result_must_agree_with_properties(self, tmp_path, capsys, doc,
+                                               derived, fmt):
+        code = main(["report", write(tmp_path, "r.json", doc),
+                     "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert (f"r.json is not a report: 'result' is {doc['result']!r}, "
+                f"but its properties say {derived!r}") in captured.err
+
     def test_junit_quotes_non_string_names(self, tmp_path, capsys):
         doc = {"suite": 3, "result": "fail", "properties": [
             {"property": 4, "result": "fail", "law": None, "witness": [1]}]}

@@ -172,6 +172,17 @@ class TestVanishingComponent:
         assert verdict.passed
         assert verdict.witness["entries"] == []
 
+    def test_failure_witness(self):
+        s = two_discrete()
+        half = Functional.intensional(s, lambda f: F(1, 2), "constant half")
+        zero = IFunction.constant(s, F(0))
+        verdict = check_vanishing_component(
+            lift(half), [atom_indicator(s, 0), zero, zero], 1)
+        assert not verdict.passed
+        assert verdict.witness == {"nonzero_past_certified_index": [1, 2],
+                                   "entries": ["1/2", "1/2", "1/2"],
+                                   "certified_len": 1}
+
     def test_lying_tail_certificate_rejected(self):
         s = two_discrete()
         phi = Functional.extensional(s, (F(1), F(0)))
@@ -210,6 +221,32 @@ class TestReconstruction:
             functional_from_action(entrywise_max, s, rng, trials=64)
         assert "blend" in err.value.generator
         assert "act_then_blend" in err.value.witness
+
+
+    def test_projection_square_witness(self):
+        def one_entry_too_many(fs):
+            return VanishingSequence((F(1, 2),) * (len(fs) + 1))
+
+        with pytest.raises(ActionSquareError) as err:
+            functional_from_action(one_entry_too_many, FinSpace.discrete(["a"]),
+                                   random.Random(3))
+        assert err.value.generator == "projection onto entry 0"
+        assert err.value.witness == {
+            "input": [{"atoms": ["a"], "values": ["3/4"]},
+                      {"atoms": ["a"], "values": ["2/3"]}],
+            "acted_then_projected": "1/2",
+            "projected_then_acted": ["1/2", "1/2"], "case": 0}
+
+    def test_constant_square_witness(self):
+        def halved(fs):
+            return VanishingSequence(tuple(f.values[0] / 2 for f in fs))
+
+        with pytest.raises(ActionSquareError) as err:
+            functional_from_action(halved, FinSpace.discrete(["a"]),
+                                   random.Random(3))
+        assert err.value.generator == "constant map at 7/8"
+        assert err.value.witness == {"expected": "7/8", "got": "7/16",
+                                     "case": 0}
 
 
 class TestAffineComposition:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from girylab import counterexample
 from girylab.counterexample import (EventualFn, FinCofSet, cofinite_measure,
                                     countable_additivity_violation,
                                     limit_functional, singleton_mass_sum,
@@ -131,6 +132,18 @@ class TestCountableAdditivityViolation:
 
 
 class TestSupContinuity:
+    def test_failure_witness(self, monkeypatch):
+        # a functional that doubles the tail moves further than the sup
+        # distance, so the check must fail and name both tails
+        monkeypatch.setattr(counterexample, "limit_functional",
+                            lambda f: min(F(1), 2 * f.tail))
+        f = EventualFn((F(1, 8),), F(1, 2))
+        g = EventualFn((F(1, 8),), F(1, 4))
+        verdict = sup_continuity_check(f, g)
+        assert not verdict.passed
+        assert verdict.witness == {"sup_distance": "1/4", "gap": "1/2",
+                                   "f_tail": "1/2", "g_tail": "1/4"}
+
     def test_equal_functions(self):
         f = EventualFn((F(1, 2),), F(1, 3))
         verdict = sup_continuity_check(f, f)

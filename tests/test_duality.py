@@ -92,6 +92,28 @@ class TestToMeasure:
         assert err.value.witness["check"] == "weak averaging on constants"
         assert err.value.witness["got"] == "1/4"
 
+    def test_rejection_witnesses_whole(self):
+        s = two_discrete()
+        with pytest.raises(RejectionError) as err:
+            to_measure(max_functional(s))
+        assert err.value.witness == {
+            "check": "additivity on the atom indicators",
+            "witness_functions": "indicator of each atom",
+            "weights": ["1/1", "1/1"], "sum": "2/1", "expected_sum": "1/1"}
+        with pytest.raises(RejectionError) as err:
+            to_measure(square_functional(s))
+        assert err.value.witness == {
+            "check": "weak averaging on constants",
+            "witness_function": "constant 1/2", "expected": "1/2", "got": "1/4"}
+        one = FinSpace.discrete(["a"])
+        shifted = Functional.intensional(
+            one, lambda f: (f.values[0] + 1) / 2, "shifted")
+        with pytest.raises(RejectionError) as err:
+            to_measure(shifted)
+        assert err.value.witness == {
+            "check": "weak averaging on constants",
+            "witness_function": "constant 0/1", "expected": "0/1", "got": "1/2"}
+
     @settings(max_examples=80, deadline=None)
     @given(spaces_with_measures())
     def test_roundtrip_measure(self, sm):

@@ -10,13 +10,15 @@ import pytest
 from girylab import harness
 from girylab.cli import main
 from girylab.errors import GirylabError, InvariantError
+from girylab.codensity import AffineMap
 from girylab.measures import Measure
-from girylab.spaces import FinSpace
+from girylab.spaces import FinSpace, IFunction
 from girylab.duality import Functional, max_functional, square_functional
 from girylab.harness import (SUITE_NAMES, SuiteConfig, case_rng,
                              find_naturality_refutation, generate_functional,
                              generate_kernel, generate_measure,
                              generate_space, minimize_refutation, run_suite)
+from girylab.verdicts import describe, failed, passed
 
 from strategies import brute_closure
 
@@ -208,6 +210,126 @@ class TestFailSoftCases:
                             [harness.Property("buggy", "a law", case)])
         with pytest.raises(ZeroDivisionError):
             run_suite("monad-laws", SuiteConfig(seed=7, trials=10))
+
+
+def _failing_witness(monkeypatch, name, trials=20, **patches):
+    """The witness of property ``name`` run at seed 7 with the harness
+    names in ``patches`` replaced; the property must fail."""
+    for attr, value in patches.items():
+        monkeypatch.setattr(harness, attr, value)
+    (prop,) = [p for suite in harness.SUITES.values() for p in suite
+               if p.name == name]
+    record = prop.run(SuiteConfig(seed=7, trials=trials))
+    assert record.result == "fail"
+    return record.witness
+
+
+class _Halved(AffineMap):
+    """An affine map that reports half its value: h(1, ..., 1) = 1/2."""
+
+    def __call__(self, xs):
+        return super().__call__(xs) / 2
+
+
+class TestFailingWitnesses:
+    """The witness each hand-built failure writes, pinned whole."""
+
+    def test_linearity_consequences(self, monkeypatch):
+        witness = _failing_witness(
+            monkeypatch, "linearity-consequences",
+            to_functional=lambda pi: square_functional(pi.space))
+        assert witness == {
+            "axiom": "homogeneity",
+            "f": {"atoms": ["a c", "b e", "d", "f g"],
+                  "values": ["13/17", "7/15", "1/16", "43/50"]},
+            "r": "26/27", "case": 0}
+
+    def test_reconstruction_roundtrip_coefficients(self, monkeypatch):
+        def first_atom(action, space, rng, trials):
+            n = len(space.atoms)
+            return Functional.extensional(space, (F(1),) + (F(0),) * (n - 1))
+
+        witness = _failing_witness(monkeypatch, "reconstruction-roundtrip",
+                                   functional_from_action=first_atom)
+        assert witness == {
+            "phi": {"kind": "extensional",
+                    "coefficients": ["8/13", "0/1", "5/13"]},
+            "recovered": ["1/1", "0/1", "0/1"], "case": 0}
+
+    def test_reconstruction_roundtrip_values(self, monkeypatch):
+        def squared(action, space, rng, trials):
+            # agrees with the original on indicators, not on other values
+            phi = action.__self__.phi
+            return Functional.intensional(space, lambda f: phi(IFunction(
+                space, tuple(v * v for v in f.values))), "squared")
+
+        witness = _failing_witness(monkeypatch, "reconstruction-roundtrip",
+                                   functional_from_action=squared)
+        assert witness == {
+            "phi": {"kind": "extensional",
+                    "coefficients": ["8/13", "0/1", "5/13"]},
+            "f": {"atoms": ["a", "b c", "d"],
+                  "values": ["9/17", "25/36", "6/7"]},
+            "case": 0}
+
+    def test_hull_closure(self, monkeypatch):
+        witness = _failing_witness(monkeypatch, "hull-closure",
+                                   hull_membership=lambda verts, x, **kw: False)
+        assert witness == {"vertices": [["5/7"], ["1/1"]],
+                           "output": ["33/35"], "case": 0}
+
+    def test_extensional_characterization(self, monkeypatch):
+        def halved_projection(rng, n):
+            return _Halved(n, F(0), (F(1),) + (F(0),) * (n - 1))
+
+        witness = _failing_witness(monkeypatch, "extensional-characterization",
+                                   sample_affine=halved_projection)
+        assert witness == {
+            "h": {"arity": 2, "a0": "0/1", "coefficients": ["1/1", "0/1"]},
+            "weakly_averaging": False, "canonical_simplex_form": True,
+            "case": 0}
+
+    def test_law_with_context(self, monkeypatch):
+        witness = _failing_witness(monkeypatch, "left-unit", trials=200,
+                                   bind=_swap_weights(harness.bind))
+        assert witness == {
+            "point": "a",
+            "lhs": {"atoms": ["a", "b", "c"],
+                    "weights": ["1/3", "5/18", "7/18"]},
+            "rhs": {"atoms": ["a", "b", "c"],
+                    "weights": ["7/18", "5/18", "1/3"]},
+            "case": 4}
+
+
+class TestDescribe:
+    """``verdicts.describe`` writes every witness value."""
+
+    def test_scalars_stay(self):
+        for value in (0, -3, "p/q", True, False, None):
+            assert describe(value) is value
+
+    def test_fractions_and_nesting(self):
+        s = FinSpace.discrete(["a", "b"])
+        pi = Measure(s, (F(1, 3), F(2, 3)))
+        raw = {"r": F(-2, 4), "one": F(1), "xs": (F(0), [F(3, 6), "s", 2]),
+               "d": {"inner": (pi, None, True)}}
+        assert describe(raw) == {
+            "r": "-1/2", "one": "1/1", "xs": ["0/1", ["1/2", "s", 2]],
+            "d": {"inner": [{"atoms": ["a", "b"], "weights": ["1/3", "2/3"]},
+                            None, True]}}
+        assert describe(describe(raw)) == describe(raw)
+
+    def test_objects_through_their_describe(self):
+        s = FinSpace.discrete(["a", "b"])
+        phi = Functional.extensional(s, (F(1, 4), F(3, 4)))
+        assert describe(phi) == phi.describe()
+        assert describe([phi]) == [{"kind": "extensional",
+                                    "coefficients": ["1/4", "3/4"]}]
+
+    def test_verdicts_describe_their_witness(self):
+        assert failed("p", {"x": (F(1, 2),)}).witness == {"x": ["1/2"]}
+        assert passed("p", witness={"x": F(2)}).witness == {"x": "2/1"}
+        assert passed("p").witness is None
 
 
 #: sha256 of ``girylab verify all --seed 7 --trials 500`` stdout.
