@@ -10,7 +10,9 @@ file, then defaults; GIRYLAB_SEED supplies the default seed.
 Exit codes: 0 when the command succeeds and every property holds, 1 when
 a property is refuted, 2 on a named error (a GirylabError, printed as
 ``error: ...``), 3 on any other exception, a fault of the program
-(printed as one ``internal error: <Type>: <message>`` line).
+(printed as one ``internal error: <Type>: <message>`` line).  A standard
+output closed by its reader before all output is written is a named
+error too (exit 2).
 """
 
 from __future__ import annotations
@@ -139,6 +141,14 @@ def quoteattr(data: str) -> str:
     return '"' + data.replace('"', "&quot;") + '"'
 
 
+def _suites(report_doc: dict) -> list:
+    """The suite reports in a checked report: itself, or every suite
+    report its ``reports`` merge, at any depth."""
+    if "reports" not in report_doc:
+        return [report_doc]
+    return [s for doc in report_doc["reports"] for s in _suites(doc)]
+
+
 def _junit_suite_lines(report_doc: dict) -> list:
     props = report_doc.get("properties", [])
     failures = sum(1 for p in props if p.get("result") != "pass")
@@ -161,12 +171,15 @@ def _junit_suite_lines(report_doc: dict) -> list:
 
 
 def _junit_xml(*report_docs: dict) -> str:
+    """One testsuite per suite report, merged reports written as the
+    suites they hold; more or fewer than one go in a testsuites element."""
+    suites = [s for doc in report_docs for s in _suites(doc)]
     lines = ['<?xml version="1.0" encoding="utf-8"?>']
-    if len(report_docs) == 1:
-        lines += _junit_suite_lines(report_docs[0])
+    if len(suites) == 1:
+        lines += _junit_suite_lines(suites[0])
     else:
         lines.append('<testsuites>')
-        for doc in report_docs:
+        for doc in suites:
             lines += _junit_suite_lines(doc)
         lines.append('</testsuites>')
     return "\n".join(lines) + "\n"
@@ -241,24 +254,42 @@ def _cmd_markov(args) -> int:
     return 0
 
 
+def _check_report(doc, where: str) -> None:
+    """IngestionError naming ``where`` unless ``doc`` is a report: an
+    object with a ``result`` of "pass" or "fail" and either
+    ``properties``, a list of objects, or ``reports``, a list of reports
+    checked the same way (a merged report).  The result must be "pass"
+    exactly when every property or report in it passed."""
+    if not isinstance(doc, dict):
+        raise IngestionError(f"{where} is not a report: expected a JSON object")
+    if "properties" in doc and "reports" in doc:
+        raise IngestionError(f"{where} is not a report: it has both "
+                             "'properties' and 'reports'")
+    if "reports" in doc:
+        kind, parts = "reports", doc["reports"]
+        if not isinstance(parts, list):
+            raise IngestionError(f"{where} is not a report: 'reports' must be a list")
+        for i, sub in enumerate(parts):
+            _check_report(sub, f"{where} reports[{i}]")
+    else:
+        kind, parts = "properties", doc.get("properties", [])
+        if not isinstance(parts, list) or not all(isinstance(p, dict) for p in parts):
+            raise IngestionError(
+                f"{where} is not a report: 'properties' must be a list of objects")
+    if doc.get("result") not in ("pass", "fail"):
+        raise IngestionError(
+            f"{where} is not a report: 'result' must be \"pass\" or \"fail\"")
+    derived = "pass" if all(p.get("result") == "pass" for p in parts) else "fail"
+    if parts and doc["result"] != derived:
+        raise IngestionError(
+            f"{where} is not a report: 'result' is {doc['result']!r}, "
+            f"but its {kind} say {derived!r}")
+
+
 def _cmd_report(args) -> int:
     docs = [_load_json(path) for path in args.inputs]
     for path, doc in zip(args.inputs, docs):
-        if not isinstance(doc, dict):
-            raise IngestionError(f"{path} is not a report: expected a JSON object")
-        props = doc.get("properties", [])
-        if not isinstance(props, list) or not all(isinstance(p, dict) for p in props):
-            raise IngestionError(
-                f"{path} is not a report: 'properties' must be a list of objects")
-        if doc.get("result") not in ("pass", "fail"):
-            raise IngestionError(
-                f"{path} is not a report: 'result' must be \"pass\" or \"fail\"")
-        derived = ("pass" if all(p.get("result") == "pass" for p in props)
-                   else "fail")
-        if props and doc["result"] != derived:
-            raise IngestionError(
-                f"{path} is not a report: 'result' is {doc['result']!r}, "
-                f"but its properties say {derived!r}")
+        _check_report(doc, path)
     merged = {"reports": docs,
               "result": "pass" if all(d["result"] == "pass" for d in docs)
               else "fail"}
@@ -321,9 +352,21 @@ def main(argv=None) -> int:
     handlers = {"verify": _cmd_verify, "markov": _cmd_markov,
                 "report": _cmd_report}
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
     except GirylabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader closed stdout (``girylab ... | head``): a fault of the
+        # caller, not of the program.  Pointing stdout at devnull lets the
+        # interpreter's last flush of what is still buffered succeed.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed before all output was "
+              "written", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of the program, not of its input
         message = " ".join(str(exc).splitlines())

@@ -2,7 +2,9 @@
 
 All rationals travel as "p/q" strings; round trips are lossless.
 Decoders validate every structural invariant and raise IngestionError
-naming the first violated one.
+naming the first violated one.  A measure or functional document read
+against a space the caller supplies may inline a ``space`` only if it
+equals that space, carrier order included.
 """
 
 from __future__ import annotations
@@ -53,6 +55,28 @@ def space_from_json(doc: dict) -> FinSpace:
         raise IngestionError(f"space: {exc}") from None
 
 
+def _space_text(space: FinSpace) -> str:
+    return f"carrier {list(space.carrier)}, atoms {space.describe_atoms()}"
+
+
+def _document_space(doc: dict, space: FinSpace | None, what: str) -> FinSpace:
+    """The space a measure or functional document lives on: its inlined
+    ``space`` when the command supplies none, else the supplied one.  An
+    inlined ``space`` must then equal it, carrier order included, since
+    atom indices follow that order; IngestionError names both otherwise."""
+    if space is None:
+        if "space" not in doc:
+            raise IngestionError(f"{what} document needs a 'space'")
+        return space_from_json(doc["space"])
+    if "space" in doc:
+        inlined = space_from_json(doc["space"])
+        if inlined != space:
+            raise IngestionError(
+                f"{what} document's space ({_space_text(inlined)}) is not the "
+                f"space the command supplies ({_space_text(space)})")
+    return space
+
+
 def _index(key, what: str) -> int:
     """A JSON object key read as an integer index; a key past
     rational.MAX_DIGITS digits raises DigitLimitError."""
@@ -94,10 +118,7 @@ def measure_to_json(pi: Measure) -> dict:
 def measure_from_json(doc: dict, space: FinSpace | None = None) -> Measure:
     if not isinstance(doc, dict):
         raise IngestionError("measure document must be an object")
-    if space is None:
-        if "space" not in doc:
-            raise IngestionError("measure document needs a 'space'")
-        space = space_from_json(doc["space"])
+    space = _document_space(doc, space, "measure")
     weights = _weights_from_json(doc.get("weights"), space, "weights")
     try:
         return Measure(space, weights)
@@ -184,10 +205,7 @@ def functional_to_json(phi: Functional) -> dict:
 def functional_from_json(doc: dict, space: FinSpace | None = None) -> Functional:
     if not isinstance(doc, dict):
         raise IngestionError("functional document must be an object")
-    if space is None:
-        if "space" not in doc:
-            raise IngestionError("functional document needs a 'space'")
-        space = space_from_json(doc["space"])
+    space = _document_space(doc, space, "functional")
     kind = doc.get("kind", "extensional")
     if kind == "extensional":
         coeffs_doc = doc.get("coefficients")

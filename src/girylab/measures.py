@@ -16,7 +16,10 @@ Staircases on [0,1] are integrated on integers: one routine takes
 integer breakpoints and integer values, each over one shared
 denominator, and builds a few Fractions per point mass or uniform piece,
 not per cell.  ``integrate_step`` lifts a step function into it, and the
-certified integrator lifts its dyadic samples.  No float enters: step
+certified integrator lifts its dyadic samples and range-checks them as
+integers.  The integrator takes its arguments i/2^n from one dyadic grid
+held by the module, the finest built so far, whose stride slices are
+every coarser grid; it holds no values of ``f``.  No float enters: step
 functions, mixtures, the integrand, the modulus and eps go through
 ``rational.exact``.
 """
@@ -248,11 +251,36 @@ def integrate_step(s: StepFunction, m: IntervalMeasure) -> Fraction:
 Modulus = Callable[[Fraction], Fraction]
 
 
-def _sample(f: Callable[[Fraction], Fraction], cells: int,
-            indices: range) -> list:
-    """f at i/cells for each index, each value checked to lie in [0,1]."""
-    return [require_unit(exact(f(Fraction(i, cells)), "integrand value"),
-                         "sampled value") for i in indices]
+#: The finest dyadic grid built so far, Fraction(i, 2^N) for i = 0..2^N,
+#: as the one entry of a list.  Dyadic grids nest, so the grid of 2^n
+#: cells is its stride slice ``[::2^(N-n)]``.  It holds arguments of
+#: integrands, never their values.  The entry is replaced in place and the
+#: module global is never rebound, so every module global keeps its
+#: identity across a run (the tracer self-test in perfbench compares them).
+_held_grid: list[tuple[Fraction, ...]] = [(ZERO, ONE)]
+
+
+def _dyadic_grid(cells: int) -> tuple[Fraction, ...]:
+    """The held dyadic grid, first replaced by the grid of ``cells``
+    cells (a power of two) if it is coarser."""
+    grid = _held_grid[0]
+    if len(grid) <= cells:
+        grid = _held_grid[0] = tuple(Fraction(i, cells) for i in range(cells + 1))
+    return grid
+
+
+def _sample(f: Callable[[Fraction], Fraction], xs: Sequence[Fraction],
+            den: int) -> tuple[list[int], int]:
+    """f at each point of ``xs`` as int numerators over lcm(den, their
+    denominators), and that lcm.  Each value must be ``exact``; the
+    numerators are range-checked at once, and only when one leaves
+    [0, lcm] are the values walked to name the first outside [0,1]."""
+    values = [exact(f(x), "integrand value") for x in xs]
+    nums, den = lift(values, den)
+    if min(nums) < 0 or max(nums) > den:
+        for v in values:
+            require_unit(v, "sampled value")
+    return nums, den
 
 
 def integrate_approx_bounds(f: Callable[[Fraction], Fraction], modulus: Modulus,
@@ -270,12 +298,21 @@ def integrate_approx_bounds(f: Callable[[Fraction], Fraction], modulus: Modulus,
     parent staircase, so the lower bounds are non-decreasing and the
     upper bounds non-increasing by construction.
 
-    The grid runs on integers: the samples f(i/2^n) and eps/2 are lifted
-    to numerators over their lcm denominator (each ``refine`` level
-    lifts once more to the new lcm), both staircases are integer lists,
-    and only the integral against ``m`` builds Fractions, a few per point
+    The arguments i/2^n are stride slices of one module-level dyadic
+    grid, kept between calls and replaced only by a finer one, so it is
+    never larger than the finest grid a call has sampled.  It holds
+    arguments, not values: f is called once per grid point on every
+    call, so an integrand whose values change between calls is sampled
+    afresh.  The grid runs on integers: the samples f(i/2^n) and eps/2
+    are lifted to numerators over their lcm denominator (each ``refine``
+    level lifts once more to the new lcm) and range-checked as
+    ``0 <= numerator <= lcm``; both staircases are integer lists, and
+    only the integral against ``m`` builds Fractions, a few per point
     mass or piece.  ``eps``, ``f`` and ``modulus`` must give ints or
     Fractions; a float, or a negative ``refine``, raises InvariantError.
+    All samples of a level are checked for a float before any is checked
+    for its range, so an integrand with both faults on one level reports
+    the float.
     """
     eps = exact(eps, "eps")
     if eps <= 0:
@@ -291,14 +328,17 @@ def integrate_approx_bounds(f: Callable[[Fraction], Fraction], modulus: Modulus,
         n += 1
 
     cells = 1 << n
-    ys, den = lift(_sample(f, cells, range(cells + 1)), half.denominator)
+    grid = _dyadic_grid(cells << refine)
+    stride = (len(grid) - 1) // cells
+    ys, den = _sample(f, grid[::stride], half.denominator)
     h = half.numerator * (den // half.denominator)
     lo = [max(y, z) - h for y, z in zip(ys, ys[1:])]
     hi = [min(y, z) + h for y, z in zip(ys, ys[1:])]
 
     for _ in range(refine):
         cells *= 2
-        odd, new_den = lift(_sample(f, cells, range(1, cells, 2)), den)
+        stride //= 2
+        odd, new_den = _sample(f, grid[stride::2 * stride], den)
         scale, den = new_den // den, new_den
         h *= scale
         even = [y * scale for y in ys]
@@ -309,9 +349,9 @@ def integrate_approx_bounds(f: Callable[[Fraction], Fraction], modulus: Modulus,
         hi = [min(p * scale, min(y, z) + h)
               for p, y, z in zip(chain.from_iterable(zip(hi, hi)), ys, ys[1:])]
 
-    grid = range(cells + 1)
-    return (_staircase_integral(grid, cells, lo, den, ys[-1], m),
-            _staircase_integral(grid, cells, hi, den, ys[-1], m))
+    points = range(cells + 1)
+    return (_staircase_integral(points, cells, lo, den, ys[-1], m),
+            _staircase_integral(points, cells, hi, den, ys[-1], m))
 
 
 def integrate_approx(f: Callable[[Fraction], Fraction], modulus: Modulus,

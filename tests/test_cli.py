@@ -76,6 +76,24 @@ class TestMarkov:
         assert code == 2
         assert "endo-kernel" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("space, error", [
+        pytest.param("garbage", "space document must be an object", id="garbage"),
+        pytest.param({"carrier": ["0", "1", "2"], "generators": []},
+                     "measure document's space (carrier ['0', '1', '2']",
+                     id="wrong-size"),
+        pytest.param({"carrier": ["1", "0"], "generators": [["0"], ["1"]]},
+                     "measure document's space (carrier ['1', '0']",
+                     id="reordered")])
+    def test_init_space_must_be_the_kernels(self, tmp_path, capsys, space,
+                                            error):
+        code = main(["markov", "--kernel", write(tmp_path, "k.json", ABSORBING),
+                     "--init", write(tmp_path, "pi.json",
+                                     dict(DELTA_0, space=space)),
+                     "--steps", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {error}")
+
     @pytest.mark.parametrize("carrier, generators, steps", [
         ("abcde", [[c] for c in "abcde"], 37),
         ("abcde", [[c] for c in "abcde"], 64),
@@ -337,6 +355,20 @@ class TestVerify:
             "internal error: RuntimeError: a bug, not an input error\n"
 
 
+    def test_closed_stdout_exits_2_on_one_line(self):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "girylab.cli", "verify", "monad-laws",
+             "--trials", "2"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()  # before the command writes anything
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err == ("error: standard output was closed before all output "
+                       "was written\n")
+
 class TestConfigPrecedence:
     def test_config_file_then_flag(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "girylab.cfg"
@@ -478,6 +510,21 @@ class TestUserFunctionalNaturality:
                    for d in failures)
         assert docs[-1]["result"] == "fail"
 
+    def test_inlined_space_must_be_the_supplied_one(self, tmp_path, capsys):
+        space = {"carrier": ["a", "b"], "generators": [["a"], ["b"]]}
+        phi = {"kind": "max",
+               "space": {"carrier": ["b", "a"], "generators": [["a"], ["b"]]}}
+        code = main(["verify", "naturality",
+                     "--space", write(tmp_path, "s.json", space),
+                     "--functional", write(tmp_path, "phi.json", phi),
+                     "--trials", "5"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "error: functional document's space (carrier ['b', 'a'], atoms "
+            "[['b'], ['a']]) is not the space the command supplies (carrier "
+            "['a', 'b'], atoms [['a'], ['b']])\n")
+
     def test_functional_requires_naturality_suite(self, tmp_path, capsys):
         phi = {"kind": "max",
                "space": {"carrier": ["a"], "generators": []}}
@@ -589,6 +636,49 @@ class TestReport:
         assert code == 2 and captured.out == ""
         assert (f"r.json is not a report: 'result' is {doc['result']!r}, "
                 f"but its properties say {derived!r}") in captured.err
+
+    @pytest.mark.parametrize("fmt", ["json", "junit"])
+    def test_merged_report_rechecked(self, tmp_path, capsys, fmt):
+        failing = {"suite": "s", "result": "fail", "properties": [
+            {"property": "p", "result": "fail", "law": "l", "witness": None}]}
+        main(["report", write(tmp_path, "f.json", failing)])
+        merged = json.loads(capsys.readouterr().out)
+        assert merged["result"] == "fail"
+        edited = write(tmp_path, "m.json", dict(merged, result="pass"))
+        nested = write(tmp_path, "n.json",
+                       {"result": "pass", "reports": [json.loads(
+                           Path(edited).read_text())]})
+        for path, where in ((edited, "m.json"), (nested, "n.json reports[0]")):
+            code = main(["report", path, "--format", fmt])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert (f"{where} is not a report: 'result' is 'pass', but its "
+                    "reports say 'fail'") in captured.err
+
+    @pytest.mark.parametrize("doc, error", [
+        pytest.param({"result": "pass", "reports": "all"},
+                     "'reports' must be a list", id="reports-not-a-list"),
+        pytest.param({"result": "pass", "reports": [[]]},
+                     "reports[0] is not a report: expected a JSON object",
+                     id="entry-not-an-object"),
+        pytest.param({"result": "pass", "reports": [], "properties": []},
+                     "both 'properties' and 'reports'", id="both")])
+    def test_malformed_merged_report_named(self, tmp_path, capsys, doc, error):
+        assert main(["report", write(tmp_path, "m.json", doc)]) == 2
+        assert error in capsys.readouterr().err
+
+    def test_junit_writes_the_suites_a_merged_report_holds(self, tmp_path,
+                                                           capsys):
+        failing = write(tmp_path, "f.json", {
+            "suite": "s", "result": "fail", "properties": [
+                {"property": "p", "result": "fail", "law": "l", "witness": 1},
+                {"property": "q", "result": "pass"}]})
+        main(["report", failing, failing])
+        merged = write(tmp_path, "m.json", json.loads(capsys.readouterr().out))
+        assert main(["report", merged, "--format", "junit"]) == 1
+        out = capsys.readouterr().out
+        assert out.count('<testsuite name="s" tests="2" failures="1"') == 2
+        assert out.count("<testsuites>") == 1
 
     def test_junit_quotes_non_string_names(self, tmp_path, capsys):
         doc = {"suite": 3, "result": "fail", "properties": [

@@ -274,3 +274,37 @@ class TestFunctionalJson:
         with pytest.raises(IngestionError, match="sum to 1"):
             functional_from_json(
                 {"coefficients": {"0": "1/2", "1": "1/3"}}, s)
+
+
+class TestInlinedSpaceMustMatch:
+    """A measure or functional read against a space the command supplies
+    may inline a space only if it is that space, carrier order included."""
+
+    SPACE = FinSpace.discrete(["a", "b"])
+    DOCS = {"measure": (measure_from_json, {"weights": {"0": "1/1"}}),
+            "functional": (functional_from_json, {"kind": "max"})}
+
+    @pytest.mark.parametrize("what", sorted(DOCS))
+    def test_same_space_accepted(self, what):
+        parse, doc = self.DOCS[what]
+        inlined = parse(dict(doc, space=space_to_json(self.SPACE)), self.SPACE)
+        assert inlined.space == parse(doc, self.SPACE).space == self.SPACE
+
+    @pytest.mark.parametrize("what", sorted(DOCS))
+    def test_garbage_space_named(self, what):
+        parse, doc = self.DOCS[what]
+        with pytest.raises(IngestionError, match="space document must be an object"):
+            parse(dict(doc, space="garbage"), self.SPACE)
+
+    @pytest.mark.parametrize("what", sorted(DOCS))
+    @pytest.mark.parametrize("carrier", [["a", "b", "c"], ["b", "a"]],
+                             ids=["wrong-size", "reordered"])
+    def test_other_space_names_both(self, what, carrier):
+        parse, doc = self.DOCS[what]
+        inlined = space_to_json(FinSpace.discrete(carrier))
+        with pytest.raises(IngestionError) as info:
+            parse(dict(doc, space=inlined), self.SPACE)
+        assert str(info.value) == (
+            f"{what} document's space (carrier {carrier}, atoms "
+            f"{[[x] for x in carrier]}) is not the space the command "
+            "supplies (carrier ['a', 'b'], atoms [['a'], ['b']])")

@@ -14,6 +14,7 @@ from girylab.harness import (SuiteConfig, generate_ifunction, generate_measure,
                              generate_measurable_map, generate_space)
 from girylab.rational import random_fraction
 from girylab.spaces import FinSpace, IFunction, MeasMap, characteristic
+from girylab import measures
 from girylab.measures import (IntervalMeasure, Measure, StepFunction,
                               change_of_variables_check, integrate,
                               integrate_approx, integrate_approx_bounds,
@@ -455,6 +456,90 @@ class TestIntegerGrid:
             assert integrate_step(s, m) == \
                 staircase_oracle(s.breakpoints, s.values, s.value_at_one, m)
 
+
+
+def eps_for(n: int) -> Fraction:
+    """The eps at which modulus ``e -> e`` asks for 2^n base cells."""
+    return F(2, 1 << n)
+
+
+@pytest.fixture
+def fresh_grid(monkeypatch):
+    """A held grid of one cell, as in a new process, restored afterwards."""
+    monkeypatch.setattr(measures, "_held_grid", [(F(0), F(1))])
+
+
+@pytest.mark.usefixtures("fresh_grid")
+class TestHeldGrid:
+    """The integrator slices its arguments from one held dyadic grid,
+    replaced only by a finer one; the bounds stay those of the oracle and
+    f is called once per grid point on every call."""
+
+    @pytest.mark.parametrize("calls", [
+        pytest.param([(7, 0), (3, 0), (5, 1), (1, 0)], id="fine-to-coarse"),
+        pytest.param([(1, 0), (3, 0), (5, 0), (6, 1)], id="coarse-to-fine"),
+        pytest.param([(2, 0), (2, 3), (3, 3), (2, 0)], id="refine-after-coarse")])
+    def test_grid_sequences_equal_oracle(self, calls):
+        rng = random.Random(11)
+        finest = 1
+        for n, refine in calls:
+            finest = max(finest, (1 << n) << refine)
+            m = random_mixture(rng, [F(i, 8) for i in range(9)])
+            for f, _ in INTEGRANDS.values():
+                assert integrate_approx_bounds(f, lambda e: e, eps_for(n), m,
+                                               refine) == \
+                    approx_bounds_oracle(f, lambda e: e, eps_for(n), m, refine)
+            held = measures._held_grid[0]
+            assert held == tuple(F(i, finest) for i in range(finest + 1))
+
+    def test_f_called_once_per_point_on_every_call(self):
+        m = IntervalMeasure.uniform()
+        for n in (4, 6, 4, 4, 2, 6):
+            seen = []
+            integrate_approx_bounds(lambda x: seen.append(x) or x, lambda e: e,
+                                    eps_for(n), m)
+            assert seen == [F(i, 1 << n) for i in range((1 << n) + 1)]
+
+    def test_refine_calls_each_finest_point_once(self):
+        m = IntervalMeasure.uniform()
+        integrate_approx_bounds(lambda x: x, lambda e: e, eps_for(6), m)
+        seen = []
+        integrate_approx_bounds(lambda x: seen.append(x) or x, lambda e: e,
+                                eps_for(2), m, refine=3)
+        assert len(seen) == 33
+        assert sorted(seen) == [F(i, 32) for i in range(33)]
+
+    def test_changing_integrand_is_sampled_afresh(self):
+        state = {"c": F(1, 4)}
+        m = IntervalMeasure.uniform()
+        first = integrate_approx(lambda x: state["c"], lambda e: e, F(1, 8), m)
+        state["c"] = F(3, 4)
+        second = integrate_approx(lambda x: state["c"], lambda e: e, F(1, 8), m)
+        assert (first, second) == (F(1, 4), F(3, 4))
+
+    @pytest.mark.parametrize("f, refine, error", [
+        (lambda x: float(x), 0,
+         "integrand value must be an int or a Fraction, got float"),
+        (lambda x: x + F(1, 2), 0, r"sampled value must lie in \[0,1\], got 9/8"),
+        (lambda x: F(-1, 16) if x.denominator == 16 else x, 1,
+         r"sampled value must lie in \[0,1\], got -1/16"),
+        (lambda x: F(3, 2) if x == 1 else x, 2,
+         r"sampled value must lie in \[0,1\], got 3/2")])
+    def test_messages_unchanged_with_a_grid_held(self, f, refine, error):
+        integrate_approx_bounds(lambda x: x, lambda e: e, eps_for(6),
+                                IntervalMeasure.uniform())
+        with pytest.raises(InvariantError, match=error):
+            integrate_approx_bounds(f, lambda e: e, eps_for(3),
+                                    IntervalMeasure.uniform(), refine)
+
+    def test_a_float_is_named_before_a_range_fault(self):
+        """All samples of a level are checked for a float before any for
+        its range, so a value past 1 at x = 0 and a float at x = 1 report
+        the float (one sample at a time, the value past 1 came first)."""
+        with pytest.raises(InvariantError, match="got float"):
+            integrate_approx_bounds(lambda x: 0.5 if x == 1 else x + 2,
+                                    lambda e: e, F(1, 2),
+                                    IntervalMeasure.uniform())
 
 class TestIntegratorRejectsFloats:
     """No float enters the integrator: eps, f and the modulus must give
