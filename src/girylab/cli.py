@@ -20,14 +20,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
 
+from . import codensity, harness
+from .config import SUITE_NAMES, SuiteConfig
 from .errors import DigitLimitError, GirylabError, IngestionError
-from .harness import (SUITE_NAMES, SuiteConfig, case_rng, generate_ifunction,
-                      run_suite)
-from .codensity import check_naturality, lift, sample_affine
 from .jsonio import (functional_from_json, kernel_from_json,
                      measure_from_json, space_from_json)
 from .monad import denominator_base, n_step, trajectory
@@ -141,46 +141,67 @@ def quoteattr(data: str) -> str:
     return '"' + data.replace('"', "&quot;") + '"'
 
 
-def _suites(report_doc: dict) -> list:
-    """The suite reports in a checked report: itself, or every suite
-    report its ``reports`` merge, at any depth."""
+#: A character outside the XML 1.0 Char production: a control character
+#: other than tab, newline and carriage return, a lone surrogate, U+FFFE
+#: or U+FFFF.  No escape can write one in XML 1.0.  They are listed, not
+#: matched as the complement of Char, which re compiles about 20 times
+#: slower on every start.
+_NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _xml_attr(value, where: str) -> str:
+    """``str(value)`` as a quoted XML attribute; IngestionError naming
+    ``where`` when it holds a character XML 1.0 cannot carry."""
+    text = str(value)
+    bad = _NOT_XML_CHAR.search(text)
+    if bad:
+        raise IngestionError(f"{where} holds {ascii(bad.group())}, which "
+                             "XML 1.0 cannot represent")
+    return quoteattr(text)
+
+
+def _suites(report_doc: dict, where: str) -> list:
+    """``(where, suite report)`` for each suite report in a checked report:
+    itself, or every suite report its ``reports`` merge, at any depth."""
     if "reports" not in report_doc:
-        return [report_doc]
-    return [s for doc in report_doc["reports"] for s in _suites(doc)]
+        return [(where, report_doc)]
+    return [s for i, doc in enumerate(report_doc["reports"])
+            for s in _suites(doc, f"{where} reports[{i}]")]
 
 
-def _junit_suite_lines(report_doc: dict) -> list:
+def _junit_suite_lines(where: str, report_doc: dict) -> list:
     props = report_doc.get("properties", [])
     failures = sum(1 for p in props if p.get("result") != "pass")
-    lines = [
-        f'<testsuite name={quoteattr(str(report_doc.get("suite", "girylab")))} '
-        f'tests="{len(props)}" failures="{failures}" errors="0">',
-    ]
-    for p in props:
-        lines.append(
-            f'  <testcase classname={quoteattr(str(report_doc.get("suite", "")))} '
-            f'name={quoteattr(str(p.get("property", "?")))}>')
+    name = _xml_attr(report_doc.get("suite", "girylab"), f"{where} 'suite'")
+    classname = _xml_attr(report_doc.get("suite", ""), f"{where} 'suite'")
+    lines = [f'<testsuite name={name} tests="{len(props)}" '
+             f'failures="{failures}" errors="0">']
+    for i, p in enumerate(props):
+        field = f"{where} properties[{i}]"
+        prop = _xml_attr(p.get("property", "?"), f"{field} 'property'")
+        lines.append(f'  <testcase classname={classname} name={prop}>')
         if p.get("result") != "pass":
+            law = _xml_attr(p.get("law", ""), f"{field} 'law'")
             detail = escape(json.dumps(p.get("witness"), sort_keys=True))
-            lines.append(
-                f'    <failure message={quoteattr(str(p.get("law", "")))}>'
-                f'{detail}</failure>')
+            lines.append(f'    <failure message={law}>{detail}</failure>')
         lines.append('  </testcase>')
     lines.append('</testsuite>')
     return lines
 
 
-def _junit_xml(*report_docs: dict) -> str:
-    """One testsuite per suite report, merged reports written as the
-    suites they hold; more or fewer than one go in a testsuites element."""
-    suites = [s for doc in report_docs for s in _suites(doc)]
+def _junit_xml(report_docs: list) -> str:
+    """One testsuite per suite report in the ``(where, report)`` pairs,
+    merged reports written as the suites they hold; more or fewer than one
+    go in a testsuites element.  IngestionError names the report and field
+    holding text XML 1.0 cannot represent."""
+    suites = [s for where, doc in report_docs for s in _suites(doc, where)]
     lines = ['<?xml version="1.0" encoding="utf-8"?>']
     if len(suites) == 1:
-        lines += _junit_suite_lines(suites[0])
+        lines += _junit_suite_lines(*suites[0])
     else:
         lines.append('<testsuites>')
-        for doc in suites:
-            lines += _junit_suite_lines(doc)
+        for suite in suites:
+            lines += _junit_suite_lines(*suite)
         lines.append('</testsuites>')
     return "\n".join(lines) + "\n"
 
@@ -194,10 +215,15 @@ def _cmd_verify(args) -> int:
     cfg = _build_config(args)
     if args.functional is not None:
         return _verify_user_functional(args, cfg)
-    report = run_suite(args.suite, cfg)
+    report = harness.run_suite(args.suite, cfg)
     print(report.to_json())
     if args.junit:
-        Path(args.junit).write_text(_junit_xml(report.to_jsonable()))
+        xml = _junit_xml([("report", report.to_jsonable())])
+        try:
+            Path(args.junit).write_text(xml, encoding="utf-8")
+        except OSError as exc:
+            raise GirylabError(f"cannot write {args.junit}: "
+                               f"{exc.strerror or exc}") from None
     if args.timings:
         for record in report.records:
             print(f"{record.name}: {record.duration:.3f}s", file=sys.stderr)
@@ -212,17 +238,18 @@ def _verify_user_functional(args, cfg: SuiteConfig) -> int:
     if args.space is not None:
         space = space_from_json(_load_json(args.space))
     phi = functional_from_json(_load_json(args.functional), space)
-    alpha = lift(phi)
+    alpha = codensity.lift(phi)
     all_pass = True
     for i in range(cfg.trials):
-        rng = case_rng(cfg.seed, "user-naturality", i)
+        rng = harness.case_rng(cfg.seed, "user-naturality", i)
         arity = rng.randint(1, cfg.max_arity)
         kind = rng.choice(("projection", "constant", "blend", None, None))
         if kind == "blend":
             arity = 2
-        h = sample_affine(rng, arity, kind)
-        fs = tuple(generate_ifunction(rng, phi.space) for _ in range(arity))
-        verdict = check_naturality(alpha, h, fs)
+        h = codensity.sample_affine(rng, arity, kind)
+        fs = tuple(harness.generate_ifunction(rng, phi.space)
+                   for _ in range(arity))
+        verdict = codensity.check_naturality(alpha, h, fs)
         all_pass = all_pass and verdict.passed
         doc = dict(verdict.to_jsonable(), case=i, seed=cfg.seed)
         print(json.dumps(doc, sort_keys=True))
@@ -296,7 +323,7 @@ def _cmd_report(args) -> int:
     if args.format == "json":
         print(json.dumps(merged, sort_keys=True))
     else:
-        sys.stdout.write(_junit_xml(*docs))
+        sys.stdout.write(_junit_xml(list(zip(args.inputs, docs))))
     return 0 if merged["result"] == "pass" else 1
 
 

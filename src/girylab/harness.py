@@ -31,14 +31,15 @@ import json
 import random
 import string
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
+from .config import SUITE_NAMES, SuiteConfig
 from .errors import ActionSquareError, GirylabError, RejectionError
 from .rational import HALF, ONE, ZERO, random_fraction
-from .spaces import (MAX_CARRIER_POINTS, FinSpace, IFunction, MeasMap,
-                     atom_indicator, generate_ifunction, generate_sigma)
+from .spaces import (FinSpace, IFunction, MeasMap, atom_indicator,
+                     generate_ifunction, generate_sigma)
 from .measures import Measure, integrate, pushforward
 from .monad import Kernel, MetaMeasure, bind, dirac, flatten, kleisli_compose
 from .duality import (Functional, FunctionalMixture, LimitWitness,
@@ -50,37 +51,11 @@ from .codensity import (AffineMap, VanishingSequence, action_of,
                         check_naturality, check_vanishing_component,
                         functional_from_action, lift, sample_affine,
                         sample_sequence_affine)
-from .hull import MAX_HULL_DIM, extend_to_convex, hull_membership
+from .hull import extend_to_convex, hull_membership
 from .counterexample import (EventualFn, FinCofSet, cofinite_measure,
                              countable_additivity_violation, limit_functional,
                              sup_continuity_check, vanishing_segment_witness)
 from .verdicts import Verdict, failed, passed
-
-
-def _count(default: int, help: str, cap: Optional[int] = None):
-    """A config field that counts something: at least 1, at most ``cap``."""
-    return field(default=default, metadata={"help": help, "cap": cap})
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    """A suite run's configuration.  Each field is also a flag and a config
-    file key of ``girylab verify``, with the default and help given here."""
-
-    seed: int = field(default=0, metadata={"help": "suite seed"})
-    trials: int = _count(500, "cases per property")
-    max_carrier: int = _count(8, "largest generated carrier", MAX_CARRIER_POINTS)
-    max_arity: int = _count(4, "largest affine-map arity")
-    max_hull_dim: int = _count(3, "largest hull dimension", MAX_HULL_DIM)
-
-    def __post_init__(self):
-        for f in fields(self)[1:]:  # the counts: every field but the seed
-            value, cap = getattr(self, f.name), f.metadata["cap"]
-            if value < 1:
-                raise GirylabError(f"{f.name} must be at least 1")
-            if cap is not None and value > cap:
-                raise GirylabError(
-                    f"{f.name} must be at most {cap}, got {value}")
 
 
 def case_rng(seed: int, prop: str, index: int) -> random.Random:
@@ -923,16 +898,9 @@ COUNTEREXAMPLE = [
 ]
 
 
-SUITES: dict[str, list[Property]] = {
-    "monad-laws": MONAD_LAWS,
-    "duality": DUALITY,
-    "change-of-variables": CHANGE_OF_VARIABLES,
-    "naturality": NATURALITY,
-    "monoid-reduction": MONOID_REDUCTION,
-    "convex-bound": CONVEX_BOUND,
-    "counterexample": COUNTEREXAMPLE,
-}
-SUITE_NAMES = tuple(SUITES)
+SUITES: dict[str, list[Property]] = dict(zip(SUITE_NAMES, (
+    MONAD_LAWS, DUALITY, CHANGE_OF_VARIABLES, NATURALITY, MONOID_REDUCTION,
+    CONVEX_BOUND, COUNTEREXAMPLE)))
 
 
 def run_suite(name: str, cfg: SuiteConfig) -> Report:

@@ -32,11 +32,10 @@ from fractions import Fraction
 from math import prod
 from typing import Sequence
 
+from .config import MAX_HULL_DIM
 from .errors import GirylabError, InvariantError
 from .rational import ONE, exact, format_rational, lift
 from .duality import Functional
-
-MAX_HULL_DIM = 4
 
 Point = tuple[Fraction, ...]
 

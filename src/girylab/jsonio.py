@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import duality
 from .errors import DigitLimitError, GirylabError, IngestionError
 from .rational import ZERO, _shown, exact, format_rational, parse_int, parse_rational
 from .spaces import FinSpace, generate_sigma
 from .measures import IntervalMeasure, Measure
 from .monad import Kernel
-from .duality import (Functional, clamped_sum_functional, max_functional,
-                      square_functional)
 
 
 def _rational(value, what: str) -> Fraction:
@@ -189,20 +188,22 @@ def kernel_from_json(doc: dict) -> Kernel:
     return Kernel(dom, cod, tuple(rows))
 
 
+#: functional kind -> name of the duality function building it on a space.
 _NAMED_FUNCTIONALS = {
-    "max": max_functional,
-    "square": square_functional,
-    "clamped-sum": clamped_sum_functional,
+    "max": "max_functional",
+    "square": "square_functional",
+    "clamped-sum": "clamped_sum_functional",
 }
 
 
-def functional_to_json(phi: Functional) -> dict:
+def functional_to_json(phi: duality.Functional) -> dict:
     doc = phi.describe()
     doc["space"] = space_to_json(phi.space)
     return doc
 
 
-def functional_from_json(doc: dict, space: FinSpace | None = None) -> Functional:
+def functional_from_json(doc: dict,
+                         space: FinSpace | None = None) -> duality.Functional:
     if not isinstance(doc, dict):
         raise IngestionError("functional document must be an object")
     space = _document_space(doc, space, "functional")
@@ -216,11 +217,11 @@ def functional_from_json(doc: dict, space: FinSpace | None = None) -> Functional
         else:
             raise IngestionError("extensional functional needs 'coefficients'")
         try:
-            return Functional.extensional(space, coeffs)
+            return duality.Functional.extensional(space, coeffs)
         except GirylabError as exc:
             raise IngestionError(f"functional: {exc}") from None
     if kind in _NAMED_FUNCTIONALS:
-        return _NAMED_FUNCTIONALS[kind](space)
+        return getattr(duality, _NAMED_FUNCTIONALS[kind])(space)
     raise IngestionError(
         f"unknown functional kind {kind!r}; expected 'extensional' or one of "
         f"{sorted(_NAMED_FUNCTIONALS)}")

@@ -338,6 +338,18 @@ class TestVerify:
         assert text.startswith("<?xml")
         assert 'failures="0"' in text
 
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/out.xml", "No such file or directory"),
+        (".", "Is a directory")])
+    def test_unwritable_junit_path_exits_2(self, tmp_path, capsys, target,
+                                           reason):
+        junit = tmp_path / target
+        code = main(["verify", "counterexample", "--trials", "2",
+                     "--junit", str(junit)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: cannot write {junit}: {reason}\n"
+
     def test_usage_error_on_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["verify", "nonsense"])
@@ -689,6 +701,50 @@ class TestReport:
         out = capsys.readouterr().out
         assert '<testsuite name="3"' in out and 'name="4"' in out
 
+    @pytest.mark.parametrize("char", [
+        pytest.param("\x01", id="control"),
+        pytest.param("\ud800", id="lone-surrogate"),
+        pytest.param("\ufffe", id="noncharacter")])
+    @pytest.mark.parametrize("doc, field", [
+        pytest.param(lambda c: {"suite": f"s{c}", "result": "pass",
+                                "properties": []},
+                     "'suite'", id="suite"),
+        pytest.param(lambda c: {"suite": "s", "result": "pass", "properties": [
+            {"property": "p", "result": "pass"},
+            {"property": f"q{c}", "result": "pass"}]},
+                     "properties[1] 'property'", id="property"),
+        pytest.param(lambda c: {"result": "fail", "reports": [
+            {"suite": "s", "result": "fail", "properties": [
+                {"property": "p", "result": "fail", "law": c}]}]},
+                     "reports[0] properties[0] 'law'", id="nested-law")])
+    def test_junit_refuses_text_outside_xml(self, tmp_path, capsys, char,
+                                            doc, field):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc(char)))
+        code = main(["report", str(path), "--format", "junit"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"error: {path} {field} holds {ascii(char)}, "
+                                "which XML 1.0 cannot represent\n")
+
+    def test_junit_output_parses(self, tmp_path, capsys):
+        from xml.dom import minidom
+        text = "tab\tnewline\n<&>\"'\u00e9\U0001f600"
+        doc = {"suite": text, "result": "fail", "properties": [
+            {"property": text, "result": "fail", "law": text,
+             "witness": {"w": "\x01\ud800"}}]}
+        code = main(["report", write(tmp_path, "r.json", doc),
+                     "--format", "junit"])
+        assert code == 1
+        suite = minidom.parseString(
+            capsys.readouterr().out.encode()).documentElement
+        case = suite.getElementsByTagName("testcase")[0]
+        failure = case.getElementsByTagName("failure")[0]
+        assert suite.getAttribute("name") == text
+        assert case.getAttribute("name") == text
+        assert failure.getAttribute("message") == text
+        assert json.loads(failure.firstChild.data) == {"w": "\x01\ud800"}
+
 
 class TestXmlEscape:
     """``cli`` writes JUnit XML with its own escaper; ``xml.sax.saxutils``
@@ -714,3 +770,46 @@ class TestXmlEscape:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
+
+
+class TestStartup:
+    """Every girylab module but ``cli`` is registered lazily, so a command
+    runs only the modules it uses.  A module counts as run once its type
+    is ``types.ModuleType``: ``type()`` does not trigger a lazy load."""
+
+    VERIFY_ONLY = {"harness", "codensity", "hull", "counterexample",
+                   "duality", "verdicts"}
+
+    RAN = ("import json, sys, types; from girylab import cli; "
+           "code = cli.main(sys.argv[1:]); "
+           "print(json.dumps(sorted(n.partition('.')[2] for n, m in "
+           "sys.modules.items() if n.startswith('girylab.') "
+           "and type(m) is types.ModuleType))); sys.exit(code)")
+
+    @staticmethod
+    def run(*args):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        return subprocess.run([sys.executable, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def ran(self, *argv) -> set:
+        proc = self.run("-c", self.RAN, *argv)
+        assert proc.returncode == 0, proc.stderr
+        return set(json.loads(proc.stdout.splitlines()[-1]))
+
+    def test_markov_skips_the_verify_modules(self, tmp_path):
+        ran = self.ran("markov", "--kernel", write(tmp_path, "k.json", ABSORBING),
+                       "--init", write(tmp_path, "pi.json", DELTA_0),
+                       "--steps", "3")
+        assert "monad" in ran and "jsonio" in ran
+        assert ran.isdisjoint(self.VERIFY_ONLY)
+
+    def test_verify_all_runs_every_module(self):
+        ran = self.ran("verify", "all", "--trials", "1")
+        assert self.VERIFY_ONLY <= ran
+
+    def test_module_entry_point_does_not_warn(self):
+        proc = self.run("-m", "girylab.cli", "--help")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith("usage: girylab")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from girylab import harness
+from girylab import config, harness
 from girylab.cli import main
 from girylab.errors import GirylabError, InvariantError
 from girylab.codensity import AffineMap
@@ -36,6 +36,11 @@ class TestConfig:
         cfg = SuiteConfig()
         assert (cfg.trials, cfg.max_carrier, cfg.max_arity,
                 cfg.max_hull_dim) == (500, 8, 4, 3)
+
+    def test_suites_follow_the_config_names(self):
+        assert tuple(harness.SUITES) == config.SUITE_NAMES
+        assert harness.SUITE_NAMES is config.SUITE_NAMES
+        assert harness.SuiteConfig is config.SuiteConfig
 
 
 class TestDeterminism:
