@@ -25,12 +25,9 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import codensity, harness
+from . import codensity, harness, jsonio, monad
 from .config import SUITE_NAMES, SuiteConfig
 from .errors import DigitLimitError, GirylabError, IngestionError
-from .jsonio import (functional_from_json, kernel_from_json,
-                     measure_from_json, space_from_json)
-from .monad import denominator_base, n_step, trajectory
 from .rational import format_rational, parse_int
 
 CONFIG_KEYS = tuple(f.name for f in fields(SuiteConfig))
@@ -236,8 +233,8 @@ def _verify_user_functional(args, cfg: SuiteConfig) -> int:
         raise IngestionError("--functional applies to the naturality suite")
     space = None
     if args.space is not None:
-        space = space_from_json(_load_json(args.space))
-    phi = functional_from_json(_load_json(args.functional), space)
+        space = jsonio.space_from_json(_load_json(args.space))
+    phi = jsonio.functional_from_json(_load_json(args.functional), space)
     alpha = codensity.lift(phi)
     all_pass = True
     for i in range(cfg.trials):
@@ -261,18 +258,18 @@ def _verify_user_functional(args, cfg: SuiteConfig) -> int:
 
 
 def _cmd_markov(args) -> int:
-    kernel = kernel_from_json(_load_json(args.kernel))
-    init = measure_from_json(_load_json(args.init), kernel.dom)
+    kernel = jsonio.kernel_from_json(_load_json(args.kernel))
+    init = jsonio.measure_from_json(_load_json(args.init), kernel.dom)
     if args.steps < 0:
         raise IngestionError("steps must be nonnegative")
     if kernel.dom != kernel.cod:
         raise IngestionError("markov evolution needs an endo-kernel "
                              "(dom and cod must agree)")
     if args.trace:
-        shown = enumerate(trajectory(kernel, init, args.steps))
+        shown = enumerate(monad.trajectory(kernel, init, args.steps))
     else:
-        shown = [(args.steps, n_step(kernel, init, args.steps))]
-    base = denominator_base(kernel, init)
+        shown = [(args.steps, monad.n_step(kernel, init, args.steps))]
+    base = monad.denominator_base(kernel, init)
     for step, pi in shown:
         doc = {"step": step,
                "weights": {str(i): format_rational(n, pi.den, base)

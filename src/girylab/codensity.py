@@ -4,7 +4,11 @@ reconstruction of the functional from a sequence-space monoid action.
 
 An affine map from the n-cube into I has the canonical form
 a0 + sum(a_i * x_i); it lands in I exactly when its extreme values over
-the cube do, which is the pair of inequalities enforced here.  The
+the cube do, which is the pair of inequalities enforced here.  Each map
+keeps its constant term and coefficients as Fractions and, lifted once
+when it is built, as int numerators over one denominator; the
+inequalities, evaluation and pointwise composition with functions (also
+int numerators, see ``spaces.IFunction``) run on those ints.  The
 infinite-dimensional object is the convex set of unit-interval
 sequences converging to zero; its elements and the coefficient lists of
 affine maps on it are kept as finite lists (implicit zero tail), dense
@@ -20,34 +24,50 @@ axiom.  Both directions are exercised by the checkers below.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .errors import ActionSquareError, InvariantError
 from .rational import (ONE, ZERO, exact, format_rational, random_fraction,
-                       require_unit)
+                       require_unit, require_unit_numerators)
+from .rational import lift as lift_rationals
 from .spaces import FinSpace, IFunction
 from .duality import Functional
 from .verdicts import Verdict, describe, failed, passed
 
 
-def _extremes(a0: Fraction, coeffs: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
-    lo = a0 + sum((min(c, ZERO) for c in coeffs), ZERO)
-    hi = a0 + sum((max(c, ZERO) for c in coeffs), ZERO)
+def _extremes(n0: int, nums: Sequence[int]) -> tuple[int, int]:
+    """The least and greatest of n0 + sum(n_i * x_i) over the 0/1 cube."""
+    lo = n0 + sum(n for n in nums if n < 0)
+    hi = n0 + sum(n for n in nums if n > 0)
     return lo, hi
 
 
 def _store_into_unit(m) -> None:
-    """Store an affine map's ``a0`` and ``coeffs`` as Fractions, and check
-    that its extreme values lie in I."""
-    object.__setattr__(m, "a0", exact(m.a0, "constant term"))
-    object.__setattr__(m, "coeffs", tuple(exact(c, "coefficient") for c in m.coeffs))
-    lo, hi = _extremes(m.a0, m.coeffs)
-    if lo < ZERO or hi > ONE:
+    """Store an affine map's ``a0`` and ``coeffs`` as Fractions and, in
+    ``lifted``, as int numerators over their lcm denominator; check on
+    those ints that the map's extreme values lie in I."""
+    a0 = exact(m.a0, "constant term")
+    coeffs = tuple(exact(c, "coefficient") for c in m.coeffs)
+    (n0, *nums), den = lift_rationals((a0, *coeffs))
+    lo, hi = _extremes(n0, nums)
+    if lo < 0 or hi > den:
         raise InvariantError(
             "map leaves the unit interval: extremes "
-            f"[{format_rational(lo)}, {format_rational(hi)}]")
+            f"[{format_rational(lo, den)}, {format_rational(hi, den)}]")
+    object.__setattr__(m, "a0", a0)
+    object.__setattr__(m, "coeffs", coeffs)
+    object.__setattr__(m, "lifted", (n0, tuple(nums), den))
+
+
+def _value(m, xs: Sequence[int], xden: int) -> Fraction:
+    """The affine map ``m`` at the point with coordinates ``xs`` over
+    ``xden``: one integer dot product with its lifted coefficients."""
+    n0, nums, den = m.lifted
+    return Fraction(n0 * xden + sum(map(mul, nums, xs)), den * xden)
 
 
 @dataclass(frozen=True)
@@ -57,6 +77,8 @@ class AffineMap:
     arity: int
     a0: Fraction
     coeffs: tuple[Fraction, ...]
+    lifted: tuple[int, tuple[int, ...], int] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coeffs) != self.arity:
@@ -66,8 +88,9 @@ class AffineMap:
     def __call__(self, xs: Sequence[Fraction]) -> Fraction:
         if len(xs) != self.arity:
             raise InvariantError(f"expected {self.arity} coordinates, got {len(xs)}")
-        xs = [require_unit(x, "coordinate") for x in xs]
-        return self.a0 + sum((c * x for c, x in zip(self.coeffs, xs)), ZERO)
+        xs, xden = lift_rationals([exact(x, "coordinate") for x in xs])
+        require_unit_numerators(xs, xden, "coordinate")
+        return _value(self, xs, xden)
 
     @staticmethod
     def projection(arity: int, i: int) -> "AffineMap":
@@ -144,13 +167,14 @@ class SequenceAffineMap:
 
     a0: Fraction
     coeffs: tuple[Fraction, ...]
+    lifted: tuple[int, tuple[int, ...], int] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _store_into_unit(self)
 
     def __call__(self, x: VanishingSequence) -> Fraction:
-        return self.a0 + sum(
-            (c * x.at(i) for i, c in enumerate(self.coeffs)), ZERO)
+        return _value(self, *lift_rationals(x.entries))
 
     def describe(self) -> dict:
         return {"a0": format_rational(self.a0),
@@ -181,14 +205,15 @@ def sample_affine(rng: random.Random, arity: int,
 
     raw0 = random_fraction(rng, -2, 2, max_den=16)
     raw = [random_fraction(rng, -2, 2, max_den=16) for _ in range(arity)]
-    lo, hi = _extremes(raw0, raw)
+    (n0, *nums), _ = lift_rationals((raw0, *raw))
+    lo, hi = _extremes(n0, nums)
     if hi == lo:  # all coefficients zero: clamp the constant into I
         return AffineMap.constant(arity, min(ONE, max(ZERO, raw0)))
     span = random_fraction(rng, max_den=8) or Fraction(1, 2)
-    scale = span / (hi - lo)
+    scale = span / (hi - lo)  # the lifted denominator cancels
     shift = random_fraction(rng, max_den=8) * (ONE - span)
-    a0 = (raw0 - lo) * scale + shift
-    coeffs = tuple(c * scale for c in raw)
+    a0 = (n0 - lo) * scale + shift
+    coeffs = tuple(n * scale for n in nums)
     return AffineMap(arity, a0, coeffs)
 
 
@@ -226,20 +251,19 @@ def lift(phi: Functional) -> CodensityElement:
     return CodensityElement(phi.space, phi)
 
 
-def _compose_pointwise(h: AffineMap, fs: Sequence[IFunction],
-                       space: FinSpace) -> IFunction:
-    values = tuple(
-        h([f.values[i] for f in fs]) for i in range(len(space.atoms)))
-    return IFunction(space, values)
-
-
-def _compose_pointwise_seq(h: SequenceAffineMap, fs: Sequence[IFunction],
-                           space: FinSpace) -> IFunction:
-    values = []
-    for i in range(len(space.atoms)):
-        seq = VanishingSequence(tuple(f.values[i] for f in fs))
-        values.append(require_unit(h(seq), "composite value"))
-    return IFunction(space, tuple(values))
+def _compose_pointwise(h, fs: Sequence[IFunction], space: FinSpace) -> IFunction:
+    """The function x -> h(f_1(x), f_2(x), ...) on ``space``, for an affine
+    map of a power or of sequences, built on integers: the coefficients
+    are scaled to the lcm of the functions' denominators and dotted with
+    their numerators atom by atom.  Functions past the last coefficient
+    meet a zero coefficient and are skipped."""
+    n0, nums, den = h.lifted
+    pairs = list(zip(nums, fs))
+    fden = lcm(*(f.den for _, f in pairs))
+    weighted = [(c * (fden // f.den), f.nums) for c, f in pairs]
+    return IFunction(space, tuple(
+        n0 * fden + sum(c * fn[i] for c, fn in weighted)
+        for i in range(len(space.atoms))), den * fden)
 
 
 def check_naturality(alpha: CodensityElement, h, fs: Sequence[IFunction]) -> Verdict:
@@ -258,14 +282,13 @@ def check_naturality(alpha: CodensityElement, h, fs: Sequence[IFunction]) -> Ver
         if h.arity != len(fs):
             raise InvariantError("arity does not match the tuple length")
         via_family = h(alpha.at_power(fs))
-        via_component = alpha.phi(_compose_pointwise(h, fs, alpha.base))
         target = "power"
     elif isinstance(h, SequenceAffineMap):
         via_family = h(alpha.at_sequences(fs))
-        via_component = alpha.phi(_compose_pointwise_seq(h, fs, alpha.base))
         target = "sequences"
     else:
         raise InvariantError("h must be an affine map of a power or of sequences")
+    via_component = alpha.phi(_compose_pointwise(h, fs, alpha.base))
 
     name = f"naturality at {target}"
     if via_family == via_component:
@@ -325,7 +348,7 @@ def functional_from_action(action: Action, space: FinSpace,
 
     def sample_list(k: int) -> list[IFunction]:
         return [IFunction(space, tuple(
-            Fraction(rng.randint(0, 12), 12) for _ in space.atoms))
+            rng.randint(0, 12) for _ in space.atoms), 12)
             for _ in range(k)]
 
     for t in range(trials):

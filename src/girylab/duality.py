@@ -91,7 +91,8 @@ class Functional:
         if f.space != self.space:
             raise SpaceMismatchError("argument lives on a different space")
         if self.coeffs is not None:
-            return self.dot(f.values)
+            coeffs, den = self._lifted
+            return Fraction(sum(map(mul, coeffs, f.nums)), den * f.den)
         return require_unit(self.evaluator(f),
                             f"value of {self.label or 'functional'}")
 

@@ -39,7 +39,7 @@ from .config import SUITE_NAMES, SuiteConfig
 from .errors import ActionSquareError, GirylabError, RejectionError
 from .rational import HALF, ONE, ZERO, random_fraction
 from .spaces import (FinSpace, IFunction, MeasMap, atom_indicator,
-                     generate_ifunction, generate_sigma)
+                     generate_ifunction, sigma_from_masks)
 from .measures import Measure, integrate, pushforward
 from .monad import Kernel, MetaMeasure, bind, dirac, flatten, kleisli_compose
 from .duality import (Functional, FunctionalMixture, LimitWitness,
@@ -105,11 +105,9 @@ class Report:
 def generate_space(rng: random.Random, cfg: SuiteConfig,
                    min_points: int = 1) -> FinSpace:
     n = rng.randint(min_points, max(min_points, cfg.max_carrier))
-    labels = list(string.ascii_lowercase[:n])
-    gens = []
-    for _ in range(rng.randint(0, 3)):
-        gens.append([lab for lab in labels if rng.random() < 0.5])
-    return generate_sigma(labels, gens)
+    gens = [sum(1 << i for i in range(n) if rng.random() < 0.5)
+            for _ in range(rng.randint(0, 3))]
+    return sigma_from_masks(tuple(string.ascii_lowercase[:n]), gens)
 
 
 def _random_parts(rng: random.Random, k: int) -> tuple[list[int], int]:

@@ -36,7 +36,8 @@ from typing import Callable, Sequence
 
 from .errors import InvariantError, SpaceMismatchError
 from .rational import (ONE, ZERO, exact, format_rational, lift, probability,
-                       probability_numerators, require_unit)
+                       probability_numerators, require_unit,
+                       require_unit_numerators)
 from .spaces import FinSpace, IFunction, MeasMap, atom_image, require_measurable
 
 
@@ -110,15 +111,14 @@ def pushforward(g: MeasMap, pi: Measure) -> Measure:
 
 def integrate(f: IFunction, pi: Measure) -> Fraction:
     """Exact integral of an atomwise function: sum of value * weight, one
-    integer dot product of the lifted values and the numerators.
+    integer dot product of the two numerator vectors.
 
     Linear and order-preserving in f; equals the measure of A when f is
     the indicator of A.
     """
     if f.space != pi.space:
         raise SpaceMismatchError("function and measure live on different spaces")
-    values, vden = lift(f.values)
-    return Fraction(sum(map(mul, values, pi.nums)), vden * pi.den)
+    return Fraction(sum(map(mul, f.nums, pi.nums)), f.den * pi.den)
 
 
 @dataclass(frozen=True)
@@ -273,13 +273,9 @@ def _sample(f: Callable[[Fraction], Fraction], xs: Sequence[Fraction],
             den: int) -> tuple[list[int], int]:
     """f at each point of ``xs`` as int numerators over lcm(den, their
     denominators), and that lcm.  Each value must be ``exact``; the
-    numerators are range-checked at once, and only when one leaves
-    [0, lcm] are the values walked to name the first outside [0,1]."""
-    values = [exact(f(x), "integrand value") for x in xs]
-    nums, den = lift(values, den)
-    if min(nums) < 0 or max(nums) > den:
-        for v in values:
-            require_unit(v, "sampled value")
+    numerators are range-checked by ``rational.require_unit_numerators``."""
+    nums, den = lift([exact(f(x), "integrand value") for x in xs], den)
+    require_unit_numerators(nums, den, "sampled value")
     return nums, den
 
 

@@ -8,7 +8,9 @@ anything else raises InvariantError naming the argument.
 ``probability`` admits a probability vector: exact, nonnegative entries
 whose integer-numerator sum is 1.  ``probability_numerators`` is the same
 check on int numerators over one int denominator, and returns them in
-lowest terms.  ``index`` admits a natural number used as a position or a
+lowest terms; ``unit_numerators`` checks int numerators of values in
+[0,1] the same way, and ``require_unit_numerators`` is its range check
+alone.  ``index`` admits a natural number used as a position or a
 count: an int, not a bool, at least 0.  On the wire rationals are
 ``"p/q"`` strings, so round trips are lossless and no float appears in
 output.  Numerators and denominators are capped at ``MAX_DIGITS``
@@ -135,19 +137,61 @@ def lift(xs: Sequence[Fraction], den: int = 1) -> tuple[list[int], int]:
     return [x.numerator * (den // d) for x, d in zip(xs, dens)], den
 
 
+_INT_ONLY = frozenset((int,))
+
+
+def _numerators(nums: Iterable, den: int, what: str) -> tuple[int, ...]:
+    """``nums`` as a tuple if ``den`` and every numerator are ints, not
+    bools, and ``den`` is positive; otherwise InvariantError naming
+    ``what``."""
+    nums = tuple(nums)
+    if not (type(den) is int and _INT_ONLY.issuperset(map(type, nums))):
+        for n in (den, *nums):  # walked only when a type is not exactly int
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise InvariantError(f"{what} must be int numerators over an "
+                                     f"int denominator, got {type(n).__name__}")
+    if den <= 0:
+        raise InvariantError(f"{what} must have a positive denominator")
+    return nums
+
+
+def _lowest_terms(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
+    """``nums`` and ``den`` divided by their gcd."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return tuple(n // g for n in nums), den // g
+
+
+def require_unit_numerators(nums: Sequence[int], den: int, what: str) -> None:
+    """InvariantError naming ``what`` and the first ``n/den`` outside
+    [0,1], if one is.  The ints are range-checked at once with ``min`` and
+    ``max``; only on a failure are they walked."""
+    if min(nums, default=0) < 0 or max(nums, default=0) > den:
+        for n in nums:
+            if not 0 <= n <= den:
+                raise InvariantError(f"{what} must lie in [0,1], got "
+                                     f"{format_rational(n, den)}")
+
+
+def unit_numerators(nums: Iterable, den: int,
+                    what: str) -> tuple[tuple[int, ...], int]:
+    """``nums`` over ``den`` in lowest terms if every ``n/den`` lies in
+    [0,1]: ``den`` and every numerator an int, not a bool, ``den``
+    positive and ``0 <= n <= den``.  All are then divided by their gcd;
+    otherwise InvariantError naming ``what``."""
+    nums = _numerators(nums, den, what)
+    require_unit_numerators(nums, den, what)
+    return _lowest_terms(nums, den)
+
+
 def probability_numerators(nums: Iterable, den: int,
                            what: str) -> tuple[tuple[int, ...], int]:
     """``nums`` over ``den`` in lowest terms if it is a probability vector:
     ``den`` and every numerator an int, not a bool, every numerator
     nonnegative, and their sum ``den``.  All are then divided by their
     gcd; otherwise InvariantError naming ``what``."""
-    nums = tuple(nums)
-    for n in (den, *nums):
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise InvariantError(f"{what} must be int numerators over an int "
-                                 f"denominator, got {type(n).__name__}")
-    if den <= 0:
-        raise InvariantError(f"{what} must have a positive denominator")
+    nums = _numerators(nums, den, what)
     for n in nums:
         if n < 0:
             raise InvariantError(f"{what} must be nonnegative, got "
@@ -155,10 +199,7 @@ def probability_numerators(nums: Iterable, den: int,
     if sum(nums) != den:
         raise InvariantError(f"{what} must sum to 1/1, got total mass "
                              f"{format_rational(sum(nums), den)}")
-    g = gcd(den, *nums)
-    if g == 1:
-        return nums, den
-    return tuple(n // g for n in nums), den // g
+    return _lowest_terms(nums, den)
 
 
 def probability(xs: Iterable, what: str) -> tuple[Fraction, ...]:

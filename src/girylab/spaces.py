@@ -7,6 +7,13 @@ measurable sets, which partition the carrier; every measurable set is a
 union of atoms.  All values constant on atoms are measurable into any
 codomain, which is what makes the atomwise representations downstream
 (functions, measures, kernels) measurable by construction.
+
+``sigma_from_masks`` computes the atoms from generator bitmasks by
+refining the full mask along each one; ``generate_sigma`` checks label
+lists and turns them into those masks.  ``IFunction`` stores a function
+into [0,1] as int numerators over one denominator in lowest terms, as
+``measures.Measure`` stores a measure, so its operations and the
+integrals and functionals applied to it are integer arithmetic.
 """
 
 from __future__ import annotations
@@ -14,13 +21,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvariantError, NotMeasurableError, SpaceMismatchError
-from .rational import (ONE, ZERO, exact, format_rational, random_fraction,
-                       require_unit)
+from .rational import (exact, format_rational, lift, random_fraction,
+                       require_unit, unit_numerators)
 
-#: Carrier cap: a named size limit, enforced by ``generate_sigma``.
+#: Carrier cap: a named size limit, enforced by ``sigma_from_masks``.
 MAX_CARRIER_POINTS = 16
 
 
@@ -111,20 +120,19 @@ def generate_sigma(carrier: Sequence[str], generators: Iterable[Sequence[str]],
                    max_points: int = MAX_CARRIER_POINTS) -> FinSpace:
     """Smallest sigma-algebra on ``carrier`` containing every generator.
 
-    Points are split into atoms by their generator signature (which
-    generators contain them); the closure under complement and union is
-    then exactly the set of unions of atoms, so the atoms are all that
-    is kept.  Finite carriers make countable and finite closure coincide.
-    Each generator must be a list (or tuple) of carrier labels.
+    The labels are checked and each generator is turned into a bitmask;
+    ``sigma_from_masks`` then computes the atoms.  The closure under
+    complement and union is exactly the set of unions of atoms, so the
+    atoms are all that is kept.  Finite carriers make countable and
+    finite closure coincide.  Each generator must be a list (or tuple) of
+    carrier labels.
     """
     labels = tuple(carrier)
     if len(labels) != len(set(labels)):
         raise InvariantError("carrier labels must be distinct")
     if not labels:
         raise InvariantError("carrier must be nonempty")
-    if len(labels) > max_points:
-        raise InvariantError(
-            f"carrier has {len(labels)} points, cap is {max_points}")
+    _require_cap(len(labels), max_points)  # before the generators are read
 
     index = {lab: i for i, lab in enumerate(labels)}
     gen_masks = []
@@ -139,14 +147,30 @@ def generate_sigma(carrier: Sequence[str], generators: Iterable[Sequence[str]],
                     f"generator element {lab!r} is not in the carrier")
             mask |= 1 << index[lab]
         gen_masks.append(mask)
+    return sigma_from_masks(labels, gen_masks, max_points)
 
-    signatures: dict[tuple[bool, ...], int] = {}
-    for i in range(len(labels)):
-        sig = tuple(bool(g >> i & 1) for g in gen_masks)
-        signatures[sig] = signatures.get(sig, 0) | (1 << i)
-    # order atoms by smallest member so indices are reproducible
-    atoms = tuple(sorted(signatures.values(), key=lambda m: (m & -m).bit_length()))
-    return FinSpace(labels, atoms)
+
+def _require_cap(points: int, max_points: int) -> None:
+    if points > max_points:
+        raise InvariantError(f"carrier has {points} points, cap is {max_points}")
+
+
+def sigma_from_masks(labels: tuple[str, ...], gen_masks: Iterable[int],
+                     max_points: int = MAX_CARRIER_POINTS) -> FinSpace:
+    """The space on the distinct ``labels`` whose sigma-algebra is
+    generated by the bitmasks ``gen_masks`` (bit i = labels[i]).
+
+    The full mask is refined along each generator: every block splits
+    into its parts inside and outside the generator, empty parts dropped.
+    The blocks left are the atoms, ordered by their smallest member so
+    indices are reproducible.  The carrier cap applies as in
+    ``generate_sigma``.
+    """
+    _require_cap(len(labels), max_points)
+    blocks = [(1 << len(labels)) - 1]
+    for g in gen_masks:
+        blocks = [part for b in blocks for part in (b & g, b & ~g) if part]
+    return FinSpace(labels, tuple(sorted(blocks, key=lambda m: m & -m)))
 
 
 def atoms(space: FinSpace) -> tuple[int, ...]:
@@ -230,26 +254,49 @@ def atom_image(g: MeasMap, dom_atom_index: int) -> int:
     return g.cod._atom_at[g.table[first_point]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IFunction:
-    """A measurable function into the unit interval, stored atomwise.
+    """A measurable function into the unit interval, stored atomwise as
+    int numerators ``nums`` over one denominator ``den`` in lowest terms,
+    so equality and hashing compare integers.
 
-    ``values[i]`` is the value on ``space.atoms[i]``.  Constancy on atoms
-    makes measurability automatic; pointwise tables are validated and
-    atom-compressed on ingestion.
+    ``nums[i] / den`` is the value on ``space.atoms[i]``.  Constancy on
+    atoms makes measurability automatic; pointwise tables are validated
+    and atom-compressed on ingestion.  ``IFunction(space, values)`` takes
+    rationals, admits each with ``rational.exact`` and lifts them once to
+    int numerators over the lcm of their denominators;
+    ``IFunction(space, nums, den)`` takes int numerators over ``den``.
+    Either way ``rational.unit_numerators`` checks that every value lies
+    in [0,1] and reduces them.  ``values``, the tuple of Fractions, is
+    kept as given in the first form and built when first read in the
+    second.
     """
 
     space: FinSpace
-    values: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        if len(self.values) != len(self.space.atoms):
+    def __init__(self, space: FinSpace, values, den: int | None = None):
+        if len(values) != len(space.atoms):
             raise InvariantError("need exactly one value per atom")
-        object.__setattr__(self, "values", tuple(
-            require_unit(v, "function value") for v in self.values))
+        if den is None:
+            values = tuple(exact(v, "function value") for v in values)
+            self.__dict__["values"] = values
+            values, den = lift(values)
+        nums, den = unit_numerators(values, den, "function value")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @staticmethod
     def from_points(space: FinSpace, table: Mapping[str, Fraction]) -> "IFunction":
+        for lab in space.carrier:
+            if lab not in table:
+                raise InvariantError(f"function table is not total: missing {lab!r}")
         vals = []
         for atom in space.atoms:
             pts = space.labels_of(atom)
@@ -263,26 +310,36 @@ class IFunction:
 
     @staticmethod
     def constant(space: FinSpace, r: Fraction) -> "IFunction":
-        return IFunction(space, (r,) * len(space.atoms))
+        r = exact(r, "function value")
+        return IFunction(space, (r.numerator,) * len(space.atoms), r.denominator)
 
     def at_point(self, label: str) -> Fraction:
         return self.values[self.space.atom_index_of_point(label)]
 
+    def _over_common_den(self, other: "IFunction") -> tuple[list[int], list[int], int]:
+        """Both functions' numerators over the lcm of their denominators."""
+        _same_space(self, other)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return [n * a for n in self.nums], [n * b for n in other.nums], den
+
     def blend(self, other: "IFunction", r: Fraction) -> "IFunction":
         """The convex combination r*self + (1-r)*other."""
-        _same_space(self, other)
+        xs, ys, den = self._over_common_den(other)
         r = exact(r, "blend weight")
+        p, q = r.numerator, r.denominator
         return IFunction(self.space, tuple(
-            r * a + (1 - r) * b for a, b in zip(self.values, other.values)))
+            p * x + (q - p) * y for x, y in zip(xs, ys)), q * den)
 
     def scale(self, r: Fraction) -> "IFunction":
         r = exact(r, "scale factor")
-        return IFunction(self.space, tuple(r * v for v in self.values))
+        p = r.numerator
+        return IFunction(self.space, tuple(p * n for n in self.nums),
+                         r.denominator * self.den)
 
     def add(self, other: "IFunction") -> "IFunction":
-        _same_space(self, other)
-        return IFunction(self.space, tuple(
-            a + b for a, b in zip(self.values, other.values)))
+        xs, ys, den = self._over_common_den(other)
+        return IFunction(self.space, tuple(x + y for x, y in zip(xs, ys)), den)
 
     def compose_with(self, g: MeasMap) -> "IFunction":
         """self after g, an IFunction on g.dom (g must be measurable)."""
@@ -290,11 +347,11 @@ class IFunction:
             raise SpaceMismatchError("function lives on a different space than g.cod")
         require_measurable(g)
         return IFunction(g.dom, tuple(
-            self.values[atom_image(g, i)] for i in range(len(g.dom.atoms))))
+            self.nums[atom_image(g, i)] for i in range(len(g.dom.atoms))), self.den)
 
     def describe(self) -> dict:
         return {"atoms": [" ".join(self.space.labels_of(a)) for a in self.space.atoms],
-                "values": [format_rational(v) for v in self.values]}
+                "values": [format_rational(n, self.den) for n in self.nums]}
 
 
 def generate_ifunction(rng: random.Random, space: FinSpace) -> IFunction:
@@ -306,7 +363,7 @@ def characteristic(space: FinSpace, mask: int) -> IFunction:
     """The indicator of a measurable set: 1 on atoms inside, 0 outside."""
     space.require_measurable_set(mask)
     return IFunction(space, tuple(
-        ONE if atom & mask == atom else ZERO for atom in space.atoms))
+        int(atom & mask == atom) for atom in space.atoms), 1)
 
 
 def atom_indicator(space: FinSpace, atom_index: int) -> IFunction:

@@ -805,6 +805,12 @@ class TestStartup:
         assert "monad" in ran and "jsonio" in ran
         assert ran.isdisjoint(self.VERIFY_ONLY)
 
+    def test_report_runs_only_what_it_reads(self, tmp_path):
+        doc = {"suite": "s", "result": "pass", "properties": []}
+        ran = self.ran("report", write(tmp_path, "r.json", doc),
+                       "--format", "junit")
+        assert ran == {"cli", "config", "errors", "rational", "spaces"}
+
     def test_verify_all_runs_every_module(self):
         ran = self.ran("verify", "all", "--trials", "1")
         assert self.VERIFY_ONLY <= ran

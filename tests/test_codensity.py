@@ -5,13 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+from girylab.config import SuiteConfig
 from girylab.errors import ActionSquareError, InvariantError
-from girylab.spaces import FinSpace, IFunction, atom_indicator
+from girylab.harness import generate_space
+from girylab.rational import random_fraction
+from girylab.spaces import FinSpace, IFunction, atom_indicator, generate_ifunction
 from girylab.duality import (Functional, evaluation_at, max_functional,
                              to_functional)
 from girylab.measures import Measure
 from girylab.codensity import (AffineMap, CodensityElement, SequenceAffineMap,
-                               VanishingSequence, action_of, check_naturality,
+                               VanishingSequence, _compose_pointwise,
+                               action_of, check_naturality,
                                check_vanishing_component,
                                functional_from_action, lift, sample_affine,
                                sample_sequence_affine)
@@ -259,3 +263,83 @@ class TestAffineComposition:
         assert composite.coeffs == (F(1, 4) * F(1, 3) + F(1, 2),)
         for x in (F(0), F(1, 2), F(1)):
             assert composite((x,)) == h((g1((x,)), g2((x,))))
+
+
+def affine_value_oracle(h, xs) -> Fraction:
+    """The former Fraction evaluation: a0 + sum(c_i * x_i), with missing
+    coordinates zero."""
+    return h.a0 + sum((c * x for c, x in zip(h.coeffs, xs)), F(0))
+
+
+def sample_affine_oracle(rng: random.Random, arity: int) -> AffineMap:
+    """The former ``sample_affine`` with ``kind=None``: the same draws, the
+    extremes and the rescaling computed on Fractions."""
+    if arity >= 1 and rng.random() < 0.15:
+        return AffineMap.projection(arity, rng.randrange(arity))
+    if rng.random() < 0.15:
+        return AffineMap.constant(arity, random_fraction(rng, max_den=16))
+    raw0 = random_fraction(rng, -2, 2, max_den=16)
+    raw = [random_fraction(rng, -2, 2, max_den=16) for _ in range(arity)]
+    lo = raw0 + sum((min(c, F(0)) for c in raw), F(0))
+    hi = raw0 + sum((max(c, F(0)) for c in raw), F(0))
+    if hi == lo:
+        return AffineMap.constant(arity, min(F(1), max(F(0), raw0)))
+    span = random_fraction(rng, max_den=8) or F(1, 2)
+    scale = span / (hi - lo)
+    shift = random_fraction(rng, max_den=8) * (1 - span)
+    return AffineMap(arity, (raw0 - lo) * scale + shift,
+                     tuple(c * scale for c in raw))
+
+
+class TestIntegerAffineMaps:
+    """Affine maps keep their coefficients lifted to ints over one
+    denominator; the former Fraction formulas are the reference."""
+
+    CFG = SuiteConfig(max_carrier=6)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_sample_affine_equals_the_fraction_routine(self, seed):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        for arity in (0, 1, 2, 3, 4):
+            got = sample_affine(rng, arity)
+            want = sample_affine_oracle(oracle_rng, arity)
+            assert (got.a0, got.coeffs) == (want.a0, want.coeffs)
+        assert rng.getstate() == oracle_rng.getstate()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_calls_equal_the_fraction_formula(self, seed):
+        rng = random.Random(seed)
+        arity = rng.randint(1, 4)
+        h = sample_affine(rng, arity)
+        xs = tuple(random_fraction(rng) for _ in range(arity))
+        assert h(xs) == affine_value_oracle(h, xs)
+        seq_h = sample_sequence_affine(rng, rng.randint(1, 4))
+        seq = VanishingSequence(tuple(
+            random_fraction(rng) for _ in range(rng.randint(0, 6))))
+        assert seq_h(seq) == affine_value_oracle(seq_h, seq.entries)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_compose_pointwise_equals_the_fraction_formula(self, seed):
+        rng = random.Random(seed)
+        space = generate_space(rng, self.CFG)
+        arity = rng.randint(1, 4)
+        for h, n in ((sample_affine(rng, arity), arity),
+                     (sample_sequence_affine(rng, arity), rng.randint(0, 6))):
+            fs = tuple(generate_ifunction(rng, space) for _ in range(n))
+            out = _compose_pointwise(h, fs, space)
+            assert out.values == tuple(
+                affine_value_oracle(h, [f.values[i] for f in fs])
+                for i in range(len(space.atoms)))
+
+    def test_extremes_message_unchanged(self):
+        with pytest.raises(InvariantError, match=(
+                r"^map leaves the unit interval: extremes \[-1/4, 1/2\]$")):
+            AffineMap(1, F(1, 2), (F(-3, 4),))
+        with pytest.raises(InvariantError, match=(
+                r"^map leaves the unit interval: extremes \[0/1, 2/1\]$")):
+            SequenceAffineMap(F(0), (F(1), F(1)))
+
+    def test_coordinate_out_of_range_message_unchanged(self):
+        with pytest.raises(InvariantError,
+                           match=r"^coordinate must lie in \[0,1\], got 3/2$"):
+            AffineMap.blend(F(1, 2))((F(1, 3), F(3, 2)))

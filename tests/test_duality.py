@@ -7,9 +7,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from girylab.config import SuiteConfig
 from girylab.errors import RejectionError, SpaceMismatchError
-from girylab.spaces import FinSpace, IFunction, MeasMap, atom_indicator
-from girylab.measures import pushforward
+from girylab.harness import generate_measure, generate_space
+from girylab.spaces import (FinSpace, IFunction, MeasMap, atom_indicator,
+                            generate_ifunction)
+from girylab.measures import integrate, pushforward
 from girylab.monad import dirac, flatten
 from girylab.duality import (Functional, FunctionalMixture, LimitWitness,
                              clamped_sum_functional, evaluation_at, is_affine,
@@ -64,6 +67,23 @@ class TestEvaluate:
         phi = Functional.extensional(two_discrete(), (F(1), F(0)))
         with pytest.raises(SpaceMismatchError):
             phi(IFunction.constant(FinSpace.discrete(["z"]), F(0)))
+
+
+class TestIntegerEvaluation:
+    """Extensional functionals and ``integrate`` are one integer dot
+    product of numerator vectors; the Fraction sum is the reference."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_call_and_integrate_equal_the_fraction_sum(self, seed):
+        rng = random.Random(seed)
+        space = generate_space(rng, SuiteConfig(max_carrier=6))
+        pi = generate_measure(rng, space)
+        phi = to_functional(pi)
+        for f in (generate_ifunction(rng, space),
+                  IFunction(space, tuple(rng.randint(0, 12)
+                                         for _ in space.atoms), 12)):
+            want = sum((w * v for w, v in zip(pi.weights, f.values)), F(0))
+            assert phi(f) == want and integrate(f, pi) == want
 
 
 class TestToMeasure:

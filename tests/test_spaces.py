@@ -1,14 +1,21 @@
 """Sigma-algebra generation, atoms, measurability."""
 
+import math
+import random
+import string
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from girylab.config import SuiteConfig
 from girylab.errors import InvariantError, NotMeasurableError
-from girylab.spaces import (FinSpace, IFunction, MeasMap, atoms,
-                            characteristic, generate_sigma, is_measurable)
+from girylab.harness import generate_measurable_map, generate_space
+from girylab.rational import random_fraction
+from girylab.spaces import (FinSpace, IFunction, MeasMap, atom_image, atoms,
+                            characteristic, generate_ifunction, generate_sigma,
+                            is_measurable, sigma_from_masks)
 
 from strategies import (LABELS, brute_closure, exhaustive_measurable,
                         minimal_nonempty, spaces)
@@ -199,3 +206,146 @@ class TestIFunction:
         f = IFunction(cod, (F(1, 4), F(3, 4)))
         g = MeasMap.constant(dom, cod, "y")
         assert f.compose_with(g).values == (F(3, 4),)
+
+
+def generate_space_oracle(rng: random.Random, cfg: SuiteConfig,
+                          min_points: int = 1) -> FinSpace:
+    """The former ``harness.generate_space``: label lists through
+    ``generate_sigma``, making the same draws in the same order."""
+    n = rng.randint(min_points, max(min_points, cfg.max_carrier))
+    labels = list(string.ascii_lowercase[:n])
+    gens = []
+    for _ in range(rng.randint(0, 3)):
+        gens.append([lab for lab in labels if rng.random() < 0.5])
+    return generate_sigma(labels, gens)
+
+
+class TestSigmaFromMasks:
+    """The mask routine gives the carrier and the atoms, in order, that
+    ``generate_sigma`` gives on the equivalent label lists."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_generate_sigma(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 16)
+        labels = tuple(f"p{i}" for i in range(n))
+        masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 5))]
+        lists = [[lab for i, lab in enumerate(labels) if m >> i & 1]
+                 for m in masks]
+        got, want = sigma_from_masks(labels, masks), generate_sigma(labels, lists)
+        assert (got.carrier, got.atoms) == (want.carrier, want.atoms)
+        assert list(got.atoms) == sorted(got.atoms, key=lambda m: m & -m)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_generate_space_matches_the_label_list_routine(self, seed):
+        cfg = SuiteConfig(max_carrier=12)
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            got = generate_space(rng, cfg)
+            want = generate_space_oracle(oracle_rng, cfg)
+            assert (got.carrier, got.atoms) == (want.carrier, want.atoms)
+        assert rng.getstate() == oracle_rng.getstate()
+
+    def test_carrier_cap_message_unchanged(self):
+        labels = tuple(f"p{i}" for i in range(17))
+        for make in (lambda: generate_sigma(labels, []),
+                     lambda: sigma_from_masks(labels, [])):
+            with pytest.raises(InvariantError,
+                               match=r"^carrier has 17 points, cap is 16$"):
+                make()
+        assert len(sigma_from_masks(labels, [1], max_points=20).atoms) == 2
+
+
+def random_function_pair(rng: random.Random, space: FinSpace):
+    """A random function f and a function g with f + g <= 1."""
+    f = generate_ifunction(rng, space)
+    g = IFunction(space, tuple(min(random_fraction(rng), 1 - v)
+                               for v in f.values))
+    return f, g
+
+
+class TestIFunctionNumerators:
+    """``IFunction`` keeps int numerators over one denominator in lowest
+    terms; its former Fraction formulas are the reference."""
+
+    CFG = SuiteConfig(max_carrier=6)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_fractions_and_numerators_agree(self, seed):
+        rng = random.Random(seed)
+        space = generate_space(rng, self.CFG)
+        f = generate_ifunction(rng, space)
+        assert math.gcd(f.den, *f.nums) == 1
+        assert f.values == tuple(F(n, f.den) for n in f.nums)
+        scale = rng.randint(2, 50)
+        same = IFunction(space, [n * scale for n in f.nums], f.den * scale)
+        assert same == f and hash(same) == hash(f)
+        assert (same.nums, same.den, same.values) == (f.nums, f.den, f.values)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_operations_equal_the_fraction_formulas(self, seed):
+        rng = random.Random(seed)
+        space = generate_space(rng, self.CFG)
+        f, g = random_function_pair(rng, space)
+        r = random_fraction(rng)
+        assert f.blend(g, r).values == tuple(
+            r * a + (1 - r) * b for a, b in zip(f.values, g.values))
+        assert f.scale(r).values == tuple(r * v for v in f.values)
+        assert f.add(g).values == tuple(
+            a + b for a, b in zip(f.values, g.values))
+        assert IFunction.constant(space, r).values == (r,) * len(space.atoms)
+        dom = generate_space(rng, self.CFG)
+        h = generate_measurable_map(rng, dom, space)
+        assert f.compose_with(h).values == tuple(
+            f.values[atom_image(h, i)] for i in range(len(dom.atoms)))
+        for out in (f.blend(g, r), f.scale(r), f.add(g), f.compose_with(h)):
+            assert math.gcd(out.den, *out.nums) == 1
+
+    @pytest.mark.parametrize("make", [
+        lambda s: IFunction(s, (F(3, 2),)),
+        lambda s: IFunction(s, (3,), 2),
+        lambda s: IFunction(s, (6,), 4),
+        lambda s: IFunction.constant(s, F(3, 2)),
+        lambda s: IFunction(s, (F(3, 4),)).scale(2),
+    ], ids=["values", "numerators", "numerators-not-reduced", "constant",
+            "scale"])
+    def test_out_of_range_message(self, make):
+        with pytest.raises(InvariantError,
+                           match=r"^function value must lie in \[0,1\], got 3/2$"):
+            make(FinSpace.discrete(["a"]))
+
+    def test_negative_value_message(self):
+        s = FinSpace.discrete(["a", "b"])
+        for make in (lambda: IFunction(s, (F(1, 2), F(-1, 2))),
+                     lambda: IFunction(s, (1, -1), 2)):
+            with pytest.raises(InvariantError,
+                               match=r"^function value must lie in \[0,1\], got -1/2$"):
+                make()
+
+    @pytest.mark.parametrize("nums, den, kind", [
+        ((0.5,), 1, "float"), ((1,), 2.0, "float"),
+        ((True,), 1, "bool"), ((1,), True, "bool")])
+    def test_numerators_must_be_ints(self, nums, den, kind):
+        with pytest.raises(InvariantError, match=(
+                f"^function value must be int numerators over an int "
+                f"denominator, got {kind}$")):
+            IFunction(FinSpace.discrete(["a"]), nums, den)
+
+    def test_denominator_must_be_positive(self):
+        with pytest.raises(InvariantError, match="positive denominator"):
+            IFunction(FinSpace.discrete(["a"]), (0,), 0)
+
+    def test_values_float_message(self):
+        with pytest.raises(InvariantError, match=(
+                "^function value must be an int or a Fraction, got float$")):
+            IFunction(FinSpace.discrete(["a"]), (0.5,))
+
+    def test_characteristic_is_zero_one_over_one(self):
+        s = generate_sigma(["a", "b", "c"], [["a"]])
+        chi = characteristic(s, s.mask_of(["b", "c"]))
+        assert (chi.nums, chi.den) == ((0, 1), 1)
+
+    def test_from_points_names_a_missing_point(self):
+        with pytest.raises(InvariantError,
+                           match=r"^function table is not total: missing 'b'$"):
+            IFunction.from_points(FinSpace.discrete(["a", "b"]), {"a": 1})
