@@ -46,8 +46,9 @@ class Functional:
 
     Exactly one of ``coeffs`` (extensional: evaluate as the dot product
     with the atom values) and ``evaluator`` (intensional closure) is
-    set.  Intensional evaluators must be pure; results are range-checked
-    on every call.
+    set.  Only an intensional body has a ``label``; extensional bodies
+    are equal when their spaces and coefficients are.  Intensional
+    evaluators must be pure; results are range-checked on every call.
     """
 
     space: FinSpace
@@ -65,8 +66,8 @@ class Functional:
                 self.coeffs, "extensional coefficients"))
 
     @staticmethod
-    def extensional(space: FinSpace, coeffs, label: str = "") -> "Functional":
-        return Functional(space, tuple(coeffs), None, label or "extensional")
+    def extensional(space: FinSpace, coeffs) -> "Functional":
+        return Functional(space, tuple(coeffs))
 
     @staticmethod
     def intensional(space: FinSpace, evaluator, label: str) -> "Functional":
@@ -139,7 +140,7 @@ def to_measure(phi: Functional) -> Measure:
 
 def to_functional(pi: Measure) -> Functional:
     """Integration against pi, in extensional coefficient form."""
-    return Functional.extensional(pi.space, pi.weights, "integration")
+    return Functional.extensional(pi.space, pi.weights)
 
 
 # -- functorial action, unit, multiplication ---------------------------
@@ -158,7 +159,7 @@ def pushforward_functional(g: MeasMap, phi: Functional) -> Functional:
         coeffs = [ZERO] * len(g.cod.atoms)
         for i, c in enumerate(phi.coeffs):
             coeffs[atom_image(g, i)] += c
-        return Functional.extensional(g.cod, coeffs, phi.label)
+        return Functional.extensional(g.cod, coeffs)
     return Functional.intensional(
         g.cod, lambda f: phi(f.compose_with(g)), f"{phi.label} after map")
 
@@ -167,7 +168,7 @@ def evaluation_at(space: FinSpace, point: str) -> Functional:
     """The unit: f goes to f(point).  Extensionally, the Dirac coefficients."""
     i = space.atom_index_of_point(point)
     coeffs = tuple(ONE if j == i else ZERO for j in range(len(space.atoms)))
-    return Functional.extensional(space, coeffs, f"evaluation at {point}")
+    return Functional.extensional(space, coeffs)
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,7 @@ def mix_functionals(psi: FunctionalMixture) -> Functional:
         for phi, w in psi.support:
             for j, c in enumerate(phi.coeffs):
                 coeffs[j] += w * c
-        return Functional.extensional(psi.space, coeffs, "mixture")
+        return Functional.extensional(psi.space, coeffs)
     return Functional.intensional(psi.space, psi.apply_to_evaluation, "mixture")
 
 
@@ -375,9 +376,10 @@ def max_functional(space: FinSpace) -> Functional:
         space, lambda f: max(f.values), "max over atoms")
 
 
-def square_functional(space: FinSpace, point: Optional[str] = None) -> Functional:
-    """f goes to f(point) squared.  Fixes 0 and 1 but not affine."""
-    pt = point if point is not None else space.carrier[0]
+def square_functional(space: FinSpace) -> Functional:
+    """f goes to f(first carrier point) squared.  Fixes 0 and 1 but not
+    affine."""
+    pt = space.carrier[0]
     i = space.atom_index_of_point(pt)
     return Functional.intensional(
         space, lambda f: f.values[i] * f.values[i], f"square at {pt}")

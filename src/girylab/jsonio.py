@@ -135,13 +135,16 @@ def interval_measure_to_json(m: IntervalMeasure) -> dict:
 def interval_measure_from_json(doc: dict) -> IntervalMeasure:
     if not isinstance(doc, dict):
         raise IngestionError("interval measure document must be an object")
+    points_doc, pieces_doc = doc.get("points", []), doc.get("uniform", [])
+    if not isinstance(points_doc, list) or not isinstance(pieces_doc, list):
+        raise IngestionError("interval measure 'points' and 'uniform' must be lists")
     points, pieces = [], []
-    for row in doc.get("points", []):
+    for row in points_doc:
         if not isinstance(row, list) or len(row) != 2:
             raise IngestionError("each point mass must be a [loc, mass] pair")
         points.append((_rational(row[0], "point location"),
                        _rational(row[1], "point mass")))
-    for row in doc.get("uniform", []):
+    for row in pieces_doc:
         if not isinstance(row, list) or len(row) != 3:
             raise IngestionError("each uniform piece must be an [a, b, mass] triple")
         pieces.append((_rational(row[0], "piece start"),
@@ -208,6 +211,9 @@ def functional_from_json(doc: dict,
         raise IngestionError("functional document must be an object")
     space = _document_space(doc, space, "functional")
     kind = doc.get("kind", "extensional")
+    if not isinstance(kind, str):
+        raise IngestionError(
+            f"functional 'kind' must be a string, got {type(kind).__name__}")
     if kind == "extensional":
         coeffs_doc = doc.get("coefficients")
         if isinstance(coeffs_doc, dict):

@@ -30,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import mul, sub
 from typing import Callable, Sequence
 
@@ -261,12 +261,13 @@ _held_grid: list[tuple[Fraction, ...]] = [(ZERO, ONE)]
 
 
 def _dyadic_grid(cells: int) -> tuple[Fraction, ...]:
-    """The held dyadic grid, first replaced by the grid of ``cells``
-    cells (a power of two) if it is coarser."""
+    """Fraction(i, cells) for i = 0..cells (a power of two): a stride
+    slice of the held dyadic grid, which is first replaced by this grid
+    if it is coarser."""
     grid = _held_grid[0]
     if len(grid) <= cells:
         grid = _held_grid[0] = tuple(Fraction(i, cells) for i in range(cells + 1))
-    return grid
+    return grid[::(len(grid) - 1) // cells]
 
 
 def _sample(f: Callable[[Fraction], Fraction], xs: Sequence[Fraction],
@@ -280,41 +281,34 @@ def _sample(f: Callable[[Fraction], Fraction], xs: Sequence[Fraction],
 
 
 def integrate_approx_bounds(f: Callable[[Fraction], Fraction], modulus: Modulus,
-                            eps: Fraction, m: IntervalMeasure,
-                            refine: int = 0) -> tuple[Fraction, Fraction]:
+                            eps: Fraction,
+                            m: IntervalMeasure) -> tuple[Fraction, Fraction]:
     """Certified lower and upper staircase integrals for ``f`` against ``m``.
 
-    The base dyadic grid is finer than modulus(eps/2), so on each cell
-    every value of f is within eps/2 of the values at both endpoints.
-    That makes max(endpoints) - eps/2 a true minorant and
-    min(endpoints) + eps/2 a true majorant (simple minorants may leave
-    [0,1]; no clamping), each a staircase whose integral brackets the
-    integral of f with gap at most eps.  Each extra ``refine`` level
-    halves the cells and takes the pointwise max (resp. min) with the
-    parent staircase, so the lower bounds are non-decreasing and the
-    upper bounds non-increasing by construction.
+    The dyadic grid is finer than modulus(eps/2), so on each cell every
+    value of f is within eps/2 of the values at both endpoints.  That
+    makes max(endpoints) - eps/2 a true minorant and min(endpoints) +
+    eps/2 a true majorant (simple minorants may leave [0,1]; no
+    clamping), each a staircase whose integral brackets the integral of
+    f with gap at most eps.
 
-    The arguments i/2^n are stride slices of one module-level dyadic
+    The arguments i/2^n are a stride slice of one module-level dyadic
     grid, kept between calls and replaced only by a finer one, so it is
     never larger than the finest grid a call has sampled.  It holds
     arguments, not values: f is called once per grid point on every
     call, so an integrand whose values change between calls is sampled
     afresh.  The grid runs on integers: the samples f(i/2^n) and eps/2
-    are lifted to numerators over their lcm denominator (each ``refine``
-    level lifts once more to the new lcm) and range-checked as
-    ``0 <= numerator <= lcm``; both staircases are integer lists, and
-    only the integral against ``m`` builds Fractions, a few per point
-    mass or piece.  ``eps``, ``f`` and ``modulus`` must give ints or
-    Fractions; a float, or a negative ``refine``, raises InvariantError.
-    All samples of a level are checked for a float before any is checked
-    for its range, so an integrand with both faults on one level reports
-    the float.
+    are lifted to numerators over their lcm denominator and
+    range-checked as ``0 <= numerator <= lcm``; both staircases are
+    integer lists, and only the integral against ``m`` builds Fractions,
+    a few per point mass or piece.  ``eps``, ``f`` and ``modulus`` must
+    give ints or Fractions; a float raises InvariantError.  All samples
+    are checked for a float before any is checked for its range, so an
+    integrand with both faults reports the float.
     """
     eps = exact(eps, "eps")
     if eps <= 0:
         raise InvariantError("eps must be positive")
-    if not isinstance(refine, int) or refine < 0:
-        raise InvariantError(f"refine must be a nonnegative int, got {refine!r}")
     half = Fraction(eps, 2)
     delta = exact(modulus(half), "modulus value")
     if delta <= 0:
@@ -324,41 +318,23 @@ def integrate_approx_bounds(f: Callable[[Fraction], Fraction], modulus: Modulus,
         n += 1
 
     cells = 1 << n
-    grid = _dyadic_grid(cells << refine)
-    stride = (len(grid) - 1) // cells
-    ys, den = _sample(f, grid[::stride], half.denominator)
+    ys, den = _sample(f, _dyadic_grid(cells), half.denominator)
     h = half.numerator * (den // half.denominator)
     lo = [max(y, z) - h for y, z in zip(ys, ys[1:])]
     hi = [min(y, z) + h for y, z in zip(ys, ys[1:])]
-
-    for _ in range(refine):
-        cells *= 2
-        stride //= 2
-        odd, new_den = _sample(f, grid[stride::2 * stride], den)
-        scale, den = new_den // den, new_den
-        h *= scale
-        even = [y * scale for y in ys]
-        ys = [0] * (cells + 1)
-        ys[::2], ys[1::2] = even, odd
-        lo = [max(p * scale, max(y, z) - h)
-              for p, y, z in zip(chain.from_iterable(zip(lo, lo)), ys, ys[1:])]
-        hi = [min(p * scale, min(y, z) + h)
-              for p, y, z in zip(chain.from_iterable(zip(hi, hi)), ys, ys[1:])]
-
     points = range(cells + 1)
     return (_staircase_integral(points, cells, lo, den, ys[-1], m),
             _staircase_integral(points, cells, hi, den, ys[-1], m))
 
 
 def integrate_approx(f: Callable[[Fraction], Fraction], modulus: Modulus,
-                     eps: Fraction, m: IntervalMeasure,
-                     refine: int = 0) -> Fraction:
+                     eps: Fraction, m: IntervalMeasure) -> Fraction:
     """Integral of f against m to within eps, certified by the modulus.
 
     Returns the midpoint of the staircase bounds; the midpoint is at
     most half the bracket width, hence within eps/2 of the integral.
     """
-    lo, hi = integrate_approx_bounds(f, modulus, eps, m, refine)
+    lo, hi = integrate_approx_bounds(f, modulus, eps, m)
     return (lo + hi) / 2
 
 

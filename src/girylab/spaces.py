@@ -52,9 +52,10 @@ class FinSpace:
     def __post_init__(self):
         atom_at = [0] * len(self.carrier)
         for j, atom in enumerate(self.atoms):
-            for i in range(len(self.carrier)):
-                if atom >> i & 1:
-                    atom_at[i] = j
+            while atom:
+                low = atom & -atom
+                atom_at[low.bit_length() - 1] = j
+                atom ^= low
         object.__setattr__(self, "_position",
                            {lab: i for i, lab in enumerate(self.carrier)})
         object.__setattr__(self, "_atom_at", tuple(atom_at))
@@ -116,8 +117,8 @@ class FinSpace:
         return generate_sigma(labels, [])
 
 
-def generate_sigma(carrier: Sequence[str], generators: Iterable[Sequence[str]],
-                   max_points: int = MAX_CARRIER_POINTS) -> FinSpace:
+def generate_sigma(carrier: Sequence[str],
+                   generators: Iterable[Sequence[str]]) -> FinSpace:
     """Smallest sigma-algebra on ``carrier`` containing every generator.
 
     The labels are checked and each generator is turned into a bitmask;
@@ -132,7 +133,7 @@ def generate_sigma(carrier: Sequence[str], generators: Iterable[Sequence[str]],
         raise InvariantError("carrier labels must be distinct")
     if not labels:
         raise InvariantError("carrier must be nonempty")
-    _require_cap(len(labels), max_points)  # before the generators are read
+    _require_cap(len(labels))  # before the generators are read
 
     index = {lab: i for i, lab in enumerate(labels)}
     gen_masks = []
@@ -147,16 +148,16 @@ def generate_sigma(carrier: Sequence[str], generators: Iterable[Sequence[str]],
                     f"generator element {lab!r} is not in the carrier")
             mask |= 1 << index[lab]
         gen_masks.append(mask)
-    return sigma_from_masks(labels, gen_masks, max_points)
+    return sigma_from_masks(labels, gen_masks)
 
 
-def _require_cap(points: int, max_points: int) -> None:
-    if points > max_points:
-        raise InvariantError(f"carrier has {points} points, cap is {max_points}")
+def _require_cap(points: int) -> None:
+    if points > MAX_CARRIER_POINTS:
+        raise InvariantError(f"carrier has {points} points, cap is {MAX_CARRIER_POINTS}")
 
 
-def sigma_from_masks(labels: tuple[str, ...], gen_masks: Iterable[int],
-                     max_points: int = MAX_CARRIER_POINTS) -> FinSpace:
+def sigma_from_masks(labels: tuple[str, ...],
+                     gen_masks: Iterable[int]) -> FinSpace:
     """The space on the distinct ``labels`` whose sigma-algebra is
     generated by the bitmasks ``gen_masks`` (bit i = labels[i]).
 
@@ -166,7 +167,7 @@ def sigma_from_masks(labels: tuple[str, ...], gen_masks: Iterable[int],
     indices are reproducible.  The carrier cap applies as in
     ``generate_sigma``.
     """
-    _require_cap(len(labels), max_points)
+    _require_cap(len(labels))
     blocks = [(1 << len(labels)) - 1]
     for g in gen_masks:
         blocks = [part for b in blocks for part in (b & g, b & ~g) if part]

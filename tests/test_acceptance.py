@@ -98,7 +98,7 @@ class TestAcceptance:
         for maker in (max_functional, square_functional):
             phi = maker(FinSpace.discrete(["a", "b"]))
             witness = find_naturality_refutation(
-                phi, 3, case_rng(0, "acceptance-refute", 0), budget=1000)
+                phi, 3, case_rng(0, "acceptance-refute", 0))
             ok = ok and witness is not None and witness["search_steps"] <= 1000
         assert_and_report(
             "criterion 5: 1000 naturality squares pass for admissible "

@@ -537,6 +537,17 @@ class TestUserFunctionalNaturality:
             "[['b'], ['a']]) is not the space the command supplies (carrier "
             "['a', 'b'], atoms [['a'], ['b']])\n")
 
+    @pytest.mark.parametrize("kind", [["max"], {"a": 1}])
+    def test_kind_that_is_not_a_string_exits_2(self, tmp_path, capsys, kind):
+        code = main(["verify", "naturality",
+                     "--space", write(tmp_path, "s.json", TWO_STATE),
+                     "--functional", write(tmp_path, "phi.json", {"kind": kind}),
+                     "--trials", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: functional 'kind' must be a string, "
+                                f"got {type(kind).__name__}\n")
+
     def test_functional_requires_naturality_suite(self, tmp_path, capsys):
         phi = {"kind": "max",
                "space": {"carrier": ["a"], "generators": []}}

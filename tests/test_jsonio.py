@@ -308,3 +308,41 @@ class TestInlinedSpaceMustMatch:
             f"{what} document's space (carrier {carrier}, atoms "
             f"{[[x] for x in carrier]}) is not the space the command "
             "supplies (carrier ['a', 'b'], atoms [['a'], ['b']])")
+
+
+SPACE_DOC = {"carrier": ["a", "b"], "generators": [["a"]]}
+
+#: decoder -> a valid document for it; every field of each is replaced below.
+VALID_DOCUMENTS = {
+    "space": (space_from_json, SPACE_DOC),
+    "measure": (measure_from_json,
+                {"space": SPACE_DOC, "weights": {"0": "1/2", "1": "1/2"}}),
+    "kernel": (kernel_from_json,
+               {"dom": SPACE_DOC, "cod": SPACE_DOC,
+                "rows": {"0": {"0": "1/1"}, "1": {"1": "1/1"}}}),
+    "functional": (functional_from_json,
+                   {"space": SPACE_DOC, "kind": "extensional",
+                    "coefficients": ["1/2", "1/2"]}),
+    "interval-measure": (interval_measure_from_json,
+                         {"points": [["1/2", "1/2"]],
+                          "uniform": [["0/1", "1/1", "1/2"]]}),
+}
+
+#: One value of each JSON type, none of which any field accepts.
+WRONG_VALUES = {"list": [None], "object": {"": None}, "null": None,
+                "true": True, "number": 7}
+
+
+class TestIngestionTypeTable:
+    """Every field a decoder reads, given a value of each JSON type, raises
+    a GirylabError (exit 2 from the CLI) and never another exception."""
+
+    @pytest.mark.parametrize("decoder, field", [
+        (name, field) for name, (_, doc) in VALID_DOCUMENTS.items()
+        for field in doc])
+    @pytest.mark.parametrize("value", sorted(WRONG_VALUES))
+    def test_wrong_type_raises_a_girylab_error(self, decoder, field, value):
+        parse, doc = VALID_DOCUMENTS[decoder]
+        parse(doc)
+        with pytest.raises(GirylabError):
+            parse(dict(doc, **{field: WRONG_VALUES[value]}))

@@ -44,7 +44,7 @@ def staircase_oracle(breaks, values, at_one, m: IntervalMeasure) -> Fraction:
     return total
 
 
-def approx_bounds_oracle(f, modulus, eps, m, refine=0):
+def approx_bounds_oracle(f, modulus, eps, m):
     """The former Fraction-grid ``integrate_approx_bounds``, kept as the
     oracle for the integer grid."""
     eps = F(eps)
@@ -58,16 +58,6 @@ def approx_bounds_oracle(f, modulus, eps, m, refine=0):
     fs = [F(f(x)) for x in samples]
     lo = [max(fs[i], fs[i + 1]) - half for i in range(cells)]
     hi = [min(fs[i], fs[i + 1]) + half for i in range(cells)]
-    for _ in range(refine):
-        cells *= 2
-        new_samples = [F(i, cells) for i in range(cells + 1)]
-        new_fs = [fs[i // 2] if i % 2 == 0 else F(f(x))
-                  for i, x in enumerate(new_samples)]
-        lo = [max(lo[i // 2], max(new_fs[i], new_fs[i + 1]) - half)
-              for i in range(cells)]
-        hi = [min(hi[i // 2], min(new_fs[i], new_fs[i + 1]) + half)
-              for i in range(cells)]
-        samples, fs = new_samples, new_fs
     return (staircase_oracle(samples, lo, fs[-1], m),
             staircase_oracle(samples, hi, fs[-1], m))
 
@@ -411,17 +401,6 @@ class TestIntegrateApprox:
         assert lo <= exact <= hi
         assert hi - lo <= eps
 
-    def test_refinement_never_widens(self):
-        m = IntervalMeasure.uniform()
-        prev = None
-        for refine in range(4):
-            lo, hi = integrate_approx_bounds(lambda x: x * x,
-                                             lambda e: e / 2,
-                                             F(1, 64), m, refine=refine)
-            if prev is not None:
-                assert lo >= prev[0] and hi <= prev[1]
-            prev = (lo, hi)
-
 
 class TestIntegerGrid:
     """The integer grid gives exactly the bounds of the former Fraction
@@ -432,18 +411,18 @@ class TestIntegerGrid:
         rng = random.Random(seed)
         for f, modulus in INTEGRANDS.values():
             for eps in (F(1, 16), F(3, 100), F(1, 64)):
-                refine = rng.randint(0, 3)
+                eps /= 1 << rng.randint(0, 3)  # grids of 1 to 8 times the cells
                 grid = 1 << rng.randint(1, 7)
                 m = random_mixture(rng, [F(i, grid) for i in range(grid + 1)])
-                assert integrate_approx_bounds(f, modulus, eps, m, refine) == \
-                    approx_bounds_oracle(f, modulus, eps, m, refine)
+                assert integrate_approx_bounds(f, modulus, eps, m) == \
+                    approx_bounds_oracle(f, modulus, eps, m)
 
     def test_int_values_and_coarsest_grid(self):
         m = IntervalMeasure(((F(1), F(1, 2)),), ((F(0), F(1), F(1, 2)),))
-        for refine in range(3):
-            got = integrate_approx_bounds(lambda x: 1, lambda e: 1, 1, m, refine)
-            assert got == approx_bounds_oracle(lambda x: 1, lambda e: 1, 1, m,
-                                               refine) == (F(3, 4), F(5, 4))
+        for modulus in (lambda e: 1, lambda e: F(1, 2), lambda e: F(1, 4)):
+            got = integrate_approx_bounds(lambda x: 1, modulus, 1, m)
+            assert got == approx_bounds_oracle(lambda x: 1, modulus, 1, m) \
+                == (F(3, 4), F(5, 4))
 
     def test_integrate_step_equals_oracle(self):
         rng = random.Random(4)
@@ -459,7 +438,7 @@ class TestIntegerGrid:
 
 
 def eps_for(n: int) -> Fraction:
-    """The eps at which modulus ``e -> e`` asks for 2^n base cells."""
+    """The eps at which modulus ``e -> e`` asks for 2^n cells."""
     return F(2, 1 << n)
 
 
@@ -475,20 +454,19 @@ class TestHeldGrid:
     replaced only by a finer one; the bounds stay those of the oracle and
     f is called once per grid point on every call."""
 
-    @pytest.mark.parametrize("calls", [
-        pytest.param([(7, 0), (3, 0), (5, 1), (1, 0)], id="fine-to-coarse"),
-        pytest.param([(1, 0), (3, 0), (5, 0), (6, 1)], id="coarse-to-fine"),
-        pytest.param([(2, 0), (2, 3), (3, 3), (2, 0)], id="refine-after-coarse")])
-    def test_grid_sequences_equal_oracle(self, calls):
+    @pytest.mark.parametrize("levels", [
+        pytest.param([7, 3, 6, 1], id="fine-to-coarse"),
+        pytest.param([1, 3, 5, 7], id="coarse-to-fine"),
+        pytest.param([2, 5, 6, 2], id="fine-after-coarse")])
+    def test_grid_sequences_equal_oracle(self, levels):
         rng = random.Random(11)
         finest = 1
-        for n, refine in calls:
-            finest = max(finest, (1 << n) << refine)
+        for n in levels:
+            finest = max(finest, 1 << n)
             m = random_mixture(rng, [F(i, 8) for i in range(9)])
             for f, _ in INTEGRANDS.values():
-                assert integrate_approx_bounds(f, lambda e: e, eps_for(n), m,
-                                               refine) == \
-                    approx_bounds_oracle(f, lambda e: e, eps_for(n), m, refine)
+                assert integrate_approx_bounds(f, lambda e: e, eps_for(n), m) \
+                    == approx_bounds_oracle(f, lambda e: e, eps_for(n), m)
             held = measures._held_grid[0]
             assert held == tuple(F(i, finest) for i in range(finest + 1))
 
@@ -500,15 +478,6 @@ class TestHeldGrid:
                                     eps_for(n), m)
             assert seen == [F(i, 1 << n) for i in range((1 << n) + 1)]
 
-    def test_refine_calls_each_finest_point_once(self):
-        m = IntervalMeasure.uniform()
-        integrate_approx_bounds(lambda x: x, lambda e: e, eps_for(6), m)
-        seen = []
-        integrate_approx_bounds(lambda x: seen.append(x) or x, lambda e: e,
-                                eps_for(2), m, refine=3)
-        assert len(seen) == 33
-        assert sorted(seen) == [F(i, 32) for i in range(33)]
-
     def test_changing_integrand_is_sampled_afresh(self):
         state = {"c": F(1, 4)}
         m = IntervalMeasure.uniform()
@@ -517,24 +486,24 @@ class TestHeldGrid:
         second = integrate_approx(lambda x: state["c"], lambda e: e, F(1, 8), m)
         assert (first, second) == (F(1, 4), F(3, 4))
 
-    @pytest.mark.parametrize("f, refine, error", [
-        (lambda x: float(x), 0,
+    @pytest.mark.parametrize("f, n, error", [
+        (lambda x: float(x), 3,
          "integrand value must be an int or a Fraction, got float"),
-        (lambda x: x + F(1, 2), 0, r"sampled value must lie in \[0,1\], got 9/8"),
-        (lambda x: F(-1, 16) if x.denominator == 16 else x, 1,
+        (lambda x: x + F(1, 2), 3, r"sampled value must lie in \[0,1\], got 9/8"),
+        (lambda x: F(-1, 16) if x.denominator == 16 else x, 4,
          r"sampled value must lie in \[0,1\], got -1/16"),
-        (lambda x: F(3, 2) if x == 1 else x, 2,
+        (lambda x: F(3, 2) if x == 1 else x, 5,
          r"sampled value must lie in \[0,1\], got 3/2")])
-    def test_messages_unchanged_with_a_grid_held(self, f, refine, error):
+    def test_messages_unchanged_with_a_grid_held(self, f, n, error):
         integrate_approx_bounds(lambda x: x, lambda e: e, eps_for(6),
                                 IntervalMeasure.uniform())
         with pytest.raises(InvariantError, match=error):
-            integrate_approx_bounds(f, lambda e: e, eps_for(3),
-                                    IntervalMeasure.uniform(), refine)
+            integrate_approx_bounds(f, lambda e: e, eps_for(n),
+                                    IntervalMeasure.uniform())
 
     def test_a_float_is_named_before_a_range_fault(self):
-        """All samples of a level are checked for a float before any for
-        its range, so a value past 1 at x = 0 and a float at x = 1 report
+        """All samples are checked for a float before any for its
+        range, so a value past 1 at x = 0 and a float at x = 1 report
         the float (one sample at a time, the value past 1 came first)."""
         with pytest.raises(InvariantError, match="got float"):
             integrate_approx_bounds(lambda x: 0.5 if x == 1 else x + 2,
@@ -543,7 +512,7 @@ class TestHeldGrid:
 
 class TestIntegratorRejectsFloats:
     """No float enters the integrator: eps, f and the modulus must give
-    ints or Fractions, and refine must be a nonnegative int."""
+    ints or Fractions."""
 
     def test_float_integrand_named(self):
         with pytest.raises(InvariantError,
@@ -561,12 +530,6 @@ class TestIntegratorRejectsFloats:
         with pytest.raises(InvariantError, match="eps must be an int or a Fraction"):
             integrate_approx(lambda x: x, lambda e: e, 1 / 8,
                              IntervalMeasure.uniform())
-
-    @pytest.mark.parametrize("refine", [-1, -5, 1.0])
-    def test_bad_refine_named(self, refine):
-        with pytest.raises(InvariantError, match="refine must be a nonnegative int"):
-            integrate_approx_bounds(lambda x: x, lambda e: e, F(1, 8),
-                                    IntervalMeasure.uniform(), refine)
 
     @pytest.mark.parametrize("build, what", [
         (lambda: IntervalMeasure(((0.5, F(1)),), ()), "point-mass location"),
