@@ -12,7 +12,8 @@ a property is refuted, 2 on a named error (a GirylabError, printed as
 ``error: ...``), 3 on any other exception, a fault of the program
 (printed as one ``internal error: <Type>: <message>`` line).  A standard
 output closed by its reader before all output is written is a named
-error too (exit 2).
+error too (exit 2).  A standard error closed by its reader changes no
+exit code: the line meant for it is dropped.
 """
 
 from __future__ import annotations
@@ -266,14 +267,18 @@ def _cmd_markov(args) -> int:
         raise IngestionError("markov evolution needs an endo-kernel "
                              "(dom and cod must agree)")
     if args.trace:
-        shown = enumerate(monad.trajectory(kernel, init, args.steps))
+        # Every state is computed and checked before the first is written;
+        # the written digits come from each state's Decimal copy.
+        states = monad.trajectory(kernel, init, args.steps)
+        shown = enumerate(monad.decimal_states(kernel, states))
     else:
-        shown = [(args.steps, monad.n_step(kernel, init, args.steps))]
+        pi = monad.n_step(kernel, init, args.steps)
+        shown = [(args.steps, (pi.nums, pi.den))]
     base = monad.denominator_base(kernel, init)
-    for step, pi in shown:
+    for step, (nums, den) in shown:
         doc = {"step": step,
-               "weights": {str(i): format_rational(n, pi.den, base)
-                           for i, n in enumerate(pi.nums)}}
+               "weights": {str(i): format_rational(n, den, base)
+                           for i, n in enumerate(nums)}}
         print(json.dumps(doc, sort_keys=True))
     return 0
 
@@ -370,6 +375,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _point_at_devnull(stream) -> None:
+    """Point ``stream``'s file descriptor at devnull, so that the
+    interpreter's last flush of what is still buffered for it succeeds."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _error(line: str) -> None:
+    """Write ``line`` to stderr.  A stderr closed by its reader
+    (``girylab ... 2>&1 | head``) leaves no one to tell, so it is pointed
+    at devnull instead of raising past the exit code."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        _point_at_devnull(sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -380,21 +403,18 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except GirylabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}")
         return 2
     except BrokenPipeError:
         # The reader closed stdout (``girylab ... | head``): a fault of the
-        # caller, not of the program.  Pointing stdout at devnull lets the
-        # interpreter's last flush of what is still buffered succeed.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print("error: standard output was closed before all output was "
-              "written", file=sys.stderr)
+        # caller, not of the program.
+        _point_at_devnull(sys.stdout)
+        _error("error: standard output was closed before all output was "
+               "written")
         return 2
     except Exception as exc:  # a fault of the program, not of its input
         message = " ".join(str(exc).splitlines())
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        _error(f"internal error: {type(exc).__name__}: {message}")
         return 3
 
 

@@ -168,8 +168,11 @@ def singleton_mass_sum(upto: int) -> Fraction:
 #: How many singleton masses ``countable_additivity_violation`` sums.
 SINGLETONS_CHECKED = 1000
 
+#: How many final segments ``countable_additivity_violation`` evaluates.
+SEGMENTS_REPORTED = 12
 
-def countable_additivity_violation(segments: int = 12) -> dict:
+
+def countable_additivity_violation() -> dict:
     """The separation report: vanishing singleton masses against total
     mass one, and the limits-axiom refutation on the final segments.
 
@@ -188,5 +191,5 @@ def countable_additivity_violation(segments: int = 12) -> dict:
         "witness_sequence": "indicator of [n, infinity)",
         "pointwise_limit": ZERO,
         "functional_values": [limit_functional(w.terms(n))
-                              for n in range(segments)],
+                              for n in range(SEGMENTS_REPORTED)],
     })

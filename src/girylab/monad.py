@@ -20,12 +20,14 @@ denominators, which is what the digit bounds of ``n_step`` multiply.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, DecimalException, localcontext
 from fractions import Fraction
 from math import lcm
 from operator import mul
 
 from .errors import InvariantError, SpaceMismatchError
-from .rational import ONE, fits_digits, lift, probability, require_digits
+from .rational import (DECIMAL_INTEGERS, ONE, fits_digits, lift, probability,
+                       require_digits)
 from .spaces import FinSpace
 from .measures import Measure
 
@@ -221,3 +223,50 @@ def trajectory(k: Kernel, pi0: Measure, n: int) -> list[Measure]:
         out.append(bind(out[-1], k))
         _require_digits(out[-1], f"a weight of the state at step {step}")
     return out
+
+
+def decimal_states(k: Kernel, states):
+    """The numerators and denominator of each of ``states``, the list
+    ``trajectory(k, pi0, n)`` returned, as integral Decimals: one
+    ``(nums, den)`` pair per state, built when it is reached.
+
+    The first state is converted once; each later one is computed from
+    the one before, without converting an int.  With L the lcm of the
+    rows' denominators, ``_mix`` writes ``bind(prev, k)`` as the
+    numerators ``sum_i prev.nums[i] * (L // den_i) * row_i.nums[j]`` over
+    ``prev.den * L``, and ``Measure`` divides all of them by their gcd g.
+    So ``g = prev.den * L // pi.den`` is known from the int states, and
+    the Decimal state is those same dot products, on Decimals times the
+    kernel's small ints, divided by g.  ``DECIMAL_INTEGERS`` traps any
+    result that is not exact, so each Decimal equals the int it stands
+    for.  Multiplying and dividing by small ints and writing the digits
+    out take time linear in the length, where ``str(int)`` is quadratic.
+
+    Each state is also checked against its int state modulo 2**61 - 1:
+    Python hashes an int, and an integral Decimal, to its residue modulo
+    ``sys.hash_info.modulus``, which is 2**61 - 1 on 64-bit builds.  A
+    list that is not a trajectory of ``k`` (a step left out, say) raises
+    InvariantError.  The context is entered once per state and left
+    before the state is yielded.
+    """
+    scale = _den(k.rows)
+    cols = list(zip(*([Decimal(n * (scale // row.den)) for n in row.nums]
+                      for row in k.rows)))
+    prev = None
+    for step, pi in enumerate(states):
+        with localcontext(DECIMAL_INTEGERS):
+            try:
+                if prev is None:
+                    nums, den = [Decimal(n) for n in pi.nums], Decimal(pi.den)
+                else:
+                    g = Decimal(prev.den * scale // pi.den)
+                    nums = [sum(map(mul, nums, col)) / g for col in cols]
+                    den = den * scale / g
+            except DecimalException:  # a quotient that is not exact
+                nums = den = None
+        if nums is None or hash(den) != hash(pi.den) or \
+                list(map(hash, nums)) != list(map(hash, pi.nums)):
+            raise InvariantError(f"the state at step {step} is not the "
+                                 "image of the state before it")
+        yield nums, den
+        prev = pi

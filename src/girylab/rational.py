@@ -26,11 +26,21 @@ never by a gcd of the two full numbers.  A Markov state gives such a base: its d
 ``den(pi0) * L**t``, with ``L`` the lcm of the kernel rows'
 denominators, so ``den(pi0) * L`` serves every step
 (``monad.denominator_base``).
+
+The base form alone also takes ``n`` and ``den`` as integral
+``decimal.Decimal``s: finite, with exponent 0.  CPython writes an int in
+decimal in time quadratic in its length, while a Decimal keeps base-10**19
+limbs and writes them in linear time; a traced Markov run carries its
+states as such Decimals (``monad.decimal_states``) and writes them here.
+All Decimal arithmetic runs under ``DECIMAL_INTEGERS``, which traps every
+result that is not exact.  Every other entry point rejects a Decimal.
 """
 
 from __future__ import annotations
 
 import random
+from decimal import (MAX_PREC, Context, Decimal, DivisionByZero, Inexact,
+                     InvalidOperation, Overflow, Rounded, localcontext)
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -46,6 +56,12 @@ HALF = Fraction(1, 2)
 #: number within it can be written out and read back.
 MAX_DIGITS = 4300
 _DIGIT_BOUND = 10 ** MAX_DIGITS
+
+#: The context of all integer arithmetic on Decimals: precision enough for
+#: any integer, and a trap on every signal of a result that is not exact.
+DECIMAL_INTEGERS = Context(prec=MAX_PREC, traps=[
+    Inexact, Rounded, InvalidOperation, DivisionByZero, Overflow])
+_DECIMAL_ONE = Decimal(1)
 
 
 def _digit_limit_error(what: str, digits: int) -> DigitLimitError:
@@ -67,18 +83,32 @@ def fits_digits(n: int) -> bool:
     return abs(n) < _DIGIT_BOUND
 
 
+def _fits(n) -> bool:
+    """``fits_digits`` for an int or an integral Decimal, whose digits
+    ``adjusted()`` counts without comparing it to an int."""
+    if isinstance(n, Decimal):
+        return n.adjusted() < MAX_DIGITS
+    return fits_digits(n)
+
+
+def _digits(n) -> int:
+    """Decimal digits of the int or integral Decimal ``n``."""
+    if isinstance(n, Decimal):
+        return n.adjusted() + 1
+    return _decimal_digits(n)
+
+
 def _string_digits(s: str) -> int:
     """Digits written in an integer string: its length without surrounding
     space, sign or '_' separators, counted before any conversion."""
     return len(s.strip().lstrip("+-").replace("_", ""))
 
 
-def _require_pair_digits(n: int, den: int, what: str) -> None:
-    """DigitLimitError naming ``what`` unless ``n`` and ``den`` both fit
-    in MAX_DIGITS decimal digits."""
-    if not (fits_digits(n) and fits_digits(den)):
-        raise _digit_limit_error(what, max(_decimal_digits(n),
-                                           _decimal_digits(den)))
+def _require_pair_digits(n, den, what: str) -> None:
+    """DigitLimitError naming ``what`` unless the ints or integral
+    Decimals ``n`` and ``den`` both fit in MAX_DIGITS decimal digits."""
+    if not (_fits(n) and _fits(den)):
+        raise _digit_limit_error(what, max(_digits(n), _digits(den)))
 
 
 def require_digits(x: Fraction, what: str) -> Fraction:
@@ -113,10 +143,20 @@ def _int(x, what: str) -> int:
     return x
 
 
-def _positive(x, what: str) -> int:
-    """``x`` unchanged if it is an int, not a bool, and at least 1;
-    otherwise InvariantError naming ``what``."""
-    if _int(x, what) <= 0:
+def _integer(x, what: str):
+    """``x`` unchanged if it is an int, not a bool, or an integral Decimal
+    (finite, with exponent 0); otherwise InvariantError naming ``what``."""
+    if not isinstance(x, Decimal):
+        return _int(x, what)
+    if not x.same_quantum(_DECIMAL_ONE):
+        raise InvariantError(f"{what} must be an integral Decimal, got {x}")
+    return x
+
+
+def _positive(x, what: str, admit=_int):
+    """``admit(x, what)`` if it is at least 1; otherwise InvariantError
+    naming ``what``."""
+    if admit(x, what) <= 0:
         raise InvariantError(f"{what} must be positive, got {x}")
     return x
 
@@ -232,29 +272,42 @@ def format_rational(x, den: int | None = None, base: int | None = None) -> str:
     ``n`` and ``den`` themselves.  A broken promise is not detected, and
     the result may then not be in lowest terms.
 
+    In this form ``n`` and ``den`` may also be integral Decimals, finite
+    with exponent 0, so that a long one is written in linear time (see
+    the module docstring); ``base`` stays an int.  The loop is the same
+    and runs under ``DECIMAL_INTEGERS``: ``n % base`` is a remainder
+    smaller than ``base`` whatever the type of ``n``, so it becomes a
+    small int for the gcd, and ``h`` divides ``n`` and ``den``, so every
+    division is exact.  A Decimal is written with the
+    digits of the int it equals, and its digits are counted by
+    ``adjusted()``.
+
     The written numerator and denominator must fit in MAX_DIGITS
     digits (DigitLimitError).  A float, a bool, a Fraction where an int
-    is needed, or a ``den`` or ``base`` below 1 raises InvariantError.
+    is needed, a Decimal that is not integral or is given without a
+    ``base``, or a ``den`` or ``base`` below 1 raises InvariantError.
     """
     if den is None:
         if base is not None:
             raise InvariantError("base applies only with a denominator")
         f = exact(x, "rational to format")
         n, den = f.numerator, f.denominator
-    else:
+    elif base is None:
         n = _int(x, "numerator to format")
         _positive(den, "denominator to format")
-        if base is None:
-            h = gcd(n, den)
-            n, den = n // h, den // h
-        else:
-            base = _positive(base, "base")
-            h = gcd(base, n % base, den % base)
+        h = gcd(n, den)
+        n, den = n // h, den // h
+    else:
+        n = _integer(x, "numerator to format")
+        _positive(den, "denominator to format", _integer)
+        base = _positive(base, "base")
+        with localcontext(DECIMAL_INTEGERS):
+            h = gcd(base, int(n % base), int(den % base))
             while h > 1:
                 n, den, base = n // h, den // h, h * h
-                h = gcd(base, n % base, den % base)
+                h = gcd(base, int(n % base), int(den % base))
     _require_pair_digits(n, den, "rational to format")
-    return f"{n}/{den}"
+    return f"{n or 0}/{den}"  # ``or 0`` writes a Decimal -0 as the int 0
 
 
 def parse_int(s: str) -> int:

@@ -19,7 +19,8 @@ from girylab.duality import max_functional, square_functional, to_measure
 from girylab.codensity import VanishingSequence, functional_from_action
 from girylab.counterexample import (FinCofSet, cofinite_measure,
                                     countable_additivity_violation,
-                                    singleton_mass_sum)
+                                    limit_functional, singleton_mass_sum,
+                                    vanishing_segment_witness)
 from girylab.harness import (SuiteConfig, case_rng, find_naturality_refutation,
                              run_suite)
 
@@ -190,10 +191,11 @@ class TestAcceptance:
         ok = all(records[n].result == "pass" and records[n].trials >= 500
                  for n in ("limit-affine", "limit-weakly-averaging",
                            "limit-sup-lipschitz"))
-        report = countable_additivity_violation(segments=16)
+        report = countable_additivity_violation()
         ok = ok and report["respects_limits"]["result"] == "fail"
         ok = ok and report["respects_limits"]["witness"]["stuck_at"] == "1/1"
-        ok = ok and report["functional_values"] == ["1/1"] * 16
+        w = vanishing_segment_witness()
+        ok = ok and all(limit_functional(w.terms(n)) == 1 for n in range(16))
         ok = ok and singleton_mass_sum(10 ** 4) == F(0)
         ok = ok and cofinite_measure(FinCofSet.whole()) == F(1)
         assert_and_report(

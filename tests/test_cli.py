@@ -381,6 +381,24 @@ class TestVerify:
         assert err == ("error: standard output was closed before all output "
                        "was written\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "monad-laws", "--trials", "2"],
+        ["report", "/nonexistent"],
+        ["markov", "--kernel", "k.json", "--init", "pi.json", "--steps", "3"],
+    ], ids=["verify", "report", "markov"])
+    def test_closed_stdout_and_stderr_exit_2(self, tmp_path, argv):
+        """``girylab ... 2>&1 | head`` with the reader gone: the error line
+        cannot be written either, and the exit code stays 2, not 1."""
+        write(tmp_path, "k.json", ABSORBING)
+        write(tmp_path, "pi.json", DELTA_0)
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.Popen([sys.executable, "-m", "girylab.cli", *argv],
+                                cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.STDOUT)
+        proc.stdout.close()  # before the command writes anything
+        assert proc.wait(timeout=60) == 2
+
 class TestConfigPrecedence:
     def test_config_file_then_flag(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "girylab.cfg"

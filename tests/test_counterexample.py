@@ -7,7 +7,8 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from girylab import counterexample
-from girylab.counterexample import (EventualFn, FinCofSet, cofinite_measure,
+from girylab.counterexample import (SEGMENTS_REPORTED, EventualFn, FinCofSet,
+                                    cofinite_measure,
                                     countable_additivity_violation,
                                     limit_functional, singleton_mass_sum,
                                     sup_continuity_check,
@@ -123,11 +124,11 @@ class TestCountableAdditivityViolation:
         assert verdict.witness["stuck_at"] == "1/1"
 
     def test_report_contents(self):
-        report = countable_additivity_violation(segments=6)
+        report = countable_additivity_violation()
         assert report["singleton_partial_sum"] == "0/1"
         assert report["total_mass"] == "1/1"
         assert report["respects_limits"]["result"] == "fail"
-        assert report["functional_values"] == ["1/1"] * 6
+        assert report["functional_values"] == ["1/1"] * SEGMENTS_REPORTED
         assert report["pointwise_limit"] == "0/1"
 
 

@@ -2,9 +2,13 @@
 be an int or a Fraction.  A float or a bool raises InvariantError naming
 the argument; an int is stored as a Fraction.  Probability vectors are
 checked by ``rational.probability``, and indices (positions and counts)
-by ``rational.index``: an int, not a bool, at least 0.  The int form of
-``rational.format_rational`` takes ints only."""
+by ``rational.index``: an int, not a bool, at least 0.  A Decimal is
+refused like a float.  The int forms of ``rational.format_rational``
+take ints only; its base form takes integral Decimals too (finite, with
+exponent 0), for the numerator and the denominator but not the base."""
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -34,11 +38,13 @@ STEP = StepFunction((F(0), F(1)), (F(1),), F(1))
 #: which is 1 as a float (1.0), a bool (True) or an int, where the entry
 #: point takes the number, and returns what the entry point stored or
 #: returned for it.  Every value is exactly 1, so only its type decides.
+#: Every entry point that refuses a float refuses a Decimal too.
 #: A kind is left out where the entry point already behaved so before
 #: the rule was shared: the integrator's own floats and bools are in
 #: ``test_measures.TestIntegratorRejectsFloats``, and an int that was
 #: already turned into a Fraction needs no case.
 ENTRY_POINTS = [
+    ("exact", "x", "float bool", lambda x: rational.exact(x, "x")),
     ("Measure", "weights", "float bool int",
      lambda x: Measure(S2, (x, 0)).weights[0]),
     ("Functional", "extensional coefficients", "float bool int",
@@ -137,6 +143,13 @@ def test_bool_rejected(what, make):
         make(True)
 
 
+@pytest.mark.parametrize("what, make", _cases("float"))
+def test_decimal_rejected(what, make):
+    with pytest.raises(InvariantError,
+                       match=f"^{what} must be an int or a Fraction, got Decimal$"):
+        make(Decimal(1))
+
+
 @pytest.mark.parametrize("what, make", _cases("int"))
 def test_int_stored_as_fraction(what, make):
     stored = make(1)
@@ -205,6 +218,24 @@ def test_int_argument_not_an_int_rejected(what, make, x, kind):
     with pytest.raises(InvariantError,
                        match=f"^{what} must be an int, got {kind}$"):
         make(x)
+
+
+@pytest.mark.parametrize("what, make", [
+    pytest.param(what, make, id=name) for name, what, make in INT_ENTRY_POINTS
+    if name != "format_rational base"])
+@pytest.mark.parametrize("x", ["1.5", "NaN", "Infinity", "1E+3"])
+def test_decimal_not_integral_rejected(what, make, x):
+    """1E+3 is an integer, but its exponent is 3, not 0."""
+    with pytest.raises(InvariantError, match=f"^{what} must be an integral "
+                                             f"Decimal, got {re.escape(x)}$"):
+        make(Decimal(x))
+
+
+@pytest.mark.parametrize("args", [(Decimal(1), 2), (1, Decimal(2)),
+                                  (1, 2, Decimal(2))], ids=str)
+def test_decimal_outside_the_base_form_rejected(args):
+    with pytest.raises(InvariantError, match="must be an int, got Decimal$"):
+        rational.format_rational(*args)
 
 
 def test_float_mixture_weights_never_reach_flatten():

@@ -1,6 +1,7 @@
 """Wire formats: lossless round trips, invariant-naming ingestion errors."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import prod
 
@@ -43,27 +44,40 @@ class TestRationalStrings:
 
 class TestLowestTerms:
     """``format_rational(n, den)`` and ``format_rational(n, den, base)``
-    write what ``format_rational(Fraction(n, den))`` writes."""
+    write what ``format_rational(Fraction(n, den))`` writes, and so does
+    the base form on integral Decimals."""
 
     BASES = [2, 6, 12, 360, 2 ** 3 * 3 ** 2 * 7, 30 * 49 * 11 ** 3, 97]
 
     @staticmethod
-    def dens(rng, base):
-        """Seeded denominators made of powers of ``base``'s primes."""
+    def pairs(base):
+        """Seeded ``(n, den)`` with denominators made of powers of
+        ``base``'s primes."""
+        rng = random.Random(base)
         primes = [p for p in range(2, base + 1)
                   if base % p == 0 and all(p % q for q in range(2, p))]
         for _ in range(40):
-            yield prod(p ** rng.randint(0, 12) for p in primes)
+            den = prod(p ** rng.randint(0, 12) for p in primes)
+            ns = {0, 1, den - 1, den} | {rng.randint(0, den) for _ in range(30)}
+            for n in ns:
+                yield n, den
 
     @pytest.mark.parametrize("base", BASES)
     def test_base_form_equals_the_fraction_form(self, base):
-        rng = random.Random(base)
-        for den in self.dens(rng, base):
-            ns = {0, 1, den - 1, den} | {rng.randint(0, den) for _ in range(30)}
-            for n in ns:
-                want = format_rational(F(n, den))
-                assert format_rational(n, den, base) == want
-                assert format_rational(n, den) == want
+        for n, den in self.pairs(base):
+            want = format_rational(F(n, den))
+            assert format_rational(n, den, base) == want
+            assert format_rational(n, den) == want
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_decimal_form_equals_the_int_form(self, base):
+        for n, den in self.pairs(base):
+            assert format_rational(Decimal(n), Decimal(den), base) == \
+                format_rational(n, den, base)
+
+    def test_decimal_negative_zero_is_written_as_zero(self):
+        assert format_rational(Decimal("-0"), Decimal(8), 2) == "0/1"
+        assert format_rational(Decimal(-6), Decimal(8), 2) == "-3/4"
 
     def test_common_factor_of_a_high_power(self):
         den = 2 ** 5000 * 3 ** 7
@@ -95,7 +109,8 @@ class TestLowestTerms:
         big = 10 ** MAX_DIGITS
         with pytest.raises(DigitLimitError) as fraction_form:
             format_rational(F(big, 3))
-        for args in [(big, 3), (big, 3, 3), (-big, 3, 3)]:
+        for args in [(big, 3), (big, 3, 3), (-big, 3, 3),
+                     (Decimal(big), Decimal(3), 3), (Decimal(-big), 3, 3)]:
             with pytest.raises(DigitLimitError) as int_form:
                 format_rational(*args)
             assert str(int_form.value) == str(fraction_form.value)

@@ -2,6 +2,7 @@
 
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
@@ -16,8 +17,9 @@ from girylab.harness import (SuiteConfig, generate_kernel, generate_measure,
 from girylab.spaces import FinSpace, generate_sigma
 from girylab.measures import Measure, pushforward
 from girylab.rational import fits_digits
-from girylab.monad import (Kernel, MetaMeasure, bind, denominator_base, dirac,
-                           flatten, kleisli_compose, n_step, trajectory)
+from girylab.monad import (Kernel, MetaMeasure, bind, decimal_states,
+                           denominator_base, dirac, flatten, kleisli_compose,
+                           n_step, trajectory)
 
 from strategies import matrix_apply, measures, spaces, spaces_with_measures
 
@@ -438,3 +440,78 @@ class TestDigitLimit:
             with pytest.raises(DigitLimitError,
                                match="state at step 3 has 4,618 digits"):
                 n_step(k, x, n)
+
+
+class TestDecimalStates:
+    """``decimal_states`` gives each state of a trajectory as integral
+    Decimals with the digits of its int numerators and denominator, and
+    refuses a list that is not a trajectory of the kernel."""
+
+    @staticmethod
+    def same(k: Kernel, states: list) -> None:
+        got = list(decimal_states(k, states))
+        assert len(got) == len(states)
+        for (nums, den), pi in zip(got, states):
+            assert all(type(d) is Decimal for d in (*nums, den))
+            assert [str(d) for d in nums] == [str(n) for n in pi.nums]
+            assert str(den) == str(pi.den)
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("discrete", [True, False],
+                             ids=["discrete", "coarse"])
+    def test_seeded_kernels(self, seed, discrete):
+        rng = random.Random(seed)
+        space = generate_space(rng, SuiteConfig(max_carrier=6), min_points=2)
+        if discrete:
+            space = FinSpace.discrete(list(space.carrier))
+        k, pi = generate_kernel(rng, space, space), generate_measure(rng, space)
+        self.same(k, trajectory(k, pi, 60))
+
+    def test_base_one(self):
+        """A permutation kernel from a Dirac start: every denominator is 1."""
+        s = FinSpace.discrete(["a", "b", "c"])
+        k = Kernel(s, s, (dirac(s, "b"), dirac(s, "c"), dirac(s, "a")))
+        pi = dirac(s, "a")
+        assert denominator_base(k, pi) == 1
+        self.same(k, trajectory(k, pi, 7))
+
+    def test_long_start_denominator(self):
+        s = FinSpace.discrete(["a", "b", "c"])
+        q = 10 ** 1500 + 7
+        pi = Measure(s, (1, 2, q - 3), q)
+        assert pi.den == q
+        k = generate_kernel(random.Random(3), s, s)
+        self.same(k, trajectory(k, pi, 30))
+
+    def test_a_denominator_that_shrinks(self):
+        """A rank-one kernel forgets the start, so the first step divides
+        by g = 3**400, the whole start denominator."""
+        s = two_state()
+        rank_one = Kernel(s, s, (Measure(s, (F(1, 3), F(2, 3))),) * 2)
+        tiny = F(1, 3 ** 400)
+        self.same(rank_one, trajectory(rank_one, Measure(s, (tiny, 1 - tiny)), 3))
+
+    def test_d1_chain_to_its_last_state(self):
+        """Step 823 is the last state of the D1 chain within the limit."""
+        k, pi = d1_chain()
+        self.same(k, trajectory(k, pi, 823))
+
+    def test_a_skipped_step_is_refused(self):
+        k, pi = d1_chain()
+        states = trajectory(k, pi, 5)
+        del states[3]
+        with pytest.raises(InvariantError,
+                           match="^the state at step 3 is not the image"):
+            list(decimal_states(k, states))
+
+    def test_a_state_with_the_same_denominator_is_refused(self):
+        """Reversed numerators keep the denominator, so every division is
+        exact: only the check against the int state catches it."""
+        k, pi = d1_chain()
+        states = trajectory(k, pi, 5)
+        s3 = states[3]
+        assert s3.nums != s3.nums[::-1]
+        states[3] = Measure(s3.space, s3.nums[::-1], s3.den)
+        with pytest.raises(InvariantError,
+                           match="^the state at step 3 is not the image"):
+            list(decimal_states(k, states))
