@@ -32,10 +32,8 @@ _EXPORTS = {
     "rational": ("format_rational", "parse_rational"),
     "spaces": ("FinSpace", "IFunction", "MeasMap", "atom_indicator", "atoms",
                "characteristic", "generate_sigma", "is_measurable"),
-    "measures": ("IntervalMeasure", "Measure", "StepFunction",
-                 "change_of_variables_check", "integrate", "integrate_approx",
-                 "integrate_approx_bounds", "integrate_step", "measure_of",
-                 "pushforward"),
+    "measures": ("IntervalMeasure", "Measure", "integrate",
+                 "integrate_approx_bounds", "pushforward"),
     "monad": ("Kernel", "MetaMeasure", "bind", "dirac", "flatten",
               "kleisli_compose", "n_step", "trajectory"),
     "duality": ("Functional", "FunctionalMixture", "LimitWitness",

@@ -91,9 +91,6 @@ class FinCofSet:
     def whole() -> "FinCofSet":
         return FinCofSet(True, frozenset())
 
-    def contains(self, n: int) -> bool:
-        return (n not in self.elements) if self.cofinite else (n in self.elements)
-
     def complement(self) -> "FinCofSet":
         return FinCofSet(not self.cofinite, self.elements)
 

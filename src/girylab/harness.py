@@ -670,7 +670,17 @@ def _vanishing_component(cfg, rng):
     length = rng.randint(0, cfg.max_arity)
     fs = [generate_ifunction(rng, space) for _ in range(length)]
     fs += [IFunction.constant(space, ZERO)] * rng.randint(0, 2)
-    return check_vanishing_component(lift(phi), fs, certified_len=length), {}
+    verdict = check_vanishing_component(lift(phi), fs, certified_len=length)
+    if not verdict.passed:
+        return verdict, {}
+    # A functional fixed at 1/2 is not weakly averaging: its component
+    # sends the zero function past the certified index to 1/2, off the
+    # vanishing set, so the check that just passed must refute it.
+    half = Functional.intensional(space, lambda f: HALF, "constant 1/2")
+    if check_vanishing_component(lift(half), fs + [IFunction.constant(space, ZERO)],
+                                 certified_len=len(fs)).passed:
+        return failed(verdict.property, {"accepted_non_averaging": half.label}), {}
+    return verdict, {}
 
 
 def _unit_element_evaluation(cfg, rng):
@@ -787,6 +797,11 @@ def _case_hull_closure(cfg, rng):
     out = extend_to_convex(phi, verts, points)
     if not hull_membership(verts, out):
         return {"vertices": verts, "output": out}
+    # The point 1 past every vertex in each coordinate lies outside the
+    # hull, so the check that just accepted ``out`` must reject it.
+    outside = tuple(max(c) + 1 for c in zip(*verts))
+    if hull_membership(verts, outside):
+        return {"vertices": verts, "accepted_outside": outside}
     return None
 
 

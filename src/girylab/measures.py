@@ -6,32 +6,30 @@ measure of a set is the sum of its atoms' numerators over that
 denominator, and on a finite sigma-algebra that already forces countable
 additivity.  Pushforward and integration work on the numerators; the
 Fraction weights are built only when read.
-The unit interval gets a computable measure class of its own
-(point-mass / uniform-piece mixtures) on which every identity exercised
-here is exactly computable; the only approximate operation in the whole
-package is ``integrate_approx``, whose error is certified by an explicit
-modulus of uniform continuity.
 
-Staircases on [0,1] are integrated on integers: one routine takes
-integer breakpoints and integer values, each over one shared
-denominator, and builds a few Fractions per point mass or uniform piece,
-not per cell.  ``integrate_step`` lifts a step function into it, and the
-certified integrator lifts its dyadic samples and range-checks them as
-integers.  The integrator takes its arguments i/2^n from one dyadic grid
-held by the module, the finest built so far, whose stride slices are
-every coarser grid; it holds no values of ``f``.  No float enters: step
-functions, mixtures, the integrand, the modulus and eps go through
+The unit interval gets a computable measure class of its own:
+point-mass / uniform-piece mixtures.  The only approximate operation in
+the whole package is ``integrate_approx_bounds``, which brackets the
+integral of a function against such a mixture between two staircases
+whose gap is certified by an explicit modulus of uniform continuity.
+
+The integrator runs on integers.  It takes its arguments i/2^n from one
+dyadic grid held by the module, the finest built so far, whose stride
+slices are every coarser grid; it holds no values of ``f``.  It lifts
+its samples to int numerators over one denominator and range-checks
+them as integers, and each staircase on the grid is integrated with a
+few Fractions per point mass or uniform piece, not per cell.  No float
+enters: mixtures, the integrand, the modulus and eps go through
 ``rational.exact``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from operator import mul, sub
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import InvariantError, SpaceMismatchError
@@ -88,10 +86,6 @@ class Measure:
                 "weights": [format_rational(n, self.den) for n in self.nums]}
 
 
-def measure_of(pi: Measure, mask: int) -> Fraction:
-    return pi.of(mask)
-
-
 def pushforward(g: MeasMap, pi: Measure) -> Measure:
     """The image measure of ``pi`` along a measurable map ``g``.
 
@@ -122,55 +116,11 @@ def integrate(f: IFunction, pi: Measure) -> Fraction:
 
 
 @dataclass(frozen=True)
-class StepFunction:
-    """A simple function on [0,1]: constant on [t_i, t_{i+1}), explicit value at 1."""
-
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
-    value_at_one: Fraction
-
-    def __post_init__(self):
-        bp = tuple(exact(t, "breakpoint") for t in self.breakpoints)
-        if len(bp) < 2 or bp[0] != ZERO or bp[-1] != ONE:
-            raise InvariantError("breakpoints must run from 0/1 to 1/1")
-        if any(a >= b for a, b in zip(bp, bp[1:])):
-            raise InvariantError("breakpoints must be strictly increasing")
-        if len(self.values) != len(bp) - 1:
-            raise InvariantError("need exactly one value per piece")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", tuple(
-            require_unit(v, "step value") for v in self.values))
-        object.__setattr__(self, "value_at_one",
-                           require_unit(self.value_at_one, "step value"))
-
-    @staticmethod
-    def constant(r: Fraction) -> "StepFunction":
-        return StepFunction((ZERO, ONE), (r,), r)
-
-    @staticmethod
-    def indicator(a: Fraction, b: Fraction) -> "StepFunction":
-        """Indicator of [a, b) inside [0,1] (of [a, 1] when b = 1)."""
-        a, b = exact(a, "indicator endpoint"), exact(b, "indicator endpoint")
-        if not ZERO <= a < b <= ONE:
-            raise InvariantError("need 0 <= a < b <= 1")
-        points = [ZERO, a, b, ONE]
-        bp = tuple(sorted(set(points)))
-        vals = tuple(ONE if a <= lo < b else ZERO for lo in bp[:-1])
-        return StepFunction(bp, vals, ONE if b == ONE else ZERO)
-
-    def __call__(self, x: Fraction) -> Fraction:
-        x = require_unit(x, "argument")
-        if x == ONE:
-            return self.value_at_one
-        return self.values[bisect_right(self.breakpoints, x) - 1]
-
-
-@dataclass(frozen=True)
 class IntervalMeasure:
     """A mixture of point masses and uniform pieces on [0,1], total mass 1.
 
-    Pieces may overlap; all data is rational, so integrating any step
-    function against it is exact.
+    Pieces may overlap.  All data is rational, so the integral of a
+    staircase on a dyadic grid against it is exact.
     """
 
     points: tuple[tuple[Fraction, Fraction], ...]
@@ -198,54 +148,37 @@ class IntervalMeasure:
         return IntervalMeasure(((loc, ONE),), ())
 
 
-def _staircase_integral(breaks: Sequence[int], bden: int, values: Sequence[int],
-                        vden: int, at_one: int, m: IntervalMeasure) -> Fraction:
+def _staircase_integral(cells: int, values: Sequence[int], vden: int,
+                        at_one: int, m: IntervalMeasure) -> Fraction:
     """Integral against ``m`` of the staircase that is values[k]/vden on
-    [breaks[k]/bden, breaks[k+1]/bden) and at_one/vden at 1.
+    [k/cells, (k+1)/cells) and at_one/vden at 1.
 
-    ``breaks`` are strictly increasing integers from 0 to ``bden``; the
-    values are integer numerators over one denominator and may leave
+    The values are integer numerators over one denominator and may leave
     [0, vden].  A point mass finds its cell by floor division; a uniform
     piece [a, b] is the difference of the running integral at b and at a,
     so it builds a few Fractions however many cells it covers.
     """
-    last = len(values) - 1
-
     def cell(p: int, q: int) -> int:
-        """The k with breaks[k] <= bden*p/q < breaks[k+1] (the last at 1)."""
-        return min(bisect_right(breaks, p * bden // q) - 1, last)
+        """The k with k/cells <= p/q < (k+1)/cells (the last cell at 1)."""
+        return min(p * cells // q, cells - 1)
 
     total = ZERO
     for loc, mass in m.points:
         total += mass * (at_one if loc == ONE
                          else values[cell(loc.numerator, loc.denominator)])
-    running = [0, *accumulate(map(mul, values, map(sub, breaks[1:], breaks)))]
+    running = [0, *accumulate(values)]
 
     def integral_to(x: Fraction) -> int:
-        """q*bden*vden times the staircase's integral over [0, x = p/q]."""
+        """q*cells*vden times the staircase's integral over [0, x = p/q]."""
         p, q = x.numerator, x.denominator
         k = cell(p, q)
-        return running[k] * q + values[k] * (p * bden - breaks[k] * q)
+        return running[k] * q + values[k] * (p * cells - k * q)
 
     for a, b, mass in m.pieces:
         p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
         total += mass * Fraction(integral_to(b) * q - integral_to(a) * s,
-                                 (r * q - p * s) * bden)
+                                 (r * q - p * s) * cells)
     return total / vden
-
-
-def integrate_step(s: StepFunction, m: IntervalMeasure) -> Fraction:
-    """Exact integral of a step function against a point/uniform mixture.
-
-    Point masses evaluate s at their location; a uniform piece [a,b]
-    with mass w contributes w times the average of s over [a,b],
-    computed piecewise (single points carry no uniform mass).  The
-    breakpoints and the values are lifted to integers over one
-    denominator each.
-    """
-    breaks, bden = lift(s.breakpoints)
-    values, vden = lift((*s.values, s.value_at_one))
-    return _staircase_integral(breaks, bden, values[:-1], vden, values[-1], m)
 
 
 Modulus = Callable[[Fraction], Fraction]
@@ -322,25 +255,5 @@ def integrate_approx_bounds(f: Callable[[Fraction], Fraction], modulus: Modulus,
     h = half.numerator * (den // half.denominator)
     lo = [max(y, z) - h for y, z in zip(ys, ys[1:])]
     hi = [min(y, z) + h for y, z in zip(ys, ys[1:])]
-    points = range(cells + 1)
-    return (_staircase_integral(points, cells, lo, den, ys[-1], m),
-            _staircase_integral(points, cells, hi, den, ys[-1], m))
-
-
-def integrate_approx(f: Callable[[Fraction], Fraction], modulus: Modulus,
-                     eps: Fraction, m: IntervalMeasure) -> Fraction:
-    """Integral of f against m to within eps, certified by the modulus.
-
-    Returns the midpoint of the staircase bounds; the midpoint is at
-    most half the bracket width, hence within eps/2 of the integral.
-    """
-    lo, hi = integrate_approx_bounds(f, modulus, eps, m)
-    return (lo + hi) / 2
-
-
-def change_of_variables_check(g: MeasMap, pi: Measure, f: IFunction) -> bool:
-    """Exact check that integrating f after g against pi equals
-    integrating f against the pushforward of pi."""
-    lhs = integrate(f.compose_with(g), pi)
-    rhs = integrate(f, pushforward(g, pi))
-    return lhs == rhs
+    return (_staircase_integral(cells, lo, den, ys[-1], m),
+            _staircase_integral(cells, hi, den, ys[-1], m))

@@ -66,14 +66,6 @@ class FinSpace:
     def full_mask(self) -> int:
         return (1 << len(self.carrier)) - 1
 
-    @property
-    def sigma(self) -> frozenset[int]:
-        """Every measurable set: the unions of atoms, enumerated on demand."""
-        sets = {0}
-        for atom in self.atoms:
-            sets |= {mask | atom for mask in sets}
-        return frozenset(sets)
-
     def point_index(self, label: str) -> int:
         try:
             return self._position[label]

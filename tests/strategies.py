@@ -1,9 +1,9 @@
 """Shared hypothesis strategies and independent oracles for the tests.
 
 The oracles here deliberately re-implement operations by a different
-route (brute-force closure, exhaustive preimage scans, stochastic
-matrix products, subset enumeration) so the production code is checked
-against something it does not share.
+route (brute-force closure, unions of atoms, exhaustive preimage scans,
+stochastic matrix products, subset enumeration) so the production code
+is checked against something it does not share.
 """
 
 from fractions import Fraction
@@ -48,9 +48,17 @@ def minimal_nonempty(sigma) -> set:
     return out
 
 
+def sigma(space: FinSpace) -> frozenset:
+    """Every measurable set of ``space``: the unions of its atoms."""
+    sets = {0}
+    for atom in space.atoms:
+        sets |= {mask | atom for mask in sets}
+    return frozenset(sets)
+
+
 def exhaustive_measurable(m: MeasMap) -> bool:
     """Preimage check over the whole codomain sigma-algebra."""
-    return all(m.preimage(s) in m.dom.sigma for s in m.cod.sigma)
+    return all(m.preimage(s) in sigma(m.dom) for s in sigma(m.cod))
 
 
 def matrix_apply(weights, rows):

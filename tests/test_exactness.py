@@ -21,7 +21,7 @@ from girylab.duality import (Functional, FunctionalMixture, LimitWitness,
                              respects_limits)
 from girylab.errors import InvariantError
 from girylab.hull import extend_to_convex, hull_membership
-from girylab.measures import IntervalMeasure, Measure, StepFunction
+from girylab.measures import IntervalMeasure, Measure
 from girylab.monad import MetaMeasure, flatten
 from girylab.spaces import FinSpace, IFunction
 
@@ -31,7 +31,6 @@ S2 = FinSpace.discrete(["a", "b"])
 HALVES = Measure(S2, (F(1, 2), F(1, 2)))
 DIRAC_A = Functional.extensional(S2, (F(1), F(0)))
 F1 = IFunction(S1, (F(1, 2),))
-STEP = StepFunction((F(0), F(1)), (F(1),), F(1))
 
 #: (entry point, the name its error gives the argument, the kinds of
 #: caller number the case is run with, make).  ``make(x)`` passes x,
@@ -70,14 +69,6 @@ ENTRY_POINTS = [
      lambda x: F1.blend(F1, x).values[0]),
     ("IFunction.scale", "scale factor", "float bool",
      lambda x: F1.scale(x).values[0]),
-    ("StepFunction breakpoint", "breakpoint", "int",
-     lambda x: StepFunction((0, x), (F(1),), F(1)).breakpoints[1]),
-    ("StepFunction.constant", "step value", "float bool",
-     lambda x: StepFunction.constant(x).values[0]),
-    ("StepFunction.indicator", "indicator endpoint", "float bool",
-     lambda x: StepFunction.indicator(F(0), x).breakpoints[1]),
-    ("StepFunction call", "argument", "float bool",
-     lambda x: STEP(x)),
     ("IntervalMeasure point location", "point-mass location", "int",
      lambda x: IntervalMeasure(((x, F(1)),), ()).points[0][0]),
     ("IntervalMeasure point mass", "point mass", "int",

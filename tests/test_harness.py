@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from girylab import config, harness
+from girylab import config, harness, hull
 from girylab.cli import main
 from girylab.errors import GirylabError, InvariantError
 from girylab.codensity import AffineMap
@@ -21,7 +21,7 @@ from girylab.harness import (SUITE_NAMES, SuiteConfig, case_rng,
                              generate_space, minimize_refutation, run_suite)
 from girylab.verdicts import describe, failed, passed
 
-from strategies import brute_closure
+from strategies import brute_closure, sigma
 
 F = Fraction
 
@@ -101,8 +101,8 @@ class TestGenerators:
         for i in range(60):
             rng = case_rng(0, "gen-space", i)
             space = generate_space(rng, SuiteConfig(max_carrier=8))
-            assert space.sigma == brute_closure(len(space.carrier),
-                                                list(space.atoms))
+            assert sigma(space) == brute_closure(len(space.carrier),
+                                                 list(space.atoms))
 
     def test_kernels_row_per_atom(self):
         rng = case_rng(0, "gen-kernel", 0)
@@ -377,3 +377,23 @@ class TestRefutingPower:
         assert {name: w["case"] for name, w in failing.items()} == expected
         for witness in failing.values():
             assert {"case", "lhs", "rhs"} <= set(witness)
+
+    # A check that accepts everything must still fail its property: each
+    # case also offers the check an input it has to reject.
+    @pytest.mark.parametrize("module, target, stub, suite, expected, key", [
+        pytest.param(hull, "_phase_one_feasible", lambda rows, rhs: True,
+                     "convex-bound", {"hull-closure": 0}, "accepted_outside",
+                     id="hull-feasible-always"),
+        pytest.param(harness, "check_vanishing_component",
+                     lambda alpha, fs, certified_len: passed("stub"),
+                     "naturality", {"vanishing-component": 0},
+                     "accepted_non_averaging", id="vanishing-component-always"),
+    ])
+    def test_accepting_check_is_refuted(self, monkeypatch, module, target, stub,
+                                        suite, expected, key):
+        monkeypatch.setattr(module, target, stub)
+        report = run_suite(suite, SuiteConfig(seed=7, trials=100))
+        failing = {r.name: r.witness for r in report.records
+                   if r.result != "pass"}
+        assert {name: w["case"] for name, w in failing.items()} == expected
+        assert all(key in w for w in failing.values())

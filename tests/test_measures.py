@@ -3,6 +3,7 @@
 import math
 import random
 from bisect import bisect_right
+from decimal import Decimal
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -15,12 +16,10 @@ from girylab.harness import (SuiteConfig, generate_ifunction, generate_measure,
 from girylab.rational import random_fraction
 from girylab.spaces import FinSpace, IFunction, MeasMap, characteristic
 from girylab import measures
-from girylab.measures import (IntervalMeasure, Measure, StepFunction,
-                              change_of_variables_check, integrate,
-                              integrate_approx, integrate_approx_bounds,
-                              integrate_step, measure_of, pushforward)
+from girylab.measures import (IntervalMeasure, Measure, integrate,
+                              integrate_approx_bounds, pushforward)
 
-from strategies import spaces, spaces_with_measures, unit_fractions
+from strategies import sigma, spaces, spaces_with_measures, unit_fractions
 
 F = Fraction
 
@@ -133,7 +132,7 @@ class TestMeasure:
     def test_measure_of_two_atoms(self):
         s = FinSpace.discrete(["a", "b", "c"])
         pi = Measure(s, (F(1, 3),) * 3)
-        assert measure_of(pi, s.mask_of(["a", "b"])) == F(2, 3)
+        assert pi.of(s.mask_of(["a", "b"])) == F(2, 3)
 
     def test_normalization_and_empty(self):
         s = FinSpace.discrete(["a", "b"])
@@ -186,7 +185,7 @@ class TestNumeratorStorage:
                                                     want.weights)
         f = generate_ifunction(rng, dom)
         assert integrate(f, pi) == integrate_oracle(f, pi)
-        for mask in dom.sigma:
+        for mask in sigma(dom):
             assert pi.of(mask) == measure_of_oracle(pi, mask)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -228,7 +227,7 @@ class TestPushforward:
         pi = Measure(dom, (F(1, 2), F(1, 3), F(1, 6)))
         out = pushforward(g, pi)
         # preimage-sum oracle over the whole codomain sigma-algebra
-        for mask in cod.sigma:
+        for mask in sigma(cod):
             assert out.of(mask) == pi.of(g.preimage(mask))
         assert out.weights == (F(5, 6), F(1, 6))
 
@@ -262,7 +261,7 @@ class TestPushforward:
                     table[i] = t
         g = MeasMap(dom, cod, tuple(table))
         out = pushforward(g, pi)
-        for mask in cod.sigma:
+        for mask in sigma(cod):
             assert out.of(mask) == pi.of(g.preimage(mask))
 
 
@@ -270,7 +269,7 @@ class TestIntegrate:
     def test_indicator_integrates_to_measure(self):
         s = FinSpace.discrete(["a", "b", "c"])
         pi = Measure(s, (F(1, 2), F(1, 3), F(1, 6)))
-        for mask in s.sigma:
+        for mask in sigma(s):
             assert integrate(characteristic(s, mask), pi) == pi.of(mask)
 
     def test_constant_weakly_averaging(self):
@@ -316,89 +315,61 @@ class TestIntegrate:
         assert integrate(direct, pi) == integrate(assembled, pi)
 
 
-class TestStepFunction:
-    def test_indicator_shapes(self):
-        chi = StepFunction.indicator(F(0), F(1, 4))
-        assert chi(F(0)) == 1 and chi(F(1, 8)) == 1
-        assert chi(F(1, 4)) == 0 and chi(F(1)) == 0
-
-    def test_breakpoints_validated(self):
-        with pytest.raises(InvariantError):
-            StepFunction((F(0), F(1, 2)), (F(1),), F(0))
-        with pytest.raises(InvariantError):
-            StepFunction((F(0), F(1, 2), F(1, 2), F(1)),
-                         (F(0), F(0), F(0)), F(0))
-
-    def test_same_function_two_partitions_integrate_equal(self):
-        m = IntervalMeasure((), ((F(0), F(1), F(1)),))
-        coarse = StepFunction.indicator(F(0), F(1, 2))
-        fine = StepFunction((F(0), F(1, 4), F(1, 2), F(1)),
-                            (F(1), F(1), F(0)), F(0))
-        assert integrate_step(coarse, m) == integrate_step(fine, m)
-
-
-class TestIntegrateStep:
-    def test_uniform_indicator(self):
-        m = IntervalMeasure.uniform()
-        assert integrate_step(StepFunction.indicator(F(0), F(1, 4)), m) == F(1, 4)
-
-    def test_dirac_evaluates(self):
-        m = IntervalMeasure.dirac(F(1, 2))
-        s = StepFunction((F(0), F(1, 2), F(1)), (F(1, 8), F(5, 8)), F(0))
-        assert integrate_step(s, m) == s(F(1, 2)) == F(5, 8)
-
-    def test_mixture_example(self):
-        m = IntervalMeasure(((F(0), F(1, 2)),), ((F(0), F(1), F(1, 2)),))
-        chi = StepFunction.indicator(F(0), F(1, 2))
-        # piecewise oracle: point part 1/2 * 1, uniform part 1/2 * (1/2 / 1)
-        assert integrate_step(chi, m) == F(1, 2) + F(1, 4) == F(3, 4)
-
-    def test_overlapping_pieces_allowed(self):
-        m = IntervalMeasure((), ((F(0), F(1, 2), F(1, 2)),
-                                 (F(1, 4), F(3, 4), F(1, 2))))
-        one = StepFunction.constant(F(1))
-        assert integrate_step(one, m) == F(1)
-
+class TestIntervalMeasure:
     def test_total_mass_validated(self):
         with pytest.raises(InvariantError):
             IntervalMeasure(((F(0), F(1, 2)),), ())
+
+    def test_overlapping_pieces_allowed(self):
+        """Overlapping pieces each keep their own mass: the constant 1
+        integrates to 1 and x to the pieces' mass-weighted midpoints."""
+        m = IntervalMeasure((), ((F(0), F(1, 2), F(1, 2)),
+                                 (F(1, 4), F(3, 4), F(1, 2))))
+        eps = F(1, 64)
+        assert integrate_approx_bounds(lambda x: 1, lambda e: e, eps, m) == \
+            (1 - eps / 2, 1 + eps / 2)
+        lo, hi = integrate_approx_bounds(lambda x: x, lambda e: e, eps, m)
+        assert lo <= exact_linear_moment(m) == F(3, 8) <= hi
+        assert hi - lo <= eps
 
 
 class TestIntegrateApprox:
     def test_linear_within_eps(self):
         m = IntervalMeasure.uniform()
         eps = F(1, 1024)
-        got = integrate_approx(lambda x: x, lambda e: e, eps, m)
-        assert abs(got - exact_linear_moment(m)) <= eps
+        lo, hi = integrate_approx_bounds(lambda x: x, lambda e: e, eps, m)
+        assert lo <= exact_linear_moment(m) <= hi
+        assert hi - lo <= eps
 
     def test_constant_exact_for_any_eps(self):
         m = IntervalMeasure.uniform()
         for r in (F(0), F(1, 100), F(2, 3), F(1)):
             for eps in (F(1, 4), F(1, 64)):
-                assert integrate_approx(lambda x, r=r: r,
-                                        lambda e: e, eps, m) == r
+                assert integrate_approx_bounds(lambda x, r=r: r,
+                                               lambda e: e, eps, m) == \
+                    (r - eps / 2, r + eps / 2)
 
     def test_square_at_point_mass(self):
         m = IntervalMeasure.dirac(F(1, 2))
         eps = F(1, 1024)
-        got = integrate_approx(lambda x: x * x, lambda e: e / 2, eps, m)
-        assert abs(got - F(1, 4)) <= eps
+        lo, hi = integrate_approx_bounds(lambda x: x * x, lambda e: e / 2,
+                                         eps, m)
+        assert lo <= F(1, 4) <= hi
+        assert hi - lo <= eps
 
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(InvariantError):
-            integrate_approx(lambda x: x, lambda e: e, F(0),
-                             IntervalMeasure.uniform())
+            integrate_approx_bounds(lambda x: x, lambda e: e, F(0),
+                                    IntervalMeasure.uniform())
 
     def test_sandwich(self):
         m = IntervalMeasure(((F(1, 3), F(1, 4)),), ((F(0), F(1, 2), F(3, 4)),))
         eps = F(1, 64)
         lo, hi = integrate_approx_bounds(lambda x: x * x, lambda e: e / 2,
                                          eps, m)
-        mid = integrate_approx(lambda x: x * x, lambda e: e / 2, eps, m)
         exact = exact_square_moment(m)
-        assert mid >= lo
-        assert abs(mid - hi) <= eps
         assert lo <= exact <= hi
+        assert abs((lo + hi) / 2 - exact) <= eps / 2
         assert hi - lo <= eps
 
 
@@ -424,17 +395,61 @@ class TestIntegerGrid:
             assert got == approx_bounds_oracle(lambda x: 1, modulus, 1, m) \
                 == (F(3, 4), F(5, 4))
 
-    def test_integrate_step_equals_oracle(self):
+
+def staircase(cells, values, vden, at_one, m):
+    """``measures._staircase_integral`` on the grid of ``cells`` cells."""
+    return measures._staircase_integral(cells, values, vden, at_one, m)
+
+
+class TestStaircaseIntegral:
+    """The staircase on the integrator's grid of equal cells, integrated
+    exactly against a point/uniform mixture."""
+
+    def test_uniform_indicator(self):
+        assert staircase(4, [1, 0, 0, 0], 1, 0,
+                         IntervalMeasure.uniform()) == F(1, 4)
+
+    def test_dirac_evaluates(self):
+        # the cell [1/2, 1) holds 1/2, so the value there is read
+        assert staircase(2, [1, 5], 8, 0, IntervalMeasure.dirac(F(1, 2))) \
+            == F(5, 8)
+
+    def test_mixture_example(self):
+        m = IntervalMeasure(((F(0), F(1, 2)),), ((F(0), F(1), F(1, 2)),))
+        # piecewise oracle: point part 1/2 * 1, uniform part 1/2 * (1/2 / 1)
+        assert staircase(2, [1, 0], 1, 0, m) == F(1, 2) + F(1, 4) == F(3, 4)
+
+    def test_same_staircase_on_two_grids_integrates_equal(self):
+        m = IntervalMeasure(((F(1, 3), F(1, 4)),), ((F(1, 8), F(7, 8), F(3, 4)),))
+        # the point reads 1; half the piece lies below 1/2
+        assert staircase(2, [1, 0], 1, 0, m) == \
+            staircase(8, [1, 1, 1, 1, 0, 0, 0, 0], 1, 0, m) == \
+            F(1, 4) + F(3, 4) * F(1, 2)
+
+    def test_overlapping_pieces_allowed(self):
+        m = IntervalMeasure((), ((F(0), F(1, 2), F(1, 2)),
+                                 (F(1, 4), F(3, 4), F(1, 2))))
+        assert staircase(4, [3, 3, 3, 3], 3, 3, m) == 1
+
+    def test_value_at_one_read_only_at_one(self):
+        m = IntervalMeasure(((F(1), F(1, 2)),), ((F(1, 2), F(1), F(1, 2)),))
+        # the point mass at 1 reads at_one; the piece ending at 1 does not
+        assert staircase(2, [0, 2], 4, 1, m) == F(1, 8) + F(1, 4)
+
+    def test_equals_oracle(self):
+        """Against the Fraction-per-cell oracle on uniform breakpoints,
+        with grids of any size and numerators that leave [0, vden]."""
         rng = random.Random(4)
         for _ in range(300):
-            inner = {random_fraction(rng, max_den=40) for _ in range(rng.randint(0, 6))}
-            bp = (F(0), *sorted(inner - {F(0), F(1)}), F(1))
-            values = tuple(random_fraction(rng, max_den=30) for _ in bp[:-1])
-            s = StepFunction(bp, values, random_fraction(rng))
-            m = random_mixture(rng, bp)
-            assert integrate_step(s, m) == \
-                staircase_oracle(s.breakpoints, s.values, s.value_at_one, m)
-
+            cells = rng.randint(1, 40)
+            vden = rng.randint(1, 30)
+            values = [rng.randint(-vden, 2 * vden) for _ in range(cells)]
+            at_one = rng.randint(-vden, 2 * vden)
+            breaks = [F(i, cells) for i in range(cells + 1)]
+            m = random_mixture(rng, breaks)
+            assert staircase(cells, values, vden, at_one, m) == \
+                staircase_oracle(breaks, [F(v, vden) for v in values],
+                                 F(at_one, vden), m)
 
 
 def eps_for(n: int) -> Fraction:
@@ -481,10 +496,12 @@ class TestHeldGrid:
     def test_changing_integrand_is_sampled_afresh(self):
         state = {"c": F(1, 4)}
         m = IntervalMeasure.uniform()
-        first = integrate_approx(lambda x: state["c"], lambda e: e, F(1, 8), m)
+        first = integrate_approx_bounds(lambda x: state["c"], lambda e: e,
+                                        F(1, 8), m)
         state["c"] = F(3, 4)
-        second = integrate_approx(lambda x: state["c"], lambda e: e, F(1, 8), m)
-        assert (first, second) == (F(1, 4), F(3, 4))
+        second = integrate_approx_bounds(lambda x: state["c"], lambda e: e,
+                                         F(1, 8), m)
+        assert (first, second) == ((F(3, 16), F(5, 16)), (F(11, 16), F(13, 16)))
 
     @pytest.mark.parametrize("f, n, error", [
         (lambda x: float(x), 3,
@@ -512,7 +529,8 @@ class TestHeldGrid:
 
 class TestIntegratorRejectsFloats:
     """No float enters the integrator: eps, f and the modulus must give
-    ints or Fractions."""
+    ints or Fractions, and so must the mixture's data.  A bool or a
+    Decimal is refused the same way."""
 
     def test_float_integrand_named(self):
         with pytest.raises(InvariantError,
@@ -528,20 +546,44 @@ class TestIntegratorRejectsFloats:
 
     def test_float_eps_named(self):
         with pytest.raises(InvariantError, match="eps must be an int or a Fraction"):
-            integrate_approx(lambda x: x, lambda e: e, 1 / 8,
-                             IntervalMeasure.uniform())
+            integrate_approx_bounds(lambda x: x, lambda e: e, 1 / 8,
+                                    IntervalMeasure.uniform())
 
     @pytest.mark.parametrize("build, what", [
         (lambda: IntervalMeasure(((0.5, F(1)),), ()), "point-mass location"),
         (lambda: IntervalMeasure(((F(1, 2), 1.0),), ()), "point mass"),
         (lambda: IntervalMeasure((), ((F(0), 0.5, F(1)),)), "piece endpoint"),
-        (lambda: IntervalMeasure((), ((F(0), F(1), 1.0),)), "piece mass"),
-        (lambda: StepFunction((F(0), 1.0), (F(1),), F(0)), "breakpoint"),
-        (lambda: StepFunction((F(0), F(1)), (0.5,), F(0)), "step value")])
+        (lambda: IntervalMeasure((), ((F(0), F(1), 1.0),)), "piece mass")])
     def test_float_data_named(self, build, what):
         with pytest.raises(InvariantError,
                            match=f"{what} must be an int or a Fraction, got float"):
             build()
+
+    @pytest.mark.parametrize("x", [True, Decimal(1)], ids=["bool", "Decimal"])
+    @pytest.mark.parametrize("make, what", [
+        pytest.param(lambda x: IntervalMeasure(((x, F(1)),), ()),
+                     "point-mass location", id="location"),
+        pytest.param(lambda x: IntervalMeasure(((F(1, 2), x),), ()),
+                     "point mass", id="point-mass"),
+        pytest.param(lambda x: IntervalMeasure((), ((F(0), x, F(1)),)),
+                     "piece endpoint", id="endpoint"),
+        pytest.param(lambda x: IntervalMeasure((), ((F(0), F(1), x),)),
+                     "piece mass", id="piece-mass"),
+        pytest.param(lambda x: integrate_approx_bounds(
+            lambda y: x, lambda e: e, F(1, 8), IntervalMeasure.uniform()),
+                     "integrand value", id="integrand"),
+        pytest.param(lambda x: integrate_approx_bounds(
+            lambda y: y, lambda e: x, F(1, 8), IntervalMeasure.uniform()),
+                     "modulus value", id="modulus"),
+        pytest.param(lambda x: integrate_approx_bounds(
+            lambda y: y, lambda e: e, x, IntervalMeasure.uniform()),
+                     "eps", id="eps")])
+    def test_bool_and_decimal_named(self, make, what, x):
+        """Each value is exactly 1, which an int or a Fraction may be."""
+        with pytest.raises(InvariantError,
+                           match=f"^{what} must be an int or a Fraction, "
+                                 f"got {type(x).__name__}$"):
+            make(x)
 
     def test_out_of_range_sample_message_unchanged(self):
         with pytest.raises(InvariantError,
@@ -561,7 +603,8 @@ class TestChangeOfVariables:
         s = FinSpace.discrete(["a", "b"])
         pi = Measure(s, (F(1, 3), F(2, 3)))
         f = IFunction(s, (F(1, 2), F(1, 4)))
-        assert change_of_variables_check(MeasMap.identity(s), pi, f)
+        g = MeasMap.identity(s)
+        assert integrate(f.compose_with(g), pi) == integrate(f, pushforward(g, pi))
 
     def test_collapse_map(self):
         dom = FinSpace.discrete(["a", "b", "c"])
@@ -569,7 +612,7 @@ class TestChangeOfVariables:
         g = MeasMap.from_labels(dom, cod, {"a": "x", "b": "x", "c": "y"})
         pi = Measure(dom, (F(1, 2), F(1, 3), F(1, 6)))
         f = IFunction(cod, (F(1, 7), F(6, 7)))
-        assert change_of_variables_check(g, pi, f)
+        assert integrate(f.compose_with(g), pi) == integrate(f, pushforward(g, pi))
 
     @settings(max_examples=100, deadline=None)
     @given(spaces_with_measures(5), spaces(5), st.data(),
@@ -586,4 +629,4 @@ class TestChangeOfVariables:
         n = len(cod.atoms)
         f = IFunction(cod, tuple(
             data.draw(st.lists(unit_fractions(), min_size=n, max_size=n))))
-        assert change_of_variables_check(g, pi, f)
+        assert integrate(f.compose_with(g), pi) == integrate(f, pushforward(g, pi))

@@ -21,7 +21,8 @@ from girylab.monad import (Kernel, MetaMeasure, bind, decimal_states,
                            denominator_base, dirac, flatten, kleisli_compose,
                            n_step, trajectory)
 
-from strategies import matrix_apply, measures, spaces, spaces_with_measures
+from strategies import (matrix_apply, measures, sigma, spaces,
+                        spaces_with_measures)
 
 F = Fraction
 
@@ -109,7 +110,7 @@ class TestFlatten:
                               (Measure(s, (F(1, 2), F(1, 2))), F(1, 2))))
         out = flatten(rho)
         # mixture oracle: sum of weight * component measure, per set
-        for mask in s.sigma:
+        for mask in sigma(s):
             expected = sum((w * m.of(mask) for m, w in rho.support), F(0))
             assert out.of(mask) == expected
         assert out.weights == (F(3, 4), F(1, 4))

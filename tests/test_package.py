@@ -1,15 +1,31 @@
 """The package surface: lazily registered submodules and the names the
 package re-exports from them."""
 
+import ast
 import importlib
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
 import girylab
 
 EXPORTS = girylab._EXPORTS
+
+#: Exports that no girylab module but their own names, and why each stays.
+UNREFERENCED_EXPORTS = {
+    "characteristic": "the indicator of a measurable set, whose integral "
+                      "is the set's measure",
+    "is_measurable": "the measurability predicate that require_measurable "
+                     "raises on",
+    "integrate_approx_bounds": "the certified integrator on [0,1], the one "
+                               "approximation; no command reaches it",
+    "CodensityElement": "the natural family that codensity.lift returns",
+    "SequenceAffineMap": "the affine maps of sequences that naturality is "
+                         "checked against",
+    "Report": "the result of run_suite",
+}
 
 
 def test_every_submodule_but_cli_is_registered():
@@ -39,3 +55,29 @@ def test_unknown_name_raises_attribute_error():
         girylab.nonsense
     with pytest.raises(ImportError):
         exec("from girylab import nonsense", {})
+
+
+def _names_used(path: Path) -> set:
+    """Every name a module reads, imports or reads as an attribute."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_export_is_used_elsewhere_or_pinned():
+    """An export that no other girylab module names must be pinned above
+    with its reason, so an uncalled name cannot come back unnoticed."""
+    package = Path(girylab.__file__).parent
+    used = {path.stem: _names_used(path) for path in package.glob("*.py")
+            if path.stem != "__init__"}
+    unreferenced = {name for module, names in EXPORTS.items() for name in names
+                    if not any(name in seen for other, seen in used.items()
+                               if other != module)}
+    assert unreferenced <= set(UNREFERENCED_EXPORTS)
+
