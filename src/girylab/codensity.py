@@ -304,7 +304,7 @@ def check_vanishing_component(alpha: CodensityElement, fs: Sequence[IFunction],
     entries in [0,1] and zero past the certified tail index."""
     fs = tuple(fs)
     for f in fs[certified_len:]:
-        if any(v != ZERO for v in f.values):
+        if any(f.nums):
             raise InvariantError(
                 "tail certificate lies: nonzero function past the certified index")
     out = alpha.at_sequences(fs)
@@ -340,8 +340,10 @@ def functional_from_action(action: Action, space: FinSpace,
     convex combination, and the constant maps; the action must commute
     with post-composition by each.  Commutation is tested on sampled
     inputs, not assumed; a failing square raises ActionSquareError
-    naming the generator and the input.  On success the returned
-    functional is f -> first entry of action(f at the first coordinate).
+    naming the generator and the input.  The action is called once per
+    input list: the sampled list's image serves both the projection and
+    the blend square.  On success the returned functional is
+    f -> first entry of action(f at the first coordinate).
     """
     def phi(f: IFunction) -> Fraction:
         return action([f]).at(0)
@@ -358,7 +360,8 @@ def functional_from_action(action: Action, space: FinSpace,
         # entrywise recovery: projecting then acting equals acting then projecting
         i = rng.randrange(k)
         lhs = action([fs[i]])
-        rhs_val = action(fs).at(i)
+        out = action(fs)
+        rhs_val = out.at(i)
         if lhs.at(0) != rhs_val or len(lhs.entries) > 1:
             raise ActionSquareError(
                 "projection square fails", f"projection onto entry {i}",
@@ -370,7 +373,6 @@ def functional_from_action(action: Action, space: FinSpace,
             r = Fraction(rng.randint(0, 8), 8)
             blended = [fs[0].blend(fs[1], r)]
             lhs = action(blended).at(0)
-            out = action(fs)
             rhs = r * out.at(0) + (1 - r) * out.at(1)
             if lhs != rhs:
                 raise ActionSquareError(

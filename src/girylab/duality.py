@@ -14,7 +14,9 @@ so the same pair of maps covers both.  Functionals carry one of two
 bodies: an extensional coefficient vector on the atoms (a point of the
 probability simplex, admissible by construction) or an intensional
 closure, which is how deliberate non-examples (max, square, clamped
-sum) enter the test suites with refuting power.
+sum) enter the test suites with refuting power.  An extensional body is
+held as its measure is, int numerators over one denominator, so the two
+maps of the bijection pass those integers across and evaluate nothing.
 
 Affineness of an intensional body is decided by randomized search with
 reported witnesses, not proof; the limits axiom is checked against a
@@ -32,7 +34,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .errors import InvariantError, RejectionError, SpaceMismatchError
 from .rational import (HALF, ONE, ZERO, exact, format_rational, index, lift,
-                       probability, random_fraction, require_unit)
+                       probability_numerators, random_fraction, require_unit)
 from .spaces import (FinSpace, IFunction, MeasMap, atom_image, atom_indicator,
                      generate_ifunction, require_measurable)
 from .measures import Measure
@@ -40,67 +42,93 @@ from .monad import MetaMeasure, mixture_support
 from .verdicts import Verdict, describe, failed, passed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Functional:
     """A map from measurable I-valued functions on a space to I.
 
-    Exactly one of ``coeffs`` (extensional: evaluate as the dot product
-    with the atom values) and ``evaluator`` (intensional closure) is
-    set.  Only an intensional body has a ``label``; extensional bodies
-    are equal when their spaces and coefficients are.  Intensional
-    evaluators must be pure; results are range-checked on every call.
+    Exactly one of two bodies is set.  An extensional body is a point of
+    the probability simplex on the atoms, stored as int numerators
+    ``nums`` over one denominator ``den`` in lowest terms, as a
+    ``Measure`` is: evaluation is one integer dot product with the
+    function's numerators, and two extensional bodies are equal when
+    their spaces and numerators are.  An intensional body is a closure
+    ``evaluator``; only it has a ``label``, and its ``nums`` and ``den``
+    are None.  Intensional evaluators must be pure; results are
+    range-checked on every call.
+
+    ``Functional(space, coeffs)`` and ``Functional.extensional(space,
+    coeffs)`` take rationals, admit each with ``rational.exact`` and lift
+    them once to int numerators over the lcm of their denominators;
+    ``Functional.extensional(space, nums, den)`` takes int numerators over
+    ``den``.  Either way ``rational.probability_numerators`` checks and
+    reduces them.  ``coeffs``, the tuple of Fractions (None for an
+    intensional body), is kept as given in the first form and built when
+    first read in the second.
     """
 
     space: FinSpace
-    coeffs: Optional[tuple[Fraction, ...]] = None
-    evaluator: Optional[Callable[[IFunction], Fraction]] = None
-    label: str = ""
+    nums: Optional[tuple[int, ...]]
+    den: Optional[int]
+    evaluator: Optional[Callable[[IFunction], Fraction]]
+    label: str
 
-    def __post_init__(self):
-        if (self.coeffs is None) == (self.evaluator is None):
+    def __init__(self, space: FinSpace, coeffs=None, evaluator=None,
+                 label: str = "", den: Optional[int] = None):
+        if (coeffs is None) == (evaluator is None):
             raise InvariantError("exactly one of coeffs/evaluator must be given")
-        if self.coeffs is not None:
-            if len(self.coeffs) != len(self.space.atoms):
+        nums = None
+        if coeffs is not None:
+            if len(coeffs) != len(space.atoms):
                 raise InvariantError("need one coefficient per atom")
-            object.__setattr__(self, "coeffs", probability(
-                self.coeffs, "extensional coefficients"))
+            if den is None:
+                coeffs = tuple(exact(c, "extensional coefficients")
+                               for c in coeffs)
+                self.__dict__["coeffs"] = coeffs
+                coeffs, den = lift(coeffs)
+            nums, den = probability_numerators(
+                coeffs, den, "extensional coefficients")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "evaluator", evaluator)
+        object.__setattr__(self, "label", label)
 
     @staticmethod
-    def extensional(space: FinSpace, coeffs) -> "Functional":
-        return Functional(space, tuple(coeffs))
+    def extensional(space: FinSpace, coeffs, den: Optional[int] = None) -> "Functional":
+        return Functional(space, tuple(coeffs), den=den)
 
     @staticmethod
     def intensional(space: FinSpace, evaluator, label: str) -> "Functional":
         return Functional(space, None, evaluator, label)
 
     @cached_property
-    def _lifted(self) -> tuple[list[int], int]:
-        return lift(self.coeffs)
+    def coeffs(self) -> Optional[tuple[Fraction, ...]]:
+        if self.nums is None:
+            return None
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def dot(self, values: Sequence[Fraction]) -> Fraction:
         """The coefficient-weighted sum of ``values``, one per atom, as one
         integer dot product over ``rational.lift``; extensional only."""
-        coeffs, den = self._lifted
         nums, vden = lift(values)
-        return Fraction(sum(map(mul, coeffs, nums)), den * vden)
+        return Fraction(sum(map(mul, self.nums, nums)), self.den * vden)
 
     @property
     def is_extensional(self) -> bool:
-        return self.coeffs is not None
+        return self.nums is not None
 
     def __call__(self, f: IFunction) -> Fraction:
         if f.space != self.space:
             raise SpaceMismatchError("argument lives on a different space")
-        if self.coeffs is not None:
-            coeffs, den = self._lifted
-            return Fraction(sum(map(mul, coeffs, f.nums)), den * f.den)
+        if self.nums is not None:
+            return Fraction(sum(map(mul, self.nums, f.nums)), self.den * f.den)
         return require_unit(self.evaluator(f),
                             f"value of {self.label or 'functional'}")
 
     def describe(self) -> dict:
         if self.is_extensional:
-            return {"kind": "extensional",
-                    "coefficients": [format_rational(c) for c in self.coeffs]}
+            return {"kind": "extensional", "coefficients": [
+                format_rational(n, self.den) for n in self.nums]}
         return {"kind": "intensional", "label": self.label}
 
 
@@ -108,9 +136,12 @@ class Functional:
 
 
 def to_measure(phi: Functional) -> Measure:
-    """Weights read off by evaluating phi on the atom indicators.
+    """The measure whose atom weights are phi of the atom indicators.
 
-    Admissibility is guarded on the atom basis plus constant spot
+    An extensional body already is that weight vector: its numerators
+    and denominator become the measure, which the ``Measure``
+    constructor checks again, and phi is never called.  Only an
+    intensional body is probed, on the atom basis plus constant spot
     checks: the indicator weights (each in [0,1], as every value of a
     Functional is) must sum to 1 and phi must fix the constants 0, 1/2,
     1.  A failing check raises RejectionError carrying the witness
@@ -119,6 +150,8 @@ def to_measure(phi: Functional) -> Measure:
     intensional bodies is the province of ``is_affine``.
     """
     space = phi.space
+    if phi.is_extensional:
+        return Measure(space, phi.nums, phi.den)
     weights = tuple(phi(atom_indicator(space, i))
                     for i in range(len(space.atoms)))
     total = sum(weights, ZERO)
@@ -139,8 +172,9 @@ def to_measure(phi: Functional) -> Measure:
 
 
 def to_functional(pi: Measure) -> Functional:
-    """Integration against pi, in extensional coefficient form."""
-    return Functional.extensional(pi.space, pi.weights)
+    """Integration against pi, in extensional form: the measure's int
+    numerators and denominator, taken as they are."""
+    return Functional.extensional(pi.space, pi.nums, pi.den)
 
 
 # -- functorial action, unit, multiplication ---------------------------
@@ -309,7 +343,7 @@ class LimitWitness:
             raise InvariantError("need one certificate index per atom")
         w = LimitWitness(terms, lambda i: certs[i],
                          tuple(range(len(space.atoms))))
-        w.validate(lambda f, i: f.values[i])
+        w.validate(lambda f, i: Fraction(f.nums[i], f.den))
         return w
 
 
@@ -342,7 +376,7 @@ def respects_limits(phi: PhiLike, w: LimitWitness) -> Verdict:
             raise InvariantError("finite-space functional needs atom certificates")
         n_star = w.max_cert()
         tail = w.terms(n_star)
-        if any(v != ZERO for v in tail.values):
+        if any(tail.nums):
             raise InvariantError("certificate lies: tail term is not zero")
         value = phi(tail)
         return passed(name, witness={"mode": "exact tail evaluation",

@@ -252,6 +252,23 @@ class TestReconstruction:
         assert err.value.witness == {"expected": "7/8", "got": "7/16",
                                      "case": 0}
 
+    @pytest.mark.parametrize("trials", [1, 8, 40])
+    def test_action_called_once_per_input_list(self, trials):
+        # Per trial: the projected entry, the sampled list (shared by the
+        # projection and blend squares), the blend and the constant.
+        s = FinSpace.discrete(["a", "b", "c"])
+        action = action_of(lift(Functional.extensional(
+            s, (F(1, 6), F(1, 3), F(1, 2)))))
+        inputs = []
+
+        def counted(fs):
+            inputs.append(fs)
+            return action(fs)
+
+        functional_from_action(counted, s, random.Random(trials), trials)
+        assert len(inputs) <= 4 * trials
+        assert len({id(fs) for fs in inputs}) == len(inputs)
+
 
 class TestAffineComposition:
     def test_coefficients_compose(self):

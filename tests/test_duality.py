@@ -136,6 +136,47 @@ class TestToMeasure:
 
     @settings(max_examples=80, deadline=None)
     @given(spaces_with_measures())
+    def test_extensional_read_off_matches_the_definition(self, sm):
+        # The weights are phi at the atom indicators, and phi fixes the
+        # constants the intensional probe checks.
+        space, pi = sm
+        phi = Functional.extensional(space, pi.weights)
+        assert to_measure(phi).weights == tuple(
+            phi(atom_indicator(space, i)) for i in range(len(space.atoms)))
+        for r in (F(0), F(1, 2), F(1)):
+            assert phi(IFunction.constant(space, r)) == r
+
+    @settings(max_examples=40, deadline=None)
+    @given(spaces_with_measures())
+    def test_probe_path_agrees_with_read_off(self, sm):
+        space, pi = sm
+        phi = to_functional(pi)
+        probed = Functional.intensional(space, phi, "probed copy")
+        assert to_measure(probed) == to_measure(phi) == pi
+
+    def test_extensional_read_off_evaluates_nothing(self, monkeypatch):
+        counts = {"call": 0, "ifunction": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        space = FinSpace.discrete(list(LABELS[:5]))
+        phi = Functional.extensional(space, (F(1, 5),) * 5)
+        monkeypatch.setattr(Functional, "__call__",
+                            counting("call", Functional.__call__))
+        monkeypatch.setattr(IFunction, "__init__",
+                            counting("ifunction", IFunction.__init__))
+        assert to_measure(phi).weights == (F(1, 5),) * 5
+        assert counts == {"call": 0, "ifunction": 0}
+        probed = Functional.intensional(space, lambda f: f.values[0], "first")
+        to_measure(probed)
+        assert counts["call"] == 5 + 3
+
+    @settings(max_examples=80, deadline=None)
+    @given(spaces_with_measures())
     def test_roundtrip_measure(self, sm):
         _, pi = sm
         assert to_measure(to_functional(pi)) == pi

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from girylab import config, harness, hull
+from girylab import config, duality, harness, hull
 from girylab.cli import main
 from girylab.errors import GirylabError, InvariantError
 from girylab.codensity import AffineMap
@@ -358,6 +358,21 @@ def _swap_weights(fn):
     return mutated
 
 
+def _reverse_output(fn):
+    """fn with the weights of its resulting measure, or the coefficients
+    of its resulting extensional functional, in reverse order."""
+
+    def mutated(*args):
+        out = fn(*args)
+        if isinstance(out, Measure):
+            return Measure(out.space, out.weights[::-1])
+        if out.is_extensional:
+            return Functional.extensional(out.space, out.coeffs[::-1])
+        return out
+
+    return mutated
+
+
 class TestRefutingPower:
     # The first failing case of each law depends on every draw the cases
     # make, so these indices also pin the generated instances.
@@ -372,6 +387,28 @@ class TestRefutingPower:
         monkeypatch.setattr(harness, target,
                             _swap_weights(getattr(harness, target)))
         report = run_suite("all", SuiteConfig(seed=7, trials=200))
+        failing = {r.name: r.witness for r in report.records
+                   if r.result != "pass"}
+        assert {name: w["case"] for name, w in failing.items()} == expected
+        for witness in failing.values():
+            assert {"case", "lhs", "rhs"} <= set(witness)
+
+    # The bijection layer: each map's output reversed, in ``duality`` (for
+    # its own callers, such as ``FunctionalMixture.measure_image``) and in
+    # ``harness``.
+    @pytest.mark.parametrize("target, expected", [
+        ("to_measure", {"measure-roundtrip": 0, "functional-roundtrip": 7,
+                        "unit-diagram": 1, "bijection-naturality": 2}),
+        ("to_functional", {"measure-roundtrip": 0, "functional-roundtrip": 7}),
+        ("mix_functionals", {"multiplication-diagram": 0}),
+        ("pushforward_functional", {"unit-functional-naturality": 0,
+                                    "bijection-naturality": 2}),
+    ])
+    def test_reversed_bijection_is_refuted(self, monkeypatch, target, expected):
+        mutated = _reverse_output(getattr(duality, target))
+        monkeypatch.setattr(duality, target, mutated)
+        monkeypatch.setattr(harness, target, mutated)
+        report = run_suite("duality", SuiteConfig(seed=7, trials=100))
         failing = {r.name: r.witness for r in report.records
                    if r.result != "pass"}
         assert {name: w["case"] for name, w in failing.items()} == expected
