@@ -234,10 +234,9 @@ class CodensityElement:
     entrywise to an eventually-zero list of functions.  Natural families
     of the forgetful functor correspond to admissible functionals;
     lifting a non-admissible one is allowed, and naturality checking
-    then refutes it.
+    then refutes it.  Its base space is ``phi.space``.
     """
 
-    base: FinSpace
     phi: Functional
 
     def at_power(self, fs: Sequence[IFunction]) -> tuple[Fraction, ...]:
@@ -248,7 +247,7 @@ class CodensityElement:
 
 
 def lift(phi: Functional) -> CodensityElement:
-    return CodensityElement(phi.space, phi)
+    return CodensityElement(phi)
 
 
 def _compose_pointwise(h, fs: Sequence[IFunction], space: FinSpace) -> IFunction:
@@ -275,8 +274,9 @@ def check_naturality(alpha: CodensityElement, h, fs: Sequence[IFunction]) -> Ver
     verdict carries the residual when the paths disagree.
     """
     fs = tuple(fs)
+    space = alpha.phi.space
     for f in fs:
-        if f.space != alpha.base:
+        if f.space != space:
             raise InvariantError("tuple component lives off the base space")
     if isinstance(h, AffineMap):
         if h.arity != len(fs):
@@ -288,7 +288,7 @@ def check_naturality(alpha: CodensityElement, h, fs: Sequence[IFunction]) -> Ver
         target = "sequences"
     else:
         raise InvariantError("h must be an affine map of a power or of sequences")
-    via_component = alpha.phi(_compose_pointwise(h, fs, alpha.base))
+    via_component = alpha.phi(_compose_pointwise(h, fs, space))
 
     name = f"naturality at {target}"
     if via_family == via_component:
@@ -301,7 +301,8 @@ def check_naturality(alpha: CodensityElement, h, fs: Sequence[IFunction]) -> Ver
 def check_vanishing_component(alpha: CodensityElement, fs: Sequence[IFunction],
                               certified_len: int) -> Verdict:
     """The sequence component must output a valid vanishing sequence:
-    entries in [0,1] and zero past the certified tail index."""
+    entries in [0,1] and zero past the certified tail index.  A pass
+    carries no witness; a fail names the entries past that index."""
     fs = tuple(fs)
     for f in fs[certified_len:]:
         if any(f.nums):
@@ -314,7 +315,7 @@ def check_vanishing_component(alpha: CodensityElement, fs: Sequence[IFunction],
     if bad:
         return failed(name, {"nonzero_past_certified_index": bad,
                              "entries": out, "certified_len": certified_len})
-    return passed(name, witness={"entries": out})
+    return passed(name)
 
 
 # -- reconstruction from a sequence-space action ---------------------------

@@ -11,12 +11,11 @@ measures via
 
 and on finite sigma-algebras finite and countable additivity coincide,
 so the same pair of maps covers both.  Functionals carry one of two
-bodies: an extensional coefficient vector on the atoms (a point of the
-probability simplex, admissible by construction) or an intensional
-closure, which is how deliberate non-examples (max, square, clamped
-sum) enter the test suites with refuting power.  An extensional body is
-held as its measure is, int numerators over one denominator, so the two
-maps of the bijection pass those integers across and evaluate nothing.
+bodies: an extensional one, the measure itself (admissible by
+construction), or an intensional closure, which is how deliberate
+non-examples (max, square, clamped sum) enter the test suites with
+refuting power.  On an extensional body the two maps of the bijection
+hand the measure across and evaluate nothing.
 
 Affineness of an intensional body is decided by randomized search with
 reported witnesses, not proof; the limits axiom is checked against a
@@ -28,107 +27,82 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import InvariantError, RejectionError, SpaceMismatchError
 from .rational import (HALF, ONE, ZERO, exact, format_rational, index, lift,
-                       probability_numerators, random_fraction, require_unit)
+                       random_fraction, require_unit)
 from .spaces import (FinSpace, IFunction, MeasMap, atom_image, atom_indicator,
                      generate_ifunction, require_measurable)
-from .measures import Measure
+from .measures import Measure, integrate
 from .monad import MetaMeasure, mixture_support
 from .verdicts import Verdict, describe, failed, passed
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Functional:
     """A map from measurable I-valued functions on a space to I.
 
-    Exactly one of two bodies is set.  An extensional body is a point of
-    the probability simplex on the atoms, stored as int numerators
-    ``nums`` over one denominator ``den`` in lowest terms, as a
-    ``Measure`` is: evaluation is one integer dot product with the
-    function's numerators, and two extensional bodies are equal when
-    their spaces and numerators are.  An intensional body is a closure
-    ``evaluator``; only it has a ``label``, and its ``nums`` and ``den``
-    are None.  Intensional evaluators must be pure; results are
+    Exactly one of two bodies is set.  An extensional body is the
+    ``measure`` on ``space`` that the functional integrates against, so
+    it is a point of the probability simplex on the atoms by
+    construction, evaluation is ``measures.integrate``, and two
+    extensional bodies are equal when their measures are.  An
+    intensional body is a closure ``evaluator``; only it has a
+    ``label``.  Intensional evaluators must be pure; results are
     range-checked on every call.
 
-    ``Functional(space, coeffs)`` and ``Functional.extensional(space,
-    coeffs)`` take rationals, admit each with ``rational.exact`` and lift
-    them once to int numerators over the lcm of their denominators;
-    ``Functional.extensional(space, nums, den)`` takes int numerators over
-    ``den``.  Either way ``rational.probability_numerators`` checks and
-    reduces them.  ``coeffs``, the tuple of Fractions (None for an
-    intensional body), is kept as given in the first form and built when
-    first read in the second.
+    ``Functional.extensional(space, coeffs)`` takes the coefficients as
+    rationals and builds the measure from them.
     """
 
     space: FinSpace
-    nums: Optional[tuple[int, ...]]
-    den: Optional[int]
-    evaluator: Optional[Callable[[IFunction], Fraction]]
-    label: str
+    measure: Optional[Measure] = None
+    evaluator: Optional[Callable[[IFunction], Fraction]] = None
+    label: str = ""
 
-    def __init__(self, space: FinSpace, coeffs=None, evaluator=None,
-                 label: str = "", den: Optional[int] = None):
-        if (coeffs is None) == (evaluator is None):
-            raise InvariantError("exactly one of coeffs/evaluator must be given")
-        nums = None
-        if coeffs is not None:
-            if len(coeffs) != len(space.atoms):
-                raise InvariantError("need one coefficient per atom")
-            if den is None:
-                coeffs = tuple(exact(c, "extensional coefficients")
-                               for c in coeffs)
-                self.__dict__["coeffs"] = coeffs
-                coeffs, den = lift(coeffs)
-            nums, den = probability_numerators(
-                coeffs, den, "extensional coefficients")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "evaluator", evaluator)
-        object.__setattr__(self, "label", label)
+    def __post_init__(self):
+        if (self.measure is None) == (self.evaluator is None):
+            raise InvariantError("exactly one of measure/evaluator must be given")
+        if self.measure is not None and not (
+                isinstance(self.measure, Measure)
+                and self.measure.space == self.space):
+            raise InvariantError(
+                "an extensional body must be a Measure on the functional's space")
 
     @staticmethod
-    def extensional(space: FinSpace, coeffs, den: Optional[int] = None) -> "Functional":
-        return Functional(space, tuple(coeffs), den=den)
+    def extensional(space: FinSpace, coeffs) -> "Functional":
+        return Functional(space, Measure(space, coeffs))
 
     @staticmethod
     def intensional(space: FinSpace, evaluator, label: str) -> "Functional":
-        return Functional(space, None, evaluator, label)
-
-    @cached_property
-    def coeffs(self) -> Optional[tuple[Fraction, ...]]:
-        if self.nums is None:
-            return None
-        return tuple(Fraction(n, self.den) for n in self.nums)
+        return Functional(space, evaluator=evaluator, label=label)
 
     def dot(self, values: Sequence[Fraction]) -> Fraction:
         """The coefficient-weighted sum of ``values``, one per atom, as one
         integer dot product over ``rational.lift``; extensional only."""
         nums, vden = lift(values)
-        return Fraction(sum(map(mul, self.nums, nums)), self.den * vden)
+        return Fraction(sum(map(mul, self.measure.nums, nums)),
+                        self.measure.den * vden)
 
     @property
     def is_extensional(self) -> bool:
-        return self.nums is not None
+        return self.measure is not None
 
     def __call__(self, f: IFunction) -> Fraction:
+        if self.measure is not None:
+            return integrate(f, self.measure)
         if f.space != self.space:
             raise SpaceMismatchError("argument lives on a different space")
-        if self.nums is not None:
-            return Fraction(sum(map(mul, self.nums, f.nums)), self.den * f.den)
         return require_unit(self.evaluator(f),
                             f"value of {self.label or 'functional'}")
 
     def describe(self) -> dict:
         if self.is_extensional:
+            pi = self.measure
             return {"kind": "extensional", "coefficients": [
-                format_rational(n, self.den) for n in self.nums]}
+                format_rational(n, pi.den) for n in pi.nums]}
         return {"kind": "intensional", "label": self.label}
 
 
@@ -138,9 +112,8 @@ class Functional:
 def to_measure(phi: Functional) -> Measure:
     """The measure whose atom weights are phi of the atom indicators.
 
-    An extensional body already is that weight vector: its numerators
-    and denominator become the measure, which the ``Measure``
-    constructor checks again, and phi is never called.  Only an
+    An extensional body already is that measure: it is returned as it
+    is, checked by nothing again, and phi is never called.  Only an
     intensional body is probed, on the atom basis plus constant spot
     checks: the indicator weights (each in [0,1], as every value of a
     Functional is) must sum to 1 and phi must fix the constants 0, 1/2,
@@ -151,7 +124,7 @@ def to_measure(phi: Functional) -> Measure:
     """
     space = phi.space
     if phi.is_extensional:
-        return Measure(space, phi.nums, phi.den)
+        return phi.measure
     weights = tuple(phi(atom_indicator(space, i))
                     for i in range(len(space.atoms)))
     total = sum(weights, ZERO)
@@ -172,9 +145,9 @@ def to_measure(phi: Functional) -> Measure:
 
 
 def to_functional(pi: Measure) -> Functional:
-    """Integration against pi, in extensional form: the measure's int
-    numerators and denominator, taken as they are."""
-    return Functional.extensional(pi.space, pi.nums, pi.den)
+    """Integration against pi, in extensional form: pi itself is the
+    body, checked by nothing again."""
+    return Functional(pi.space, pi)
 
 
 # -- functorial action, unit, multiplication ---------------------------
@@ -191,7 +164,7 @@ def pushforward_functional(g: MeasMap, phi: Functional) -> Functional:
         raise SpaceMismatchError("functional lives off the domain of g")
     if phi.is_extensional:
         coeffs = [ZERO] * len(g.cod.atoms)
-        for i, c in enumerate(phi.coeffs):
+        for i, c in enumerate(phi.measure.weights):
             coeffs[atom_image(g, i)] += c
         return Functional.extensional(g.cod, coeffs)
     return Functional.intensional(
@@ -240,7 +213,7 @@ def mix_functionals(psi: FunctionalMixture) -> Functional:
     if all(phi.is_extensional for phi, _ in psi.support):
         coeffs = [ZERO] * len(psi.space.atoms)
         for phi, w in psi.support:
-            for j, c in enumerate(phi.coeffs):
+            for j, c in enumerate(phi.measure.weights):
                 coeffs[j] += w * c
         return Functional.extensional(psi.space, coeffs)
     return Functional.intensional(psi.space, psi.apply_to_evaluation, "mixture")
@@ -352,7 +325,7 @@ PhiLike = Union[Functional, Callable]
 
 #: How many halvings 2^-k the probed tail of ``respects_limits`` must reach.
 LIMIT_THRESHOLDS = 12
-#: The fewest sequence terms ``respects_limits`` probes.
+#: How many terms of a naturals-indexed sequence ``respects_limits`` probes.
 LIMIT_PROBE = 48
 
 
@@ -360,44 +333,47 @@ def respects_limits(phi: PhiLike, w: LimitWitness) -> Verdict:
     """Does phi send the certified vanishing sequence to values
     converging to zero?
 
-    Extensional functionals on a finite space pass exactly: beyond the
-    largest certified index the terms are identically zero, so the
-    value there is zero.  Otherwise the sequence of values is probed on
-    a finite window; pass requires, for every threshold 2^-k up to
-    ``LIMIT_THRESHOLDS``, a probed tail staying at or below it.  A fail
-    carries the stuck lower bound (the infimum of the probed tail).
+    On a finite space the sequence is decided exactly: beyond the
+    largest certified index the terms are identically zero, so phi
+    respects it exactly when its value at that tail term is zero; a fail
+    carries the value it is stuck at.  A naturals-indexed sequence is
+    probed on a finite window; pass requires, for every threshold 2^-k
+    up to ``LIMIT_THRESHOLDS``, a probed tail staying at or below it.  A
+    fail carries the stuck lower bound (the infimum of the probed tail).
     """
     name = "respects limits"
     if not isinstance(w, LimitWitness):
         raise InvariantError("witness must be a certified LimitWitness")
 
-    if isinstance(phi, Functional) and phi.is_extensional:
-        if w.points is None:
-            raise InvariantError("finite-space functional needs atom certificates")
+    if w.points is not None:
         n_star = w.max_cert()
         tail = w.terms(n_star)
         if any(tail.nums):
             raise InvariantError("certificate lies: tail term is not zero")
-        value = phi(tail)
+        value = exact(phi(tail), "functional value")
+        if value != ZERO:
+            return failed(name, {"mode": "exact tail evaluation",
+                                 "tail_index": n_star, "stuck_at": value})
         return passed(name, witness={"mode": "exact tail evaluation",
                                      "tail_index": n_star, "value": value})
+    if isinstance(phi, Functional):
+        raise InvariantError("finite-space functional needs atom certificates")
 
-    horizon = LIMIT_PROBE
-    if w.points is not None:
-        horizon = max(LIMIT_PROBE, w.max_cert() + 4)
-    values = [exact(phi(w.terms(n)), "functional value") for n in range(horizon)]
+    values = [exact(phi(w.terms(n)), "functional value")
+              for n in range(LIMIT_PROBE)]
 
     suffix_max = values[:]
-    for i in range(horizon - 2, -1, -1):
+    for i in range(LIMIT_PROBE - 2, -1, -1):
         suffix_max[i] = max(suffix_max[i], suffix_max[i + 1])
 
     for k in range(1, LIMIT_THRESHOLDS + 1):
         bound = Fraction(1, 1 << k)
         if not any(sm <= bound for sm in suffix_max):
-            stuck = min(values[-max(1, horizon // 4):])
+            stuck = min(values[-(LIMIT_PROBE // 4):])
             return failed(name, {"threshold": bound, "stuck_at": stuck,
-                                 "probed": horizon, "values_head": values[:8]})
-    return passed(name, witness={"mode": "probe window", "probed": horizon})
+                                 "probed": LIMIT_PROBE,
+                                 "values_head": values[:8]})
+    return passed(name, witness={"mode": "probe window", "probed": LIMIT_PROBE})
 
 
 # -- deliberate non-examples for the suites -----------------------------

@@ -752,7 +752,7 @@ def _case_reconstruction_roundtrip(cfg, rng):
     recovered = functional_from_action(action, space, rng, trials=8)
     coeffs = tuple(recovered(atom_indicator(space, i))
                    for i in range(len(space.atoms)))
-    if coeffs != phi.coeffs:
+    if coeffs != phi.measure.weights:
         return {"phi": phi, "recovered": coeffs}
     f = generate_ifunction(rng, space)
     if recovered(f) != phi(f):

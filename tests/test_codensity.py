@@ -166,15 +166,15 @@ class TestVanishingComponent:
         chi = atom_indicator(s, 0)
         zero = IFunction.constant(s, F(0))
         verdict = check_vanishing_component(lift(phi), [chi, zero, zero], 1)
-        assert verdict.passed
-        assert verdict.witness["entries"] == ["1/2"]
+        assert verdict.passed and verdict.witness is None
+        assert lift(phi).at_sequences([chi, zero, zero]).entries == (F(1, 2),)
 
     def test_empty_list_gives_zero_sequence(self):
         s = two_discrete()
         phi = Functional.extensional(s, (F(1), F(0)))
         verdict = check_vanishing_component(lift(phi), [], 0)
-        assert verdict.passed
-        assert verdict.witness["entries"] == []
+        assert verdict.passed and verdict.witness is None
+        assert lift(phi).at_sequences([]).entries == ()
 
     def test_failure_witness(self):
         s = two_discrete()
@@ -202,7 +202,7 @@ class TestReconstruction:
         phi = Functional.extensional(s, (F(1, 6), F(1, 3), F(1, 2)))
         recovered = functional_from_action(action_of(lift(phi)), s, rng)
         coeffs = tuple(recovered(atom_indicator(s, i)) for i in range(3))
-        assert coeffs == phi.coeffs
+        assert coeffs == phi.measure.weights
         f = IFunction(s, (F(1, 5), F(2, 5), F(1)))
         assert recovered(f) == phi(f)
 

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 
 from girylab.config import SuiteConfig
-from girylab.errors import RejectionError, SpaceMismatchError
+from girylab.counterexample import vanishing_segment_witness
+from girylab.errors import InvariantError, RejectionError, SpaceMismatchError
 from girylab.harness import generate_measure, generate_space
 from girylab.spaces import (FinSpace, IFunction, MeasMap, atom_indicator,
                             generate_ifunction)
-from girylab.measures import integrate, pushforward
+from girylab.measures import Measure, integrate, pushforward
 from girylab.monad import dirac, flatten
 from girylab.duality import (Functional, FunctionalMixture, LimitWitness,
                              clamped_sum_functional, evaluation_at, is_affine,
@@ -61,7 +62,7 @@ class TestEvaluate:
         phi = Functional.extensional(space, coeffs)
         got = phi(IFunction(space, vals))
         assert type(got) is Fraction
-        assert got == sum((c * v for c, v in zip(phi.coeffs, vals)), F(0))
+        assert got == sum((c * v for c, v in zip(coeffs, vals)), F(0))
 
     def test_space_mismatch(self):
         phi = Functional.extensional(two_discrete(), (F(1), F(0)))
@@ -186,7 +187,43 @@ class TestToMeasure:
     def test_roundtrip_functional(self, sm):
         _, pi = sm
         phi = to_functional(pi)
-        assert to_functional(to_measure(phi)).coeffs == phi.coeffs
+        assert to_functional(to_measure(phi)) == phi
+
+
+class TestHeldMeasure:
+    """An extensional functional holds its measure: the bijection hands
+    the one object across in both directions."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(spaces_with_measures())
+    def test_bijection_hands_the_measure_across(self, sm):
+        _, pi = sm
+        assert to_functional(pi).measure is pi
+        assert to_measure(to_functional(pi)) is pi
+
+    def test_tuple_body_refused(self):
+        s = two_discrete()
+        with pytest.raises(InvariantError, match="must be a Measure"):
+            Functional(s, (F(1, 2), F(1, 2)))
+
+    def test_measure_on_another_space_refused(self):
+        pi = Measure(FinSpace.discrete(["x", "y"]), (F(1, 2), F(1, 2)))
+        with pytest.raises(InvariantError, match="must be a Measure"):
+            Functional(two_discrete(), pi)
+
+    def test_exactly_one_body(self):
+        s = two_discrete()
+        with pytest.raises(InvariantError, match="exactly one"):
+            Functional(s)
+        with pytest.raises(InvariantError, match="exactly one"):
+            Functional(s, Measure(s, (F(1), F(0))), lambda f: F(0))
+
+    def test_no_second_copy_of_the_numerators(self):
+        phi = Functional.extensional(two_discrete(), (F(1, 3), F(2, 3)))
+        for name in ("nums", "den", "coeffs"):
+            assert not hasattr(phi, name)
+        with pytest.raises(TypeError):
+            Functional.extensional(two_discrete(), (1, 2), den=3)
 
 
 class TestIsAffine:
@@ -242,7 +279,6 @@ class TestRespectsLimits:
 
     def test_lying_certificate_rejected(self):
         s = two_discrete()
-        from girylab.errors import InvariantError
         with pytest.raises(InvariantError):
             LimitWitness.on_space(
                 s, lambda n: IFunction.constant(s, F(1, 2)), [0, 0])
@@ -256,7 +292,27 @@ class TestRespectsLimits:
                                        F(0))), [4, 0])
         verdict = respects_limits(max_functional(s), w)
         assert verdict.passed
-        assert verdict.witness["mode"] == "probe window"
+        assert verdict.witness["mode"] == "exact tail evaluation"
+
+    def test_intensional_offset_refuted_exactly(self):
+        # pinned at 1/8192 on the zero tail: under the 2^-12 probe
+        # threshold, but not zero, so the limits axiom fails
+        s = two_discrete()
+        phi = Functional.intensional(
+            s, lambda f: F(1, 8192) + sum(f.values) / 4, "offset")
+        w = LimitWitness.on_space(
+            s, lambda n: IFunction(s, (F(1, n + 1) if n < 3 else F(0),
+                                       F(0))), (3, 1))
+        verdict = respects_limits(phi, w)
+        assert not verdict.passed
+        assert verdict.witness == {"mode": "exact tail evaluation",
+                                   "tail_index": 3, "stuck_at": "1/8192"}
+
+    @pytest.mark.parametrize("make", [
+        lambda s: Functional.extensional(s, (F(1), F(0))), max_functional])
+    def test_functional_needs_atom_certificates(self, make):
+        with pytest.raises(InvariantError, match="needs atom certificates"):
+            respects_limits(make(two_discrete()), vanishing_segment_witness())
 
     def test_verdict_serializes_to_contract_shape(self):
         s = two_discrete()
@@ -271,7 +327,7 @@ class TestPushforwardFunctional:
         s = two_discrete()
         phi = Functional.extensional(s, (F(1, 3), F(2, 3)))
         out = pushforward_functional(MeasMap.identity(s), phi)
-        assert out.coeffs == phi.coeffs
+        assert out.measure.weights == phi.measure.weights
 
     def test_unit_naturality(self):
         dom = two_discrete()
@@ -280,7 +336,7 @@ class TestPushforwardFunctional:
         for point in dom.carrier:
             lhs = pushforward_functional(g, evaluation_at(dom, point))
             rhs = evaluation_at(cod, g.apply(point))
-            assert lhs.coeffs == rhs.coeffs
+            assert lhs.measure.weights == rhs.measure.weights
 
     @settings(max_examples=60, deadline=None)
     @given(spaces_with_measures(4), st.randoms(use_true_random=False))
@@ -310,7 +366,7 @@ class TestMonadStructure:
     def test_mixture_point_law(self):
         s = two_discrete()
         phi = Functional.extensional(s, (F(2, 5), F(3, 5)))
-        assert mix_functionals(FunctionalMixture.point(phi)).coeffs == phi.coeffs
+        assert mix_functionals(FunctionalMixture.point(phi)) == phi
 
     def test_unit_diagram(self):
         s = FinSpace.discrete(["a", "b", "c"])

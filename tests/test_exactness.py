@@ -46,10 +46,8 @@ ENTRY_POINTS = [
     ("exact", "x", "float bool", lambda x: rational.exact(x, "x")),
     ("Measure", "weights", "float bool int",
      lambda x: Measure(S2, (x, 0)).weights[0]),
-    ("Functional", "extensional coefficients", "float bool int",
-     lambda x: Functional(S2, (x, 0)).coeffs[0]),
-    ("Functional.extensional", "extensional coefficients", "float bool",
-     lambda x: Functional.extensional(S2, (x, 0)).coeffs[0]),
+    ("Functional.extensional", "weights", "float bool int",
+     lambda x: Functional.extensional(S2, (x, 0)).measure.weights[0]),
     ("Functional intensional value", "value of probe", "float bool",
      lambda x: Functional.intensional(S2, lambda f: x, "probe")(
          IFunction.constant(S2, F(1, 2)))),

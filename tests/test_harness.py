@@ -367,7 +367,7 @@ def _reverse_output(fn):
         if isinstance(out, Measure):
             return Measure(out.space, out.weights[::-1])
         if out.is_extensional:
-            return Functional.extensional(out.space, out.coeffs[::-1])
+            return Functional.extensional(out.space, out.measure.weights[::-1])
         return out
 
     return mutated
@@ -414,6 +414,28 @@ class TestRefutingPower:
         assert {name: w["case"] for name, w in failing.items()} == expected
         for witness in failing.values():
             assert {"case", "lhs", "rhs"} <= set(witness)
+
+    # Extensional evaluation: an extensional body integrates its argument
+    # with the argument's numerators reversed.
+    @pytest.mark.parametrize("suite, expected", [
+        ("duality", {"extensional-characterization": 9}),
+        ("naturality", {"unit-element-evaluation": 0}),
+        ("monoid-reduction", {"reconstruction-roundtrip": 0}),
+    ])
+    def test_reversed_extensional_evaluation_is_refuted(self, monkeypatch,
+                                                        suite, expected):
+        call = Functional.__call__
+
+        def mutated(phi, f):
+            if phi.is_extensional:
+                f = IFunction(f.space, f.nums[::-1], f.den)
+            return call(phi, f)
+
+        monkeypatch.setattr(Functional, "__call__", mutated)
+        report = run_suite(suite, SuiteConfig(seed=7, trials=100))
+        failing = {r.name: r.witness for r in report.records
+                   if r.result != "pass"}
+        assert {name: w["case"] for name, w in failing.items()} == expected
 
     # A check that accepts everything must still fail its property: each
     # case also offers the check an input it has to reject.
