@@ -275,11 +275,13 @@ def _cmd_markov(args) -> int:
         pi = monad.n_step(kernel, init, args.steps)
         shown = [(args.steps, (pi.nums, pi.den))]
     base = monad.denominator_base(kernel, init)
+    # Each line is the bytes of json.dumps(doc, sort_keys=True), written
+    # directly: the atom indices as keys, sorted as strings ("10" < "2").
+    order = sorted(range(len(kernel.dom.atoms)), key=str)
     for step, (nums, den) in shown:
-        doc = {"step": step,
-               "weights": {str(i): format_rational(n, den, base)
-                           for i, n in enumerate(nums)}}
-        print(json.dumps(doc, sort_keys=True))
+        written = format_rational(nums, den, base)
+        weights = ", ".join(f'"{i}": "{written[i]}"' for i in order)
+        print(f'{{"step": {step}, "weights": {{{weights}}}}}')
     return 0
 
 

@@ -556,7 +556,17 @@ def _respects_limits_extensional(cfg, rng):
     space = generate_space(rng, cfg)
     phi = to_functional(generate_measure(rng, space))
     w = generate_limit_witness(rng, space)
-    return respects_limits(phi, w), {"error": "extensional functional failed"}
+    verdict = respects_limits(phi, w)
+    if not verdict.passed:
+        return verdict, {"error": "extensional functional failed"}
+    # A functional pinned at 1/8192 sends the zero tail to 1/8192: below
+    # every threshold a probe window tests, but not zero, so the exact
+    # decision that just passed ``phi`` must refute it.
+    offset = Functional.intensional(space, lambda f: Fraction(1, 8192),
+                                    "constant 1/8192")
+    if respects_limits(offset, w).passed:
+        return failed(verdict.property, {"accepted_nonzero_tail": offset.label}), {}
+    return verdict, {}
 
 
 DUALITY = [

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from . import duality
 from .errors import DigitLimitError, GirylabError, IngestionError
-from .rational import ZERO, _shown, exact, format_rational, parse_int, parse_rational
+from .rational import (ZERO, _shown, exact, format_rational, parse_int,
+                       parse_rational, probability)
 from .spaces import FinSpace, generate_sigma
 from .measures import IntervalMeasure, Measure
 from .monad import Kernel
@@ -222,7 +223,12 @@ def functional_from_json(doc: dict,
             coeffs = tuple(_rational(c, "coefficient") for c in coeffs_doc)
         else:
             raise IngestionError("extensional functional needs 'coefficients'")
+        if len(coeffs) != len(space.atoms):
+            raise IngestionError("functional: need exactly one coefficient "
+                                 "per atom")
         try:
+            # checked here too, so that an error names the document's key
+            probability(coeffs, "coefficients")
             return duality.Functional.extensional(space, coeffs)
         except GirylabError as exc:
             raise IngestionError(f"functional: {exc}") from None

@@ -18,16 +18,18 @@ decimal digits, on parse, on format and in Markov evolution.
 
 ``format_rational`` writes a Fraction, or an int numerator over an int
 denominator, in lowest terms.  The int form ``format_rational(n, den)``
-takes one ``gcd(n, den)`` and builds no Fraction.  With a third argument
-``base`` the caller promises that every prime factor of ``den`` divides
-``base``; the common factors of ``n`` and ``den`` are then divided out
-by gcds with ``base`` and with squares of the factors already found,
-never by a gcd of the two full numbers.  A Markov state gives such a base: its denominator divides
-``den(pi0) * L**t``, with ``L`` the lcm of the kernel rows'
+takes one ``gcd(n, den)`` and builds no Fraction.  The state form
+``format_rational(nums, den, base)`` writes a whole Markov state, one
+string per numerator over the shared ``den``.  The caller promises that
+every prime factor of ``den`` divides ``base``; each weight's common
+factor is then found from residues no larger than a base-sized multiple
+of the factor found so far, never by a gcd of the two full numbers, and
+divided out once.  A Markov state gives such a base: its denominator
+divides ``den(pi0) * L**t``, with ``L`` the lcm of the kernel rows'
 denominators, so ``den(pi0) * L`` serves every step
 (``monad.denominator_base``).
 
-The base form alone also takes ``n`` and ``den`` as integral
+The state form alone also takes the numerators and ``den`` as integral
 ``decimal.Decimal``s: finite, with exponent 0.  CPython writes an int in
 decimal in time quadratic in its length, while a Decimal keeps base-10**19
 limbs and writes them in linear time; a traced Markov run carries its
@@ -252,7 +254,8 @@ def probability(xs: Iterable, what: str) -> tuple[Fraction, ...]:
     return ps
 
 
-def format_rational(x, den: int | None = None, base: int | None = None) -> str:
+def format_rational(x, den: int | None = None,
+                    base: int | None = None) -> str | list[str]:
     """Render a rational canonically as ``"p/q"`` in lowest terms
     (``"3/4"``, ``"1/1"``, ``"0/1"``).
 
@@ -260,54 +263,79 @@ def format_rational(x, den: int | None = None, base: int | None = None) -> str:
     ``format_rational(n, den)`` writes the int ``n`` over the positive int
     ``den``, reduced by one ``gcd(n, den)``; no Fraction is built.
 
-    ``format_rational(n, den, base)`` takes the caller's promise that
-    every prime factor of ``den`` divides the positive int ``base``.  It
-    divides ``n`` and ``den`` by ``h = gcd(base, n % base, den % base)``
-    while ``h > 1``, and takes ``h * h`` as the next ``base``, so a
-    common factor of any power goes in a few rounds.  Every prime that
-    still divides both ``n`` and ``den`` divided both before the round,
-    hence divided ``h``: the promise carries over to ``h * h``.  When
-    ``h == 1`` no prime divides both, so the pair is in lowest terms.
-    Each gcd is of numbers no larger than ``base`` or ``h * h``, never of
-    ``n`` and ``den`` themselves.  A broken promise is not detected, and
-    the result may then not be in lowest terms.
+    ``format_rational(nums, den, base)`` writes a state: the list of the
+    strings of each ``n / den`` for ``n`` in ``nums``.  It takes the
+    caller's promise that every prime factor of ``den`` divides the
+    positive int ``base``.  For each ``n`` it finds ``g = gcd(n, den)``
+    in rounds: starting from ``g = 1`` and ``b = base``, each round takes
+    ``h = gcd(b, (n // g) % b, (den // g) % b)``, and while ``h > 1``
+    sets ``g *= h`` and ``b = h * h``, so a common factor of any power
+    goes in a few rounds.  Every prime that divides both ``n // g`` and
+    ``den // g`` divided both before the round, hence divided ``h``: the
+    promise carries over to ``h * h``.  When ``h == 1`` no prime divides
+    both, so ``g`` is the whole gcd.  Since ``g`` divides ``n`` and
+    ``den``, ``(n // g) % b`` is ``(n % (g * b)) // g``: a round reads
+    residues smaller than ``g * b`` and divides nothing long.  After the
+    last round ``n // g`` is one exact division, and ``den // g`` and its
+    digits are computed once per distinct ``g`` in the state.  A broken
+    promise is not detected, and the result may then not be in lowest
+    terms.
 
-    In this form ``n`` and ``den`` may also be integral Decimals, finite
-    with exponent 0, so that a long one is written in linear time (see
-    the module docstring); ``base`` stays an int.  The loop is the same
-    and runs under ``DECIMAL_INTEGERS``: ``n % base`` is a remainder
-    smaller than ``base`` whatever the type of ``n``, so it becomes a
-    small int for the gcd, and ``h`` divides ``n`` and ``den``, so every
-    division is exact.  A Decimal is written with the
-    digits of the int it equals, and its digits are counted by
-    ``adjusted()``.
+    In this form the numerators and ``den`` may also be integral
+    Decimals, finite with exponent 0, so that a long one is written in
+    linear time (see the module docstring); ``base`` stays an int.  The
+    rounds are the same and run under ``DECIMAL_INTEGERS``: a residue is
+    smaller than ``g * b`` whatever the type of ``n``, so it becomes a
+    small int for the gcd, and ``g`` divides ``n`` and ``den``, so every
+    division is exact.  A Decimal is written with the digits of the int
+    it equals, and its digits are counted by ``adjusted()``.
 
-    The written numerator and denominator must fit in MAX_DIGITS
-    digits (DigitLimitError).  A float, a bool, a Fraction where an int
-    is needed, a Decimal that is not integral or is given without a
-    ``base``, or a ``den`` or ``base`` below 1 raises InvariantError.
+    Each written numerator and denominator must fit in MAX_DIGITS digits
+    (DigitLimitError, with the message the Fraction form gives for that
+    pair).  A float, a bool, a Fraction where an int is needed, a
+    Decimal that is not integral or is given outside the state form, or
+    a ``den`` or ``base`` below 1 raises InvariantError.
     """
-    if den is None:
-        if base is not None:
+    if base is not None:
+        if den is None:
             raise InvariantError("base applies only with a denominator")
+        return _format_state(x, den, base)
+    if den is None:
         f = exact(x, "rational to format")
         n, den = f.numerator, f.denominator
-    elif base is None:
+    else:
         n = _int(x, "numerator to format")
         _positive(den, "denominator to format")
         h = gcd(n, den)
         n, den = n // h, den // h
-    else:
-        n = _integer(x, "numerator to format")
-        _positive(den, "denominator to format", _integer)
-        base = _positive(base, "base")
-        with localcontext(DECIMAL_INTEGERS):
-            h = gcd(base, int(n % base), int(den % base))
-            while h > 1:
-                n, den, base = n // h, den // h, h * h
-                h = gcd(base, int(n % base), int(den % base))
     _require_pair_digits(n, den, "rational to format")
-    return f"{n or 0}/{den}"  # ``or 0`` writes a Decimal -0 as the int 0
+    return f"{n}/{den}"
+
+
+def _format_state(nums: Iterable, den, base: int) -> list[str]:
+    """The state form of ``format_rational``."""
+    _positive(den, "denominator to format", _integer)
+    _positive(base, "base")
+    written = {}  # g -> (den // g, its digits)
+    out = []
+    with localcontext(DECIMAL_INTEGERS):
+        first = int(den % base)
+        for n in nums:
+            n = _integer(n, "numerator to format")
+            g, h = 1, gcd(base, int(n % base), first)
+            while h > 1:
+                g, b = g * h, h * h
+                gb = g * b
+                h = gcd(b, int(n % gb) // g, int(den % gb) // g)
+            if g > 1:
+                n = n // g
+            d, digits = written.get(g) or (den // g, None)
+            _require_pair_digits(n, d, "rational to format")
+            if digits is None:
+                digits = str(d)
+                written[g] = d, digits
+            out.append(f"{n or 0}/{digits}")  # ``or 0`` writes a Decimal -0 as 0
+    return out
 
 
 def parse_int(s: str) -> int:

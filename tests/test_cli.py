@@ -232,7 +232,7 @@ def _chain(name):
 
 
 class TestMarkovOracle:
-    """``markov`` writes states with ``format_rational``'s base form; its
+    """``markov`` writes states with ``format_rational``'s state form; its
     output equals a Fraction computation written by the one-argument
     form, final state and ``--trace`` alike."""
 
@@ -250,6 +250,42 @@ class TestMarkovOracle:
         assert capsys.readouterr().out.splitlines(keepends=True) == want
         assert main(argv) == 0
         assert capsys.readouterr().out == want[-1]
+
+    @pytest.mark.parametrize("atoms", range(1, 17))
+    def test_lines_are_the_bytes_of_json_dumps(self, tmp_path, capsys, atoms):
+        """Each line is built without ``json``; from 11 atoms on, its keys
+        must still sort as strings ("10" before "2")."""
+        rng = random.Random(atoms)
+        space = FinSpace.discrete([f"s{i}" for i in range(atoms)])
+        matrix = [_random_row(rng, atoms) for _ in range(atoms)]
+        init = _random_row(rng, atoms)
+        kernel_doc, init_doc = _chain_docs(space, matrix, init)
+        argv = ["markov", "--kernel", write(tmp_path, "k.json", kernel_doc),
+                "--init", write(tmp_path, "pi.json", init_doc), "--steps", "5"]
+        want = _oracle_lines(matrix, init, 5)
+        assert main(argv + ["--trace"]) == 0
+        assert capsys.readouterr().out.splitlines(keepends=True) == want
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want[-1]
+
+    @pytest.mark.parametrize("trace, calls", [(True, 8), (False, 1)])
+    def test_one_format_call_per_state(self, tmp_path, capsys, monkeypatch,
+                                       trace, calls):
+        """The benchmark's span on ``format_rational`` counts states: a
+        ``--trace`` run over 7 steps writes 8 states, a final-state run 1."""
+        seen = []
+
+        def counted(*args):
+            seen.append(args)
+            return format_rational(*args)
+
+        monkeypatch.setattr(cli, "format_rational", counted)
+        space, matrix, init, _ = _chain("six points, three atoms")
+        kernel_doc, init_doc = _chain_docs(space, matrix, init)
+        argv = ["markov", "--kernel", write(tmp_path, "k.json", kernel_doc),
+                "--init", write(tmp_path, "pi.json", init_doc), "--steps", "7"]
+        assert main(argv + ["--trace"] * trace) == 0
+        assert len(capsys.readouterr().out.splitlines()) == calls == len(seen)
 
 
 def _directory(tmp_path):

@@ -3,9 +3,9 @@ be an int or a Fraction.  A float or a bool raises InvariantError naming
 the argument; an int is stored as a Fraction.  Probability vectors are
 checked by ``rational.probability``, and indices (positions and counts)
 by ``rational.index``: an int, not a bool, at least 0.  A Decimal is
-refused like a float.  The int forms of ``rational.format_rational``
-take ints only; its base form takes integral Decimals too (finite, with
-exponent 0), for the numerator and the denominator but not the base."""
+refused like a float.  The int form of ``rational.format_rational``
+takes ints only; its state form takes integral Decimals too (finite, with
+exponent 0), for the numerators and the denominator but not the base."""
 
 import re
 from decimal import Decimal
@@ -187,15 +187,17 @@ def test_index_stored_as_given(what, make):
 
 
 #: (entry point, the name its error gives the argument, make) for the int
-#: arguments of ``format_rational``'s int form.  ``make(x)`` passes x as
-#: that argument, with 1 over 2 and base 2 elsewhere.
+#: arguments of ``format_rational``'s state form.  ``make(x)`` passes x as
+#: that argument, with the state [1] over 2 and base 2 elsewhere.
 INT_ENTRY_POINTS = [
     ("format_rational numerator", "numerator to format",
-     lambda x: rational.format_rational(x, 2, 2)),
+     lambda x: rational.format_rational([x], 2, 2)),
+    ("format_rational later numerator", "numerator to format",
+     lambda x: rational.format_rational([1, x], 2, 2)),
     ("format_rational denominator", "denominator to format",
-     lambda x: rational.format_rational(1, x, 2)),
+     lambda x: rational.format_rational([1], x, 2)),
     ("format_rational base", "base",
-     lambda x: rational.format_rational(1, 2, x)),
+     lambda x: rational.format_rational([1], 2, x)),
 ]
 
 
@@ -221,7 +223,7 @@ def test_decimal_not_integral_rejected(what, make, x):
 
 
 @pytest.mark.parametrize("args", [(Decimal(1), 2), (1, Decimal(2)),
-                                  (1, 2, Decimal(2))], ids=str)
+                                  ([1], 2, Decimal(2))], ids=str)
 def test_decimal_outside_the_base_form_rejected(args):
     with pytest.raises(InvariantError, match="must be an int, got Decimal$"):
         rational.format_rational(*args)

@@ -373,6 +373,15 @@ def _reverse_output(fn):
     return mutated
 
 
+def _probe_window(phi, w):
+    """``respects_limits`` deciding an intensional functional on a finite
+    space by the probe window meant for naturals-indexed sequences."""
+    if phi.is_extensional:
+        return duality.respects_limits(phi, w)
+    return duality.respects_limits(lambda f: phi(f),
+                                   duality.LimitWitness(w.terms, w.cert))
+
+
 class TestRefutingPower:
     # The first failing case of each law depends on every draw the cases
     # make, so these indices also pin the generated instances.
@@ -447,6 +456,9 @@ class TestRefutingPower:
                      lambda alpha, fs, certified_len: passed("stub"),
                      "naturality", {"vanishing-component": 0},
                      "accepted_non_averaging", id="vanishing-component-always"),
+        pytest.param(harness, "respects_limits", _probe_window, "duality",
+                     {"respects-limits-extensional": 0}, "accepted_nonzero_tail",
+                     id="respects-limits-probe-window"),
     ])
     def test_accepting_check_is_refuted(self, monkeypatch, module, target, stub,
                                         suite, expected, key):

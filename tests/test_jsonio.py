@@ -43,47 +43,57 @@ class TestRationalStrings:
 
 
 class TestLowestTerms:
-    """``format_rational(n, den)`` and ``format_rational(n, den, base)``
-    write what ``format_rational(Fraction(n, den))`` writes, and so does
-    the base form on integral Decimals."""
+    """``format_rational(n, den)`` writes what ``format_rational(Fraction(n,
+    den))`` writes, and the state form ``format_rational(nums, den, base)``
+    writes that for each numerator, on ints and integral Decimals alike."""
 
     BASES = [2, 6, 12, 360, 2 ** 3 * 3 ** 2 * 7, 30 * 49 * 11 ** 3, 97]
 
     @staticmethod
-    def pairs(base):
-        """Seeded ``(n, den)`` with denominators made of powers of
-        ``base``'s primes."""
+    def states(base):
+        """Seeded ``(nums, den)`` with denominators made of powers of
+        ``base``'s primes, and numerators from 0 to ``den``."""
         rng = random.Random(base)
         primes = [p for p in range(2, base + 1)
                   if base % p == 0 and all(p % q for q in range(2, p))]
         for _ in range(40):
             den = prod(p ** rng.randint(0, 12) for p in primes)
             ns = {0, 1, den - 1, den} | {rng.randint(0, den) for _ in range(30)}
-            for n in ns:
-                yield n, den
+            yield sorted(ns), den
 
     @pytest.mark.parametrize("base", BASES)
     def test_base_form_equals_the_fraction_form(self, base):
-        for n, den in self.pairs(base):
-            want = format_rational(F(n, den))
-            assert format_rational(n, den, base) == want
-            assert format_rational(n, den) == want
+        for nums, den in self.states(base):
+            want = [format_rational(F(n, den)) for n in nums]
+            assert format_rational(nums, den, base) == want
+            assert format_rational(nums[::-1], den, base) == want[::-1]
+            for n, s in zip(nums, want):
+                assert format_rational([n], den, base) == [s]
+                assert format_rational(n, den) == s
 
     @pytest.mark.parametrize("base", BASES)
     def test_decimal_form_equals_the_int_form(self, base):
-        for n, den in self.pairs(base):
-            assert format_rational(Decimal(n), Decimal(den), base) == \
-                format_rational(n, den, base)
+        for nums, den in self.states(base):
+            assert format_rational(list(map(Decimal, nums)), Decimal(den),
+                                   base) == format_rational(nums, den, base)
+            assert format_rational([Decimal(nums[-1])], Decimal(den), base) == \
+                format_rational([nums[-1]], den, base)
 
     def test_decimal_negative_zero_is_written_as_zero(self):
-        assert format_rational(Decimal("-0"), Decimal(8), 2) == "0/1"
-        assert format_rational(Decimal(-6), Decimal(8), 2) == "-3/4"
+        assert format_rational([Decimal("-0")], Decimal(8), 2) == ["0/1"]
+        assert format_rational([Decimal(-6)], Decimal(8), 2) == ["-3/4"]
+        assert format_rational([Decimal(2), Decimal("-0"), Decimal(-6)],
+                               Decimal(8), 2) == ["1/4", "0/1", "-3/4"]
 
     def test_common_factor_of_a_high_power(self):
         den = 2 ** 5000 * 3 ** 7
-        assert format_rational(2 ** 4999, den, 6) == "1/4374"
-        assert format_rational(3 * 2 ** 4000, den, 6) == \
-            format_rational(F(3 * 2 ** 4000, den))
+        nums = [2 ** 4999, 3 * 2 ** 4000, 2 ** 4999 * 3, 1]
+        want = [format_rational(F(n, den)) for n in nums]
+        assert want[0] == "1/4374"
+        assert format_rational(nums, den, 6) == want
+        assert format_rational([2 ** 4999], den, 6) == ["1/4374"]
+        assert format_rational([Decimal(2 ** 4999)], Decimal(den), 6) == \
+            ["1/4374"]
 
     @pytest.mark.parametrize("n, den, base, want", [
         (0, 1, 1, "0/1"), (1, 1, 1, "1/1"), (5, 1, 1, "5/1"),
@@ -92,30 +102,32 @@ class TestLowestTerms:
         (3, 12, 12, "1/4"), (8, 36, 6, "2/9"),
     ])
     def test_edges(self, n, den, base, want):
-        assert format_rational(n, den, base) == want
+        assert format_rational([n], den, base) == [want]
         assert format_rational(n, den) == want == format_rational(F(n, den))
 
     @pytest.mark.parametrize("den, base", [(0, None), (-3, None), (0, 2),
                                            (-4, 2), (4, 0), (4, -2)])
     def test_nonpositive_denominator_or_base_rejected(self, den, base):
+        args = (1, den) if base is None else ([1], den, base)
         with pytest.raises(InvariantError, match="must be positive"):
-            format_rational(1, den, base)
+            format_rational(*args)
 
     def test_base_needs_a_denominator(self):
         with pytest.raises(InvariantError, match="base applies only"):
-            format_rational(F(1, 2), None, 2)
+            format_rational([F(1, 2)], None, 2)
 
     def test_digit_limit_message_of_the_fraction_form(self):
         big = 10 ** MAX_DIGITS
         with pytest.raises(DigitLimitError) as fraction_form:
             format_rational(F(big, 3))
-        for args in [(big, 3), (big, 3, 3), (-big, 3, 3),
-                     (Decimal(big), Decimal(3), 3), (Decimal(-big), 3, 3)]:
+        for args in [(big, 3), ([big], 3, 3), ([-big], 3, 3),
+                     ([1, big], 3, 3), ([1, 2], 3 * big, 30),
+                     ([Decimal(big)], Decimal(3), 3), ([Decimal(-big)], 3, 3)]:
             with pytest.raises(DigitLimitError) as int_form:
                 format_rational(*args)
             assert str(int_form.value) == str(fraction_form.value)
         # reduced first, as the Fraction form is
-        assert format_rational(big, 2 * big, 10) == "1/2"
+        assert format_rational([big, 2 * big], 2 * big, 10) == ["1/2", "1/1"]
 
 
 class TestDigitLimit:
@@ -289,6 +301,21 @@ class TestFunctionalJson:
         with pytest.raises(IngestionError, match="sum to 1"):
             functional_from_json(
                 {"coefficients": {"0": "1/2", "1": "1/3"}}, s)
+
+    @pytest.mark.parametrize("coefficients, message", [
+        ({"0": "1/2", "1": "1/3"},
+         "functional: coefficients must sum to 1/1, got total mass 5/6"),
+        (["1/2", "1/3"],
+         "functional: coefficients must sum to 1/1, got total mass 5/6"),
+        (["1/1"], "functional: need exactly one coefficient per atom"),
+        (["1/2", "1/2", "0/1"],
+         "functional: need exactly one coefficient per atom"),
+    ])
+    def test_errors_name_the_coefficients(self, coefficients, message):
+        s = FinSpace.discrete(["a", "b"])
+        with pytest.raises(IngestionError) as info:
+            functional_from_json({"coefficients": coefficients}, s)
+        assert str(info.value) == message
 
 
 class TestInlinedSpaceMustMatch:
