@@ -49,22 +49,26 @@ class Measure:
     ``rational.exact`` and lifts them once to int numerators over the lcm
     of their denominators; ``Measure(space, nums, den)`` takes int
     numerators over ``den``.  Either way ``rational.probability_numerators``
-    checks and reduces them.  ``weights``, the tuple of Fractions, is kept
-    as given in the first form and built when first read in the second.
+    checks and reduces them; a caller that knows a ``base`` holding every
+    prime factor of ``den`` may pass it as a keyword, and the reduction
+    then reads residues, not a full-size gcd.  ``weights``, the tuple of
+    Fractions, is kept as given in the first form and built when first
+    read in the second.
     """
 
     space: FinSpace
     nums: tuple[int, ...]
     den: int
 
-    def __init__(self, space: FinSpace, weights, den: int | None = None):
+    def __init__(self, space: FinSpace, weights, den: int | None = None, *,
+                 base: int | None = None):
         if len(weights) != len(space.atoms):
             raise InvariantError("need exactly one weight per atom")
         if den is None:
             weights = tuple(exact(w, "weights") for w in weights)
             self.__dict__["weights"] = weights
             weights, den = lift(weights)
-        nums, den = probability_numerators(weights, den, "weights")
+        nums, den = probability_numerators(weights, den, "weights", base)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)

@@ -12,9 +12,15 @@ matrix.
 
 ``bind`` and ``flatten`` work on the measures' int numerators over
 their denominators (see ``measures.Measure``): each output numerator is
-one integer dot product, and the result is reduced by one gcd, not one
-per weight.  ``Measure.den`` is the lcm of the reduced weights'
-denominators, which is what the digit bounds of ``n_step`` multiply.
+one integer dot product, and the result is divided by one common factor
+of the whole vector, not one per weight.  That factor is one gcd, except
+where a Markov state is bound (``trajectory`` and ``n_step``): every
+prime of the denominator there divides ``denominator_base``, so that
+``bind`` passes the base on and ``Measure`` finds the factor from small
+residues (``rational._common_factor``), with no gcd of full-size
+numbers.
+``Measure.den`` is the lcm of the reduced weights' denominators, which
+is what the digit bounds of ``n_step`` multiply.
 """
 
 from __future__ import annotations
@@ -91,20 +97,22 @@ def dirac(space: FinSpace, point: str) -> Measure:
     return Measure(space, [int(j == i) for j in range(len(space.atoms))], 1)
 
 
-def _mix(space: FinSpace, cnum, cden: int, measures) -> Measure:
+def _mix(space: FinSpace, cnum, cden: int, measures,
+         base: int | None = None) -> Measure:
     """The measure sum_i (cnum[i] / cden) * measures[i] on ``space``.
 
     With D the lcm of the measures' denominators, measure i scales to D
     by one integer, which folds into its coefficient.  Each output
     numerator over cden * D is then one integer dot product of those
     scales with a column of numerators; ``Measure`` reduces the result
-    by one gcd, and no Fraction is built.
+    by their common factor, found from ``base`` if given (every prime
+    factor of cden * D must divide it), and no Fraction is built.
     """
     rden = _den(measures)
     scales = [c * (rden // m.den) for c, m in zip(cnum, measures)]
     return Measure(space, [sum(map(mul, scales, col))
                            for col in zip(*(m.nums for m in measures))],
-                   cden * rden)
+                   cden * rden, base=base)
 
 
 def flatten(rho: MetaMeasure) -> Measure:
@@ -118,16 +126,19 @@ def flatten(rho: MetaMeasure) -> Measure:
     return _mix(rho.base, cnum, cden, [m for m, _ in rho.support])
 
 
-def bind(pi: Measure, k: Kernel) -> Measure:
+def bind(pi: Measure, k: Kernel, *, base: int | None = None) -> Measure:
     """Kleisli extension: result(A) = sum over atoms of pi(atom) * k(atom)(A).
 
     Agrees exactly with flattening the mixture of the kernel rows
     weighted by pi; on discrete spaces it is row-vector times
-    stochastic matrix.
+    stochastic matrix.  A caller that knows a ``base`` divisible by every
+    prime factor of ``pi.den`` and of the rows' denominators (such as
+    ``denominator_base`` for a Markov state) may pass it, so that the
+    result is reduced from residues (see ``_mix``).
     """
     if pi.space != k.dom:
         raise SpaceMismatchError("measure does not live on the kernel domain")
-    return _mix(k.cod, pi.nums, pi.den, k.rows)
+    return _mix(k.cod, pi.nums, pi.den, k.rows, base)
 
 
 def kleisli_compose(k1: Kernel, k2: Kernel) -> Kernel:
@@ -160,7 +171,10 @@ def denominator_base(k: Kernel, pi0: Measure) -> int:
     """``den(pi0) * L``, with L the lcm of the rows' denominators: every
     prime factor of the denominator of any state of ``trajectory`` or
     ``n_step`` from ``pi0`` under the endo-kernel ``k`` divides it, so it
-    is a ``base`` for ``rational.format_rational``.
+    is a ``base`` for ``rational.format_rational``.  Every prime factor
+    of ``pi.den * den(K^m)``, for such a state ``pi`` and a power K^m that
+    either function binds it by, divides it too; that is the denominator
+    ``bind(pi, K^m)`` reduces, so it is a ``base`` for that ``bind``.
 
     ``bind(pi, K)`` has a denominator dividing ``pi.den * den(K)``,
     where den(K) is the lcm of K's row denominators (``_mix``), so the
@@ -179,7 +193,8 @@ def n_step(k: Kernel, pi0: Measure, n: int) -> Measure:
 
     Binary exponentiation: associativity of Kleisli composition gives
     pi0 * K^n = pi0 * K^(2^a) * K^(2^b) * ..., so this makes O(log n)
-    kernel products, each through ``bind``.
+    kernel products, each through ``bind``; a state's ``bind`` takes
+    ``denominator_base(k, pi0)`` as its base.
 
     It stops with DigitLimitError at exactly the first step whose state
     ``trajectory`` would reject, although it computes only some states.
@@ -201,7 +216,7 @@ def n_step(k: Kernel, pi0: Measure, n: int) -> Measure:
         raise InvariantError("step count must be nonnegative")
     powers = [k]          # powers[i] = K^(2^i)
     spans = [1, _den(k.rows)]  # spans[j] = den(K^1) * ... * den(K^(2^(j-1)))
-    pi, done = pi0, 0
+    pi, done, base = pi0, 0, denominator_base(k, pi0)
     while done < n:
         left, den = n - done, _den((pi,))
         while (1 << len(powers)) <= left and fits_digits(den * spans[-1]):
@@ -209,7 +224,7 @@ def n_step(k: Kernel, pi0: Measure, n: int) -> Measure:
             spans.append(spans[-1] * _den(powers[-1].rows))
         j = next((j for j in range(len(powers) - 1, 0, -1)
                   if (1 << j) <= left and fits_digits(den * spans[j])), 0)
-        pi = bind(pi, powers[j])
+        pi = bind(pi, powers[j], base=base)
         done += 1 << j
         _require_digits(pi, f"a weight of the state at step {done}")
     return pi
@@ -217,10 +232,12 @@ def n_step(k: Kernel, pi0: Measure, n: int) -> Measure:
 
 def trajectory(k: Kernel, pi0: Measure, n: int) -> list[Measure]:
     """Distributions at steps 0..n inclusive; it stops with DigitLimitError
-    at the first state with a weight past rational.MAX_DIGITS."""
+    at the first state with a weight past rational.MAX_DIGITS.  Each step
+    is ``bind`` with ``denominator_base(k, pi0)`` as its base."""
+    base = denominator_base(k, pi0)
     out = [pi0]
     for step in range(1, n + 1):
-        out.append(bind(out[-1], k))
+        out.append(bind(out[-1], k, base=base))
         _require_digits(out[-1], f"a weight of the state at step {step}")
     return out
 
@@ -234,17 +251,20 @@ def decimal_states(k: Kernel, states):
     the one before, without converting an int.  With L the lcm of the
     rows' denominators, ``_mix`` writes ``bind(prev, k)`` as the
     numerators ``sum_i prev.nums[i] * (L // den_i) * row_i.nums[j]`` over
-    ``prev.den * L``, and ``Measure`` divides all of them by their gcd g.
-    So ``g = prev.den * L // pi.den`` is known from the int states, and
-    the Decimal state is those same dot products, on Decimals times the
-    kernel's small ints, divided by g.  ``DECIMAL_INTEGERS`` traps any
-    result that is not exact, so each Decimal equals the int it stands
-    for.  Multiplying and dividing by small ints and writing the digits
-    out take time linear in the length, where ``str(int)`` is quadratic.
+    ``prev.den * L``, and ``Measure`` divides all of them by their common
+    factor g.  So ``g = prev.den * L // pi.den`` is known from the int
+    states, and the Decimal state is those same dot products, on Decimals
+    times the kernel's small ints, divided by g only at a step where g is
+    not 1 (on most steps of a chain nothing cancels).  ``DECIMAL_INTEGERS``
+    traps any result that is not exact, so each Decimal equals the int it
+    stands for.  Multiplying and dividing by small ints and writing the
+    digits out take time linear in the length, where ``str(int)`` is
+    quadratic.
 
-    Each state is also checked against its int state modulo 2**61 - 1:
-    Python hashes an int, and an integral Decimal, to its residue modulo
-    ``sys.hash_info.modulus``, which is 2**61 - 1 on 64-bit builds.  A
+    Every state, divided or not, is also checked against its int state
+    modulo 2**61 - 1: Python hashes an int, and an integral Decimal, to
+    its residue modulo ``sys.hash_info.modulus``, which is 2**61 - 1 on
+    64-bit builds.  A
     list that is not a trajectory of ``k`` (a step left out, say) raises
     InvariantError.  The context is entered once per state and left
     before the state is yielded.
@@ -259,9 +279,11 @@ def decimal_states(k: Kernel, states):
                 if prev is None:
                     nums, den = [Decimal(n) for n in pi.nums], Decimal(pi.den)
                 else:
-                    g = Decimal(prev.den * scale // pi.den)
-                    nums = [sum(map(mul, nums, col)) / g for col in cols]
-                    den = den * scale / g
+                    g = prev.den * scale // pi.den
+                    nums = [sum(map(mul, nums, col)) for col in cols]
+                    den = den * scale
+                    if g != 1:
+                        nums, den = [n / g for n in nums], den / g
             except DecimalException:  # a quotient that is not exact
                 nums = den = None
         if nums is None or hash(den) != hash(pi.den) or \

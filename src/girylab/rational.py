@@ -16,18 +16,25 @@ count: an int, not a bool, at least 0.  On the wire rationals are
 output.  Numerators and denominators are capped at ``MAX_DIGITS``
 decimal digits, on parse, on format and in Markov evolution.
 
+A Markov state's denominator has few primes: it divides
+``den(pi0) * L**t``, with ``L`` the lcm of the kernel rows'
+denominators, so every prime factor of it divides the small
+``den(pi0) * L`` (``monad.denominator_base``).  Given such a ``base``,
+``_common_factor`` finds the gcd of a denominator and its numerators
+from residues no larger than a base-sized multiple of the factor found
+so far, never by a gcd of full-size numbers, which CPython computes in
+time quadratic in their length.  Two callers take it:
+``probability_numerators(nums, den, what, base)`` reduces a whole
+vector by it (``monad.trajectory`` and ``monad.n_step`` build each state
+so), and the state form of ``format_rational`` reduces each numerator by
+it.
+
 ``format_rational`` writes a Fraction, or an int numerator over an int
 denominator, in lowest terms.  The int form ``format_rational(n, den)``
 takes one ``gcd(n, den)`` and builds no Fraction.  The state form
 ``format_rational(nums, den, base)`` writes a whole Markov state, one
-string per numerator over the shared ``den``.  The caller promises that
-every prime factor of ``den`` divides ``base``; each weight's common
-factor is then found from residues no larger than a base-sized multiple
-of the factor found so far, never by a gcd of the two full numbers, and
-divided out once.  A Markov state gives such a base: its denominator
-divides ``den(pi0) * L**t``, with ``L`` the lcm of the kernel rows'
-denominators, so ``den(pi0) * L`` serves every step
-(``monad.denominator_base``).
+string per numerator over the shared ``den``, each reduced by its own
+common factor with ``den`` found from ``base``.
 
 The state form alone also takes the numerators and ``den`` as integral
 ``decimal.Decimal``s: finite, with exponent 0.  CPython writes an int in
@@ -197,9 +204,49 @@ def _numerators(nums: Iterable, den: int, what: str) -> tuple[int, ...]:
     return nums
 
 
-def _lowest_terms(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
-    """``nums`` and ``den`` divided by their gcd."""
-    g = gcd(den, *nums)
+def _common_factor(nums: Sequence, den, base: int,
+                   first: int | None = None) -> int:
+    """``gcd(den, *nums)``, found from residues, on the caller's promise
+    that every prime factor of ``den`` divides the positive int ``base``.
+
+    Starting from ``g = 1`` and ``b = base``, each round takes ``h``, the
+    gcd of ``b`` and of ``v // g`` for ``den`` and then each numerator,
+    and while ``h > 1`` sets ``g *= h`` and ``b = h * h``, so a common
+    factor of any power goes in a few rounds.  The invariant is that
+    ``g`` divides the gcd G and every prime factor of ``G // g`` divides
+    ``b``: such a prime divides ``b`` and every ``v // g``, hence ``h``,
+    and so ``h * h`` in the next round.  When ``h == 1`` no prime is
+    left, so ``g`` is G.  ``h`` is taken one value at a time, each as
+    ``gcd(h, (v // g) % h)``, and a round stops reading numerators once
+    ``h`` is 1.  Since ``g`` divides every value, ``(v // g) % h`` is
+    ``(v % (g * h)) // g``: a round reads residues smaller than
+    ``g * b`` and divides nothing long.  ``first``, if given, is
+    ``den % base``, for a caller that reduces many vectors over one
+    ``den``.  A broken promise is not detected: the result then divides
+    G but may be smaller.
+
+    The values may be ints or integral Decimals, the latter under
+    ``DECIMAL_INTEGERS``; a residue is an int either way.
+    """
+    g = 1
+    h = gcd(base, int(den % base) if first is None else first)
+    while True:
+        for n in nums:
+            if h == 1:
+                break
+            h = gcd(h, int(n % (g * h)) // g)
+        if h == 1:
+            return g
+        g, b = g * h, h * h
+        h = gcd(b, int(den % (g * b)) // g)
+
+
+def _lowest_terms(nums: tuple[int, ...], den: int,
+                  base: int | None = None) -> tuple[tuple[int, ...], int]:
+    """``nums`` and ``den`` divided by their gcd: one ``gcd(den, *nums)``,
+    or, given a ``base`` holding every prime factor of ``den``, the
+    residue rounds of ``_common_factor``."""
+    g = gcd(den, *nums) if base is None else _common_factor(nums, den, base)
     if g == 1:
         return nums, den
     return tuple(n // g for n in nums), den // g
@@ -227,13 +274,19 @@ def unit_numerators(nums: Iterable, den: int,
     return _lowest_terms(nums, den)
 
 
-def probability_numerators(nums: Iterable, den: int,
-                           what: str) -> tuple[tuple[int, ...], int]:
+def probability_numerators(nums: Iterable, den: int, what: str,
+                           base: int | None = None) -> tuple[tuple[int, ...], int]:
     """``nums`` over ``den`` in lowest terms if it is a probability vector:
     ``den`` and every numerator an int, not a bool, every numerator
     nonnegative, and their sum ``den``.  All are then divided by their
-    gcd; otherwise InvariantError naming ``what``."""
+    gcd; otherwise InvariantError naming ``what``.
+
+    A caller that knows a positive int ``base`` divisible by every prime
+    factor of ``den`` may pass it: the gcd is then found from residues
+    (``_common_factor``), with no gcd of full-size numbers."""
     nums = _numerators(nums, den, what)
+    if base is not None:
+        _positive(base, "base")
     for n in nums:
         if n < 0:
             raise InvariantError(f"{what} must be nonnegative, got "
@@ -241,7 +294,7 @@ def probability_numerators(nums: Iterable, den: int,
     if sum(nums) != den:
         raise InvariantError(f"{what} must sum to 1/1, got total mass "
                              f"{format_rational(sum(nums), den)}")
-    return _lowest_terms(nums, den)
+    return _lowest_terms(nums, den, base)
 
 
 def probability(xs: Iterable, what: str) -> tuple[Fraction, ...]:
@@ -267,28 +320,19 @@ def format_rational(x, den: int | None = None,
     strings of each ``n / den`` for ``n`` in ``nums``.  It takes the
     caller's promise that every prime factor of ``den`` divides the
     positive int ``base``.  For each ``n`` it finds ``g = gcd(n, den)``
-    in rounds: starting from ``g = 1`` and ``b = base``, each round takes
-    ``h = gcd(b, (n // g) % b, (den // g) % b)``, and while ``h > 1``
-    sets ``g *= h`` and ``b = h * h``, so a common factor of any power
-    goes in a few rounds.  Every prime that divides both ``n // g`` and
-    ``den // g`` divided both before the round, hence divided ``h``: the
-    promise carries over to ``h * h``.  When ``h == 1`` no prime divides
-    both, so ``g`` is the whole gcd.  Since ``g`` divides ``n`` and
-    ``den``, ``(n // g) % b`` is ``(n % (g * b)) // g``: a round reads
-    residues smaller than ``g * b`` and divides nothing long.  After the
-    last round ``n // g`` is one exact division, and ``den // g`` and its
-    digits are computed once per distinct ``g`` in the state.  A broken
-    promise is not detected, and the result may then not be in lowest
-    terms.
+    by the residue rounds of ``_common_factor`` on the one numerator,
+    taking ``den % base`` once per state; then ``n // g`` is one exact
+    division, and ``den // g`` and its digits are computed once per
+    distinct ``g`` in the state.  A broken promise is not detected, and
+    the result may then not be in lowest terms.
 
     In this form the numerators and ``den`` may also be integral
     Decimals, finite with exponent 0, so that a long one is written in
     linear time (see the module docstring); ``base`` stays an int.  The
-    rounds are the same and run under ``DECIMAL_INTEGERS``: a residue is
-    smaller than ``g * b`` whatever the type of ``n``, so it becomes a
-    small int for the gcd, and ``g`` divides ``n`` and ``den``, so every
-    division is exact.  A Decimal is written with the digits of the int
-    it equals, and its digits are counted by ``adjusted()``.
+    rounds are the same and run under ``DECIMAL_INTEGERS``: every residue
+    is a small int for the gcd, and ``g`` divides ``n`` and ``den``, so
+    every division is exact.  A Decimal is written with the digits of
+    the int it equals, and its digits are counted by ``adjusted()``.
 
     Each written numerator and denominator must fit in MAX_DIGITS digits
     (DigitLimitError, with the message the Fraction form gives for that
@@ -322,11 +366,7 @@ def _format_state(nums: Iterable, den, base: int) -> list[str]:
         first = int(den % base)
         for n in nums:
             n = _integer(n, "numerator to format")
-            g, h = 1, gcd(base, int(n % base), first)
-            while h > 1:
-                g, b = g * h, h * h
-                gb = g * b
-                h = gcd(b, int(n % gb) // g, int(den % gb) // g)
+            g = _common_factor((n,), den, base, first)
             if g > 1:
                 n = n // g
             d, digits = written.get(g) or (den // g, None)

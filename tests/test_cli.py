@@ -7,11 +7,12 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
-from girylab import cli
+from girylab import cli, rational
 from girylab.cli import main
 from girylab.harness import generate_kernel, generate_measure
 from girylab.jsonio import kernel_to_json, measure_to_json, space_to_json
@@ -131,6 +132,33 @@ class TestMarkov:
         assert out == ""
         assert "more than the limit of 4,300" in err
         assert "state at step 824 has" in err
+
+    def test_no_full_size_gcd_on_the_traced_path(self, tmp_path, capsys,
+                                                 monkeypatch):
+        """Each of the 400 states of the D1 chain is reduced, and written,
+        from residues of the chain's base: no gcd that ``rational`` takes
+        sees an operand wider than 64 bits, while the last state's
+        denominator is over 6,900 bits wide."""
+        widest = []
+
+        def watched(*args):
+            widest.append(max(abs(a).bit_length() for a in args))
+            return gcd(*args)
+
+        space = FinSpace.discrete([f"s{i}" for i in range(8)])
+        rng = random.Random(1)
+        argv = ["markov", "--kernel", write(tmp_path, "k.json", kernel_to_json(
+                    generate_kernel(rng, space, space))),
+                "--init", write(tmp_path, "pi.json", measure_to_json(
+                    generate_measure(rng, space))),
+                "--steps", "400", "--trace"]
+        monkeypatch.setattr(rational, "gcd", watched)
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 401
+        last = json.loads(lines[-1])["weights"]
+        assert max(int(w.split("/")[1]) for w in last.values()).bit_length() > 6900
+        assert len(widest) > 400 * 8 and max(widest) <= 64
 
     def test_stationary_start_runs_past_its_kernel_powers(self, tmp_path,
                                                           capsys):
@@ -525,6 +553,9 @@ class TestConfigCaps:
          "max_carrier must be at most 16, got 10000"),
         (["--max-hull-dim", "5"], "max_hull_dim must be at most 4, got 5"),
         (["--max-hull-dim", "50"], "max_hull_dim must be at most 4, got 50"),
+        (["--max-arity", "65"], "max_arity must be at most 64, got 65"),
+        (["--max-arity", "1000000000"],
+         "max_arity must be at most 64, got 1000000000"),
     ])
     def test_over_cap_is_a_named_error(self, tmp_path, capsys, monkeypatch,
                                        flags, message):
@@ -534,15 +565,25 @@ class TestConfigCaps:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("suite", ["monad-laws", "convex-bound"])
+    def test_over_cap_in_the_config_file_is_a_named_error(self, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "girylab.cfg"
+        cfg.write_text("max_arity = 65\n")
+        assert main(["verify", "naturality", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == \
+            "error: max_arity must be at most 64, got 65\n"
+
+    @pytest.mark.parametrize("suite", ["monad-laws", "convex-bound",
+                                       "naturality"])
     def test_at_cap_runs(self, tmp_path, capsys, monkeypatch, suite):
         monkeypatch.chdir(tmp_path)
         code = main(["verify", suite, "--trials", "3", "--seed", "5",
-                     "--max-carrier", "16", "--max-hull-dim", "4"])
+                     "--max-carrier", "16", "--max-hull-dim", "4",
+                     "--max-arity", "64"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 0 and doc["result"] == "pass"
-        assert (doc["config"]["max_carrier"],
-                doc["config"]["max_hull_dim"]) == (16, 4)
+        assert (doc["config"]["max_carrier"], doc["config"]["max_hull_dim"],
+                doc["config"]["max_arity"]) == (16, 4, 64)
 
 
 class TestUserFunctionalNaturality:

@@ -33,6 +33,14 @@ class TestConfig:
         with pytest.raises(GirylabError):
             SuiteConfig(max_carrier=0)
 
+    @pytest.mark.parametrize("field, cap", [
+        ("max_carrier", 16), ("max_arity", 64), ("max_hull_dim", 4)])
+    def test_counts_capped(self, field, cap):
+        assert getattr(SuiteConfig(**{field: cap}), field) == cap
+        with pytest.raises(GirylabError,
+                           match=f"^{field} must be at most {cap}, got {cap + 1}$"):
+            SuiteConfig(**{field: cap + 1})
+
     def test_defaults(self):
         cfg = SuiteConfig()
         assert (cfg.trials, cfg.max_carrier, cfg.max_arity,

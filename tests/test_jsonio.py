@@ -3,7 +3,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -19,7 +19,7 @@ from girylab.jsonio import (functional_from_json, functional_to_json,
                             kernel_to_json, measure_from_json,
                             measure_to_json, space_from_json, space_to_json)
 from girylab.rational import (MAX_DIGITS, format_rational, parse_int,
-                              parse_rational)
+                              parse_rational, probability_numerators)
 
 F = Fraction
 
@@ -94,6 +94,33 @@ class TestLowestTerms:
         assert format_rational([2 ** 4999], den, 6) == ["1/4374"]
         assert format_rational([Decimal(2 ** 4999)], Decimal(den), 6) == \
             ["1/4374"]
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_vector_reduction_from_the_base_equals_one_gcd(self, base):
+        """``probability_numerators`` given a base divides a whole vector by
+        what one ``gcd(den, *nums)`` finds, also when the common factor
+        holds a higher power of a prime than the base."""
+        rng = random.Random(-base)
+        for _, den in self.states(base):
+            cuts = sorted(rng.randint(0, den) for _ in range(rng.randint(0, 7)))
+            parts = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
+            for scale in (1, den, base ** 30):
+                nums = [n * scale for n in parts]
+                want = probability_numerators(nums, den * scale, "weights")
+                assert want[1] == den // gcd(den, *parts)
+                assert probability_numerators(nums, den * scale, "weights",
+                                              base) == want
+
+    def test_vector_reduction_of_a_high_power(self):
+        den = 2 ** 5000 * 3 ** 7
+        nums = [2 ** 4999, 2 ** 4999 * 3, den - 2 ** 5001]
+        assert probability_numerators(nums, den, "weights", 6) == \
+            ((1, 3, 2 * 3 ** 7 - 4), 2 * 3 ** 7)
+
+    @pytest.mark.parametrize("base", [0, -6, True, 6.0])
+    def test_vector_reduction_needs_a_positive_int_base(self, base):
+        with pytest.raises(InvariantError, match="^base must be"):
+            probability_numerators([1, 1], 2, "weights", base)
 
     @pytest.mark.parametrize("n, den, base, want", [
         (0, 1, 1, "0/1"), (1, 1, 1, "1/1"), (5, 1, 1, "5/1"),

@@ -244,6 +244,42 @@ class TestNumeratorStorage:
         for n in (0, 1, 7, 16, 33, 40):
             self.same(n_step(k, pi, n), want[n])
 
+    @staticmethod
+    def reducing_chain(name):
+        h, z = F(1, 2), F(0)
+        if name == "rank one":  # step 1 divides by the start's 3**400
+            s = two_state()
+            tiny = F(1, 3 ** 400)
+            return (Kernel(s, s, (Measure(s, (F(1, 3), F(2, 3))),) * 2),
+                    Measure(s, (tiny, 1 - tiny)))
+        if name == "stationary":  # every step divides by 2
+            s = FinSpace.discrete(["a", "b", "c"])
+            return (Kernel(s, s, (Measure(s, (h, h, z)), Measure(s, (z, h, h)),
+                                  Measure(s, (h, z, h)))),
+                    Measure(s, (F(1, 3),) * 3))
+        # split and merge: step 2 divides by 4, a higher power of 2 than
+        # the base 2 holds, so the residue rounds go past the first
+        s = FinSpace.discrete(["x", "y1", "y2", "z"])
+        rows = [(z, h, h, z), (z, z, z, 1), (z, z, z, 1), (z, z, z, 1)]
+        return (Kernel(s, s, tuple(Measure(s, row) for row in rows)),
+                dirac(s, "x"))
+
+    @pytest.mark.parametrize("name", ["rank one", "stationary",
+                                      "split and merge"])
+    def test_steps_that_reduce_equal_the_fraction_mix(self, name):
+        """Steps whose common factor is not 1 are reduced from the base as
+        the plain gcd reduces them."""
+        k, pi = self.reducing_chain(name)
+        scale = lcm(*(row.den for row in k.rows))
+        want = [pi]
+        for _ in range(12):
+            want.append(mix_oracle(pi.space, want[-1].weights, k.rows))
+        assert any(b.den != a.den * scale for a, b in zip(want, want[1:]))
+        for got, state in zip(trajectory(k, pi, 12), want):
+            self.same(got, state)
+        for n in range(13):
+            self.same(n_step(k, pi, n), want[n])
+
 
 class TestKleisliCompose:
     def test_unit_laws(self):
@@ -505,14 +541,27 @@ class TestDecimalStates:
                            match="^the state at step 3 is not the image"):
             list(decimal_states(k, states))
 
-    def test_a_state_with_the_same_denominator_is_refused(self):
-        """Reversed numerators keep the denominator, so every division is
-        exact: only the check against the int state catches it."""
+    @staticmethod
+    def reverse_state(step: int, factor: int) -> None:
+        """Reverse the numerators of the D1 chain's state at ``step``, whose
+        common factor with the unreduced step is ``factor``.  That keeps
+        the denominator, so every division is exact: only the check
+        against the int state can catch it."""
         k, pi = d1_chain()
         states = trajectory(k, pi, 5)
-        s3 = states[3]
-        assert s3.nums != s3.nums[::-1]
-        states[3] = Measure(s3.space, s3.nums[::-1], s3.den)
+        s = states[step]
+        assert states[step - 1].den * lcm(*(row.den for row in k.rows)) \
+            // s.den == factor
+        assert s.nums != s.nums[::-1]
+        states[step] = Measure(s.space, s.nums[::-1], s.den)
         with pytest.raises(InvariantError,
-                           match="^the state at step 3 is not the image"):
+                           match=f"^the state at step {step} is not the image"):
             list(decimal_states(k, states))
+
+    def test_a_state_with_the_same_denominator_is_refused(self):
+        """Step 3 has factor 1: its Decimal copy is not divided."""
+        self.reverse_state(3, 1)
+
+    def test_a_divided_state_with_the_same_denominator_is_refused(self):
+        """Step 1 has factor 2: its Decimal copy is divided by 2."""
+        self.reverse_state(1, 2)
