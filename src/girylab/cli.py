@@ -266,13 +266,13 @@ def _cmd_markov(args) -> int:
     if kernel.dom != kernel.cod:
         raise IngestionError("markov evolution needs an endo-kernel "
                              "(dom and cod must agree)")
+    # ``n_step`` stops at the first state past the digit limit, before
+    # any line is written; its state is the one line, or the last one a
+    # trace streams from Decimal copies evolved a state at a time.
+    pi = monad.n_step(kernel, init, args.steps)
     if args.trace:
-        # Every state is computed and checked before the first is written;
-        # the written digits come from each state's Decimal copy.
-        states = monad.trajectory(kernel, init, args.steps)
-        shown = enumerate(monad.decimal_states(kernel, states))
+        shown = enumerate(monad.decimal_states(kernel, init, args.steps, pi))
     else:
-        pi = monad.n_step(kernel, init, args.steps)
         shown = [(args.steps, (pi.nums, pi.den))]
     base = monad.denominator_base(kernel, init)
     # Each line is the bytes of json.dumps(doc, sort_keys=True), written

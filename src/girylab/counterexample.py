@@ -131,11 +131,12 @@ def cofinite_measure(a: FinCofSet) -> Fraction:
     return ONE if a.cofinite else ZERO
 
 
-def sup_continuity_check(f: EventualFn, g: EventualFn) -> Verdict:
-    """1-Lipschitz for the sup metric: the functional moves the two
-    values by at most the sup distance.  Computed exactly."""
+def sup_continuity_check(phi, f: EventualFn, g: EventualFn) -> Verdict:
+    """1-Lipschitz for the sup metric: the functional ``phi`` (such as
+    ``limit_functional``) moves the two values by at most the sup
+    distance.  Computed exactly."""
     eps = f.sup_distance(g)
-    gap = abs(limit_functional(f) - limit_functional(g))
+    gap = abs(phi(f) - phi(g))
     name = "sup-metric 1-Lipschitz"
     if gap <= eps:
         return passed(name, witness={"sup_distance": eps, "gap": gap})

@@ -855,7 +855,15 @@ def _limit_weakly_averaging(cfg, rng):
 def _limit_lipschitz(cfg, rng):
     f = generate_eventual_fn(rng)
     g = generate_eventual_fn(rng)
-    return sup_continuity_check(f, g), {}
+    verdict = sup_continuity_check(limit_functional, f, g)
+    # Squaring the tail moves the tails 1 and 3/4 apart by 7/16, more than
+    # their sup distance 1/4, so the check that passed must refute it.
+    if verdict.passed and sup_continuity_check(
+            lambda h: h.tail ** 2, EventualFn.constant(ONE),
+            EventualFn.constant(Fraction(3, 4))).passed:
+        return failed(verdict.property,
+                      {"accepted_non_lipschitz": "squared tail"}), {}
+    return verdict, {}
 
 
 def _measure_consistency(cfg, rng):

@@ -14,11 +14,11 @@ matrix.
 their denominators (see ``measures.Measure``): each output numerator is
 one integer dot product, and the result is divided by one common factor
 of the whole vector, not one per weight.  That factor is one gcd, except
-where a Markov state is bound (``trajectory`` and ``n_step``): every
-prime of the denominator there divides ``denominator_base``, so that
-``bind`` passes the base on and ``Measure`` finds the factor from small
-residues (``rational._common_factor``), with no gcd of full-size
-numbers.
+in Markov evolution (``trajectory``, ``n_step`` and its kernel powers,
+and ``decimal_states``, the same steps on Decimals): every prime of the
+denominator there divides ``denominator_base``, so the factor is found
+from small residues (``rational._common_factor``), with no gcd of
+full-size numbers.
 ``Measure.den`` is the lcm of the reduced weights' denominators, which
 is what the digit bounds of ``n_step`` multiply.
 """
@@ -26,14 +26,14 @@ is what the digit bounds of ``n_step`` multiply.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, DecimalException, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import lcm
 from operator import mul
 
 from .errors import InvariantError, SpaceMismatchError
-from .rational import (DECIMAL_INTEGERS, ONE, fits_digits, lift, probability,
-                       require_digits)
+from .rational import (DECIMAL_INTEGERS, ONE, _common_factor, fits_digits,
+                       lift, probability, require_digits)
 from .spaces import FinSpace
 from .measures import Measure
 
@@ -169,21 +169,17 @@ def _den(measures) -> int:
 
 def denominator_base(k: Kernel, pi0: Measure) -> int:
     """``den(pi0) * L``, with L the lcm of the rows' denominators: every
-    prime factor of the denominator of any state of ``trajectory`` or
-    ``n_step`` from ``pi0`` under the endo-kernel ``k`` divides it, so it
-    is a ``base`` for ``rational.format_rational``.  Every prime factor
-    of ``pi.den * den(K^m)``, for such a state ``pi`` and a power K^m that
-    either function binds it by, divides it too; that is the denominator
-    ``bind(pi, K^m)`` reduces, so it is a ``base`` for that ``bind``.
+    prime factor of the denominator of a state from ``pi0`` under the
+    endo-kernel ``k``, and of ``pi.den * den(K^m)`` for such a state
+    ``pi`` and a power K^m, divides it.  So it is a ``base`` for
+    ``rational.format_rational`` and for each ``bind(pi, K^m)``.
 
-    ``bind(pi, K)`` has a denominator dividing ``pi.den * den(K)``,
-    where den(K) is the lcm of K's row denominators (``_mix``), so the
-    state at step t has a denominator dividing ``den(pi0) * L**t``.
-    ``n_step`` binds by the powers K^(2^j) = kleisli_compose(K^(2^(j-1)),
-    K^(2^(j-1))), whose rows are ``bind``s of K^(2^(j-1))'s rows, so by
-    induction den(K^(2^j)) divides L^(2^j), and its states too have
-    denominators dividing ``den(pi0) * L**t``.  Every prime factor of
-    that number divides ``den(pi0) * L``.
+    ``bind(pi, K)`` has a denominator dividing ``pi.den * den(K)``, with
+    den(K) the lcm of K's row denominators (``_mix``).  The rows of
+    ``n_step``'s K^(2^j) are those of K^(2^(j-1)) bound by it, so by
+    induction den(K^(2^j)) divides L^(2^j) (so L is a ``base`` for that
+    ``bind``), and the state at step t has a denominator dividing
+    ``den(pi0) * L**t``, whose prime factors all divide ``den(pi0) * L``.
     """
     return pi0.den * _den(k.rows)
 
@@ -193,11 +189,12 @@ def n_step(k: Kernel, pi0: Measure, n: int) -> Measure:
 
     Binary exponentiation: associativity of Kleisli composition gives
     pi0 * K^n = pi0 * K^(2^a) * K^(2^b) * ..., so this makes O(log n)
-    kernel products, each through ``bind``; a state's ``bind`` takes
-    ``denominator_base(k, pi0)`` as its base.
+    kernel products, each through ``bind``: a power is squared with L as
+    the base, and a state is bound with ``denominator_base(k, pi0)``.
 
     It stops with DigitLimitError at exactly the first step whose state
-    ``trajectory`` would reject, although it computes only some states.
+    ``trajectory`` would reject, although it computes only some states,
+    so when it returns every state up to step n fits.
     With den(.) the lcm of the denominators, every state at step
     done + t with t < 2^j has denominators dividing
     den(state at done) * den(K^1) * den(K^2) * ... * den(K^(2^(j-1))),
@@ -220,7 +217,9 @@ def n_step(k: Kernel, pi0: Measure, n: int) -> Measure:
     while done < n:
         left, den = n - done, _den((pi,))
         while (1 << len(powers)) <= left and fits_digits(den * spans[-1]):
-            powers.append(kleisli_compose(powers[-1], powers[-1]))
+            p = powers[-1]
+            powers.append(Kernel(k.dom, k.cod, tuple(
+                bind(row, p, base=spans[1]) for row in p.rows)))
             spans.append(spans[-1] * _den(powers[-1].rows))
         j = next((j for j in range(len(powers) - 1, 0, -1)
                   if (1 << j) <= left and fits_digits(den * spans[j])), 0)
@@ -242,53 +241,37 @@ def trajectory(k: Kernel, pi0: Measure, n: int) -> list[Measure]:
     return out
 
 
-def decimal_states(k: Kernel, states):
-    """The numerators and denominator of each of ``states``, the list
-    ``trajectory(k, pi0, n)`` returned, as integral Decimals: one
-    ``(nums, den)`` pair per state, built when it is reached.
+def decimal_states(k: Kernel, pi0: Measure, n: int, last: Measure):
+    """The states at steps 0..n from ``pi0`` under the endo-kernel ``k``
+    as integral Decimals, one ``(nums, den)`` pair each, computed when it
+    is reached and the only one held.  ``last`` is ``n_step(k, pi0, n)``,
+    which returns only if every state fits the digit limit.
 
-    The first state is converted once; each later one is computed from
-    the one before, without converting an int.  With L the lcm of the
-    rows' denominators, ``_mix`` writes ``bind(prev, k)`` as the
-    numerators ``sum_i prev.nums[i] * (L // den_i) * row_i.nums[j]`` over
-    ``prev.den * L``, and ``Measure`` divides all of them by their common
-    factor g.  So ``g = prev.den * L // pi.den`` is known from the int
-    states, and the Decimal state is those same dot products, on Decimals
-    times the kernel's small ints, divided by g only at a step where g is
-    not 1 (on most steps of a chain nothing cancels).  ``DECIMAL_INTEGERS``
-    traps any result that is not exact, so each Decimal equals the int it
-    stands for.  Multiplying and dividing by small ints and writing the
-    digits out take time linear in the length, where ``str(int)`` is
-    quadratic.
-
-    Every state, divided or not, is also checked against its int state
-    modulo 2**61 - 1: Python hashes an int, and an integral Decimal, to
-    its residue modulo ``sys.hash_info.modulus``, which is 2**61 - 1 on
-    64-bit builds.  A
-    list that is not a trajectory of ``k`` (a step left out, say) raises
-    InvariantError.  The context is entered once per state and left
-    before the state is yielded.
+    Each step is ``_mix``'s, on Decimals times the kernel's small ints:
+    with L the lcm of the rows' denominators, the numerators
+    ``sum_i prev[i] * (L // den_i) * row_i.nums[j]`` over ``prev_den * L``,
+    divided by their common factor (on most steps 1), found from residues
+    of ``denominator_base(k, pi0)``.  ``DECIMAL_INTEGERS`` traps any
+    result that is not exact.  This, and writing the digits, takes time
+    linear in the length, where ``str(int)`` is quadratic.  A state whose
+    numerators do not sum to its denominator, or a state at step n other
+    than ``last``, raises InvariantError.
     """
-    scale = _den(k.rows)
-    cols = list(zip(*([Decimal(n * (scale // row.den)) for n in row.nums]
+    base, scale = denominator_base(k, pi0), _den(k.rows)
+    cols = list(zip(*([Decimal(x * (scale // row.den)) for x in row.nums]
                       for row in k.rows)))
-    prev = None
-    for step, pi in enumerate(states):
-        with localcontext(DECIMAL_INTEGERS):
-            try:
-                if prev is None:
-                    nums, den = [Decimal(n) for n in pi.nums], Decimal(pi.den)
-                else:
-                    g = prev.den * scale // pi.den
-                    nums = [sum(map(mul, nums, col)) for col in cols]
-                    den = den * scale
-                    if g != 1:
-                        nums, den = [n / g for n in nums], den / g
-            except DecimalException:  # a quotient that is not exact
-                nums = den = None
-        if nums is None or hash(den) != hash(pi.den) or \
-                list(map(hash, nums)) != list(map(hash, pi.nums)):
-            raise InvariantError(f"the state at step {step} is not the "
-                                 "image of the state before it")
+    nums, den = [Decimal(x) for x in pi0.nums], Decimal(pi0.den)
+    for step in range(n + 1):
+        if step:
+            with localcontext(DECIMAL_INTEGERS):
+                nums, den = [sum(map(mul, nums, col)) for col in cols], den * scale
+                g = _common_factor(nums, den, base)
+                if g != 1:
+                    nums, den = [x / g for x in nums], den / g
+                if sum(nums) != den:
+                    raise InvariantError(f"the state at step {step} does "
+                                         "not sum to 1/1")
+        if step == n and (den != last.den or nums != list(last.nums)):
+            raise InvariantError(f"the state at step {step} is not "
+                                 "the state given as the last")
         yield nums, den
-        prev = pi

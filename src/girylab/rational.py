@@ -23,11 +23,10 @@ denominators, so every prime factor of it divides the small
 ``_common_factor`` finds the gcd of a denominator and its numerators
 from residues no larger than a base-sized multiple of the factor found
 so far, never by a gcd of full-size numbers, which CPython computes in
-time quadratic in their length.  Two callers take it:
-``probability_numerators(nums, den, what, base)`` reduces a whole
-vector by it (``monad.trajectory`` and ``monad.n_step`` build each state
-so), and the state form of ``format_rational`` reduces each numerator by
-it.
+time quadratic in their length.  It reduces a whole vector in
+``probability_numerators(nums, den, what, base)`` (so ``monad.n_step``
+builds each state and kernel power) and in ``monad.decimal_states``,
+and each numerator in the state form of ``format_rational``.
 
 ``format_rational`` writes a Fraction, or an int numerator over an int
 denominator, in lowest terms.  The int form ``format_rational(n, den)``
@@ -39,7 +38,7 @@ common factor with ``den`` found from ``base``.
 The state form alone also takes the numerators and ``den`` as integral
 ``decimal.Decimal``s: finite, with exponent 0.  CPython writes an int in
 decimal in time quadratic in its length, while a Decimal keeps base-10**19
-limbs and writes them in linear time; a traced Markov run carries its
+limbs and writes them in linear time; a traced Markov run evolves its
 states as such Decimals (``monad.decimal_states``) and writes them here.
 All Decimal arithmetic runs under ``DECIMAL_INTEGERS``, which traps every
 result that is not exact.  Every other entry point rejects a Decimal.

@@ -1,11 +1,13 @@
 """Command surface: markov evolution, verification, reports, config."""
 
+import io
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -117,7 +119,8 @@ class TestMarkov:
         assert final == trace[-1]
 
     @pytest.mark.parametrize("steps, trace", [
-        ("900", True), ("900", False), ("1000000000", False)])
+        ("900", True), ("900", False), ("1000000000", False),
+        ("1000000000", True)])
     def test_digit_limit_exits_2(self, tmp_path, capsys, steps, trace):
         """The chain of ROADMAP defect D1 passes 4,300 digits before step 900."""
         space = FinSpace.discrete([f"s{i}" for i in range(8)])
@@ -159,6 +162,36 @@ class TestMarkov:
         last = json.loads(lines[-1])["weights"]
         assert max(int(w.split("/")[1]) for w in last.values()).bit_length() > 6900
         assert len(widest) > 400 * 8 and max(widest) <= 64
+
+    def test_trace_memory_does_not_grow_with_the_steps(self, tmp_path,
+                                                       monkeypatch):
+        """The identity chain from (1/2, 1/2) never grows its numbers, so a
+        trace of 5,000 steps peaks within a small constant of one step:
+        no step's state is held past the line it is written on."""
+        identity = {"dom": TWO_STATE, "cod": TWO_STATE,
+                    "rows": {"0": {"0": "1/1"}, "1": {"1": "1/1"}}}
+        half = {"space": TWO_STATE, "weights": {"0": "1/2", "1": "1/2"}}
+        argv = ["markov", "--kernel", write(tmp_path, "k.json", identity),
+                "--init", write(tmp_path, "pi.json", half), "--trace", "--steps"]
+
+        class Discard(io.TextIOBase):
+            def write(self, s):
+                return len(s)
+
+        def peak(steps):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(argv + [str(steps)]) == 0
+            return tracemalloc.get_traced_memory()[1] - before
+
+        monkeypatch.setattr(sys, "stdout", Discard())
+        tracemalloc.start()
+        try:
+            peak(1)  # warm-up: imports, caches and the first allocations
+            one, many = peak(1), peak(5000)
+        finally:
+            tracemalloc.stop()
+        assert many <= one + 64 * 1024, (one, many)
 
     def test_stationary_start_runs_past_its_kernel_powers(self, tmp_path,
                                                           capsys):

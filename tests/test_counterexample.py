@@ -6,7 +6,6 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from girylab import counterexample
 from girylab.counterexample import (SEGMENTS_REPORTED, EventualFn, FinCofSet,
                                     cofinite_measure,
                                     countable_additivity_violation,
@@ -53,7 +52,7 @@ class TestLimitFunctional:
     @settings(max_examples=120, deadline=None)
     @given(eventual_fns(), eventual_fns())
     def test_one_lipschitz(self, f, g):
-        verdict = sup_continuity_check(f, g)
+        verdict = sup_continuity_check(limit_functional, f, g)
         assert verdict.passed
 
 
@@ -133,28 +132,26 @@ class TestCountableAdditivityViolation:
 
 
 class TestSupContinuity:
-    def test_failure_witness(self, monkeypatch):
+    def test_failure_witness(self):
         # a functional that doubles the tail moves further than the sup
         # distance, so the check must fail and name both tails
-        monkeypatch.setattr(counterexample, "limit_functional",
-                            lambda f: min(F(1), 2 * f.tail))
         f = EventualFn((F(1, 8),), F(1, 2))
         g = EventualFn((F(1, 8),), F(1, 4))
-        verdict = sup_continuity_check(f, g)
+        verdict = sup_continuity_check(lambda h: min(F(1), 2 * h.tail), f, g)
         assert not verdict.passed
         assert verdict.witness == {"sup_distance": "1/4", "gap": "1/2",
                                    "f_tail": "1/2", "g_tail": "1/4"}
 
     def test_equal_functions(self):
         f = EventualFn((F(1, 2),), F(1, 3))
-        verdict = sup_continuity_check(f, f)
+        verdict = sup_continuity_check(limit_functional, f, f)
         assert verdict.passed
         assert verdict.witness["sup_distance"] == "0/1"
 
     def test_tail_distance_example(self):
         f = EventualFn((F(1, 8), F(1, 4)), F(1, 2))
         g = EventualFn((F(1, 8), F(1, 4)), F(1, 4))
-        verdict = sup_continuity_check(f, g)
+        verdict = sup_continuity_check(limit_functional, f, g)
         assert verdict.passed
         assert verdict.witness["sup_distance"] == "1/4"
         assert verdict.witness["gap"] == "1/4"

@@ -467,6 +467,10 @@ class TestRefutingPower:
         pytest.param(harness, "respects_limits", _probe_window, "duality",
                      {"respects-limits-extensional": 0}, "accepted_nonzero_tail",
                      id="respects-limits-probe-window"),
+        pytest.param(harness, "sup_continuity_check",
+                     lambda phi, f, g: passed("stub"), "counterexample",
+                     {"limit-sup-lipschitz": 0}, "accepted_non_lipschitz",
+                     id="sup-lipschitz-always"),
     ])
     def test_accepting_check_is_refuted(self, monkeypatch, module, target, stub,
                                         suite, expected, key):

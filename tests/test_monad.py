@@ -480,18 +480,19 @@ class TestDigitLimit:
 
 
 class TestDecimalStates:
-    """``decimal_states`` gives each state of a trajectory as integral
-    Decimals with the digits of its int numerators and denominator, and
-    refuses a list that is not a trajectory of the kernel."""
+    """``decimal_states`` gives each state of a chain as integral Decimals
+    with the digits of the int states ``trajectory`` gives, and refuses a
+    last state that is not the chain's."""
 
     @staticmethod
-    def same(k: Kernel, states: list) -> None:
-        got = list(decimal_states(k, states))
+    def same(k: Kernel, pi: Measure, n: int) -> None:
+        states = trajectory(k, pi, n)
+        got = list(decimal_states(k, pi, n, states[-1]))
         assert len(got) == len(states)
-        for (nums, den), pi in zip(got, states):
+        for (nums, den), state in zip(got, states):
             assert all(type(d) is Decimal for d in (*nums, den))
-            assert [str(d) for d in nums] == [str(n) for n in pi.nums]
-            assert str(den) == str(pi.den)
+            assert [str(d) for d in nums] == [str(x) for x in state.nums]
+            assert str(den) == str(state.den)
 
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("discrete", [True, False],
@@ -502,7 +503,7 @@ class TestDecimalStates:
         if discrete:
             space = FinSpace.discrete(list(space.carrier))
         k, pi = generate_kernel(rng, space, space), generate_measure(rng, space)
-        self.same(k, trajectory(k, pi, 60))
+        self.same(k, pi, 60)
 
     def test_base_one(self):
         """A permutation kernel from a Dirac start: every denominator is 1."""
@@ -510,7 +511,7 @@ class TestDecimalStates:
         k = Kernel(s, s, (dirac(s, "b"), dirac(s, "c"), dirac(s, "a")))
         pi = dirac(s, "a")
         assert denominator_base(k, pi) == 1
-        self.same(k, trajectory(k, pi, 7))
+        self.same(k, pi, 7)
 
     def test_long_start_denominator(self):
         s = FinSpace.discrete(["a", "b", "c"])
@@ -518,50 +519,31 @@ class TestDecimalStates:
         pi = Measure(s, (1, 2, q - 3), q)
         assert pi.den == q
         k = generate_kernel(random.Random(3), s, s)
-        self.same(k, trajectory(k, pi, 30))
+        self.same(k, pi, 30)
 
     def test_a_denominator_that_shrinks(self):
         """A rank-one kernel forgets the start, so the first step divides
-        by g = 3**400, the whole start denominator."""
+        by 3**400, the whole start denominator."""
         s = two_state()
         rank_one = Kernel(s, s, (Measure(s, (F(1, 3), F(2, 3))),) * 2)
         tiny = F(1, 3 ** 400)
-        self.same(rank_one, trajectory(rank_one, Measure(s, (tiny, 1 - tiny)), 3))
+        self.same(rank_one, Measure(s, (tiny, 1 - tiny)), 3)
 
     def test_d1_chain_to_its_last_state(self):
         """Step 823 is the last state of the D1 chain within the limit."""
         k, pi = d1_chain()
-        self.same(k, trajectory(k, pi, 823))
+        self.same(k, pi, 823)
 
-    def test_a_skipped_step_is_refused(self):
+    def test_a_wrong_last_state_is_refused(self):
+        """The D1 chain's state at step 5 with its numerators reversed has
+        the same denominator, so only the exact comparison catches it,
+        after every earlier state is given."""
         k, pi = d1_chain()
-        states = trajectory(k, pi, 5)
-        del states[3]
-        with pytest.raises(InvariantError,
-                           match="^the state at step 3 is not the image"):
-            list(decimal_states(k, states))
-
-    @staticmethod
-    def reverse_state(step: int, factor: int) -> None:
-        """Reverse the numerators of the D1 chain's state at ``step``, whose
-        common factor with the unreduced step is ``factor``.  That keeps
-        the denominator, so every division is exact: only the check
-        against the int state can catch it."""
-        k, pi = d1_chain()
-        states = trajectory(k, pi, 5)
-        s = states[step]
-        assert states[step - 1].den * lcm(*(row.den for row in k.rows)) \
-            // s.den == factor
+        s = n_step(k, pi, 5)
         assert s.nums != s.nums[::-1]
-        states[step] = Measure(s.space, s.nums[::-1], s.den)
-        with pytest.raises(InvariantError,
-                           match=f"^the state at step {step} is not the image"):
-            list(decimal_states(k, states))
-
-    def test_a_state_with_the_same_denominator_is_refused(self):
-        """Step 3 has factor 1: its Decimal copy is not divided."""
-        self.reverse_state(3, 1)
-
-    def test_a_divided_state_with_the_same_denominator_is_refused(self):
-        """Step 1 has factor 2: its Decimal copy is divided by 2."""
-        self.reverse_state(1, 2)
+        states = decimal_states(k, pi, 5, Measure(s.space, s.nums[::-1], s.den))
+        for _ in range(5):
+            next(states)
+        with pytest.raises(InvariantError, match="^the state at step 5 is not "
+                                                 "the state given as the last"):
+            next(states)

@@ -25,6 +25,8 @@ UNREFERENCED_EXPORTS = {
     "SequenceAffineMap": "the affine maps of sequences that naturality is "
                          "checked against",
     "Report": "the result of run_suite",
+    "trajectory": "the int chain, every state held, that the Markov tests "
+                  "compare n_step and decimal_states against",
 }
 
 
