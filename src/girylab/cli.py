@@ -23,15 +23,14 @@ import json
 import os
 import re
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from . import codensity, harness, jsonio, monad
-from .config import SUITE_NAMES, SuiteConfig
+from .config import FIELDS, SUITE_NAMES, SuiteConfig
 from .errors import DigitLimitError, GirylabError, IngestionError
 from .rational import format_rational, parse_int
 
-CONFIG_KEYS = tuple(f.name for f in fields(SuiteConfig))
+CONFIG_KEYS = tuple(FIELDS)
 DEFAULT_CONFIG_FILE = "girylab.cfg"
 
 
@@ -332,13 +331,12 @@ def _cmd_report(args) -> int:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    for f in fields(SuiteConfig):
-        default = "GIRYLAB_SEED or 0" if f.name == "seed" else f.default
-        cap = f.metadata.get("cap")
+    for name, (default, help, cap) in FIELDS.items():
+        if name == "seed":
+            default = "GIRYLAB_SEED or 0"
         bounds = f"default {default}" + (f", at most {cap}" if cap else "")
-        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                            type=int, default=None,
-                            help=f"{f.metadata['help']} ({bounds})")
+        parser.add_argument("--" + name.replace("_", "-"), dest=name,
+                            type=int, default=None, help=f"{help} ({bounds})")
     parser.add_argument("--config", default=None,
                         help=f"key=value config file (default ./{DEFAULT_CONFIG_FILE} "
                              "when present)")

@@ -4,15 +4,18 @@ affine-map arity.
 
 ``cli`` builds its parser from these for every command, so they live
 apart from ``harness`` and ``hull``, which only ``verify`` runs.
+
+``FIELDS`` is the one table of the configuration: each entry names a
+field of ``SuiteConfig`` with its default, its help text and its cap
+(``None`` for none).  ``cli`` makes each entry a ``girylab verify`` flag
+and a config file key, and ``harness`` writes the fields into a report
+in this order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Optional
-
 from .errors import GirylabError
-from .spaces import MAX_CARRIER_POINTS
+from .spaces import MAX_CARRIER_POINTS, Frozen
 
 MAX_HULL_DIM = 4
 
@@ -27,28 +30,33 @@ MAX_ARITY = 64
 SUITE_NAMES = ("monad-laws", "duality", "change-of-variables", "naturality",
                "monoid-reduction", "convex-bound", "counterexample")
 
+#: name -> (default, help, cap) for each field of ``SuiteConfig``, in
+#: order.  Every field after the seed counts something: at least 1, and
+#: at most its cap when it has one.
+FIELDS = {
+    "seed": (0, "suite seed", None),
+    "trials": (500, "cases per property", None),
+    "max_carrier": (8, "largest generated carrier", MAX_CARRIER_POINTS),
+    "max_arity": (4, "largest affine-map arity", MAX_ARITY),
+    "max_hull_dim": (3, "largest hull dimension", MAX_HULL_DIM),
+}
 
-def _count(default: int, help: str, cap: Optional[int] = None):
-    """A config field that counts something: at least 1, at most ``cap``."""
-    return field(default=default, metadata={"help": help, "cap": cap})
 
+class SuiteConfig(Frozen):
+    """A suite run's configuration: the fields of ``FIELDS``, each given
+    by keyword or left at its default."""
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    """A suite run's configuration.  Each field is also a flag and a config
-    file key of ``girylab verify``, with the default and help given here."""
+    _fields = tuple(FIELDS)
 
-    seed: int = field(default=0, metadata={"help": "suite seed"})
-    trials: int = _count(500, "cases per property")
-    max_carrier: int = _count(8, "largest generated carrier", MAX_CARRIER_POINTS)
-    max_arity: int = _count(4, "largest affine-map arity", MAX_ARITY)
-    max_hull_dim: int = _count(3, "largest hull dimension", MAX_HULL_DIM)
-
-    def __post_init__(self):
-        for f in fields(self)[1:]:  # the counts: every field but the seed
-            value, cap = getattr(self, f.name), f.metadata["cap"]
-            if value < 1:
-                raise GirylabError(f"{f.name} must be at least 1")
+    def __init__(self, **values):
+        unknown = values.keys() - FIELDS
+        if unknown:
+            raise TypeError(f"SuiteConfig got unknown fields {sorted(unknown)}")
+        for name, (default, _, cap) in FIELDS.items():
+            value = values.get(name, default)
+            if name != "seed" and value < 1:
+                raise GirylabError(f"{name} must be at least 1")
             if cap is not None and value > cap:
                 raise GirylabError(
-                    f"{f.name} must be at most {cap}, got {value}")
+                    f"{name} must be at most {cap}, got {value}")
+            object.__setattr__(self, name, value)

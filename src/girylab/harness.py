@@ -31,12 +31,12 @@ import json
 import random
 import string
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
-from .config import SUITE_NAMES, SuiteConfig
+from .config import FIELDS, SUITE_NAMES, SuiteConfig
 from .errors import ActionSquareError, GirylabError, RejectionError
 from .rational import HALF, ONE, ZERO, lift as lift_fractions, random_fraction
 from .spaces import (FinSpace, IFunction, MeasMap, atom_indicator,
@@ -91,7 +91,8 @@ class Report:
         return all(r.result == "pass" for r in self.records)
 
     def to_jsonable(self) -> dict:
-        return {"suite": self.suite, "config": asdict(self.config),
+        return {"suite": self.suite,
+                "config": {name: getattr(self.config, name) for name in FIELDS},
                 "result": "pass" if self.passed else "fail",
                 "properties": [r.to_jsonable() for r in self.records]}
 

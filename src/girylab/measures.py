@@ -25,7 +25,6 @@ enters: mixtures, the integrand, the modulus and eps go through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -36,11 +35,11 @@ from .errors import InvariantError, SpaceMismatchError
 from .rational import (ONE, ZERO, exact, format_rational, lift, probability,
                        probability_numerators, require_unit,
                        require_unit_numerators)
-from .spaces import FinSpace, IFunction, MeasMap, atom_image, require_measurable
+from .spaces import (FinSpace, Frozen, IFunction, MeasMap, atom_image,
+                     require_measurable)
 
 
-@dataclass(frozen=True, init=False)
-class Measure:
+class Measure(Frozen):
     """An exact-rational probability assignment on the atoms of a FinSpace,
     stored as int numerators ``nums`` over one denominator ``den`` in
     lowest terms, so equality and hashing compare integers.
@@ -56,9 +55,7 @@ class Measure:
     read in the second.
     """
 
-    space: FinSpace
-    nums: tuple[int, ...]
-    den: int
+    _fields = ("space", "nums", "den")
 
     def __init__(self, space: FinSpace, weights, den: int | None = None, *,
                  base: int | None = None):
@@ -119,23 +116,22 @@ def integrate(f: IFunction, pi: Measure) -> Fraction:
     return Fraction(sum(map(mul, f.nums, pi.nums)), f.den * pi.den)
 
 
-@dataclass(frozen=True)
-class IntervalMeasure:
+class IntervalMeasure(Frozen):
     """A mixture of point masses and uniform pieces on [0,1], total mass 1.
 
     Pieces may overlap.  All data is rational, so the integral of a
     staircase on a dyadic grid against it is exact.
     """
 
-    points: tuple[tuple[Fraction, Fraction], ...]
-    pieces: tuple[tuple[Fraction, Fraction, Fraction], ...]
+    _fields = ("points", "pieces")
 
-    def __post_init__(self):
+    def __init__(self, points: tuple[tuple[Fraction, Fraction], ...],
+                 pieces: tuple[tuple[Fraction, Fraction, Fraction], ...]):
         points = tuple((require_unit(loc, "point-mass location"),
-                        exact(mass, "point mass")) for loc, mass in self.points)
+                        exact(mass, "point mass")) for loc, mass in points)
         pieces = tuple((require_unit(a, "piece endpoint"),
                         require_unit(b, "piece endpoint"),
-                        exact(mass, "piece mass")) for a, b, mass in self.pieces)
+                        exact(mass, "piece mass")) for a, b, mass in pieces)
         if any(a >= b for a, b, _ in pieces):
             raise InvariantError("uniform pieces need a < b")
         probability([m for _, m in points] + [m for _, _, m in pieces],

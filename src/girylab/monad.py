@@ -25,7 +25,6 @@ is what the digit bounds of ``n_step`` multiply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import lcm
@@ -34,7 +33,7 @@ from operator import mul
 from .errors import InvariantError, SpaceMismatchError
 from .rational import (DECIMAL_INTEGERS, ONE, _common_factor, fits_digits,
                        lift, probability, require_digits)
-from .spaces import FinSpace
+from .spaces import FinSpace, Frozen
 from .measures import Measure
 
 
@@ -51,15 +50,15 @@ def mixture_support(space: FinSpace, support) -> tuple:
     return tuple((component, w) for (component, _), w in zip(support, weights))
 
 
-@dataclass(frozen=True)
-class MetaMeasure:
+class MetaMeasure(Frozen):
     """A finitely supported probability measure on the measures of a base space."""
 
-    base: FinSpace
-    support: tuple[tuple[Measure, Fraction], ...]
+    _fields = ("base", "support")
 
-    def __post_init__(self):
-        object.__setattr__(self, "support", mixture_support(self.base, self.support))
+    def __init__(self, base: FinSpace,
+                 support: tuple[tuple[Measure, Fraction], ...]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "support", mixture_support(base, support))
 
     @staticmethod
     def point(measure: Measure) -> "MetaMeasure":
@@ -67,20 +66,20 @@ class MetaMeasure:
         return MetaMeasure(measure.space, ((measure, ONE),))
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(Frozen):
     """A measurable map into measures: one measure on cod per dom atom."""
 
-    dom: FinSpace
-    cod: FinSpace
-    rows: tuple[Measure, ...]
+    _fields = ("dom", "cod", "rows")
 
-    def __post_init__(self):
-        if len(self.rows) != len(self.dom.atoms):
+    def __init__(self, dom: FinSpace, cod: FinSpace, rows: tuple[Measure, ...]):
+        if len(rows) != len(dom.atoms):
             raise InvariantError("need exactly one row per dom atom")
-        for row in self.rows:
-            if row.space != self.cod:
+        for row in rows:
+            if row.space != cod:
                 raise SpaceMismatchError("kernel row lives off the codomain")
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "rows", rows)
 
     @staticmethod
     def identity(space: FinSpace) -> "Kernel":

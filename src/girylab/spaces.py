@@ -14,15 +14,19 @@ lists and turns them into those masks.  ``IFunction`` stores a function
 into [0,1] as int numerators over one denominator in lowest terms, as
 ``measures.Measure`` stores a measure, so its operations and the
 integrals and functionals applied to it are integer arithmetic.
+
+``Frozen`` is the base of the records on the command path (spaces,
+maps, functions, measures, kernels, the suite configuration): plain
+classes, so that starting ``girylab`` does not import ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvariantError, NotMeasurableError, SpaceMismatchError
@@ -33,8 +37,42 @@ from .rational import (exact, format_rational, lift, random_fraction,
 MAX_CARRIER_POINTS = 16
 
 
-@dataclass(frozen=True)
-class FinSpace:
+class Frozen:
+    """An immutable record of the fields named in ``_fields``.
+
+    A subclass lists two or more fields, and its ``__init__`` sets each
+    once with ``object.__setattr__``; after that no attribute can be
+    assigned or deleted.  Equality (between records of one class),
+    hashing and repr read the fields alone, so caches kept beside them
+    take no part.  ``_key``, the tuple of the fields, is an
+    ``attrgetter`` made for each subclass.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
+
+
+class FinSpace(Frozen):
     """A finite carrier with the atom partition of its sigma-algebra.
 
     ``carrier`` fixes the point order; ``atoms`` lists the atom bitmasks
@@ -44,20 +82,19 @@ class FinSpace:
     take no part in equality or hashing.
     """
 
-    carrier: tuple[str, ...]
-    atoms: tuple[int, ...]
-    _position: dict = field(init=False, repr=False, compare=False)
-    _atom_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("carrier", "atoms")
 
-    def __post_init__(self):
-        atom_at = [0] * len(self.carrier)
-        for j, atom in enumerate(self.atoms):
+    def __init__(self, carrier: tuple[str, ...], atoms: tuple[int, ...]):
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "atoms", atoms)
+        atom_at = [0] * len(carrier)
+        for j, atom in enumerate(atoms):
             while atom:
                 low = atom & -atom
                 atom_at[low.bit_length() - 1] = j
                 atom ^= low
         object.__setattr__(self, "_position",
-                           {lab: i for i, lab in enumerate(self.carrier)})
+                           {lab: i for i, lab in enumerate(carrier)})
         object.__setattr__(self, "_atom_at", tuple(atom_at))
 
     # -- mask helpers -------------------------------------------------
@@ -71,12 +108,6 @@ class FinSpace:
             return self._position[label]
         except (KeyError, TypeError):
             raise NotMeasurableError(f"point {label!r} is not in the carrier") from None
-
-    def mask_of(self, labels: Iterable[str]) -> int:
-        mask = 0
-        for lab in labels:
-            mask |= 1 << self.point_index(lab)
-        return mask
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
         return tuple(lab for i, lab in enumerate(self.carrier) if mask >> i & 1)
@@ -103,10 +134,6 @@ class FinSpace:
     @staticmethod
     def discrete(labels: Sequence[str]) -> "FinSpace":
         return generate_sigma(labels, [[lab] for lab in labels])
-
-    @staticmethod
-    def indiscrete(labels: Sequence[str]) -> "FinSpace":
-        return generate_sigma(labels, [])
 
 
 def generate_sigma(carrier: Sequence[str],
@@ -171,8 +198,7 @@ def atoms(space: FinSpace) -> tuple[int, ...]:
     return space.atoms
 
 
-@dataclass(frozen=True)
-class MeasMap:
+class MeasMap(Frozen):
     """A total map between carriers, stored pointwise.
 
     ``table[i]`` is the cod point index that dom point i maps to.  The
@@ -180,16 +206,17 @@ class MeasMap:
     checking cod atoms suffices since preimages commute with unions.
     """
 
-    dom: FinSpace
-    cod: FinSpace
-    table: tuple[int, ...]
+    _fields = ("dom", "cod", "table")
 
-    def __post_init__(self):
-        if len(self.table) != len(self.dom.carrier):
+    def __init__(self, dom: FinSpace, cod: FinSpace, table: tuple[int, ...]):
+        if len(table) != len(dom.carrier):
             raise InvariantError("map table must cover the whole domain carrier")
-        n = len(self.cod.carrier)
-        if any(not 0 <= t < n for t in self.table):
+        n = len(cod.carrier)
+        if any(not 0 <= t < n for t in table):
             raise InvariantError("map table points outside the codomain carrier")
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "table", table)
 
     @staticmethod
     def from_labels(dom: FinSpace, cod: FinSpace,
@@ -247,8 +274,7 @@ def atom_image(g: MeasMap, dom_atom_index: int) -> int:
     return g.cod._atom_at[g.table[first_point]]
 
 
-@dataclass(frozen=True, init=False)
-class IFunction:
+class IFunction(Frozen):
     """A measurable function into the unit interval, stored atomwise as
     int numerators ``nums`` over one denominator ``den`` in lowest terms,
     so equality and hashing compare integers.
@@ -265,9 +291,7 @@ class IFunction:
     second.
     """
 
-    space: FinSpace
-    nums: tuple[int, ...]
-    den: int
+    _fields = ("space", "nums", "den")
 
     def __init__(self, space: FinSpace, values, den: int | None = None):
         if len(values) != len(space.atoms):

@@ -48,6 +48,20 @@ def minimal_nonempty(sigma) -> set:
     return out
 
 
+def mask_of(space: FinSpace, labels) -> int:
+    """The bitmask of the carrier points ``labels``."""
+    mask = 0
+    for lab in labels:
+        mask |= 1 << space.point_index(lab)
+    return mask
+
+
+def indiscrete(labels) -> FinSpace:
+    """The space on ``labels`` whose only measurable sets are the empty
+    set and the carrier."""
+    return generate_sigma(labels, [])
+
+
 def sigma(space: FinSpace) -> frozenset:
     """Every measurable set of ``space``: the unions of its atoms."""
     sets = {0}

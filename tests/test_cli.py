@@ -579,6 +579,45 @@ class TestConfigDigits:
         assert "trials must be an integer" in capsys.readouterr().err
 
 
+class TestConfigSurface:
+    """The config keys, their order and the help of each config flag of
+    ``girylab verify``, as the parser holds them (not the width-dependent
+    ``--help`` layout)."""
+
+    KEYS = ("seed", "trials", "max_carrier", "max_arity", "max_hull_dim")
+
+    HELP = {
+        "seed": "suite seed (default GIRYLAB_SEED or 0)",
+        "trials": "cases per property (default 500)",
+        "max_carrier": "largest generated carrier (default 8, at most 16)",
+        "max_arity": "largest affine-map arity (default 4, at most 64)",
+        "max_hull_dim": "largest hull dimension (default 3, at most 4)",
+    }
+
+    def test_config_keys_in_order(self):
+        assert cli.CONFIG_KEYS == self.KEYS
+
+    def test_unknown_key_lists_the_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "girylab.cfg"
+        cfg.write_text("trials = 3\nmax-points = 3\n")
+        assert main(["verify", "monad-laws", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: unknown key 'max_points'; expected one of "
+            "seed, trials, max_carrier, max_arity, max_hull_dim\n")
+
+    def test_verify_flag_help(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if a.dest == "command")
+        verify = sub.choices["verify"]
+        flags = [a for a in verify._actions if a.dest in self.KEYS]
+        assert [a.dest for a in flags] == list(self.KEYS)
+        for action in flags:
+            assert action.option_strings == [
+                "--" + action.dest.replace("_", "-")]
+            assert (action.type, action.default) == (int, None)
+            assert action.help == self.HELP[action.dest]
+
+
 class TestConfigCaps:
     @pytest.mark.parametrize("flags, message", [
         (["--max-carrier", "17"], "max_carrier must be at most 16, got 17"),
@@ -953,6 +992,36 @@ class TestStartup:
     def test_verify_all_runs_every_module(self):
         ran = self.ran("verify", "all", "--trials", "1")
         assert self.VERIFY_ONLY <= ran
+
+    #: What a command-path process never imports: ``dataclasses`` and the
+    #: ``inspect`` it brings in cost about 15 ms of start-up.
+    SLOW_IMPORTS = ("dataclasses", "inspect")
+
+    LEFT_OUT = ("import sys; print(sorted(m for m in {!r} "
+                "if m in sys.modules))").format(SLOW_IMPORTS)
+
+    @pytest.mark.parametrize("trace", [False, True], ids=["final", "trace"])
+    def test_markov_imports_no_dataclasses(self, tmp_path, trace):
+        code = ("import sys; from girylab import cli; "
+                "code = cli.main(sys.argv[1:]); " + self.LEFT_OUT
+                + "; sys.exit(code)")
+        proc = self.run("-c", code, "markov",
+                        "--kernel", write(tmp_path, "k.json", ABSORBING),
+                        "--init", write(tmp_path, "pi.json", DELTA_0),
+                        "--steps", "3", *(["--trace"] if trace else []))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_certified_integral_imports_no_dataclasses(self):
+        code = ("import girylab.cli; from fractions import Fraction; "
+                "from girylab import jsonio, measures; "
+                "m = jsonio.interval_measure_from_json({'points': "
+                "[['1/3', '1/2']], 'uniform': [['0/1', '1/1', '1/2']]}); "
+                "print(measures.integrate_approx_bounds(lambda x: x * x, "
+                "lambda e: e / 2, Fraction(1, 64), m)); " + self.LEFT_OUT)
+        proc = self.run("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_module_entry_point_does_not_warn(self):
         proc = self.run("-m", "girylab.cli", "--help")

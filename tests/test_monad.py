@@ -21,7 +21,7 @@ from girylab.monad import (Kernel, MetaMeasure, bind, decimal_states,
                            denominator_base, dirac, flatten, kleisli_compose,
                            n_step, trajectory)
 
-from strategies import (matrix_apply, measures, sigma, spaces,
+from strategies import (mask_of, matrix_apply, measures, sigma, spaces,
                         spaces_with_measures)
 
 F = Fraction
@@ -86,8 +86,8 @@ class TestDirac:
     def test_indicator_evaluation(self):
         s = FinSpace.discrete(["a", "b", "c"])
         d = dirac(s, "a")
-        assert d.of(s.mask_of(["a", "b"])) == F(1)
-        assert d.of(s.mask_of(["b", "c"])) == F(0)
+        assert d.of(mask_of(s, ["a", "b"])) == F(1)
+        assert d.of(mask_of(s, ["b", "c"])) == F(0)
 
     def test_point_inside_coarse_atom(self):
         s = generate_sigma(["a", "b", "c"], [["a"]])

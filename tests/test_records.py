@@ -1,0 +1,163 @@
+"""The value semantics of girylab's frozen records.
+
+Each record is compared, hashed and written by its fields and nothing
+else: two records of one class built apart from equal fields are equal
+and hash equal, a record differing in any one field is unequal, a record
+never equals one of another class, and no field can be assigned or
+deleted once it is built.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from girylab.config import SuiteConfig
+from girylab.measures import IntervalMeasure, Measure
+from girylab.monad import Kernel, MetaMeasure
+from girylab.spaces import FinSpace, IFunction, MeasMap, generate_sigma
+
+F = Fraction
+
+
+def space(n=2):
+    return FinSpace.discrete([chr(ord("a") + i) for i in range(n)])
+
+
+def coarse():
+    return generate_sigma(["a", "b"], [])
+
+
+def measure(*nums, den=None):
+    return Measure(space(len(nums)), nums, den or sum(nums))
+
+
+#: class -> (its fields in order, a builder taking keyword overrides).
+#: Every builder makes a fresh record from freshly built parts.
+RECORDS = {
+    FinSpace: (("carrier", "atoms"), lambda **kw: FinSpace(
+        kw.get("carrier", ("a", "b")), kw.get("atoms", (1, 2)))),
+    MeasMap: (("dom", "cod", "table"), lambda **kw: MeasMap(
+        kw.get("dom", space()), kw.get("cod", space()),
+        kw.get("table", (0, 1)))),
+    IFunction: (("space", "nums", "den"), lambda **kw: IFunction(
+        kw.get("space", space()), kw.get("nums", (1, 2)), kw.get("den", 3))),
+    Measure: (("space", "nums", "den"), lambda **kw: Measure(
+        kw.get("space", space()), kw.get("nums", (1, 2)), kw.get("den", 3))),
+    IntervalMeasure: (("points", "pieces"), lambda **kw: IntervalMeasure(
+        kw.get("points", ((F(1, 2), F(1, 3)),)),
+        kw.get("pieces", ((F(0), F(1), F(2, 3)),)))),
+    MetaMeasure: (("base", "support"), lambda **kw: MetaMeasure(
+        kw.get("base", space()),
+        kw.get("support", ((measure(1, 1), F(1, 4)),
+                           (measure(1, 0), F(3, 4)))))),
+    Kernel: (("dom", "cod", "rows"), lambda **kw: Kernel(
+        kw.get("dom", space()), kw.get("cod", space()),
+        kw.get("rows", (measure(1, 1), measure(0, 1))))),
+    SuiteConfig: (("seed", "trials", "max_carrier", "max_arity",
+                   "max_hull_dim"), lambda **kw: SuiteConfig(**kw)),
+}
+
+#: class -> field -> overrides giving a valid record whose value of that
+#: field differs from the builder's default (a measure's numerators
+#: change with its denominator, and parts follow a changed space).
+VARIANTS = {
+    FinSpace: {"carrier": {"carrier": ("a", "c")}, "atoms": {"atoms": (3,)}},
+    MeasMap: {"dom": {"dom": coarse()}, "cod": {"cod": coarse(), "table": (0, 0)},
+              "table": {"table": (1, 0)}},
+    IFunction: {"space": {"space": coarse(), "nums": (1,)},
+                "nums": {"nums": (1, 0)}, "den": {"den": 5}},
+    Measure: {"space": {"space": space(3), "nums": (1, 2, 0)},
+              "nums": {"nums": (2, 1)}, "den": {"nums": (1, 4), "den": 5}},
+    IntervalMeasure: {"points": {"points": ((F(1, 4), F(1, 3)),)},
+                      "pieces": {"pieces": ((F(0), F(1, 2), F(2, 3)),)}},
+    MetaMeasure: {"base": {"base": space(1),
+                           "support": ((measure(1), F(1)),)},
+                  "support": {"support": ((measure(1, 1), F(1, 2)),
+                                          (measure(1, 0), F(1, 2)))}},
+    Kernel: {"dom": {"dom": space(3), "rows": (measure(1, 1),) * 3},
+             "cod": {"cod": coarse(), "rows": (Measure(coarse(), (1,), 1),) * 2},
+             "rows": {"rows": (measure(0, 1), measure(1, 1))}},
+    SuiteConfig: {name: {name: value} for name, value in (
+        ("seed", 1), ("trials", 9), ("max_carrier", 3), ("max_arity", 2),
+        ("max_hull_dim", 2))},
+}
+
+
+CLASSES = list(RECORDS)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+class TestRecordSemantics:
+    def test_equal_fields_give_equal_records_and_hashes(self, cls):
+        build = RECORDS[cls][1]
+        a, b = build(), build()
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+
+    def test_hash_is_the_hash_of_the_field_tuple(self, cls):
+        fields, build = RECORDS[cls]
+        record = build()
+        assert hash(record) == hash(tuple(getattr(record, f) for f in fields))
+
+    def test_each_field_takes_part_in_equality(self, cls):
+        fields, build = RECORDS[cls]
+        for name in fields:
+            changed = build(**VARIANTS[cls][name])
+            assert getattr(changed, name) != getattr(build(), name), name
+            assert changed != build(), name
+
+    def test_another_class_is_never_equal(self, cls):
+        fields, build = RECORDS[cls]
+        record = build()
+        assert record.__eq__(object()) is NotImplemented
+        assert record != tuple(getattr(record, f) for f in fields)
+
+    def test_fields_cannot_be_assigned_or_deleted(self, cls):
+        fields, build = RECORDS[cls]
+        record = build()
+        for name in fields:
+            before = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, before)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert getattr(record, name) is before
+
+    def test_repr_names_the_class_and_its_fields(self, cls):
+        fields, build = RECORDS[cls]
+        record = build()
+        inner = ", ".join(f"{f}={getattr(record, f)!r}" for f in fields)
+        assert repr(record) == f"{cls.__name__}({inner})"
+
+
+class TestParticularRecords:
+    def test_space_repr(self):
+        assert repr(space()) == "FinSpace(carrier=('a', 'b'), atoms=(1, 2))"
+
+    def test_space_point_tables_stay_out_of_equality_and_hash(self):
+        a, b = space(), space()
+        object.__setattr__(b, "_position", {})
+        object.__setattr__(b, "_atom_at", ())
+        assert a == b and hash(a) == hash(b)
+        assert "_position" not in repr(b) and "_atom_at" not in repr(b)
+
+    def test_measure_and_function_on_the_same_integers_differ(self):
+        s = space()
+        m, f = Measure(s, (1, 2), 3), IFunction(s, (1, 2), 3)
+        assert (m.space, m.nums, m.den) == (f.space, f.nums, f.den)
+        assert m != f and f != m
+        assert len({m, f}) == 2
+
+    def test_cached_weights_and_values_stay_out_of_equality(self):
+        s = space()
+        m, f = Measure(s, (1, 2), 3), IFunction(s, (1, 2), 3)
+        assert m.weights == (F(1, 3), F(2, 3))
+        assert f.values == (F(1, 3), F(2, 3))
+        assert m == Measure(s, (1, 2), 3) and f == IFunction(s, (1, 2), 3)
+        assert "weights" not in repr(m) and "values" not in repr(f)
+
+    def test_config_repr(self):
+        assert repr(SuiteConfig(seed=3)) == (
+            "SuiteConfig(seed=3, trials=500, max_carrier=8, max_arity=4, "
+            "max_hull_dim=3)")
