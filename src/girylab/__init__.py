@@ -30,7 +30,7 @@ _EXPORTS = {
                "InvariantError", "NotMeasurableError", "RejectionError",
                "SpaceMismatchError"),
     "rational": ("format_rational", "parse_rational"),
-    "spaces": ("FinSpace", "IFunction", "MeasMap", "atom_indicator", "atoms",
+    "spaces": ("FinSpace", "IFunction", "MeasMap", "atom_indicator",
                "characteristic", "generate_sigma", "is_measurable"),
     "measures": ("IntervalMeasure", "Measure", "integrate",
                  "integrate_approx_bounds", "pushforward"),

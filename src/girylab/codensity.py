@@ -24,7 +24,6 @@ axiom.  Both directions are exercised by the checkers below.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -34,7 +33,7 @@ from .errors import ActionSquareError, InvariantError
 from .rational import (ONE, ZERO, exact, format_rational, random_fraction,
                        require_unit, require_unit_numerators)
 from .rational import lift as lift_rationals
-from .spaces import FinSpace, IFunction
+from .spaces import FinSpace, Frozen, IFunction
 from .duality import Functional
 from .verdicts import Verdict, describe, failed, passed
 
@@ -46,12 +45,12 @@ def _extremes(n0: int, nums: Sequence[int]) -> tuple[int, int]:
     return lo, hi
 
 
-def _store_into_unit(m) -> None:
+def _store_into_unit(m, a0, coeffs) -> None:
     """Store an affine map's ``a0`` and ``coeffs`` as Fractions and, in
     ``lifted``, as int numerators over their lcm denominator; check on
     those ints that the map's extreme values lie in I."""
-    a0 = exact(m.a0, "constant term")
-    coeffs = tuple(exact(c, "coefficient") for c in m.coeffs)
+    a0 = exact(a0, "constant term")
+    coeffs = tuple(exact(c, "coefficient") for c in coeffs)
     (n0, *nums), den = lift_rationals((a0, *coeffs))
     lo, hi = _extremes(n0, nums)
     if lo < 0 or hi > den:
@@ -70,20 +69,16 @@ def _value(m, xs: Sequence[int], xden: int) -> Fraction:
     return Fraction(n0 * xden + sum(map(mul, nums, xs)), den * xden)
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(Frozen):
     """An affine map from the n-cube into I: a0 + sum(a_i * x_i)."""
 
-    arity: int
-    a0: Fraction
-    coeffs: tuple[Fraction, ...]
-    lifted: tuple[int, tuple[int, ...], int] = field(
-        init=False, repr=False, compare=False)
+    _fields = ("arity", "a0", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.arity:
+    def __init__(self, arity: int, a0: Fraction, coeffs: tuple[Fraction, ...]):
+        if len(coeffs) != arity:
             raise InvariantError("need one coefficient per coordinate")
-        _store_into_unit(self)
+        object.__setattr__(self, "arity", arity)
+        _store_into_unit(self, a0, coeffs)
 
     def __call__(self, xs: Sequence[Fraction]) -> Fraction:
         if len(xs) != self.arity:
@@ -134,16 +129,15 @@ class AffineMap:
                 "coefficients": [format_rational(c) for c in self.coeffs]}
 
 
-@dataclass(frozen=True)
-class VanishingSequence:
+class VanishingSequence(Frozen):
     """A sequence in the unit interval converging to zero, stored as a
     finite entry list with an implicit zero tail (trailing zeros are
     stripped, so equality is equality of sequences)."""
 
-    entries: tuple[Fraction, ...]
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        entries = [require_unit(v, "sequence entry") for v in self.entries]
+    def __init__(self, entries: tuple[Fraction, ...]):
+        entries = [require_unit(v, "sequence entry") for v in entries]
         while entries and entries[-1] == ZERO:
             entries.pop()
         object.__setattr__(self, "entries", tuple(entries))
@@ -155,8 +149,7 @@ class VanishingSequence:
         return [format_rational(v) for v in self.entries]
 
 
-@dataclass(frozen=True)
-class SequenceAffineMap:
+class SequenceAffineMap(Frozen):
     """An affine map from the vanishing-sequence set into I, with a
     finite coefficient list (absolute summability is structural).
 
@@ -165,13 +158,10 @@ class SequenceAffineMap:
     bound the range.
     """
 
-    a0: Fraction
-    coeffs: tuple[Fraction, ...]
-    lifted: tuple[int, tuple[int, ...], int] = field(
-        init=False, repr=False, compare=False)
+    _fields = ("a0", "coeffs")
 
-    def __post_init__(self):
-        _store_into_unit(self)
+    def __init__(self, a0: Fraction, coeffs: tuple[Fraction, ...]):
+        _store_into_unit(self, a0, coeffs)
 
     def __call__(self, x: VanishingSequence) -> Fraction:
         return _value(self, *lift_rationals(x.entries))
@@ -225,8 +215,7 @@ def sample_sequence_affine(rng: random.Random, length: int) -> SequenceAffineMap
 # -- natural families ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CodensityElement:
+class CodensityElement(Frozen):
     """A natural family determined by its component at I.
 
     The component at the n-cube applies the functional coordinatewise
@@ -237,7 +226,10 @@ class CodensityElement:
     then refutes it.  Its base space is ``phi.space``.
     """
 
-    phi: Functional
+    _fields = ("phi",)
+
+    def __init__(self, phi: Functional):
+        object.__setattr__(self, "phi", phi)
 
     def at_power(self, fs: Sequence[IFunction]) -> tuple[Fraction, ...]:
         return tuple(self.phi(f) for f in fs)

@@ -20,27 +20,25 @@ the failure above is still exactly exhibited on representable families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .rational import ONE, ZERO, exact, index, require_unit
 from .duality import LimitWitness, respects_limits
+from .spaces import Frozen
 from .verdicts import Verdict, describe, failed, passed
 
 
-@dataclass(frozen=True)
-class EventualFn:
+class EventualFn(Frozen):
     """An eventually constant function from the naturals into [0,1]:
     an explicit finite prefix, then ``tail`` forever."""
 
-    prefix: tuple[Fraction, ...]
-    tail: Fraction
+    _fields = ("prefix", "tail")
 
-    def __post_init__(self):
+    def __init__(self, prefix: tuple[Fraction, ...], tail: Fraction):
         object.__setattr__(self, "prefix", tuple(
-            require_unit(v, "prefix value") for v in self.prefix))
-        object.__setattr__(self, "tail", require_unit(self.tail, "tail value"))
+            require_unit(v, "prefix value") for v in prefix))
+        object.__setattr__(self, "tail", require_unit(tail, "tail value"))
 
     @staticmethod
     def constant(r: Fraction) -> "EventualFn":
@@ -68,16 +66,16 @@ class EventualFn:
         return max(gaps)
 
 
-@dataclass(frozen=True)
-class FinCofSet:
+class FinCofSet(Frozen):
     """A finite or cofinite set of naturals, stored by its finite side."""
 
-    cofinite: bool
-    elements: frozenset[int]
+    _fields = ("cofinite", "elements")
 
-    def __post_init__(self):
-        for n in self.elements:
+    def __init__(self, cofinite: bool, elements: frozenset[int]):
+        for n in elements:
             index(n, "element")
+        object.__setattr__(self, "cofinite", cofinite)
+        object.__setattr__(self, "elements", elements)
 
     @staticmethod
     def finite(elements: Iterable[int]) -> "FinCofSet":

@@ -25,7 +25,6 @@ certified witness sequence.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Optional, Sequence, Union
@@ -33,15 +32,14 @@ from typing import Callable, Optional, Sequence, Union
 from .errors import InvariantError, RejectionError, SpaceMismatchError
 from .rational import (HALF, ONE, ZERO, exact, format_rational, index, lift,
                        random_fraction, require_unit)
-from .spaces import (FinSpace, IFunction, MeasMap, atom_image, atom_indicator,
-                     generate_ifunction, require_measurable)
+from .spaces import (FinSpace, Frozen, IFunction, MeasMap, atom_image,
+                     atom_indicator, generate_ifunction, require_measurable)
 from .measures import Measure, integrate
 from .monad import MetaMeasure, mixture_support
 from .verdicts import Verdict, describe, failed, passed
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(Frozen):
     """A map from measurable I-valued functions on a space to I.
 
     Exactly one of two bodies is set.  An extensional body is the
@@ -57,19 +55,21 @@ class Functional:
     rationals and builds the measure from them.
     """
 
-    space: FinSpace
-    measure: Optional[Measure] = None
-    evaluator: Optional[Callable[[IFunction], Fraction]] = None
-    label: str = ""
+    _fields = ("space", "measure", "evaluator", "label")
 
-    def __post_init__(self):
-        if (self.measure is None) == (self.evaluator is None):
+    def __init__(self, space: FinSpace, measure: Optional[Measure] = None,
+                 evaluator: Optional[Callable[[IFunction], Fraction]] = None,
+                 label: str = ""):
+        if (measure is None) == (evaluator is None):
             raise InvariantError("exactly one of measure/evaluator must be given")
-        if self.measure is not None and not (
-                isinstance(self.measure, Measure)
-                and self.measure.space == self.space):
+        if measure is not None and not (
+                isinstance(measure, Measure) and measure.space == space):
             raise InvariantError(
                 "an extensional body must be a Measure on the functional's space")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "measure", measure)
+        object.__setattr__(self, "evaluator", evaluator)
+        object.__setattr__(self, "label", label)
 
     @staticmethod
     def extensional(space: FinSpace, coeffs) -> "Functional":
@@ -178,16 +178,16 @@ def evaluation_at(space: FinSpace, point: str) -> Functional:
     return Functional.extensional(space, coeffs)
 
 
-@dataclass(frozen=True)
-class FunctionalMixture:
+class FunctionalMixture(Frozen):
     """A finite mixture of functionals: the second-level inputs to the
     multiplication, mirroring MetaMeasure."""
 
-    space: FinSpace
-    support: tuple[tuple[Functional, Fraction], ...]
+    _fields = ("space", "support")
 
-    def __post_init__(self):
-        object.__setattr__(self, "support", mixture_support(self.space, self.support))
+    def __init__(self, space: FinSpace,
+                 support: tuple[tuple[Functional, Fraction], ...]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "support", mixture_support(space, support))
 
     @staticmethod
     def point(phi: Functional) -> "FunctionalMixture":
@@ -276,8 +276,7 @@ def is_affine(phi: Functional, trials: int = 200,
 CERT_CHECKED_TERMS = 3
 
 
-@dataclass(frozen=True)
-class LimitWitness:
+class LimitWitness(Frozen):
     """A certified sequence of functions converging pointwise to zero.
 
     ``terms(n)`` is the n-th function; ``cert(p)`` is an index beyond
@@ -287,9 +286,13 @@ class LimitWitness:
     spot-checked).  Certification is validated, not assumed.
     """
 
-    terms: Callable[[int], object]
-    cert: Callable[[object], int]
-    points: Optional[tuple] = None
+    _fields = ("terms", "cert", "points")
+
+    def __init__(self, terms: Callable[[int], object],
+                 cert: Callable[[object], int], points: Optional[tuple] = None):
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "cert", cert)
+        object.__setattr__(self, "points", points)
 
     def max_cert(self) -> Optional[int]:
         if self.points is None:

@@ -31,7 +31,6 @@ import json
 import random
 import string
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Optional, Sequence, Union
@@ -39,7 +38,7 @@ from typing import Callable, Optional, Sequence, Union
 from .config import FIELDS, SUITE_NAMES, SuiteConfig
 from .errors import ActionSquareError, GirylabError, RejectionError
 from .rational import HALF, ONE, ZERO, lift as lift_fractions, random_fraction
-from .spaces import (FinSpace, IFunction, MeasMap, atom_indicator,
+from .spaces import (FinSpace, Frozen, IFunction, MeasMap, atom_indicator,
                      generate_ifunction, sigma_from_masks)
 from .measures import Measure, integrate, pushforward
 from .monad import Kernel, MetaMeasure, bind, dirac, flatten, kleisli_compose
@@ -64,15 +63,23 @@ def case_rng(seed: int, prop: str, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-@dataclass
-class PropertyRecord:
-    name: str
-    law: str
-    result: str
-    witness: Optional[dict]
-    trials: int
-    seed: int
-    duration: float = 0.0  # kept off the canonical serialization
+class PropertyRecord(Frozen):
+    """One property's outcome; ``duration`` is kept off the canonical
+    serialization."""
+
+    _fields = ("name", "law", "result", "witness", "trials", "seed",
+               "duration")
+
+    def __init__(self, name: str, law: str, result: str,
+                 witness: Optional[dict], trials: int, seed: int,
+                 duration: float):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "law", law)
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "duration", duration)
 
     def to_jsonable(self) -> dict:
         return {"property": self.name, "law": self.law, "result": self.result,
@@ -80,11 +87,14 @@ class PropertyRecord:
                 "seed": self.seed}
 
 
-@dataclass
-class Report:
-    suite: str
-    config: SuiteConfig
-    records: list[PropertyRecord]
+class Report(Frozen):
+    _fields = ("suite", "config", "records")
+
+    def __init__(self, suite: str, config: SuiteConfig,
+                 records: list[PropertyRecord]):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "records", records)
 
     @property
     def passed(self) -> bool:
@@ -273,8 +283,7 @@ def minimize_refutation(phi: Functional, max_arity: int,
 # -- properties -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Property:
+class Property(Frozen):
     """A law checked case by case.  ``case(cfg, rng)`` checks case i on
     the stream ``case_rng(seed, name, i)`` and returns None when it holds,
     a witness dict of raw values when it fails (``failed`` describes it),
@@ -284,9 +293,14 @@ class Property:
     "case": i}, so the rest of the suite still runs; other exceptions
     propagate."""
 
-    name: str
-    law: str
-    case: Callable[[SuiteConfig, random.Random], Union[None, dict, Verdict]]
+    _fields = ("name", "law", "case")
+
+    def __init__(self, name: str, law: str,
+                 case: Callable[[SuiteConfig, random.Random],
+                                Union[None, dict, Verdict]]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "law", law)
+        object.__setattr__(self, "case", case)
 
     def run(self, cfg: SuiteConfig) -> PropertyRecord:
         start = time.perf_counter()

@@ -15,9 +15,8 @@ into [0,1] as int numerators over one denominator in lowest terms, as
 ``measures.Measure`` stores a measure, so its operations and the
 integrals and functionals applied to it are integer arithmetic.
 
-``Frozen`` is the base of the records on the command path (spaces,
-maps, functions, measures, kernels, the suite configuration): plain
-classes, so that starting ``girylab`` does not import ``dataclasses``.
+``Frozen`` is the base of every record in the package: plain classes,
+so that starting ``girylab`` does not import ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -40,18 +39,21 @@ MAX_CARRIER_POINTS = 16
 class Frozen:
     """An immutable record of the fields named in ``_fields``.
 
-    A subclass lists two or more fields, and its ``__init__`` sets each
+    A subclass lists one or more fields, and its ``__init__`` sets each
     once with ``object.__setattr__``; after that no attribute can be
     assigned or deleted.  Equality (between records of one class),
     hashing and repr read the fields alone, so caches kept beside them
     take no part.  ``_key``, the tuple of the fields, is an
-    ``attrgetter`` made for each subclass.
+    ``attrgetter`` made for each subclass, wrapped for a single field
+    to return a 1-tuple, so a hash is always that of the field tuple.
     """
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        cls._key = attrgetter(*cls._fields)
+        key = attrgetter(*cls._fields)
+        cls._key = key if len(cls._fields) > 1 else staticmethod(
+            lambda record: (key(record),))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is frozen: cannot set {name!r}")
@@ -191,11 +193,6 @@ def sigma_from_masks(labels: tuple[str, ...],
     for g in gen_masks:
         blocks = [part for b in blocks for part in (b & g, b & ~g) if part]
     return FinSpace(labels, tuple(sorted(blocks, key=lambda m: m & -m)))
-
-
-def atoms(space: FinSpace) -> tuple[int, ...]:
-    """The minimal nonempty measurable sets; they partition the carrier."""
-    return space.atoms
 
 
 class MeasMap(Frozen):

@@ -11,12 +11,11 @@ it; ints, strings, bools and None stay as they are.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .rational import format_rational
+from .spaces import Frozen
 
 
 def describe(value):
@@ -30,29 +29,25 @@ def describe(value):
     return value.describe() if hasattr(value, "describe") else value
 
 
-@dataclass(frozen=True)
-class Verdict:
-    property: str
-    result: str  # "pass" | "fail"
-    witness: Optional[dict] = None
-    trials: int = 0
-    seed: Optional[int] = None
+class Verdict(Frozen):
+    """The outcome of one check; ``result`` is "pass" or "fail"."""
+
+    _fields = ("property", "result", "witness", "trials", "seed")
+
+    def __init__(self, property: str, result: str, witness: Optional[dict],
+                 trials: int, seed: Optional[int]):
+        object.__setattr__(self, "property", property)
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
 
     @property
     def passed(self) -> bool:
         return self.result == "pass"
 
     def to_jsonable(self) -> dict:
-        return {
-            "property": self.property,
-            "result": self.result,
-            "witness": self.witness,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True)
+        return dict(zip(self._fields, self._key(self)))
 
 
 def passed(prop: str, trials: int = 0, seed: Optional[int] = None,

@@ -993,22 +993,30 @@ class TestStartup:
         ran = self.ran("verify", "all", "--trials", "1")
         assert self.VERIFY_ONLY <= ran
 
-    #: What a command-path process never imports: ``dataclasses`` and the
+    #: What a girylab process never imports: ``dataclasses`` and the
     #: ``inspect`` it brings in cost about 15 ms of start-up.
     SLOW_IMPORTS = ("dataclasses", "inspect")
 
     LEFT_OUT = ("import sys; print(sorted(m for m in {!r} "
                 "if m in sys.modules))").format(SLOW_IMPORTS)
 
+    #: Runs the command line given after ``-c``, then prints ``LEFT_OUT``.
+    MAIN_LEFT_OUT = ("import sys; from girylab import cli; "
+                     "code = cli.main(sys.argv[1:]); " + LEFT_OUT
+                     + "; sys.exit(code)")
+
     @pytest.mark.parametrize("trace", [False, True], ids=["final", "trace"])
     def test_markov_imports_no_dataclasses(self, tmp_path, trace):
-        code = ("import sys; from girylab import cli; "
-                "code = cli.main(sys.argv[1:]); " + self.LEFT_OUT
-                + "; sys.exit(code)")
-        proc = self.run("-c", code, "markov",
+        proc = self.run("-c", self.MAIN_LEFT_OUT, "markov",
                         "--kernel", write(tmp_path, "k.json", ABSORBING),
                         "--init", write(tmp_path, "pi.json", DELTA_0),
                         "--steps", "3", *(["--trace"] if trace else []))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_verify_all_imports_no_dataclasses(self):
+        proc = self.run("-c", self.MAIN_LEFT_OUT, "verify", "all",
+                        "--trials", "1")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 

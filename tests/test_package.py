@@ -60,12 +60,16 @@ def test_unknown_name_raises_attribute_error():
 
 
 def _names_used(path: Path) -> set:
-    """Every name a module reads, imports or reads as an attribute."""
+    """Every name a module reads or imports, and every attribute it reads
+    off a girylab module's name: ``monad.n_step`` counts, but
+    ``space.atoms`` does not count as a use of ``spaces.atoms``."""
     used = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in EXPORTS):
             used.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             used.update(alias.name for alias in node.names)

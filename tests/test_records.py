@@ -11,10 +11,16 @@ from fractions import Fraction
 
 import pytest
 
+from girylab.codensity import (AffineMap, CodensityElement, SequenceAffineMap,
+                               VanishingSequence)
 from girylab.config import SuiteConfig
+from girylab.counterexample import EventualFn, FinCofSet
+from girylab.duality import Functional, FunctionalMixture, LimitWitness
+from girylab.harness import Property, PropertyRecord, Report
 from girylab.measures import IntervalMeasure, Measure
 from girylab.monad import Kernel, MetaMeasure
 from girylab.spaces import FinSpace, IFunction, MeasMap, generate_sigma
+from girylab.verdicts import Verdict
 
 F = Fraction
 
@@ -29,6 +35,25 @@ def coarse():
 
 def measure(*nums, den=None):
     return Measure(space(len(nums)), nums, den or sum(nums))
+
+
+def extensional(*nums):
+    return Functional(space(len(nums)), measure(*nums))
+
+
+def one_function(*_):
+    """The value of every callable field: records compare it by identity."""
+
+
+def another_function(*_):
+    """A second callable, unequal to ``one_function``."""
+
+
+def property_record(**kw):
+    return PropertyRecord(
+        kw.get("name", "p"), kw.get("law", "a law"), kw.get("result", "pass"),
+        kw.get("witness"), kw.get("trials", 3), kw.get("seed", 7),
+        kw.get("duration", 0.5))
 
 
 #: class -> (its fields in order, a builder taking keyword overrides).
@@ -55,6 +80,43 @@ RECORDS = {
         kw.get("rows", (measure(1, 1), measure(0, 1))))),
     SuiteConfig: (("seed", "trials", "max_carrier", "max_arity",
                    "max_hull_dim"), lambda **kw: SuiteConfig(**kw)),
+    Verdict: (("property", "result", "witness", "trials", "seed"),
+              lambda **kw: Verdict(
+                  kw.get("property", "p"), kw.get("result", "pass"),
+                  kw.get("witness"), kw.get("trials", 3), kw.get("seed", 7))),
+    PropertyRecord: (("name", "law", "result", "witness", "trials", "seed",
+                      "duration"), property_record),
+    Report: (("suite", "config", "records"), lambda **kw: Report(
+        kw.get("suite", "all"), kw.get("config", SuiteConfig(seed=3)),
+        kw.get("records", (property_record(),)))),
+    Property: (("name", "law", "case"), lambda **kw: Property(
+        kw.get("name", "p"), kw.get("law", "a law"),
+        kw.get("case", one_function))),
+    AffineMap: (("arity", "a0", "coeffs"), lambda **kw: AffineMap(
+        kw.get("arity", 2), kw.get("a0", F(1, 4)),
+        kw.get("coeffs", (F(1, 4), F(1, 2))))),
+    VanishingSequence: (("entries",), lambda **kw: VanishingSequence(
+        kw.get("entries", (F(1, 2), F(1, 4))))),
+    SequenceAffineMap: (("a0", "coeffs"), lambda **kw: SequenceAffineMap(
+        kw.get("a0", F(1, 4)), kw.get("coeffs", (F(1, 4), F(1, 2))))),
+    CodensityElement: (("phi",), lambda **kw: CodensityElement(
+        kw.get("phi", extensional(1, 2)))),
+    Functional: (("space", "measure", "evaluator", "label"),
+                 lambda **kw: Functional(
+                     kw.get("space", space()), kw.get("measure"),
+                     kw.get("evaluator", one_function),
+                     kw.get("label", "one"))),
+    FunctionalMixture: (("space", "support"), lambda **kw: FunctionalMixture(
+        kw.get("space", space()),
+        kw.get("support", ((extensional(1, 1), F(1, 4)),
+                           (extensional(1, 0), F(3, 4)))))),
+    LimitWitness: (("terms", "cert", "points"), lambda **kw: LimitWitness(
+        kw.get("terms", one_function), kw.get("cert", another_function),
+        kw.get("points", (0, 1)))),
+    EventualFn: (("prefix", "tail"), lambda **kw: EventualFn(
+        kw.get("prefix", (F(1, 2), F(0))), kw.get("tail", F(1)))),
+    FinCofSet: (("cofinite", "elements"), lambda **kw: FinCofSet(
+        kw.get("cofinite", False), kw.get("elements", frozenset({1, 2})))),
 }
 
 #: class -> field -> overrides giving a valid record whose value of that
@@ -80,6 +142,36 @@ VARIANTS = {
     SuiteConfig: {name: {name: value} for name, value in (
         ("seed", 1), ("trials", 9), ("max_carrier", 3), ("max_arity", 2),
         ("max_hull_dim", 2))},
+    Verdict: {name: {name: value} for name, value in (
+        ("property", "q"), ("result", "fail"), ("witness", {"case": 0}),
+        ("trials", 1), ("seed", None))},
+    PropertyRecord: {name: {name: value} for name, value in (
+        ("name", "q"), ("law", "another law"), ("result", "fail"),
+        ("witness", {"case": 0}), ("trials", 1), ("seed", 8),
+        ("duration", 0.25))},
+    Report: {"suite": {"suite": "duality"}, "config": {"config": SuiteConfig()},
+             "records": {"records": ()}},
+    Property: {"name": {"name": "q"}, "law": {"law": "another law"},
+               "case": {"case": another_function}},
+    AffineMap: {"arity": {"arity": 1, "coeffs": (F(1, 4),)},
+                "a0": {"a0": F(0)}, "coeffs": {"coeffs": (F(1, 2), F(1, 4))}},
+    VanishingSequence: {"entries": {"entries": (F(1, 2),)}},
+    SequenceAffineMap: {"a0": {"a0": F(0)},
+                        "coeffs": {"coeffs": (F(1, 2), F(1, 4))}},
+    CodensityElement: {"phi": {"phi": extensional(2, 1)}},
+    Functional: {"space": {"space": space(3)},
+                 "measure": {"measure": measure(1, 2), "evaluator": None},
+                 "evaluator": {"evaluator": another_function},
+                 "label": {"label": "another"}},
+    FunctionalMixture: {"space": {"space": space(1),
+                                  "support": ((extensional(1), F(1)),)},
+                        "support": {"support": ((extensional(1, 1), F(1, 2)),
+                                                (extensional(1, 0), F(1, 2)))}},
+    LimitWitness: {"terms": {"terms": another_function},
+                   "cert": {"cert": one_function}, "points": {"points": (0,)}},
+    EventualFn: {"prefix": {"prefix": (F(1, 2),)}, "tail": {"tail": F(1, 3)}},
+    FinCofSet: {"cofinite": {"cofinite": True},
+                "elements": {"elements": frozenset({3})}},
 }
 
 
@@ -148,6 +240,16 @@ class TestParticularRecords:
         assert (m.space, m.nums, m.den) == (f.space, f.nums, f.den)
         assert m != f and f != m
         assert len({m, f}) == 2
+
+    @pytest.mark.parametrize("cls", [AffineMap, SequenceAffineMap],
+                             ids=lambda c: c.__name__)
+    def test_lifted_coefficients_stay_out_of_equality_hash_and_repr(self, cls):
+        build = RECORDS[cls][1]
+        a, b = build(), build()
+        assert a.lifted == b.lifted == (1, (1, 2), 4)
+        object.__setattr__(b, "lifted", (0, (), 1))
+        assert a == b and hash(a) == hash(b)
+        assert "lifted" not in repr(b)
 
     def test_cached_weights_and_values_stay_out_of_equality(self):
         s = space()

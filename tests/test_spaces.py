@@ -13,7 +13,7 @@ from girylab.config import SuiteConfig
 from girylab.errors import InvariantError, NotMeasurableError
 from girylab.harness import generate_measurable_map, generate_space
 from girylab.rational import random_fraction
-from girylab.spaces import (FinSpace, IFunction, MeasMap, atom_image, atoms,
+from girylab.spaces import (FinSpace, IFunction, MeasMap, atom_image,
                             characteristic, generate_ifunction, generate_sigma,
                             is_measurable, sigma_from_masks)
 
@@ -95,7 +95,7 @@ class TestAtoms:
 
     def test_minimality_oracle(self):
         s = generate_sigma(["a", "b", "c"], [["a"]])
-        assert set(atoms(s)) == minimal_nonempty(sigma(s))
+        assert set(s.atoms) == minimal_nonempty(sigma(s))
 
     @settings(max_examples=60, deadline=None)
     @given(spaces())
