@@ -228,9 +228,6 @@ class CodensityElement(Frozen):
 
     _fields = ("phi",)
 
-    def __init__(self, phi: Functional):
-        object.__setattr__(self, "phi", phi)
-
     def at_power(self, fs: Sequence[IFunction]) -> tuple[Fraction, ...]:
         return tuple(self.phi(f) for f in fs)
 

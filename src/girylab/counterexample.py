@@ -146,10 +146,8 @@ def vanishing_segment_witness() -> LimitWitness:
     """The certified sequence n -> indicator of [n, infinity): at the
     point k it vanishes from index k+1 on, so it converges pointwise to
     zero everywhere."""
-    return LimitWitness(
-        terms=lambda n: EventualFn.final_segment_indicator(n),
-        cert=lambda k: k + 1,
-        points=None)
+    return LimitWitness(EventualFn.final_segment_indicator, lambda k: k + 1,
+                        None)
 
 
 def singleton_mass_sum(upto: int) -> Fraction:

@@ -66,6 +66,8 @@ class Functional(Frozen):
                 isinstance(measure, Measure) and measure.space == space):
             raise InvariantError(
                 "an extensional body must be a Measure on the functional's space")
+        if measure is not None and label:
+            raise InvariantError("only an intensional body has a label")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "measure", measure)
         object.__setattr__(self, "evaluator", evaluator)
@@ -287,12 +289,6 @@ class LimitWitness(Frozen):
     """
 
     _fields = ("terms", "cert", "points")
-
-    def __init__(self, terms: Callable[[int], object],
-                 cert: Callable[[object], int], points: Optional[tuple] = None):
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "cert", cert)
-        object.__setattr__(self, "points", points)
 
     def max_cert(self) -> Optional[int]:
         if self.points is None:

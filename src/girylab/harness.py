@@ -33,7 +33,7 @@ import string
 import time
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .config import FIELDS, SUITE_NAMES, SuiteConfig
 from .errors import ActionSquareError, GirylabError, RejectionError
@@ -54,7 +54,7 @@ from .hull import extend_to_convex, hull_membership
 from .counterexample import (EventualFn, FinCofSet, cofinite_measure,
                              countable_additivity_violation, limit_functional,
                              sup_continuity_check, vanishing_segment_witness)
-from .verdicts import Verdict, failed, passed
+from .verdicts import failed, passed
 
 
 def case_rng(seed: int, prop: str, index: int) -> random.Random:
@@ -70,17 +70,6 @@ class PropertyRecord(Frozen):
     _fields = ("name", "law", "result", "witness", "trials", "seed",
                "duration")
 
-    def __init__(self, name: str, law: str, result: str,
-                 witness: Optional[dict], trials: int, seed: int,
-                 duration: float):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "law", law)
-        object.__setattr__(self, "result", result)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "duration", duration)
-
     def to_jsonable(self) -> dict:
         return {"property": self.name, "law": self.law, "result": self.result,
                 "witness": self.witness, "trials": self.trials,
@@ -89,12 +78,6 @@ class PropertyRecord(Frozen):
 
 class Report(Frozen):
     _fields = ("suite", "config", "records")
-
-    def __init__(self, suite: str, config: SuiteConfig,
-                 records: list[PropertyRecord]):
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "records", records)
 
     @property
     def passed(self) -> bool:
@@ -295,13 +278,6 @@ class Property(Frozen):
 
     _fields = ("name", "law", "case")
 
-    def __init__(self, name: str, law: str,
-                 case: Callable[[SuiteConfig, random.Random],
-                                Union[None, dict, Verdict]]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "law", law)
-        object.__setattr__(self, "case", case)
-
     def run(self, cfg: SuiteConfig) -> PropertyRecord:
         start = time.perf_counter()
         verdict = passed(self.name, cfg.trials)
@@ -319,7 +295,7 @@ class Property(Frozen):
                 break
         return PropertyRecord(self.name, self.law, verdict.result,
                               verdict.witness, verdict.trials, cfg.seed,
-                              duration=time.perf_counter() - start)
+                              time.perf_counter() - start)
 
 
 def _law(sides):
@@ -943,10 +919,11 @@ SUITES: dict[str, list[Property]] = dict(zip(SUITE_NAMES, (
 def run_suite(name: str, cfg: SuiteConfig) -> Report:
     """Execute one named suite (or 'all') under the given configuration."""
     if name == "all":
-        return Report("all", cfg, [record for suite in SUITE_NAMES
-                                   for record in run_suite(suite, cfg).records])
+        return Report("all", cfg, tuple(
+            record for suite in SUITE_NAMES
+            for record in run_suite(suite, cfg).records))
     if name not in SUITES:
         raise GirylabError(
             f"unknown suite {name!r}; expected one of "
             f"{', '.join((*SUITE_NAMES, 'all'))}")
-    return Report(name, cfg, [prop.run(cfg) for prop in SUITES[name]])
+    return Report(name, cfg, tuple(prop.run(cfg) for prop in SUITES[name]))

@@ -39,16 +39,25 @@ MAX_CARRIER_POINTS = 16
 class Frozen:
     """An immutable record of the fields named in ``_fields``.
 
-    A subclass lists one or more fields, and its ``__init__`` sets each
-    once with ``object.__setattr__``; after that no attribute can be
-    assigned or deleted.  Equality (between records of one class),
-    hashing and repr read the fields alone, so caches kept beside them
-    take no part.  ``_key``, the tuple of the fields, is an
+    A subclass lists one or more fields.  A record that only stores them
+    inherits ``__init__``, which takes one value per field, in order; a
+    record that checks or derives a field writes its own ``__init__`` and
+    sets each field once with ``object.__setattr__``.  After that no
+    attribute can be assigned or deleted.  Equality (between records of
+    one class), hashing and repr read the fields alone, so caches kept
+    beside them take no part.  ``_key``, the tuple of the fields, is an
     ``attrgetter`` made for each subclass, wrapped for a single field
     to return a 1-tuple, so a hash is always that of the field tuple.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__name__} takes the values of "
+                f"{', '.join(self._fields)}, got {len(values)}")
+        self.__dict__.update(zip(self._fields, values))
 
     def __init_subclass__(cls):
         key = attrgetter(*cls._fields)

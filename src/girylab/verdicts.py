@@ -34,14 +34,6 @@ class Verdict(Frozen):
 
     _fields = ("property", "result", "witness", "trials", "seed")
 
-    def __init__(self, property: str, result: str, witness: Optional[dict],
-                 trials: int, seed: Optional[int]):
-        object.__setattr__(self, "property", property)
-        object.__setattr__(self, "result", result)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", seed)
-
     @property
     def passed(self) -> bool:
         return self.result == "pass"

@@ -218,6 +218,11 @@ class TestHeldMeasure:
         with pytest.raises(InvariantError, match="exactly one"):
             Functional(s, Measure(s, (F(1), F(0))), lambda f: F(0))
 
+    def test_label_on_an_extensional_body_refused(self):
+        s = two_discrete()
+        with pytest.raises(InvariantError, match="only an intensional body"):
+            Functional(s, Measure(s, (F(1), F(0))), label="x")
+
     def test_no_second_copy_of_the_numerators(self):
         phi = Functional.extensional(two_discrete(), (F(1, 3), F(2, 3)))
         for name in ("nums", "den", "coeffs"):

@@ -87,3 +87,23 @@ def test_every_export_is_used_elsewhere_or_pinned():
                                if other != module)}
     assert unreferenced <= set(UNREFERENCED_EXPORTS)
 
+
+def _unread_imports(path: Path) -> set:
+    """The names a module binds by an import and never reads."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound - read
+
+
+@pytest.mark.parametrize("path", sorted(
+    Path(girylab.__file__).parent.glob("*.py")), ids=lambda p: p.stem)
+def test_every_import_is_read(path):
+    assert not _unread_imports(path)

@@ -4,9 +4,14 @@ Each record is compared, hashed and written by its fields and nothing
 else: two records of one class built apart from equal fields are equal
 and hash equal, a record differing in any one field is unequal, a record
 never equals one of another class, and no field can be assigned or
-deleted once it is built.
+deleted once it is built.  A record that only stores its fields
+inherits ``Frozen.__init__``; one that checks or derives a field writes
+its own.
 """
 
+import ast
+import inspect
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -19,7 +24,7 @@ from girylab.duality import Functional, FunctionalMixture, LimitWitness
 from girylab.harness import Property, PropertyRecord, Report
 from girylab.measures import IntervalMeasure, Measure
 from girylab.monad import Kernel, MetaMeasure
-from girylab.spaces import FinSpace, IFunction, MeasMap, generate_sigma
+from girylab.spaces import FinSpace, Frozen, IFunction, MeasMap, generate_sigma
 from girylab.verdicts import Verdict
 
 F = Fraction
@@ -160,7 +165,8 @@ VARIANTS = {
                         "coeffs": {"coeffs": (F(1, 2), F(1, 4))}},
     CodensityElement: {"phi": {"phi": extensional(2, 1)}},
     Functional: {"space": {"space": space(3)},
-                 "measure": {"measure": measure(1, 2), "evaluator": None},
+                 "measure": {"measure": measure(1, 2), "evaluator": None,
+                             "label": ""},
                  "evaluator": {"evaluator": another_function},
                  "label": {"label": "another"}},
     FunctionalMixture: {"space": {"space": space(1),
@@ -221,6 +227,43 @@ class TestRecordSemantics:
         record = build()
         inner = ", ".join(f"{f}={getattr(record, f)!r}" for f in fields)
         assert repr(record) == f"{cls.__name__}({inner})"
+
+
+def _stores_only(init) -> bool:
+    """Whether ``init``'s body is nothing but
+    ``object.__setattr__(self, "<field>", <parameter>)`` statements."""
+    node = ast.parse(textwrap.dedent(inspect.getsource(init))).body[0]
+    params = {a.arg for a in node.args.args}
+    return all(
+        isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+        and ast.unparse(stmt.value.func) == "object.__setattr__"
+        and len(stmt.value.args) == 3
+        and isinstance(stmt.value.args[1], ast.Constant)
+        and isinstance(stmt.value.args[2], ast.Name)
+        and stmt.value.args[2].id in params
+        for stmt in node.body)
+
+
+INHERITING = [cls for cls in CLASSES if "__init__" not in vars(cls)]
+
+
+class TestConstructors:
+    def test_the_table_lists_every_record(self):
+        assert {cls for cls in Frozen.__subclasses__()
+                if cls.__module__.startswith("girylab.")} == set(CLASSES)
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+    def test_an_own_init_does_more_than_store(self, cls):
+        init = vars(cls).get("__init__")
+        assert init is None or not _stores_only(init)
+
+    @pytest.mark.parametrize("cls", INHERITING, ids=lambda c: c.__name__)
+    def test_a_wrong_count_of_values_names_the_record(self, cls):
+        fields, build = RECORDS[cls]
+        values = [getattr(build(), f) for f in fields]
+        for wrong in (values[:-1], values + [None]):
+            with pytest.raises(TypeError, match=cls.__name__):
+                cls(*wrong)
 
 
 class TestParticularRecords:
