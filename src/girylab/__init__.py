@@ -31,7 +31,7 @@ _EXPORTS = {
                "SpaceMismatchError"),
     "rational": ("format_rational", "parse_rational"),
     "spaces": ("FinSpace", "IFunction", "MeasMap", "atom_indicator",
-               "characteristic", "generate_sigma", "is_measurable"),
+               "characteristic", "generate_sigma"),
     "measures": ("IntervalMeasure", "Measure", "integrate",
                  "integrate_approx_bounds", "pushforward"),
     "monad": ("Kernel", "MetaMeasure", "bind", "dirac", "flatten",

@@ -112,32 +112,6 @@ def _load_json(path: str) -> dict:
         raise IngestionError(f"{path} nests JSON arrays or objects too deeply")
 
 
-_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
-_XML_ATTR = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
-                           "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})
-
-
-def escape(data: str) -> str:
-    """XML character data: ``&``, ``<`` and ``>`` as entities, the same
-    bytes as ``xml.sax.saxutils.escape``, whose import pulls in
-    ``urllib.request`` and ``email``."""
-    return data.translate(_XML_TEXT)
-
-
-def quoteattr(data: str) -> str:
-    """An XML attribute value in quotes, the same bytes as
-    ``xml.sax.saxutils.quoteattr``: ``escape`` plus newline, carriage
-    return and tab as character references, in double quotes unless the
-    value holds a double quote and no single one; with both, ``"`` is
-    written ``&quot;``."""
-    data = data.translate(_XML_ATTR)
-    if '"' not in data:
-        return f'"{data}"'
-    if "'" not in data:
-        return f"'{data}'"
-    return '"' + data.replace('"', "&quot;") + '"'
-
-
 #: A character outside the XML 1.0 Char production: a control character
 #: other than tab, newline and carriage return, a lone surrogate, U+FFFE
 #: or U+FFFF.  No escape can write one in XML 1.0.  They are listed, not
@@ -149,6 +123,8 @@ _NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\ufff
 def _xml_attr(value, where: str) -> str:
     """``str(value)`` as a quoted XML attribute; IngestionError naming
     ``where`` when it holds a character XML 1.0 cannot carry."""
+    # Imported here, not at start-up: saxutils imports urllib.request and email.
+    from xml.sax.saxutils import quoteattr
     text = str(value)
     bad = _NOT_XML_CHAR.search(text)
     if bad:
@@ -167,6 +143,7 @@ def _suites(report_doc: dict, where: str) -> list:
 
 
 def _junit_suite_lines(where: str, report_doc: dict) -> list:
+    from xml.sax.saxutils import escape  # here, as in _xml_attr
     props = report_doc.get("properties", [])
     failures = sum(1 for p in props if p.get("result") != "pass")
     name = _xml_attr(report_doc.get("suite", "girylab"), f"{where} 'suite'")

@@ -15,6 +15,7 @@ in this order.
 from __future__ import annotations
 
 from .errors import GirylabError
+from .rational import _int
 from .spaces import MAX_CARRIER_POINTS, Frozen
 
 MAX_HULL_DIM = 4
@@ -44,7 +45,8 @@ FIELDS = {
 
 class SuiteConfig(Frozen):
     """A suite run's configuration: the fields of ``FIELDS``, each given
-    by keyword or left at its default."""
+    by keyword or left at its default.  Each is an int, not a bool, or
+    InvariantError names it, so a report's config holds integers only."""
 
     _fields = tuple(FIELDS)
 
@@ -53,7 +55,7 @@ class SuiteConfig(Frozen):
         if unknown:
             raise TypeError(f"SuiteConfig got unknown fields {sorted(unknown)}")
         for name, (default, _, cap) in FIELDS.items():
-            value = values.get(name, default)
+            value = _int(values.get(name, default), name)
             if name != "seed" and value < 1:
                 raise GirylabError(f"{name} must be at least 1")
             if cap is not None and value > cap:

@@ -32,8 +32,8 @@ from typing import Callable, Optional, Sequence, Union
 from .errors import InvariantError, RejectionError, SpaceMismatchError
 from .rational import (HALF, ONE, ZERO, exact, format_rational, index, lift,
                        random_fraction, require_unit)
-from .spaces import (FinSpace, Frozen, IFunction, MeasMap, atom_image,
-                     atom_indicator, generate_ifunction, require_measurable)
+from .spaces import (FinSpace, Frozen, IFunction, MeasMap, atom_indicator,
+                     generate_ifunction)
 from .measures import Measure, integrate
 from .monad import MetaMeasure, mixture_support
 from .verdicts import Verdict, describe, failed, passed
@@ -161,13 +161,12 @@ def pushforward_functional(g: MeasMap, phi: Functional) -> Functional:
     For an extensional body this is the coefficient pushforward, which
     is what makes the bijection with measures natural.
     """
-    require_measurable(g)
     if phi.space != g.dom:
         raise SpaceMismatchError("functional lives off the domain of g")
     if phi.is_extensional:
         coeffs = [ZERO] * len(g.cod.atoms)
-        for i, c in enumerate(phi.measure.weights):
-            coeffs[atom_image(g, i)] += c
+        for k, c in zip(g.atom_map, phi.measure.weights):
+            coeffs[k] += c
         return Functional.extensional(g.cod, coeffs)
     return Functional.intensional(
         g.cod, lambda f: phi(f.compose_with(g)), f"{phi.label} after map")

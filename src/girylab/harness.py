@@ -64,11 +64,15 @@ def case_rng(seed: int, prop: str, index: int) -> random.Random:
 
 
 class PropertyRecord(Frozen):
-    """One property's outcome; ``duration`` is kept off the canonical
-    serialization."""
+    """One property's outcome.  ``duration``, the wall-clock seconds it
+    took, is kept beside the fields, so two runs of one suite compare
+    equal, and off the canonical serialization."""
 
-    _fields = ("name", "law", "result", "witness", "trials", "seed",
-               "duration")
+    _fields = ("name", "law", "result", "witness", "trials", "seed")
+
+    def __init__(self, name, law, result, witness, trials, seed, duration):
+        super().__init__(name, law, result, witness, trials, seed)
+        object.__setattr__(self, "duration", duration)
 
     def to_jsonable(self) -> dict:
         return {"property": self.name, "law": self.law, "result": self.result,

@@ -1,4 +1,4 @@
-"""Finite measurable spaces, sigma-algebra generation, and measurability.
+"""Finite measurable spaces, sigma-algebra generation, and measurable maps.
 
 Subsets of the carrier are stored as int bitmasks (bit i = carrier[i]),
 so complement is XOR with the full mask and union is OR.  A sigma-algebra
@@ -6,7 +6,9 @@ on a finite carrier is determined by its atoms: the minimal nonempty
 measurable sets, which partition the carrier; every measurable set is a
 union of atoms.  All values constant on atoms are measurable into any
 codomain, which is what makes the atomwise representations downstream
-(functions, measures, kernels) measurable by construction.
+(functions, measures, kernels) measurable by construction.  A
+``MeasMap`` is checked measurable when it is built, and keeps the
+codomain atom of each domain atom, which every pushforward reads.
 
 ``sigma_from_masks`` computes the atoms from generator bitmasks by
 refining the full mask along each one; ``generate_sigma`` checks label
@@ -90,7 +92,9 @@ class FinSpace(Frozen):
     ordered by their smallest member, so atom indices are deterministic.
     The measurable sets are exactly the unions of atoms, so the pair
     determines the space; the point tables built from it are caches and
-    take no part in equality or hashing.
+    take no part in equality or hashing.  The atoms must partition the
+    carrier in that order, or InvariantError names the atom or the point
+    at fault.
     """
 
     _fields = ("carrier", "atoms")
@@ -98,12 +102,27 @@ class FinSpace(Frozen):
     def __init__(self, carrier: tuple[str, ...], atoms: tuple[int, ...]):
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "atoms", atoms)
-        atom_at = [0] * len(carrier)
+        atom_at = [None] * len(carrier)
+        smallest = 0
         for j, atom in enumerate(atoms):
+            if not atom:
+                raise InvariantError(f"atom {j} is empty")
+            if atom >> len(carrier):  # a negative mask shifts to -1
+                raise InvariantError(f"atom {j} reaches past the carrier")
+            if atom & -atom < smallest:
+                raise InvariantError(
+                    f"atom {j} is out of order by smallest member")
+            smallest = atom & -atom
             while atom:
                 low = atom & -atom
-                atom_at[low.bit_length() - 1] = j
+                i = low.bit_length() - 1
+                if atom_at[i] is not None:
+                    raise InvariantError(f"atom {j} overlaps an earlier atom")
+                atom_at[i] = j
                 atom ^= low
+        if None in atom_at:
+            raise InvariantError(
+                f"point {carrier[atom_at.index(None)]!r} is in no atom")
         object.__setattr__(self, "_position",
                            {lab: i for i, lab in enumerate(carrier)})
         object.__setattr__(self, "_atom_at", tuple(atom_at))
@@ -205,11 +224,15 @@ def sigma_from_masks(labels: tuple[str, ...],
 
 
 class MeasMap(Frozen):
-    """A total map between carriers, stored pointwise.
+    """A measurable map between finite spaces, stored pointwise.
 
     ``table[i]`` is the cod point index that dom point i maps to.  The
-    map is measurable iff every cod-measurable preimage is dom-measurable;
-    checking cod atoms suffices since preimages commute with unions.
+    map is measurable iff every cod-measurable preimage is dom-measurable.
+    The preimages of the cod atoms partition the domain, so that holds iff
+    the points of each dom atom all land in one cod atom; the constructor
+    checks this and raises NotMeasurableError otherwise.  ``atom_map[j]``
+    is the cod atom that dom atom j lands in: a cache beside the fields,
+    as ``FinSpace``'s point tables are.
     """
 
     _fields = ("dom", "cod", "table")
@@ -220,9 +243,15 @@ class MeasMap(Frozen):
         n = len(cod.carrier)
         if any(not 0 <= t < n for t in table):
             raise InvariantError("map table points outside the codomain carrier")
+        image = [cod._atom_at[t] for t in table]
+        atom_map = tuple(image[(atom & -atom).bit_length() - 1]
+                         for atom in dom.atoms)
+        if image != [atom_map[j] for j in dom._atom_at]:
+            raise NotMeasurableError("map is not measurable")
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "atom_map", atom_map)
 
     @staticmethod
     def from_labels(dom: FinSpace, cod: FinSpace,
@@ -259,25 +288,6 @@ class MeasMap(Frozen):
             raise SpaceMismatchError("composition spaces do not align")
         return MeasMap(other.dom, self.cod,
                        tuple(self.table[t] for t in other.table))
-
-
-def is_measurable(candidate: MeasMap) -> bool:
-    """True iff every cod-atom preimage is a dom-measurable set."""
-    return all(candidate.dom.is_measurable_set(candidate.preimage(atom))
-               for atom in candidate.cod.atoms)
-
-
-def require_measurable(candidate: MeasMap) -> MeasMap:
-    if not is_measurable(candidate):
-        raise NotMeasurableError("map is not measurable")
-    return candidate
-
-
-def atom_image(g: MeasMap, dom_atom_index: int) -> int:
-    """Index of the cod atom that a dom atom lands in (g measurable)."""
-    atom = g.dom.atoms[dom_atom_index]
-    first_point = (atom & -atom).bit_length() - 1
-    return g.cod._atom_at[g.table[first_point]]
 
 
 class IFunction(Frozen):
@@ -365,12 +375,10 @@ class IFunction(Frozen):
         return IFunction(self.space, tuple(x + y for x, y in zip(xs, ys)), den)
 
     def compose_with(self, g: MeasMap) -> "IFunction":
-        """self after g, an IFunction on g.dom (g must be measurable)."""
+        """self after g, an IFunction on g.dom."""
         if self.space != g.cod:
             raise SpaceMismatchError("function lives on a different space than g.cod")
-        require_measurable(g)
-        return IFunction(g.dom, tuple(
-            self.nums[atom_image(g, i)] for i in range(len(g.dom.atoms))), self.den)
+        return IFunction(g.dom, tuple(self.nums[k] for k in g.atom_map), self.den)
 
     def describe(self) -> dict:
         return {"atoms": [" ".join(self.space.labels_of(a)) for a in self.space.atoms],

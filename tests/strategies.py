@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from girylab.spaces import FinSpace, MeasMap, generate_sigma
+from girylab.spaces import FinSpace, generate_sigma
 from girylab.measures import Measure
 
 LABELS = "abcdefgh"
@@ -70,9 +70,14 @@ def sigma(space: FinSpace) -> frozenset:
     return frozenset(sets)
 
 
-def exhaustive_measurable(m: MeasMap) -> bool:
-    """Preimage check over the whole codomain sigma-algebra."""
-    return all(m.preimage(s) in sigma(m.dom) for s in sigma(m.cod))
+def exhaustive_measurable(dom: FinSpace, cod: FinSpace,
+                          table: tuple[int, ...]) -> bool:
+    """Whether the map taking dom point i to cod point ``table[i]`` is
+    measurable, by the preimage of every set of the codomain
+    sigma-algebra."""
+    dom_sets = sigma(dom)
+    return all(sum(1 << i for i, t in enumerate(table) if s >> t & 1)
+               in dom_sets for s in sigma(cod))
 
 
 def matrix_apply(weights, rows):

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import types
 from fractions import Fraction
 
 import pytest
@@ -40,6 +39,14 @@ class TestConfig:
         with pytest.raises(GirylabError,
                            match=f"^{field} must be at most {cap}, got {cap + 1}$"):
             SuiteConfig(**{field: cap + 1})
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("seed", 1.5, "float"), ("trials", True, "bool"),
+        ("trials", 2.5, "float")])
+    def test_fields_are_ints(self, field, value, kind):
+        with pytest.raises(InvariantError,
+                           match=f"^{field} must be an int, got {kind}$"):
+            SuiteConfig(**{field: value})
 
     def test_defaults(self):
         cfg = SuiteConfig()
@@ -83,9 +90,7 @@ class TestSuites:
         failing = [r.name for r in report.records if r.result != "pass"]
         assert not failing
 
-    def test_report_records_are_a_tuple_so_a_report_hashes(self, monkeypatch):
-        monkeypatch.setattr(harness, "time",
-                            types.SimpleNamespace(perf_counter=lambda: 0.0))
+    def test_report_records_are_a_tuple_so_a_report_hashes(self):
         cfg = SuiteConfig(trials=1)
         a, b = run_suite("monad-laws", cfg), run_suite("monad-laws", cfg)
         assert type(a.records) is tuple
@@ -433,6 +438,25 @@ class TestRefutingPower:
         monkeypatch.setattr(duality, target, mutated)
         monkeypatch.setattr(harness, target, mutated)
         report = run_suite("duality", SuiteConfig(seed=7, trials=100))
+        failing = {r.name: r.witness for r in report.records
+                   if r.result != "pass"}
+        assert {name: w["case"] for name, w in failing.items()} == expected
+        for witness in failing.values():
+            assert {"case", "lhs", "rhs"} <= set(witness)
+
+    # The measure-side pushforward, patched where ``harness`` reads it.
+    @pytest.mark.parametrize("suite, expected", [
+        ("monad-laws", {"unit-naturality": 0}),
+        ("duality", {"bijection-naturality": 2}),
+        ("change-of-variables", {"change-of-variables": 2,
+                                 "pushforward-identity": 0,
+                                 "pushforward-composition": 8}),
+    ])
+    def test_reversed_pushforward_is_refuted(self, monkeypatch, suite,
+                                             expected):
+        monkeypatch.setattr(harness, "pushforward",
+                            _reverse_output(harness.pushforward))
+        report = run_suite(suite, SuiteConfig(seed=7, trials=100))
         failing = {r.name: r.witness for r in report.records
                    if r.result != "pass"}
         assert {name: w["case"] for name, w in failing.items()} == expected

@@ -17,8 +17,6 @@ EXPORTS = girylab._EXPORTS
 UNREFERENCED_EXPORTS = {
     "characteristic": "the indicator of a measurable set, whose integral "
                       "is the set's measure",
-    "is_measurable": "the measurability predicate that require_measurable "
-                     "raises on",
     "integrate_approx_bounds": "the certified integrator on [0,1], the one "
                                "approximation; no command reaches it",
     "CodensityElement": "the natural family that codensity.lift returns",

@@ -13,9 +13,9 @@ from girylab.config import SuiteConfig
 from girylab.errors import InvariantError, NotMeasurableError
 from girylab.harness import generate_measurable_map, generate_space
 from girylab.rational import random_fraction
-from girylab.spaces import (FinSpace, IFunction, MeasMap, atom_image,
-                            characteristic, generate_ifunction, generate_sigma,
-                            is_measurable, sigma_from_masks)
+from girylab.spaces import (FinSpace, IFunction, MeasMap, characteristic,
+                            generate_ifunction, generate_sigma,
+                            sigma_from_masks)
 
 from strategies import (LABELS, brute_closure, exhaustive_measurable,
                         indiscrete, mask_of, minimal_nonempty, sigma, spaces)
@@ -85,6 +85,27 @@ class TestMeasurableSet:
 
 
 class TestAtoms:
+    @pytest.mark.parametrize("atoms, message", [
+        ((1, 0, 6), "atom 1 is empty"),
+        ((3, 1, 4), "atom 1 overlaps an earlier atom"),
+        ((1, 14), "atom 1 reaches past the carrier"),
+        ((-1,), "atom 0 reaches past the carrier"),
+        ((2, 1, 4), "atom 1 is out of order by smallest member"),
+        ((1, 4), "point 'b' is in no atom"),
+    ], ids=["empty", "overlapping", "past-the-carrier", "negative",
+            "out-of-order", "point-uncovered"])
+    def test_atoms_must_partition_the_carrier_in_order(self, atoms, message):
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            FinSpace(("a", "b", "c"), atoms)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=4))))
+    def test_sigma_from_masks_output_is_accepted(self, drawn):
+        n, masks = drawn
+        space = sigma_from_masks(tuple(LABELS[:n]), masks)
+        assert FinSpace(space.carrier, space.atoms) == space
+
     def test_discrete(self):
         s = FinSpace.discrete(["a", "b", "c"])
         assert s.describe_atoms() == [["a"], ["b"], ["c"]]
@@ -120,30 +141,39 @@ class TestAtoms:
 
 
 class TestIsMeasurable:
+    """A ``MeasMap`` is checked measurable when it is built, and its
+    ``atom_map`` gives the cod atom of each dom atom."""
+
     def test_identity(self):
         s = generate_sigma(["a", "b", "c"], [["a"]])
-        assert is_measurable(MeasMap.identity(s))
+        assert MeasMap.identity(s).atom_map == (0, 1)
 
     def test_trivial_to_discrete_fails(self):
         dom = indiscrete(["a", "b"])
         cod = FinSpace.discrete(["x", "y"])
-        g = MeasMap.from_labels(dom, cod, {"a": "x", "b": "y"})
-        assert not is_measurable(g)
+        with pytest.raises(NotMeasurableError, match="^map is not measurable$"):
+            MeasMap.from_labels(dom, cod, {"a": "x", "b": "y"})
         # oracle agrees: the preimage of {x} is {a}, not in {empty, all}
-        assert not exhaustive_measurable(g)
+        assert not exhaustive_measurable(dom, cod, (0, 1))
 
     def test_constant_map(self):
         dom = indiscrete(["a", "b", "c"])
         cod = FinSpace.discrete(["x", "y"])
-        assert is_measurable(MeasMap.constant(dom, cod, "x"))
+        assert MeasMap.constant(dom, cod, "y").atom_map == (1,)
 
     @settings(max_examples=80, deadline=None)
     @given(spaces(4), spaces(4), st.randoms(use_true_random=False))
     def test_atom_check_equals_exhaustive(self, dom, cod, rng):
         table = tuple(rng.randrange(len(cod.carrier))
                       for _ in dom.carrier)
+        if not exhaustive_measurable(dom, cod, table):
+            with pytest.raises(NotMeasurableError):
+                MeasMap(dom, cod, table)
+            return
         g = MeasMap(dom, cod, table)
-        assert is_measurable(g) == exhaustive_measurable(g)
+        for j, atom in enumerate(dom.atoms):
+            assert {cod.atom_index_of_point(g.apply(lab))
+                    for lab in dom.labels_of(atom)} == {g.atom_map[j]}
 
     @settings(max_examples=50, deadline=None)
     @given(spaces(4), spaces(4), spaces(4), st.randoms(use_true_random=False))
@@ -159,7 +189,7 @@ class TestIsMeasurable:
 
         h = random_measurable(a, b)
         g = random_measurable(b, c)
-        assert is_measurable(g.compose(h))
+        assert g.compose(h).atom_map == tuple(g.atom_map[k] for k in h.atom_map)
 
     def test_partial_table_rejected(self):
         dom = FinSpace.discrete(["a", "b"])
@@ -297,7 +327,7 @@ class TestIFunctionNumerators:
         dom = generate_space(rng, self.CFG)
         h = generate_measurable_map(rng, dom, space)
         assert f.compose_with(h).values == tuple(
-            f.values[atom_image(h, i)] for i in range(len(dom.atoms)))
+            f.at_point(h.apply(dom.labels_of(atom)[0])) for atom in dom.atoms)
         for out in (f.blend(g, r), f.scale(r), f.add(g), f.compose_with(h)):
             assert math.gcd(out.den, *out.nums) == 1
 
