@@ -15,7 +15,7 @@ in this order.
 from __future__ import annotations
 
 from .errors import GirylabError
-from .rational import _int
+from .rational import require_int
 from .spaces import MAX_CARRIER_POINTS, Frozen
 
 MAX_HULL_DIM = 4
@@ -55,7 +55,7 @@ class SuiteConfig(Frozen):
         if unknown:
             raise TypeError(f"SuiteConfig got unknown fields {sorted(unknown)}")
         for name, (default, _, cap) in FIELDS.items():
-            value = _int(values.get(name, default), name)
+            value = require_int(values.get(name, default), name)
             if name != "seed" and value < 1:
                 raise GirylabError(f"{name} must be at least 1")
             if cap is not None and value > cap:

@@ -143,7 +143,7 @@ def exact(x, what: str) -> Fraction:
         f"{what} must be an int or a Fraction, got {type(x).__name__}")
 
 
-def _int(x, what: str) -> int:
+def require_int(x, what: str) -> int:
     """``x`` unchanged if it is an int, not a bool; otherwise
     InvariantError naming ``what``."""
     if not isinstance(x, int) or isinstance(x, bool):
@@ -155,13 +155,13 @@ def _integer(x, what: str):
     """``x`` unchanged if it is an int, not a bool, or an integral Decimal
     (finite, with exponent 0); otherwise InvariantError naming ``what``."""
     if not isinstance(x, Decimal):
-        return _int(x, what)
+        return require_int(x, what)
     if not x.same_quantum(_DECIMAL_ONE):
         raise InvariantError(f"{what} must be an integral Decimal, got {x}")
     return x
 
 
-def _positive(x, what: str, admit=_int):
+def _positive(x, what: str, admit=require_int):
     """``admit(x, what)`` if it is at least 1; otherwise InvariantError
     naming ``what``."""
     if admit(x, what) <= 0:
@@ -172,7 +172,7 @@ def _positive(x, what: str, admit=_int):
 def index(x, what: str) -> int:
     """``x`` unchanged if it is an int, not a bool, and at least 0;
     otherwise InvariantError naming ``what``."""
-    if _int(x, what) < 0:
+    if require_int(x, what) < 0:
         raise InvariantError(f"{what} must be nonnegative, got {x}")
     return x
 
@@ -347,7 +347,7 @@ def format_rational(x, den: int | None = None,
         f = exact(x, "rational to format")
         n, den = f.numerator, f.denominator
     else:
-        n = _int(x, "numerator to format")
+        n = require_int(x, "numerator to format")
         _positive(den, "denominator to format")
         h = gcd(n, den)
         n, den = n // h, den // h
