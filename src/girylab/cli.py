@@ -87,8 +87,6 @@ def _build_config(args) -> SuiteConfig:
     config_path = None
     if args.config is not None:
         config_path = Path(args.config)
-        if not config_path.exists():
-            raise IngestionError(f"config file {config_path} does not exist")
     elif Path(DEFAULT_CONFIG_FILE).exists():
         config_path = Path(DEFAULT_CONFIG_FILE)
     if config_path is not None:
@@ -133,15 +131,6 @@ def _xml_attr(value, where: str) -> str:
     return quoteattr(text)
 
 
-def _suites(report_doc: dict, where: str) -> list:
-    """``(where, suite report)`` for each suite report in a checked report:
-    itself, or every suite report its ``reports`` merge, at any depth."""
-    if "reports" not in report_doc:
-        return [(where, report_doc)]
-    return [s for i, doc in enumerate(report_doc["reports"])
-            for s in _suites(doc, f"{where} reports[{i}]")]
-
-
 def _junit_suite_lines(where: str, report_doc: dict) -> list:
     from xml.sax.saxutils import escape  # here, as in _xml_attr
     props = report_doc.get("properties", [])
@@ -163,12 +152,10 @@ def _junit_suite_lines(where: str, report_doc: dict) -> list:
     return lines
 
 
-def _junit_xml(report_docs: list) -> str:
-    """One testsuite per suite report in the ``(where, report)`` pairs,
-    merged reports written as the suites they hold; more or fewer than one
-    go in a testsuites element.  IngestionError names the report and field
-    holding text XML 1.0 cannot represent."""
-    suites = [s for where, doc in report_docs for s in _suites(doc, where)]
+def _junit_xml(suites: list) -> str:
+    """One testsuite per ``(where, suite report)`` pair; more or fewer
+    than one go in a testsuites element.  IngestionError names the report
+    and field holding text XML 1.0 cannot represent."""
     lines = ['<?xml version="1.0" encoding="utf-8"?>']
     if len(suites) == 1:
         lines += _junit_suite_lines(*suites[0])
@@ -215,14 +202,9 @@ def _verify_user_functional(args, cfg: SuiteConfig) -> int:
     alpha = codensity.lift(phi)
     all_pass = True
     for i in range(cfg.trials):
-        rng = harness.case_rng(cfg.seed, "user-naturality", i)
-        arity = rng.randint(1, cfg.max_arity)
-        kind = rng.choice(("projection", "constant", "blend", None, None))
-        if kind == "blend":
-            arity = 2
-        h = codensity.sample_affine(rng, arity, kind)
-        fs = tuple(harness.generate_ifunction(rng, phi.space)
-                   for _ in range(arity))
+        h, fs = harness.generate_naturality_square(
+            harness.case_rng(cfg.seed, "user-naturality", i), phi.space,
+            cfg.max_arity)
         verdict = codensity.check_naturality(alpha, h, fs)
         all_pass = all_pass and verdict.passed
         doc = dict(verdict.to_jsonable(), case=i, seed=cfg.seed)
@@ -237,11 +219,6 @@ def _verify_user_functional(args, cfg: SuiteConfig) -> int:
 def _cmd_markov(args) -> int:
     kernel = jsonio.kernel_from_json(_load_json(args.kernel))
     init = jsonio.measure_from_json(_load_json(args.init), kernel.dom)
-    if args.steps < 0:
-        raise IngestionError("steps must be nonnegative")
-    if kernel.dom != kernel.cod:
-        raise IngestionError("markov evolution needs an endo-kernel "
-                             "(dom and cod must agree)")
     # ``n_step`` stops at the first state past the digit limit, before
     # any line is written; its state is the one line, or the last one a
     # trace streams from Decimal copies evolved a state at a time.
@@ -261,8 +238,10 @@ def _cmd_markov(args) -> int:
     return 0
 
 
-def _check_report(doc, where: str) -> None:
-    """IngestionError naming ``where`` unless ``doc`` is a report: an
+def _check_report(doc, where: str) -> list:
+    """The ``(where, suite report)`` pairs of the report ``doc``: itself,
+    or every suite report its ``reports`` merge, at any depth.
+    IngestionError naming ``where`` unless ``doc`` is a report: an
     object with a ``result`` of "pass" or "fail" and either
     ``properties``, a list of objects, or ``reports``, a list of reports
     checked the same way (a merged report).  The result must be "pass"
@@ -276,13 +255,14 @@ def _check_report(doc, where: str) -> None:
         kind, parts = "reports", doc["reports"]
         if not isinstance(parts, list):
             raise IngestionError(f"{where} is not a report: 'reports' must be a list")
-        for i, sub in enumerate(parts):
-            _check_report(sub, f"{where} reports[{i}]")
+        suites = [s for i, sub in enumerate(parts)
+                  for s in _check_report(sub, f"{where} reports[{i}]")]
     else:
         kind, parts = "properties", doc.get("properties", [])
         if not isinstance(parts, list) or not all(isinstance(p, dict) for p in parts):
             raise IngestionError(
                 f"{where} is not a report: 'properties' must be a list of objects")
+        suites = [(where, doc)]
     if doc.get("result") not in ("pass", "fail"):
         raise IngestionError(
             f"{where} is not a report: 'result' must be \"pass\" or \"fail\"")
@@ -291,19 +271,20 @@ def _check_report(doc, where: str) -> None:
         raise IngestionError(
             f"{where} is not a report: 'result' is {doc['result']!r}, "
             f"but its {kind} say {derived!r}")
+    return suites
 
 
 def _cmd_report(args) -> int:
     docs = [_load_json(path) for path in args.inputs]
-    for path, doc in zip(args.inputs, docs):
-        _check_report(doc, path)
+    suites = [s for path, doc in zip(args.inputs, docs)
+              for s in _check_report(doc, path)]
     merged = {"reports": docs,
               "result": "pass" if all(d["result"] == "pass" for d in docs)
               else "fail"}
     if args.format == "json":
         print(json.dumps(merged, sort_keys=True))
     else:
-        sys.stdout.write(_junit_xml(list(zip(args.inputs, docs))))
+        sys.stdout.write(_junit_xml(suites))
     return 0 if merged["result"] == "pass" else 1
 
 

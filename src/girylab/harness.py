@@ -12,10 +12,11 @@ Each suite is a table of ``Property(name, law, case)`` run by one loop:
 holds or a witness dict of raw values when it fails; the first failing
 case ends the run, and a GirylabError fails only its property.  Witnesses
 are written by ``verdicts.describe`` when the Verdict is made, so no case
-formats a value itself.  Most cases come from equality laws,
-``_law(sides)``, or Verdict checks, ``_check(check)``.  A refutation is
-one case that returns a Verdict with its own result, witness and trials,
-so a failing one replays as case 0.
+formats a value itself.  A case has one of two shapes: an equality law,
+``_law(sides)``, or a function that returns None or the witness dict
+itself, a check decided by a Verdict passing on that Verdict's witness.
+A refutation is one case that returns a Verdict with its own result,
+witness and trials, so a failing one replays as case 0.
 
 Refutation searches walk a smallest-first ladder of candidate
 witnesses (projections, constants, binary blends, then random shapes
@@ -53,7 +54,7 @@ from .codensity import (AffineMap, VanishingSequence, action_of,
 from .hull import extend_to_convex, hull_membership
 from .counterexample import (EventualFn, FinCofSet, cofinite_measure,
                              countable_additivity_violation, limit_functional,
-                             sup_continuity_check, vanishing_segment_witness)
+                             sup_continuity_check)
 from .verdicts import failed, passed
 
 
@@ -150,7 +151,10 @@ def generate_meta_measure(rng: random.Random, space: FinSpace,
 
 def generate_functional(rng: random.Random, space: FinSpace) -> Functional:
     """Integration against a generated measure."""
-    rng.random()  # unused draw, kept because the golden report pins the stream
+    # An unused draw.  The golden report does not depend on it, but the
+    # flatten row of TestRefutingPower.test_weight_swap_is_refuted does:
+    # without it, multiplication-diagram first fails at case 12, not 10.
+    rng.random()
     return to_functional(generate_measure(rng, space))
 
 
@@ -313,20 +317,6 @@ def _law(sides):
         if lhs == rhs:
             return None
         return dict(context[0] if context else {}, lhs=lhs, rhs=rhs)
-
-    return case
-
-
-def _check(check):
-    """The case of a check decided by a Verdict: ``check(cfg, rng)``
-    returns (verdict, context), and a failing verdict's witness gains the
-    context."""
-
-    def case(cfg, rng):
-        verdict, context = check(cfg, rng)
-        if verdict.passed:
-            return None
-        return dict(verdict.witness or {}, **context)
 
     return case
 
@@ -553,15 +543,15 @@ def _respects_limits_extensional(cfg, rng):
     w = generate_limit_witness(rng, space)
     verdict = respects_limits(phi, w)
     if not verdict.passed:
-        return verdict, {"error": "extensional functional failed"}
+        return dict(verdict.witness, error="extensional functional failed")
     # A functional pinned at 1/8192 sends the zero tail to 1/8192: below
     # every threshold a probe window tests, but not zero, so the exact
     # decision that just passed ``phi`` must refute it.
     offset = Functional.intensional(space, lambda f: Fraction(1, 8192),
                                     "constant 1/8192")
     if respects_limits(offset, w).passed:
-        return failed(verdict.property, {"accepted_nonzero_tail": offset.label}), {}
-    return verdict, {}
+        return {"accepted_nonzero_tail": offset.label}
+    return None
 
 
 DUALITY = [
@@ -599,7 +589,7 @@ DUALITY = [
              _law(_bijection_naturality)),
     Property("respects-limits-extensional",
              "coefficient functionals respect certified vanishing sequences",
-             _check(_respects_limits_extensional)),
+             _respects_limits_extensional),
 ]
 
 
@@ -648,16 +638,25 @@ CHANGE_OF_VARIABLES = [
 # naturality -----------------------------------------------------------------
 
 
-def _lifted_naturality(cfg, rng):
-    space = generate_space(rng, cfg)
-    phi = to_functional(generate_measure(rng, space))
-    arity = rng.randint(1, cfg.max_arity)
+def generate_naturality_square(rng: random.Random, space: FinSpace,
+                               max_arity: int) -> tuple[AffineMap, tuple]:
+    """An affine map h of arity at most ``max_arity`` and a tuple of
+    functions on ``space`` to feed it: h is forced to a projection, a
+    constant or a binary blend in 3 of 6 draws, and random otherwise."""
+    arity = rng.randint(1, max_arity)
     kind = rng.choice(("projection", "constant", "blend", None, None, None))
     if kind == "blend":
         arity = 2
     h = sample_affine(rng, arity, kind)
-    fs = tuple(generate_ifunction(rng, space) for _ in range(arity))
-    return check_naturality(lift(phi), h, fs), {"functional": phi}
+    return h, tuple(generate_ifunction(rng, space) for _ in range(arity))
+
+
+def _lifted_naturality(cfg, rng):
+    space = generate_space(rng, cfg)
+    phi = to_functional(generate_measure(rng, space))
+    h, fs = generate_naturality_square(rng, space, cfg.max_arity)
+    verdict = check_naturality(lift(phi), h, fs)
+    return None if verdict.passed else dict(verdict.witness, functional=phi)
 
 
 def _sequence_naturality(cfg, rng):
@@ -666,7 +665,8 @@ def _sequence_naturality(cfg, rng):
     length = rng.randint(1, cfg.max_arity)
     h = sample_sequence_affine(rng, length)
     fs = tuple(generate_ifunction(rng, space) for _ in range(length))
-    return check_naturality(lift(phi), h, fs), {"functional": phi}
+    verdict = check_naturality(lift(phi), h, fs)
+    return None if verdict.passed else dict(verdict.witness, functional=phi)
 
 
 def _vanishing_component(cfg, rng):
@@ -677,15 +677,15 @@ def _vanishing_component(cfg, rng):
     fs += [IFunction.constant(space, ZERO)] * rng.randint(0, 2)
     verdict = check_vanishing_component(lift(phi), fs, certified_len=length)
     if not verdict.passed:
-        return verdict, {}
+        return verdict.witness
     # A functional fixed at 1/2 is not weakly averaging: its component
     # sends the zero function past the certified index to 1/2, off the
     # vanishing set, so the check that just passed must refute it.
     half = Functional.intensional(space, lambda f: HALF, "constant 1/2")
     if check_vanishing_component(lift(half), fs + [IFunction.constant(space, ZERO)],
                                  certified_len=len(fs)).passed:
-        return failed(verdict.property, {"accepted_non_averaging": half.label}), {}
-    return verdict, {}
+        return {"accepted_non_averaging": half.label}
+    return None
 
 
 def _unit_element_evaluation(cfg, rng):
@@ -725,13 +725,13 @@ def _refutes_naturality(maker, label: str):
 NATURALITY = [
     Property("lifted-extensional-naturality",
              "families lifted from coefficient functionals pass every affine "
-             "naturality square", _check(_lifted_naturality)),
+             "naturality square", _lifted_naturality),
     Property("sequence-naturality",
              "the sequence component commutes with affine sequence maps",
-             _check(_sequence_naturality)),
+             _sequence_naturality),
     Property("vanishing-component",
              "the sequence component outputs vanishing sequences",
-             _check(_vanishing_component)),
+             _vanishing_component),
     Property("unit-element-evaluation",
              "the lifted evaluation family evaluates tuples pointwise",
              _law(_unit_element_evaluation)),
@@ -851,14 +851,14 @@ def _limit_lipschitz(cfg, rng):
     f = generate_eventual_fn(rng)
     g = generate_eventual_fn(rng)
     verdict = sup_continuity_check(limit_functional, f, g)
+    if not verdict.passed:
+        return verdict.witness
     # Squaring the tail moves the tails 1 and 3/4 apart by 7/16, more than
     # their sup distance 1/4, so the check that passed must refute it.
-    if verdict.passed and sup_continuity_check(
-            lambda h: h.tail ** 2, EventualFn.constant(ONE),
-            EventualFn.constant(Fraction(3, 4))).passed:
-        return failed(verdict.property,
-                      {"accepted_non_lipschitz": "squared tail"}), {}
-    return verdict, {}
+    if sup_continuity_check(lambda h: h.tail ** 2, EventualFn.constant(ONE),
+                            EventualFn.constant(Fraction(3, 4))).passed:
+        return {"accepted_non_lipschitz": "squared tail"}
+    return None
 
 
 def _measure_consistency(cfg, rng):
@@ -879,13 +879,13 @@ def _finite_additivity(cfg, rng):
 
 
 def _limits_refuted(cfg, rng):
-    verdict = respects_limits(limit_functional, vanishing_segment_witness())
-    if verdict.passed:
+    report = countable_additivity_violation()
+    verdict = report["respects_limits"]
+    if verdict["result"] == "pass":
         return {"error": "limit functional passed respects-limits"}
-    witness = dict(verdict.witness)
+    witness = dict(verdict["witness"])
     if witness.get("stuck_at") != "1/1":
         return dict(witness, error="expected the value pinned at 1")
-    report = countable_additivity_violation()
     witness["report"] = report
     if report["singleton_partial_sum"] != "0/1" or report["total_mass"] != "1/1":
         return dict(witness, error="mass accounting is off")
@@ -901,7 +901,7 @@ COUNTEREXAMPLE = [
              _law(_limit_weakly_averaging)),
     Property("limit-sup-lipschitz",
              "the tail functional is 1-Lipschitz for the sup metric",
-             _check(_limit_lipschitz)),
+             _limit_lipschitz),
     Property("measure-functional-consistency",
              "the zero/one set measure is the tail functional on indicators",
              _law(_measure_consistency)),

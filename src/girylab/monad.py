@@ -205,7 +205,8 @@ def n_step(k: Kernel, pi0: Measure, n: int) -> Measure:
     the powers stay within about twice the limit's digits.
     """
     if k.dom != k.cod:
-        raise SpaceMismatchError("n_step needs an endo-kernel")
+        raise SpaceMismatchError("markov evolution needs an endo-kernel "
+                                 "(dom and cod must agree)")
     if pi0.space != k.dom:
         raise SpaceMismatchError("initial measure lives off the kernel space")
     if n < 0:

@@ -92,14 +92,19 @@ class FinSpace(Frozen):
     ordered by their smallest member, so atom indices are deterministic.
     The measurable sets are exactly the unions of atoms, so the pair
     determines the space; the point tables built from it are caches and
-    take no part in equality or hashing.  The atoms must partition the
-    carrier in that order, or InvariantError names the atom or the point
-    at fault.
+    take no part in equality or hashing.  The carrier must be nonempty,
+    its labels distinct, and the atoms must partition it in that order,
+    or InvariantError names the fault.
     """
 
     _fields = ("carrier", "atoms")
 
     def __init__(self, carrier: tuple[str, ...], atoms: tuple[int, ...]):
+        if not carrier:
+            raise InvariantError("carrier must be nonempty")
+        position = {lab: i for i, lab in enumerate(carrier)}
+        if len(position) != len(carrier):
+            raise InvariantError("carrier labels must be distinct")
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "atoms", atoms)
         atom_at = [None] * len(carrier)
@@ -123,8 +128,7 @@ class FinSpace(Frozen):
         if None in atom_at:
             raise InvariantError(
                 f"point {carrier[atom_at.index(None)]!r} is in no atom")
-        object.__setattr__(self, "_position",
-                           {lab: i for i, lab in enumerate(carrier)})
+        object.__setattr__(self, "_position", position)
         object.__setattr__(self, "_atom_at", tuple(atom_at))
 
     # -- mask helpers -------------------------------------------------
@@ -170,18 +174,14 @@ def generate_sigma(carrier: Sequence[str],
                    generators: Iterable[Sequence[str]]) -> FinSpace:
     """Smallest sigma-algebra on ``carrier`` containing every generator.
 
-    The labels are checked and each generator is turned into a bitmask;
-    ``sigma_from_masks`` then computes the atoms.  The closure under
-    complement and union is exactly the set of unions of atoms, so the
-    atoms are all that is kept.  Finite carriers make countable and
-    finite closure coincide.  Each generator must be a list (or tuple) of
-    carrier labels.
+    Each generator is checked and turned into a bitmask;
+    ``sigma_from_masks`` then computes the atoms, and ``FinSpace`` checks
+    the labels.  The closure under complement and union is exactly the
+    set of unions of atoms, so the atoms are all that is kept.  Finite
+    carriers make countable and finite closure coincide.  Each generator
+    must be a list (or tuple) of carrier labels.
     """
     labels = tuple(carrier)
-    if len(labels) != len(set(labels)):
-        raise InvariantError("carrier labels must be distinct")
-    if not labels:
-        raise InvariantError("carrier must be nonempty")
     _require_cap(len(labels))  # before the generators are read
 
     index = {lab: i for i, lab in enumerate(labels)}

@@ -77,7 +77,17 @@ class TestMarkov:
                      "--init", write(tmp_path, "pi.json", DELTA_0),
                      "--steps", "1"])
         assert code == 2
-        assert "endo-kernel" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: markov evolution needs an endo-kernel (dom and cod must "
+            "agree)\n")
+
+    def test_negative_steps_rejected(self, tmp_path, capsys):
+        code = main(["markov", "--kernel", write(tmp_path, "k.json", ABSORBING),
+                     "--init", write(tmp_path, "pi.json", DELTA_0),
+                     "--steps", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: step count must be nonnegative\n"
 
     @pytest.mark.parametrize("space, error", [
         pytest.param("garbage", "space document must be an object", id="garbage"),
@@ -361,9 +371,14 @@ def _not_utf8(tmp_path):
     return path
 
 
+def _missing(tmp_path):
+    return tmp_path / "missing.json"
+
+
 class TestUnreadableInput:
-    """A directory or a file that is not UTF-8, given where a file is
-    read, is a named input error (exit 2), not an internal one."""
+    """A missing file, a directory or a file that is not UTF-8, given
+    where a file is read, is a named input error (exit 2), not an
+    internal one."""
 
     COMMANDS = {
         "markov --kernel": lambda bad, good: [
@@ -376,6 +391,7 @@ class TestUnreadableInput:
     }
 
     @pytest.mark.parametrize("make_bad, error", [
+        pytest.param(_missing, "error: file {} does not exist\n", id="missing"),
         pytest.param(_directory, "error: cannot read {}: ", id="directory"),
         pytest.param(_not_utf8, "error: {} is not UTF-8 text: ", id="not-utf8")])
     @pytest.mark.parametrize("command", COMMANDS)
@@ -703,6 +719,21 @@ class TestUserFunctionalNaturality:
             "error: functional document's space (carrier ['b', 'a'], atoms "
             "[['b'], ['a']]) is not the space the command supplies (carrier "
             "['a', 'b'], atoms [['a'], ['b']])\n")
+
+    @pytest.mark.parametrize("carrier, message", [
+        ([], "carrier must be nonempty"),
+        (["a", "a"], "carrier labels must be distinct"),
+    ], ids=["empty", "repeated"])
+    def test_bad_space_carrier_exits_2(self, tmp_path, capsys, carrier,
+                                       message):
+        space = {"carrier": carrier, "generators": []}
+        code = main(["verify", "naturality",
+                     "--space", write(tmp_path, "s.json", space),
+                     "--functional", write(tmp_path, "phi.json", {"kind": "max"}),
+                     "--trials", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: space: {message}\n"
 
     @pytest.mark.parametrize("kind", [["max"], {"a": 1}])
     def test_kind_that_is_not_a_string_exits_2(self, tmp_path, capsys, kind):

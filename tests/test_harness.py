@@ -535,3 +535,25 @@ class TestRefutingPower:
         failing = {r.name: r.witness for r in report.records
                    if r.result != "pass"}
         assert {name: w["case"] for name, w in failing.items()} == expected
+
+    # The naturality suite: squares drawn for a non-affine functional must
+    # fail, and a square check that passes everything must leave the
+    # refutation searches with nothing found.
+    @pytest.mark.parametrize("target, stub, expected, key", [
+        pytest.param("to_functional", lambda pi: square_functional(pi.space),
+                     {"lifted-extensional-naturality": 1,
+                      "sequence-naturality": 0}, "residual",
+                     id="square-functional"),
+        pytest.param("check_naturality", lambda alpha, h, fs: passed("stub"),
+                     {"naturality-refutes-max": 0,
+                      "naturality-refutes-square": 0}, "error",
+                     id="naturality-always"),
+    ])
+    def test_naturality_mutant_is_refuted(self, monkeypatch, target, stub,
+                                          expected, key):
+        monkeypatch.setattr(harness, target, stub)
+        report = run_suite("naturality", SuiteConfig(seed=7, trials=100))
+        failing = {r.name: r.witness for r in report.records
+                   if r.result != "pass"}
+        assert {name: w["case"] for name, w in failing.items()} == expected
+        assert all(key in w for w in failing.values())

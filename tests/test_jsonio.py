@@ -215,6 +215,14 @@ class TestSpaceJson:
         with pytest.raises(IngestionError, match=message):
             space_from_json({"carrier": carrier, "generators": generators})
 
+    @pytest.mark.parametrize("carrier, message", [
+        ([], "carrier must be nonempty"),
+        (["a", "b", "a"], "carrier labels must be distinct"),
+    ], ids=["empty", "repeated"])
+    def test_bad_carrier_named(self, carrier, message):
+        with pytest.raises(IngestionError, match=f"^space: {message}$"):
+            space_from_json({"carrier": carrier, "generators": []})
+
     def test_carrier_must_be_labels(self):
         with pytest.raises(IngestionError, match="carrier"):
             space_from_json({"carrier": [1, 2]})

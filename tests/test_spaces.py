@@ -98,6 +98,24 @@ class TestAtoms:
         with pytest.raises(InvariantError, match=f"^{message}$"):
             FinSpace(("a", "b", "c"), atoms)
 
+    # The carrier is checked before the atoms, so the atoms (1,), which
+    # reach past an empty carrier and leave the second point of ("a", "a")
+    # uncovered, are never read; sigma_from_masks refines an empty
+    # carrier to the one empty atom.
+    @pytest.mark.parametrize("carrier, message", [
+        ((), "carrier must be nonempty"),
+        (("a", "a"), "carrier labels must be distinct"),
+    ], ids=["empty", "repeated"])
+    @pytest.mark.parametrize("make", [
+        lambda carrier: FinSpace(carrier, (1,)),
+        lambda carrier: sigma_from_masks(carrier, []),
+        lambda carrier: generate_sigma(carrier, []),
+    ], ids=["FinSpace", "sigma_from_masks", "generate_sigma"])
+    def test_carrier_must_be_nonempty_and_distinct(self, make, carrier,
+                                                   message):
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            make(carrier)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
         st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=4))))
