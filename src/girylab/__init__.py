@@ -35,7 +35,7 @@ _EXPORTS = {
     "measures": ("IntervalMeasure", "Measure", "integrate",
                  "integrate_approx_bounds", "pushforward"),
     "monad": ("Kernel", "MetaMeasure", "bind", "dirac", "flatten",
-              "kleisli_compose", "n_step", "trajectory"),
+              "kleisli_compose", "n_step"),
     "duality": ("Functional", "FunctionalMixture", "LimitWitness",
                 "evaluation_at", "is_affine", "max_functional",
                 "mix_functionals", "pushforward_functional",

@@ -190,10 +190,6 @@ class FunctionalMixture(Frozen):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "support", mixture_support(space, support))
 
-    @staticmethod
-    def point(phi: Functional) -> "FunctionalMixture":
-        return FunctionalMixture(phi.space, ((phi, ONE),))
-
     def apply_to_evaluation(self, f: IFunction) -> Fraction:
         """The mixture applied to the evaluation map of f: the weighted
         sum of the component values at f."""

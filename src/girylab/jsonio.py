@@ -1,10 +1,11 @@
-"""JSON schemas for spaces, measures, kernels, and functionals.
+"""Readers of JSON documents: spaces, measures, kernels, functionals and
+interval measures.  The module writes no documents.
 
-All rationals travel as "p/q" strings; round trips are lossless.
-Decoders validate every structural invariant and raise IngestionError
-naming the first violated one.  A measure or functional document read
-against a space the caller supplies may inline a ``space`` only if it
-equals that space, carrier order included.
+Rationals are "p/q" strings or ints.  Each reader validates every
+structural invariant and raises IngestionError naming the first violated
+one.  A measure or functional document read against a space the caller
+supplies may inline a ``space`` only if it equals that space, carrier
+order included.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from fractions import Fraction
 
 from . import duality
 from .errors import DigitLimitError, GirylabError, IngestionError
-from .rational import (ZERO, _shown, exact, format_rational, parse_int,
-                       parse_rational, probability)
+from .rational import (ZERO, _shown, exact, parse_int, parse_rational,
+                       probability)
 from .spaces import FinSpace, generate_sigma
 from .measures import IntervalMeasure, Measure
 from .monad import Kernel
@@ -31,13 +32,6 @@ def _rational(value, what: str) -> Fraction:
         except ValueError as exc:
             raise IngestionError(f"{what}: {exc}") from None
     raise IngestionError(f"{what} must be a 'p/q' string, got {type(value).__name__}")
-
-
-def space_to_json(space: FinSpace) -> dict:
-    """Carrier plus generators; the atoms generate the same sigma-algebra,
-    so emitting them keeps the round trip lossless."""
-    return {"carrier": list(space.carrier),
-            "generators": [list(space.labels_of(a)) for a in space.atoms]}
 
 
 def space_from_json(doc: dict) -> FinSpace:
@@ -109,12 +103,6 @@ def _weights_from_json(doc, space: FinSpace, what: str) -> tuple[Fraction, ...]:
     return tuple(weights)
 
 
-def measure_to_json(pi: Measure) -> dict:
-    return {"space": space_to_json(pi.space),
-            "weights": {str(i): format_rational(n, pi.den)
-                        for i, n in enumerate(pi.nums)}}
-
-
 def measure_from_json(doc: dict, space: FinSpace | None = None) -> Measure:
     if not isinstance(doc, dict):
         raise IngestionError("measure document must be an object")
@@ -124,13 +112,6 @@ def measure_from_json(doc: dict, space: FinSpace | None = None) -> Measure:
         return Measure(space, weights)
     except GirylabError as exc:
         raise IngestionError(f"measure: {exc}") from None
-
-
-def interval_measure_to_json(m: IntervalMeasure) -> dict:
-    return {"points": [[format_rational(loc), format_rational(mass)]
-                       for loc, mass in m.points],
-            "uniform": [[format_rational(a), format_rational(b),
-                         format_rational(mass)] for a, b, mass in m.pieces]}
 
 
 def interval_measure_from_json(doc: dict) -> IntervalMeasure:
@@ -155,13 +136,6 @@ def interval_measure_from_json(doc: dict) -> IntervalMeasure:
         return IntervalMeasure(tuple(points), tuple(pieces))
     except GirylabError as exc:
         raise IngestionError(f"interval measure: {exc}") from None
-
-
-def kernel_to_json(k: Kernel) -> dict:
-    return {"dom": space_to_json(k.dom), "cod": space_to_json(k.cod),
-            "rows": {str(i): {str(j): format_rational(w)
-                              for j, w in enumerate(row.weights)}
-                     for i, row in enumerate(k.rows)}}
 
 
 def kernel_from_json(doc: dict) -> Kernel:
@@ -198,12 +172,6 @@ _NAMED_FUNCTIONALS = {
     "square": "square_functional",
     "clamped-sum": "clamped_sum_functional",
 }
-
-
-def functional_to_json(phi: duality.Functional) -> dict:
-    doc = phi.describe()
-    doc["space"] = space_to_json(phi.space)
-    return doc
 
 
 def functional_from_json(doc: dict,

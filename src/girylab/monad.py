@@ -14,8 +14,8 @@ matrix.
 their denominators (see ``measures.Measure``): each output numerator is
 one integer dot product, and the result is divided by one common factor
 of the whole vector, not one per weight.  That factor is one gcd, except
-in Markov evolution (``trajectory``, ``n_step`` and its kernel powers,
-and ``decimal_states``, the same steps on Decimals): every prime of the
+in Markov evolution (``n_step`` and its kernel powers, and
+``decimal_states``, the same steps on Decimals): every prime of the
 denominator there divides ``denominator_base``, so the factor is found
 from small residues (``rational._common_factor``), with no gcd of
 full-size numbers.
@@ -192,17 +192,17 @@ def n_step(k: Kernel, pi0: Measure, n: int) -> Measure:
     the base, and a state is bound with ``denominator_base(k, pi0)``.
 
     It stops with DigitLimitError at exactly the first step whose state
-    ``trajectory`` would reject, although it computes only some states,
-    so when it returns every state up to step n fits.
+    has a weight past rational.MAX_DIGITS, although it computes only some
+    states, so when it returns every state up to step n fits.
     With den(.) the lcm of the denominators, every state at step
     done + t with t < 2^j has denominators dividing
     den(state at done) * den(K^1) * den(K^2) * ... * den(K^(2^(j-1))),
     and a probability weight's numerator is at most its denominator.  A
     jump of 2^j steps is taken only when that product is within the limit,
     so every state it passes over fits; the state it lands on is checked
-    like each state of ``trajectory``.  One step (j = 0) is always
-    allowed, and a kernel power is squared only when it could be used, so
-    the powers stay within about twice the limit's digits.
+    by ``_require_digits``.  One step (j = 0) is always allowed, and a
+    kernel power is squared only when it could be used, so the powers
+    stay within about twice the limit's digits.
     """
     if k.dom != k.cod:
         raise SpaceMismatchError("markov evolution needs an endo-kernel "
@@ -227,18 +227,6 @@ def n_step(k: Kernel, pi0: Measure, n: int) -> Measure:
         done += 1 << j
         _require_digits(pi, f"a weight of the state at step {done}")
     return pi
-
-
-def trajectory(k: Kernel, pi0: Measure, n: int) -> list[Measure]:
-    """Distributions at steps 0..n inclusive; it stops with DigitLimitError
-    at the first state with a weight past rational.MAX_DIGITS.  Each step
-    is ``bind`` with ``denominator_base(k, pi0)`` as its base."""
-    base = denominator_base(k, pi0)
-    out = [pi0]
-    for step in range(1, n + 1):
-        out.append(bind(out[-1], k, base=base))
-        _require_digits(out[-1], f"a weight of the state at step {step}")
-    return out
 
 
 def decimal_states(k: Kernel, pi0: Measure, n: int, last: Measure):

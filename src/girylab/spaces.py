@@ -28,11 +28,11 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvariantError, NotMeasurableError, SpaceMismatchError
 from .rational import (exact, format_rational, lift, random_fraction,
-                       require_unit, unit_numerators)
+                       unit_numerators)
 
 #: Carrier cap: a named size limit, enforced by ``sigma_from_masks``.
 MAX_CARRIER_POINTS = 16
@@ -254,23 +254,8 @@ class MeasMap(Frozen):
         object.__setattr__(self, "atom_map", atom_map)
 
     @staticmethod
-    def from_labels(dom: FinSpace, cod: FinSpace,
-                    assignment: Mapping[str, str]) -> "MeasMap":
-        table = []
-        for lab in dom.carrier:
-            if lab not in assignment:
-                raise InvariantError(f"map is not total: missing {lab!r}")
-            table.append(cod.point_index(assignment[lab]))
-        return MeasMap(dom, cod, tuple(table))
-
-    @staticmethod
     def identity(space: FinSpace) -> "MeasMap":
         return MeasMap(space, space, tuple(range(len(space.carrier))))
-
-    @staticmethod
-    def constant(dom: FinSpace, cod: FinSpace, target: str) -> "MeasMap":
-        t = cod.point_index(target)
-        return MeasMap(dom, cod, (t,) * len(dom.carrier))
 
     def apply(self, label: str) -> str:
         return self.cod.carrier[self.table[self.dom.point_index(label)]]
@@ -296,8 +281,7 @@ class IFunction(Frozen):
     so equality and hashing compare integers.
 
     ``nums[i] / den`` is the value on ``space.atoms[i]``.  Constancy on
-    atoms makes measurability automatic; pointwise tables are validated
-    and atom-compressed on ingestion.  ``IFunction(space, values)`` takes
+    atoms makes measurability automatic.  ``IFunction(space, values)`` takes
     rationals, admits each with ``rational.exact`` and lifts them once to
     int numerators over the lcm of their denominators;
     ``IFunction(space, nums, den)`` takes int numerators over ``den``.
@@ -324,22 +308,6 @@ class IFunction(Frozen):
     @cached_property
     def values(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self.den) for n in self.nums)
-
-    @staticmethod
-    def from_points(space: FinSpace, table: Mapping[str, Fraction]) -> "IFunction":
-        for lab in space.carrier:
-            if lab not in table:
-                raise InvariantError(f"function table is not total: missing {lab!r}")
-        vals = []
-        for atom in space.atoms:
-            pts = space.labels_of(atom)
-            got = {require_unit(table[p], "function value") for p in pts}
-            if len(got) != 1:
-                raise InvariantError(
-                    f"table is not constant on the atom {set(pts)}; "
-                    "such a function is not measurable")
-            vals.append(got.pop())
-        return IFunction(space, tuple(vals))
 
     @staticmethod
     def constant(space: FinSpace, r: Fraction) -> "IFunction":

@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 
 from girylab.spaces import FinSpace, generate_sigma
 from girylab.measures import Measure
+from girylab.monad import Kernel, _require_digits, bind, denominator_base
 
 LABELS = "abcdefgh"
 
@@ -87,6 +88,20 @@ def matrix_apply(weights, rows):
         sum((weights[i] * rows[i][j] for i in range(len(weights))),
             Fraction(0))
         for j in range(n))
+
+
+def trajectory(k: Kernel, pi0: Measure, n: int) -> list[Measure]:
+    """The states at steps 0..n inclusive, every one held: the int chain
+    that the Markov tests compare ``n_step`` and ``decimal_states``
+    against.  It stops with DigitLimitError at the first state with a
+    weight past rational.MAX_DIGITS, as ``n_step`` does.  Each step is
+    ``bind`` with ``denominator_base(k, pi0)`` as its base."""
+    base = denominator_base(k, pi0)
+    out = [pi0]
+    for step in range(1, n + 1):
+        out.append(bind(out[-1], k, base=base))
+        _require_digits(out[-1], f"a weight of the state at step {step}")
+    return out
 
 
 @st.composite

@@ -17,9 +17,8 @@ import pytest
 from girylab import cli, rational
 from girylab.cli import main
 from girylab.harness import generate_kernel, generate_measure
-from girylab.jsonio import kernel_to_json, measure_to_json, space_to_json
 from girylab.rational import format_rational
-from girylab.spaces import FinSpace, generate_sigma
+from girylab.spaces import generate_sigma
 
 TWO_STATE = {"carrier": ["0", "1"], "generators": [["0"], ["1"]]}
 
@@ -114,12 +113,11 @@ class TestMarkov:
     ])
     def test_final_state_is_last_trace_line(self, tmp_path, capsys,
                                             carrier, generators, steps):
-        space = generate_sigma(list(carrier), generators)
+        space_doc = {"carrier": list(carrier), "generators": generators}
         rng = random.Random(steps)
-        argv = ["markov", "--kernel", write(tmp_path, "k.json", kernel_to_json(
-                    generate_kernel(rng, space, space))),
-                "--init", write(tmp_path, "pi.json", measure_to_json(
-                    generate_measure(rng, space))),
+        kernel_doc, init_doc = _generated_chain_docs(rng, space_doc)
+        argv = ["markov", "--kernel", write(tmp_path, "k.json", kernel_doc),
+                "--init", write(tmp_path, "pi.json", init_doc),
                 "--steps", str(steps)]
         assert main(argv) == 0
         final = capsys.readouterr().out
@@ -133,12 +131,11 @@ class TestMarkov:
         ("1000000000", True)])
     def test_digit_limit_exits_2(self, tmp_path, capsys, steps, trace):
         """The chain of ROADMAP defect D1 passes 4,300 digits before step 900."""
-        space = FinSpace.discrete([f"s{i}" for i in range(8)])
+        space_doc = _discrete_doc([f"s{i}" for i in range(8)])
         rng = random.Random(1)
-        argv = ["markov", "--kernel", write(tmp_path, "k.json", kernel_to_json(
-                    generate_kernel(rng, space, space))),
-                "--init", write(tmp_path, "pi.json", measure_to_json(
-                    generate_measure(rng, space))),
+        kernel_doc, init_doc = _generated_chain_docs(rng, space_doc)
+        argv = ["markov", "--kernel", write(tmp_path, "k.json", kernel_doc),
+                "--init", write(tmp_path, "pi.json", init_doc),
                 "--steps", steps] + (["--trace"] if trace else [])
         assert main(argv) == 2
         out, err = capsys.readouterr()
@@ -158,12 +155,11 @@ class TestMarkov:
             widest.append(max(abs(a).bit_length() for a in args))
             return gcd(*args)
 
-        space = FinSpace.discrete([f"s{i}" for i in range(8)])
+        space_doc = _discrete_doc([f"s{i}" for i in range(8)])
         rng = random.Random(1)
-        argv = ["markov", "--kernel", write(tmp_path, "k.json", kernel_to_json(
-                    generate_kernel(rng, space, space))),
-                "--init", write(tmp_path, "pi.json", measure_to_json(
-                    generate_measure(rng, space))),
+        kernel_doc, init_doc = _generated_chain_docs(rng, space_doc)
+        argv = ["markov", "--kernel", write(tmp_path, "k.json", kernel_doc),
+                "--init", write(tmp_path, "pi.json", init_doc),
                 "--steps", "400", "--trace"]
         monkeypatch.setattr(rational, "gcd", watched)
         assert main(argv) == 0
@@ -249,15 +245,28 @@ class TestMarkov:
         assert "does not exist" in capsys.readouterr().err
 
 
-def _chain_docs(space, matrix, init):
+def _discrete_doc(labels):
+    """The space document of the discrete space on ``labels``."""
+    return {"carrier": labels, "generators": [[x] for x in labels]}
+
+
+def _chain_docs(space_doc, matrix, init):
     """Kernel and initial-measure JSON for a matrix and a vector of
-    Fractions indexed by ``space``'s atoms."""
-    space_doc = space_to_json(space)
+    Fractions indexed by the atoms of the space ``space_doc`` reads as."""
     rows = {str(i): {str(j): format_rational(w) for j, w in enumerate(row)}
             for i, row in enumerate(matrix)}
     return ({"dom": space_doc, "cod": space_doc, "rows": rows},
             {"space": space_doc,
              "weights": {str(i): format_rational(w) for i, w in enumerate(init)}})
+
+
+def _generated_chain_docs(rng, space_doc):
+    """Kernel and initial-measure JSON for a kernel and a measure that
+    ``rng`` draws, in that order, on the space ``space_doc`` reads as."""
+    space = generate_sigma(space_doc["carrier"], space_doc["generators"])
+    k = generate_kernel(rng, space, space)
+    pi = generate_measure(rng, space)
+    return _chain_docs(space_doc, [row.weights for row in k.rows], pi.weights)
 
 
 def _oracle_lines(matrix, init, steps):
@@ -282,24 +291,24 @@ def _random_row(rng, n, zero=()):
 def _chain(name):
     rng = random.Random(name)
     if name == "six points, three atoms":
-        space = generate_sigma(list("abcdef"), [["a", "b"], ["c", "d"]])
+        space_doc = {"carrier": list("abcdef"),
+                     "generators": [["a", "b"], ["c", "d"]]}
         matrix = [_random_row(rng, 3) for _ in range(3)]
-        return space, matrix, _random_row(rng, 3), 40
+        return space_doc, matrix, _random_row(rng, 3), 40
     if name == "deterministic kernel, point start (base 1)":
-        space = FinSpace.discrete(list("abcd"))
         matrix = [[Fraction(int(j == (i + 1) % 4)) for j in range(4)]
                   for i in range(4)]
-        return space, matrix, [Fraction(int(j == 1)) for j in range(4)], 9
+        init = [Fraction(int(j == 1)) for j in range(4)]
+        return _discrete_doc(list("abcd")), matrix, init, 9
     if name == "zero initial weight":
-        space = FinSpace.discrete(list("abc"))
         matrix = [_random_row(rng, 3, zero=(1,)), _random_row(rng, 3),
                   _random_row(rng, 3, zero=(1,))]
-        return space, matrix, [Fraction(1, 3), Fraction(0), Fraction(2, 3)], 30
+        init = [Fraction(1, 3), Fraction(0), Fraction(2, 3)]
+        return _discrete_doc(list("abc")), matrix, init, 30
     big = 10 ** 1500 + 7
-    space = FinSpace.discrete(list("abc"))
     matrix = [_random_row(rng, 3) for _ in range(3)]
-    return space, matrix, [Fraction(1, big), Fraction(2, big),
-                           Fraction(big - 3, big)], 20
+    init = [Fraction(1, big), Fraction(2, big), Fraction(big - 3, big)]
+    return _discrete_doc(list("abc")), matrix, init, 20
 
 
 class TestMarkovOracle:
@@ -311,8 +320,8 @@ class TestMarkovOracle:
         "six points, three atoms", "deterministic kernel, point start (base 1)",
         "zero initial weight", "initial denominator 10**1500 + 7"])
     def test_output_equals_the_fraction_oracle(self, tmp_path, capsys, name):
-        space, matrix, init, steps = _chain(name)
-        kernel_doc, init_doc = _chain_docs(space, matrix, init)
+        space_doc, matrix, init, steps = _chain(name)
+        kernel_doc, init_doc = _chain_docs(space_doc, matrix, init)
         argv = ["markov", "--kernel", write(tmp_path, "k.json", kernel_doc),
                 "--init", write(tmp_path, "pi.json", init_doc),
                 "--steps", str(steps)]
@@ -327,10 +336,10 @@ class TestMarkovOracle:
         """Each line is built without ``json``; from 11 atoms on, its keys
         must still sort as strings ("10" before "2")."""
         rng = random.Random(atoms)
-        space = FinSpace.discrete([f"s{i}" for i in range(atoms)])
+        space_doc = _discrete_doc([f"s{i}" for i in range(atoms)])
         matrix = [_random_row(rng, atoms) for _ in range(atoms)]
         init = _random_row(rng, atoms)
-        kernel_doc, init_doc = _chain_docs(space, matrix, init)
+        kernel_doc, init_doc = _chain_docs(space_doc, matrix, init)
         argv = ["markov", "--kernel", write(tmp_path, "k.json", kernel_doc),
                 "--init", write(tmp_path, "pi.json", init_doc), "--steps", "5"]
         want = _oracle_lines(matrix, init, 5)
@@ -351,8 +360,8 @@ class TestMarkovOracle:
             return format_rational(*args)
 
         monkeypatch.setattr(cli, "format_rational", counted)
-        space, matrix, init, _ = _chain("six points, three atoms")
-        kernel_doc, init_doc = _chain_docs(space, matrix, init)
+        space_doc, matrix, init, _ = _chain("six points, three atoms")
+        kernel_doc, init_doc = _chain_docs(space_doc, matrix, init)
         argv = ["markov", "--kernel", write(tmp_path, "k.json", kernel_doc),
                 "--init", write(tmp_path, "pi.json", init_doc), "--steps", "7"]
         assert main(argv + ["--trace"] * trace) == 0

@@ -59,8 +59,6 @@ ENTRY_POINTS = [
      lambda x: respects_limits(lambda f: x, vanishing_segment_witness())),
     ("IFunction", "function value", "float bool int",
      lambda x: IFunction(S1, (x,)).values[0]),
-    ("IFunction.from_points", "function value", "float bool",
-     lambda x: IFunction.from_points(S1, {"a": x}).values[0]),
     ("IFunction.constant", "function value", "float bool",
      lambda x: IFunction.constant(S1, x).values[0]),
     ("IFunction.blend", "blend weight", "float bool",

@@ -8,16 +8,17 @@ import pytest
 
 from girylab import config, counterexample, duality, harness, hull
 from girylab.cli import main
-from girylab.errors import GirylabError, InvariantError
+from girylab.errors import GirylabError, InvariantError, RejectionError
 from girylab.codensity import AffineMap
 from girylab.measures import Measure
+from girylab.monad import dirac
 from girylab.spaces import FinSpace, IFunction
 from girylab.duality import (Functional, clamped_sum_functional,
                              max_functional, square_functional)
 from girylab.harness import (SUITE_NAMES, SuiteConfig, case_rng,
                              find_naturality_refutation, generate_functional,
                              generate_kernel, generate_measure,
-                             generate_space, minimize_refutation, run_suite)
+                             generate_space, run_suite)
 from girylab.verdicts import describe, failed, passed
 
 from strategies import brute_closure, sigma
@@ -150,14 +151,16 @@ class TestMinimization:
                 phi, 3, case_rng(0, "adversary", i)) is not None
 
     def test_max_witness_is_small(self):
-        witness = minimize_refutation(
-            max_functional(FinSpace.discrete(["a", "b"])), 4, seed=0)
+        witness = find_naturality_refutation(
+            max_functional(FinSpace.discrete(["a", "b"])), 4,
+            case_rng(0, "minimize", 0))
         assert witness is not None
         assert witness["h"]["arity"] <= 2
 
     def test_square_witness_is_small(self):
-        witness = minimize_refutation(
-            square_functional(FinSpace.discrete(["a", "b"])), 4, seed=0)
+        witness = find_naturality_refutation(
+            square_functional(FinSpace.discrete(["a", "b"])), 4,
+            case_rng(0, "minimize", 0))
         assert witness is not None
         assert witness["h"]["arity"] <= 2
 
@@ -393,6 +396,20 @@ def _reverse_output(fn):
     return mutated
 
 
+def _dirac_on_rejection(phi):
+    """``to_measure`` giving the Dirac measure at the first point of a
+    functional it rejects."""
+    try:
+        return duality.to_measure(phi)
+    except RejectionError:
+        return dirac(phi.space, phi.space.carrier[0])
+
+
+def _inner_reversed(compose):
+    """``AffineMap.compose`` with its inner maps in reverse order."""
+    return lambda h, inner: compose(h, tuple(inner)[::-1])
+
+
 def _probe_window(phi, w):
     """``respects_limits`` deciding an intensional functional on a finite
     space by the probe window meant for naturals-indexed sequences."""
@@ -557,3 +574,60 @@ class TestRefutingPower:
                    if r.result != "pass"}
         assert {name: w["case"] for name, w in failing.items()} == expected
         assert all(key in w for w in failing.values())
+
+    # The last planted defects, each patched where ``harness`` reads it
+    # (``AffineMap`` is the class ``harness`` imports).  A failing record's
+    # trials count the cases run, so a refutation fails with trials 1.
+    @pytest.mark.parametrize("owner, target, stub, suite, expected", [
+        pytest.param(harness, "is_affine",
+                     lambda phi, trials, seed: passed("stub", trials),
+                     "duality", {"affine-refutes-max": 0,
+                                 "affine-refutes-square": 0},
+                     id="is-affine-always"),
+        pytest.param(harness, "to_measure", _dirac_on_rejection, "duality",
+                     {"max-functional-rejected": 0},
+                     id="to-measure-dirac-on-rejection"),
+        pytest.param(harness, "to_functional",
+                     lambda pi: square_functional(pi.space), "duality",
+                     {"measure-roundtrip": 0, "functional-roundtrip": 0,
+                      "linearity-consequences": 0, "multiplication-diagram": 0,
+                      "bijection-naturality": 0}, id="square-functional"),
+        pytest.param(AffineMap, "compose", _inner_reversed(AffineMap.compose),
+                     "naturality", {"affine-composition-closure": 2},
+                     id="compose-inner-reversed"),
+        pytest.param(harness, "functional_from_action",
+                     lambda action, space, rng, trials:
+                     duality.evaluation_at(space, space.carrier[0]),
+                     "monoid-reduction", {"reconstruction-roundtrip": 0,
+                                          "entrywise-max-refuted": 0},
+                     id="reconstruction-first-point-dirac"),
+        pytest.param(harness, "extend_to_convex",
+                     lambda phi, verts, points:
+                     hull.extend_to_convex(phi, verts, points)[::-1],
+                     "convex-bound", {"hull-closure": 2, "dirac-extension": 0},
+                     id="extension-reversed"),
+    ])
+    def test_planted_defect_is_refuted(self, monkeypatch, owner, target, stub,
+                                       suite, expected):
+        monkeypatch.setattr(owner, target, stub)
+        report = run_suite(suite, SuiteConfig(seed=7, trials=100))
+        failing = {r.name: (r.witness["case"], r.trials) for r in report.records
+                   if r.result != "pass"}
+        assert failing == {name: (case, case + 1)
+                           for name, case in expected.items()}
+
+    def test_every_property_fails_in_a_pinned_row(self):
+        """Each property ``run_suite("all")`` reports is a key of the
+        ``expected`` failures of some parametrized row above."""
+        pinned = set()
+        for test in vars(type(self)).values():
+            for mark in getattr(test, "pytestmark", ()):
+                argnames, rows = mark.args
+                column = [n.strip() for n in argnames.split(",")].index(
+                    "expected")
+                for row in rows:
+                    pinned.update(getattr(row, "values", row)[column])
+        names = [r.name for r in
+                 run_suite("all", SuiteConfig(seed=7, trials=1)).records]
+        assert len(set(names)) == len(names) == 41
+        assert set(names) - pinned == set()

@@ -224,7 +224,7 @@ class TestPushforward:
     def test_collapse_example(self):
         dom = FinSpace.discrete(["a", "b", "c"])
         cod = FinSpace.discrete(["x", "y"])
-        g = MeasMap.from_labels(dom, cod, {"a": "x", "b": "x", "c": "y"})
+        g = MeasMap(dom, cod, (0, 0, 1))  # a, b -> x; c -> y
         pi = Measure(dom, (F(1, 2), F(1, 3), F(1, 6)))
         out = pushforward(g, pi)
         # preimage-sum oracle over the whole codomain sigma-algebra
@@ -241,14 +241,14 @@ class TestPushforward:
         dom = FinSpace.discrete(["a", "b"])
         cod = FinSpace.discrete(["z"])
         pi = Measure(dom, (F(2, 5), F(3, 5)))
-        assert pushforward(MeasMap.constant(dom, cod, "z"), pi).weights == (F(1),)
+        assert pushforward(MeasMap(dom, cod, (0, 0)), pi).weights == (F(1),)
 
     def test_non_measurable_map_rejected(self):
         # refused when built, so no pushforward along it can be asked for
         dom = indiscrete(["a", "b"])
         cod = FinSpace.discrete(["x", "y"])
         with pytest.raises(NotMeasurableError):
-            MeasMap.from_labels(dom, cod, {"a": "x", "b": "y"})
+            MeasMap(dom, cod, (0, 1))
 
     @settings(max_examples=60, deadline=None)
     @given(spaces_with_measures(4), spaces(4), st.randoms(use_true_random=False))
@@ -305,15 +305,6 @@ class TestIntegrate:
         bigger = IFunction(space, tuple(
             v + (1 - v) * r for v in f.values))
         assert integrate(f, pi) <= integrate(bigger, pi)
-
-    def test_representation_independence(self):
-        # same function assembled from different pointwise tables
-        s = FinSpace.discrete(["a", "b", "c"])
-        pi = Measure(s, (F(1, 6), F(1, 3), F(1, 2)))
-        direct = IFunction(s, (F(1, 2), F(1, 2), F(0)))
-        assembled = IFunction.from_points(
-            s, {"a": F(1, 2), "b": F(1, 2), "c": F(0)})
-        assert integrate(direct, pi) == integrate(assembled, pi)
 
 
 class TestIntervalMeasure:
@@ -610,7 +601,7 @@ class TestChangeOfVariables:
     def test_collapse_map(self):
         dom = FinSpace.discrete(["a", "b", "c"])
         cod = FinSpace.discrete(["x", "y"])
-        g = MeasMap.from_labels(dom, cod, {"a": "x", "b": "x", "c": "y"})
+        g = MeasMap(dom, cod, (0, 0, 1))  # a, b -> x; c -> y
         pi = Measure(dom, (F(1, 2), F(1, 3), F(1, 6)))
         f = IFunction(cod, (F(1, 7), F(6, 7)))
         assert integrate(f.compose_with(g), pi) == integrate(f, pushforward(g, pi))

@@ -13,18 +13,18 @@ import girylab
 
 EXPORTS = girylab._EXPORTS
 
-#: Exports that no girylab module but their own names, and why each stays.
-UNREFERENCED_EXPORTS = {
-    "characteristic": "the indicator of a measurable set, whose integral "
-                      "is the set's measure",
-    "integrate_approx_bounds": "the certified integrator on [0,1], the one "
-                               "approximation; no command reaches it",
-    "CodensityElement": "the natural family that codensity.lift returns",
-    "SequenceAffineMap": "the affine maps of sequences that naturality is "
-                         "checked against",
-    "Report": "the result of run_suite",
-    "trajectory": "the int chain, every state held, that the Markov tests "
-                  "compare n_step and decimal_states against",
+#: Public functions, classes and methods that nothing in ``src/`` or
+#: ``perfbench/`` names outside their own definition, and why each stays.
+UNREFERENCED = {
+    "MeasMap.preimage": "the preimage of a measurable set, the oracle "
+                        "test_measures checks pushforward against",
+    "Measure.of": "the measure of a measurable set, the oracle for "
+                  "integrals of indicators",
+    "IntervalMeasure.uniform": "the uniform measure on [a, b], which the "
+                               "acceptance tests integrate against",
+    "clamped_sum_functional": "an adversary that functional documents "
+                              "reach by name, through "
+                              "jsonio._NAMED_FUNCTIONALS",
 }
 
 
@@ -57,33 +57,56 @@ def test_unknown_name_raises_attribute_error():
         exec("from girylab import nonsense", {})
 
 
-def _names_used(path: Path) -> set:
-    """Every name a module reads or imports, and every attribute it reads
-    off a girylab module's name: ``monad.n_step`` counts, but
-    ``space.atoms`` does not count as a use of ``spaces.atoms``."""
-    used = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+PACKAGE = Path(girylab.__file__).parent
+SOURCES = [*PACKAGE.glob("*.py"),
+           *(Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")]
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public module-level function and
+    class, and of each public method of such a class."""
+    defs = (ast.FunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")):
+                        yield f"{node.name}.{item.name}", item
+
+
+def _names_read(tree: ast.Module):
+    """(bare name, line) of each name a module reads or imports and each
+    attribute it reads, whatever the attribute is read off."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif (isinstance(node, ast.Attribute)
-              and isinstance(node.value, ast.Name)
-              and node.value.id in EXPORTS):
-            used.add(node.attr)
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
         elif isinstance(node, ast.ImportFrom):
-            used.update(alias.name for alias in node.names)
-    return used
+            yield from ((alias.name, node.lineno) for alias in node.names)
 
 
-def test_every_export_is_used_elsewhere_or_pinned():
-    """An export that no other girylab module names must be pinned above
-    with its reason, so an uncalled name cannot come back unnoticed."""
-    package = Path(girylab.__file__).parent
-    used = {path.stem: _names_used(path) for path in package.glob("*.py")
-            if path.stem != "__init__"}
-    unreferenced = {name for module, names in EXPORTS.items() for name in names
-                    if not any(name in seen for other, seen in used.items()
-                               if other != module)}
-    assert unreferenced <= set(UNREFERENCED_EXPORTS)
+def test_every_public_name_is_used_or_pinned():
+    """Each public function, class and method of ``girylab`` must be named
+    in ``src/`` or ``perfbench/`` outside its own definition, or be pinned
+    in ``UNREFERENCED`` with its reason, so an uncalled name cannot come
+    back unnoticed.  The package's ``_EXPORTS`` strings and the tests do
+    not count.  Names are matched bare, so a method counts as named when
+    another name shares its bare name: ``IntervalMeasure.dirac`` is named
+    by every call of ``monad.dirac``."""
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
+    reads = {path: list(_names_read(tree)) for path, tree in trees.items()}
+    unreferenced = set()
+    for path in PACKAGE.glob("*.py"):
+        for qualname, node in _public_definitions(trees[path]):
+            bare = qualname.rsplit(".", 1)[-1]
+            if not any(name == bare and not (
+                    other == path and node.lineno <= line <= node.end_lineno)
+                    for other, seen in reads.items() for name, line in seen):
+                unreferenced.add(qualname)
+    assert unreferenced == set(UNREFERENCED)
 
 
 def _unread_imports(path: Path) -> set:
