@@ -1,5 +1,5 @@
 """Command line surface: suite verification, Markov evolution, report
-aggregation.
+aggregation (as JSON, or as JUnit XML with ``report --format junit``).
 
 Output discipline: every number serializes as "p/q"; reports are
 canonical JSON (sorted keys, no timestamps, no durations) so identical
@@ -13,7 +13,7 @@ a property is refuted, 2 on a named error (a GirylabError, printed as
 (printed as one ``internal error: <Type>: <message>`` line).  A standard
 output closed by its reader before all output is written is a named
 error too (exit 2).  A standard error closed by its reader changes no
-exit code: the line meant for it is dropped.
+exit code: the error or timing lines meant for it are dropped.
 """
 
 from __future__ import annotations
@@ -170,24 +170,16 @@ def _junit_xml(suites: list) -> str:
 def _cmd_verify(args) -> int:
     if args.functional is None and args.space is not None:
         raise IngestionError("--space applies only with --functional")
-    if args.functional is not None and (args.junit or args.timings):
-        raise IngestionError("--junit and --timings apply only without "
-                             "--functional")
+    if args.functional is not None and args.timings:
+        raise IngestionError("--timings applies only without --functional")
     cfg = _build_config(args)
     if args.functional is not None:
         return _verify_user_functional(args, cfg)
     report = harness.run_suite(args.suite, cfg)
     print(report.to_json())
-    if args.junit:
-        xml = _junit_xml([("report", report.to_jsonable())])
-        try:
-            Path(args.junit).write_text(xml, encoding="utf-8")
-        except OSError as exc:
-            raise GirylabError(f"cannot write {args.junit}: "
-                               f"{exc.strerror or exc}") from None
     if args.timings:
         for record in report.records:
-            print(f"{record.name}: {record.duration:.3f}s", file=sys.stderr)
+            _to_stderr(f"{record.name}: {record.duration:.3f}s")
     return 0 if report.passed else 1
 
 
@@ -199,7 +191,7 @@ def _verify_user_functional(args, cfg: SuiteConfig) -> int:
     if args.space is not None:
         space = jsonio.space_from_json(_load_json(args.space))
     phi = jsonio.functional_from_json(_load_json(args.functional), space)
-    alpha = codensity.lift(phi)
+    alpha = codensity.CodensityElement(phi)
     all_pass = True
     for i in range(cfg.trials):
         h, fs = harness.generate_naturality_square(
@@ -310,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a property suite")
     verify.add_argument("suite", choices=(*SUITE_NAMES, "all"))
     _add_config_flags(verify)
-    verify.add_argument("--junit", default=None,
-                        help="also mirror the report to a JUnit XML file")
     verify.add_argument("--timings", action="store_true",
                         help="print per-property durations to stderr")
     verify.add_argument("--space", default=None,
@@ -341,10 +331,10 @@ def _point_at_devnull(stream) -> None:
     os.close(devnull)
 
 
-def _error(line: str) -> None:
-    """Write ``line`` to stderr.  A stderr closed by its reader
-    (``girylab ... 2>&1 | head``) leaves no one to tell, so it is pointed
-    at devnull instead of raising past the exit code."""
+def _to_stderr(line: str) -> None:
+    """Write ``line``, an error or a timing, to stderr.  A stderr closed
+    by its reader (``girylab ... 2>&1 | head``) leaves no one to tell, so
+    it is pointed at devnull instead of raising past the exit code."""
     try:
         print(line, file=sys.stderr, flush=True)
     except BrokenPipeError:
@@ -361,18 +351,18 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except GirylabError as exc:
-        _error(f"error: {exc}")
+        _to_stderr(f"error: {exc}")
         return 2
     except BrokenPipeError:
         # The reader closed stdout (``girylab ... | head``): a fault of the
         # caller, not of the program.
         _point_at_devnull(sys.stdout)
-        _error("error: standard output was closed before all output was "
-               "written")
+        _to_stderr("error: standard output was closed before all output "
+                   "was written")
         return 2
     except Exception as exc:  # a fault of the program, not of its input
         message = " ".join(str(exc).splitlines())
-        _error(f"internal error: {type(exc).__name__}: {message}")
+        _to_stderr(f"internal error: {type(exc).__name__}: {message}")
         return 3
 
 

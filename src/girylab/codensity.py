@@ -30,9 +30,8 @@ from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .errors import ActionSquareError, InvariantError
-from .rational import (ONE, ZERO, exact, format_rational, random_fraction,
-                       require_unit, require_unit_numerators)
-from .rational import lift as lift_rationals
+from .rational import (ONE, ZERO, exact, format_rational, lift,
+                       random_fraction, require_unit, require_unit_numerators)
 from .spaces import FinSpace, Frozen, IFunction
 from .duality import Functional
 from .verdicts import Verdict, describe, failed, passed
@@ -51,7 +50,7 @@ def _store_into_unit(m, a0, coeffs) -> None:
     those ints that the map's extreme values lie in I."""
     a0 = exact(a0, "constant term")
     coeffs = tuple(exact(c, "coefficient") for c in coeffs)
-    (n0, *nums), den = lift_rationals((a0, *coeffs))
+    (n0, *nums), den = lift((a0, *coeffs))
     lo, hi = _extremes(n0, nums)
     if lo < 0 or hi > den:
         raise InvariantError(
@@ -83,7 +82,7 @@ class AffineMap(Frozen):
     def __call__(self, xs: Sequence[Fraction]) -> Fraction:
         if len(xs) != self.arity:
             raise InvariantError(f"expected {self.arity} coordinates, got {len(xs)}")
-        xs, xden = lift_rationals([exact(x, "coordinate") for x in xs])
+        xs, xden = lift([exact(x, "coordinate") for x in xs])
         require_unit_numerators(xs, xden, "coordinate")
         return _value(self, xs, xden)
 
@@ -164,7 +163,7 @@ class SequenceAffineMap(Frozen):
         _store_into_unit(self, a0, coeffs)
 
     def __call__(self, x: VanishingSequence) -> Fraction:
-        return _value(self, *lift_rationals(x.entries))
+        return _value(self, *lift(x.entries))
 
     def describe(self) -> dict:
         return {"a0": format_rational(self.a0),
@@ -195,7 +194,7 @@ def sample_affine(rng: random.Random, arity: int,
 
     raw0 = random_fraction(rng, -2, 2, max_den=16)
     raw = [random_fraction(rng, -2, 2, max_den=16) for _ in range(arity)]
-    (n0, *nums), _ = lift_rationals((raw0, *raw))
+    (n0, *nums), _ = lift((raw0, *raw))
     lo, hi = _extremes(n0, nums)
     if hi == lo:  # all coefficients zero: clamp the constant into I
         return AffineMap.constant(arity, min(ONE, max(ZERO, raw0)))
@@ -233,10 +232,6 @@ class CodensityElement(Frozen):
 
     def at_sequences(self, fs: Sequence[IFunction]) -> VanishingSequence:
         return VanishingSequence(tuple(self.phi(f) for f in fs))
-
-
-def lift(phi: Functional) -> CodensityElement:
-    return CodensityElement(phi)
 
 
 def _compose_pointwise(h, fs: Sequence[IFunction], space: FinSpace) -> IFunction:
@@ -310,11 +305,6 @@ def check_vanishing_component(alpha: CodensityElement, fs: Sequence[IFunction],
 # -- reconstruction from a sequence-space action ---------------------------
 
 Action = Callable[[Sequence[IFunction]], VanishingSequence]
-
-
-def action_of(alpha: CodensityElement) -> Action:
-    """Forget a natural family to its sequence-space action."""
-    return alpha.at_sequences
 
 
 #: The longest function list ``functional_from_action`` feeds the action.

@@ -18,8 +18,10 @@ refuting power.  On an extensional body the two maps of the bijection
 hand the measure across and evaluate nothing.
 
 Affineness of an intensional body is decided by randomized search with
-reported witnesses, not proof; the limits axiom is checked against a
-certified witness sequence.
+reported witnesses, not proof; the limits axiom is decided exactly
+against a certified sequence vanishing on a finite space.  The naturals
+sequence of the finitely additive counterexample is probed in
+``counterexample``.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .errors import InvariantError, RejectionError, SpaceMismatchError
-from .rational import (HALF, ONE, ZERO, exact, format_rational, index, lift,
+from .rational import (HALF, ONE, ZERO, format_rational, index, lift,
                        random_fraction, require_unit)
 from .spaces import (FinSpace, Frozen, IFunction, MeasMap, atom_indicator,
                      generate_ifunction)
@@ -268,106 +270,63 @@ def is_affine(phi: Functional, trials: int = 200,
 # -- the limits axiom ----------------------------------------------------
 
 
-#: How many terms, from each certified index on, ``LimitWitness.validate``
-#: checks are zero.
+#: How many terms, from each certified index on, a certificate is checked
+#: to be zero.
 CERT_CHECKED_TERMS = 3
 
 
 class LimitWitness(Frozen):
-    """A certified sequence of functions converging pointwise to zero.
+    """A certified sequence of functions on a finite space converging
+    pointwise to zero.
 
-    ``terms(n)`` is the n-th function; ``cert(p)`` is an index beyond
-    which the sequence vanishes at the point/atom ``p``.  ``points``
-    lists the finitely many atoms of a finite space, or is None for a
-    naturals-indexed carrier (then only a sample of points can be
-    spot-checked).  Certification is validated, not assumed.
+    ``terms(n)`` is the n-th function on ``space``; ``certs[i]`` is an
+    index from which the sequence vanishes on atom i.  Building the
+    witness checks each certificate on ``CERT_CHECKED_TERMS`` terms, each
+    a function on ``space``, so a witness is valid once it is built.
     """
 
-    _fields = ("terms", "cert", "points")
+    _fields = ("space", "terms", "certs")
 
-    def max_cert(self) -> Optional[int]:
-        if self.points is None:
-            return None
-        return max((self.cert(p) for p in self.points), default=0)
-
-    def validate(self, value_at: Callable[[object, object], Fraction],
-                 sample_points=None) -> None:
-        pts = self.points if self.points is not None else tuple(sample_points or ())
-        for p in pts:
-            n0 = self.cert(p)
-            for n in range(n0, n0 + CERT_CHECKED_TERMS):
-                v = value_at(self.terms(n), p)
-                if v != ZERO:
-                    raise InvariantError(
-                        f"certificate lies: term {n} is {format_rational(v)} "
-                        f"at point {p!r}, certified zero from {n0}")
-
-    @staticmethod
-    def on_space(space: FinSpace, terms: Callable[[int], IFunction],
-                 atom_certs) -> "LimitWitness":
-        certs = tuple(index(c, "certificate index") for c in atom_certs)
+    def __init__(self, space: FinSpace, terms: Callable[[int], IFunction],
+                 certs):
+        certs = tuple(index(c, "certificate index") for c in certs)
         if len(certs) != len(space.atoms):
             raise InvariantError("need one certificate index per atom")
-        w = LimitWitness(terms, lambda i: certs[i],
-                         tuple(range(len(space.atoms))))
-        w.validate(lambda f, i: Fraction(f.nums[i], f.den))
-        return w
+        for i, n0 in enumerate(certs):
+            for n in range(n0, n0 + CERT_CHECKED_TERMS):
+                f = terms(n)
+                if f.space != space:
+                    raise SpaceMismatchError(f"term {n} lives off the space")
+                if f.nums[i]:
+                    raise InvariantError(
+                        f"certificate lies: term {n} is "
+                        f"{format_rational(f.nums[i], f.den)} at point {i!r}, "
+                        f"certified zero from {n0}")
+        super().__init__(space, terms, certs)
 
 
-PhiLike = Union[Functional, Callable]
-
-
-#: How many halvings 2^-k the probed tail of ``respects_limits`` must reach.
-LIMIT_THRESHOLDS = 12
-#: How many terms of a naturals-indexed sequence ``respects_limits`` probes.
-LIMIT_PROBE = 48
-
-
-def respects_limits(phi: PhiLike, w: LimitWitness) -> Verdict:
+def respects_limits(phi: Functional, w: LimitWitness) -> Verdict:
     """Does phi send the certified vanishing sequence to values
     converging to zero?
 
-    On a finite space the sequence is decided exactly: beyond the
-    largest certified index the terms are identically zero, so phi
-    respects it exactly when its value at that tail term is zero; a fail
-    carries the value it is stuck at.  A naturals-indexed sequence is
-    probed on a finite window; pass requires, for every threshold 2^-k
-    up to ``LIMIT_THRESHOLDS``, a probed tail staying at or below it.  A
-    fail carries the stuck lower bound (the infimum of the probed tail).
+    The sequence is decided exactly: beyond the largest certified index
+    the terms are identically zero, so phi respects it exactly when its
+    value at that tail term is zero; a fail carries the value it is
+    stuck at.
     """
     name = "respects limits"
     if not isinstance(w, LimitWitness):
         raise InvariantError("witness must be a certified LimitWitness")
-
-    if w.points is not None:
-        n_star = w.max_cert()
-        tail = w.terms(n_star)
-        if any(tail.nums):
-            raise InvariantError("certificate lies: tail term is not zero")
-        value = exact(phi(tail), "functional value")
-        if value != ZERO:
-            return failed(name, {"mode": "exact tail evaluation",
-                                 "tail_index": n_star, "stuck_at": value})
-        return passed(name, witness={"mode": "exact tail evaluation",
-                                     "tail_index": n_star, "value": value})
-    if isinstance(phi, Functional):
-        raise InvariantError("finite-space functional needs atom certificates")
-
-    values = [exact(phi(w.terms(n)), "functional value")
-              for n in range(LIMIT_PROBE)]
-
-    suffix_max = values[:]
-    for i in range(LIMIT_PROBE - 2, -1, -1):
-        suffix_max[i] = max(suffix_max[i], suffix_max[i + 1])
-
-    for k in range(1, LIMIT_THRESHOLDS + 1):
-        bound = Fraction(1, 1 << k)
-        if not any(sm <= bound for sm in suffix_max):
-            stuck = min(values[-(LIMIT_PROBE // 4):])
-            return failed(name, {"threshold": bound, "stuck_at": stuck,
-                                 "probed": LIMIT_PROBE,
-                                 "values_head": values[:8]})
-    return passed(name, witness={"mode": "probe window", "probed": LIMIT_PROBE})
+    n_star = max(w.certs)
+    tail = w.terms(n_star)
+    if any(tail.nums):
+        raise InvariantError("certificate lies: tail term is not zero")
+    value = phi(tail)
+    if value != ZERO:
+        return failed(name, {"mode": "exact tail evaluation",
+                             "tail_index": n_star, "stuck_at": value})
+    return passed(name, witness={"mode": "exact tail evaluation",
+                                 "tail_index": n_star, "value": value})
 
 
 # -- deliberate non-examples for the suites -----------------------------

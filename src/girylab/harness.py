@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 from .config import FIELDS, SUITE_NAMES, SuiteConfig
 from .errors import ActionSquareError, GirylabError, RejectionError
-from .rational import HALF, ONE, ZERO, lift as lift_fractions, random_fraction
+from .rational import HALF, ONE, ZERO, lift, random_fraction
 from .spaces import (FinSpace, Frozen, IFunction, MeasMap, atom_indicator,
                      generate_ifunction, sigma_from_masks)
 from .measures import Measure, integrate, pushforward
@@ -49,9 +49,9 @@ from .duality import (Functional, FunctionalMixture, LimitWitness,
                       evaluation_at, is_affine, max_functional, mix_functionals,
                       pushforward_functional, respects_limits,
                       square_functional, to_functional, to_measure)
-from .codensity import (AffineMap, VanishingSequence, action_of,
+from .codensity import (AffineMap, CodensityElement, VanishingSequence,
                         check_naturality, check_vanishing_component,
-                        functional_from_action, lift, sample_affine,
+                        functional_from_action, sample_affine,
                         sample_sequence_affine)
 from .hull import extend_to_convex, hull_membership
 from .counterexample import (EventualFn, FinCofSet, cofinite_measure,
@@ -184,7 +184,7 @@ def point_in_hull(rng: random.Random, verts) -> tuple[Fraction, ...]:
     each coordinate one integer sum over the parts' total."""
     parts, total = _random_parts(rng, len(verts))
     return tuple(Fraction(sum(map(mul, parts, nums)), total * den)
-                 for nums, den in map(lift_fractions, zip(*verts)))
+                 for nums, den in map(lift, zip(*verts)))
 
 
 def generate_eventual_fn(rng: random.Random) -> EventualFn:
@@ -210,7 +210,7 @@ def generate_limit_witness(rng: random.Random, space: FinSpace) -> LimitWitness:
             for start, cut in zip(starts, certs))
         return IFunction(space, vals)
 
-    return LimitWitness.on_space(space, term, certs)
+    return LimitWitness(space, term, certs)
 
 
 # -- refutation ladder ------------------------------------------------------
@@ -239,6 +239,10 @@ def _witness_ladder(space: FinSpace, max_arity: int, rng: random.Random):
             hs += [AffineMap.blend(r) for r in
                    (HALF, Fraction(1, 4), Fraction(3, 4))]
         hs += [sample_affine(rng, arity) for _ in range(4)]
+        if arity == 1:
+            # Every fixed map above is increasing or constant; reflection
+            # makes the arity-1 rung refute without a lucky random draw.
+            hs.append(AffineMap(1, ONE, (-ONE,)))
         for h in hs:
             for fs in tuples(arity):
                 yield h, fs
@@ -252,7 +256,7 @@ def find_naturality_refutation(phi: Functional, max_arity: int,
                                rng: random.Random) -> Optional[dict]:
     """Smallest-first search for a failing naturality square, over at
     most ``REFUTATION_BUDGET`` candidates."""
-    alpha = lift(phi)
+    alpha = CodensityElement(phi)
     steps = 0
     for h, fs in _witness_ladder(phi.space, max_arity, rng):
         if steps >= REFUTATION_BUDGET:
@@ -538,8 +542,9 @@ def _respects_limits_extensional(cfg, rng):
     if not verdict.passed:
         return dict(verdict.witness, error="extensional functional failed")
     # A functional pinned at 1/8192 sends the zero tail to 1/8192: below
-    # every threshold a probe window tests, but not zero, so the exact
-    # decision that just passed ``phi`` must refute it.
+    # every threshold the naturals probe window tests
+    # (``counterexample.segments_respect_limits``), but not zero, so the
+    # exact decision that just passed ``phi`` must refute it.
     offset = Functional.intensional(space, lambda f: Fraction(1, 8192),
                                     "constant 1/8192")
     if respects_limits(offset, w).passed:
@@ -648,7 +653,7 @@ def _lifted_naturality(cfg, rng):
     space = generate_space(rng, cfg)
     phi = to_functional(generate_measure(rng, space))
     h, fs = generate_naturality_square(rng, space, cfg.max_arity)
-    verdict = check_naturality(lift(phi), h, fs)
+    verdict = check_naturality(CodensityElement(phi), h, fs)
     return None if verdict.passed else dict(verdict.witness, functional=phi)
 
 
@@ -658,7 +663,7 @@ def _sequence_naturality(cfg, rng):
     length = rng.randint(1, cfg.max_arity)
     h = sample_sequence_affine(rng, length)
     fs = tuple(generate_ifunction(rng, space) for _ in range(length))
-    verdict = check_naturality(lift(phi), h, fs)
+    verdict = check_naturality(CodensityElement(phi), h, fs)
     return None if verdict.passed else dict(verdict.witness, functional=phi)
 
 
@@ -668,14 +673,16 @@ def _vanishing_component(cfg, rng):
     length = rng.randint(0, cfg.max_arity)
     fs = [generate_ifunction(rng, space) for _ in range(length)]
     fs += [IFunction.constant(space, ZERO)] * rng.randint(0, 2)
-    verdict = check_vanishing_component(lift(phi), fs, certified_len=length)
+    verdict = check_vanishing_component(CodensityElement(phi), fs,
+                                        certified_len=length)
     if not verdict.passed:
         return verdict.witness
     # A functional fixed at 1/2 is not weakly averaging: its component
     # sends the zero function past the certified index to 1/2, off the
     # vanishing set, so the check that just passed must refute it.
     half = Functional.intensional(space, lambda f: HALF, "constant 1/2")
-    if check_vanishing_component(lift(half), fs + [IFunction.constant(space, ZERO)],
+    if check_vanishing_component(CodensityElement(half),
+                                 fs + [IFunction.constant(space, ZERO)],
                                  certified_len=len(fs)).passed:
         return {"accepted_non_averaging": half.label}
     return None
@@ -684,7 +691,7 @@ def _vanishing_component(cfg, rng):
 def _unit_element_evaluation(cfg, rng):
     space = generate_space(rng, cfg)
     point = rng.choice(space.carrier)
-    alpha = lift(evaluation_at(space, point))
+    alpha = CodensityElement(evaluation_at(space, point))
     arity = rng.randint(1, cfg.max_arity)
     fs = tuple(generate_ifunction(rng, space) for _ in range(arity))
     return (alpha.at_power(fs), tuple(f.at_point(point) for f in fs),
@@ -751,7 +758,7 @@ NATURALITY = [
 def _case_reconstruction_roundtrip(cfg, rng):
     space = generate_space(rng, cfg)
     phi = to_functional(generate_measure(rng, space))
-    action = action_of(lift(phi))
+    action = CodensityElement(phi).at_sequences
     recovered = functional_from_action(action, space, rng, trials=8)
     coeffs = tuple(recovered(atom_indicator(space, i))
                    for i in range(len(space.atoms)))

@@ -184,7 +184,6 @@ def generate_sigma(carrier: Sequence[str],
     labels = tuple(carrier)
     _require_cap(len(labels))  # before the generators are read
 
-    index = {lab: i for i, lab in enumerate(labels)}
     gen_masks = []
     for gen in generators:
         if not isinstance(gen, (list, tuple)):
@@ -192,10 +191,10 @@ def generate_sigma(carrier: Sequence[str],
                 f"generator {gen!r} must be a list of carrier labels")
         mask = 0
         for lab in gen:
-            if not isinstance(lab, str) or lab not in index:
+            if not isinstance(lab, str) or lab not in labels:
                 raise InvariantError(
                     f"generator element {lab!r} is not in the carrier")
-            mask |= 1 << index[lab]
+            mask |= 1 << labels.index(lab)
         gen_masks.append(mask)
     return sigma_from_masks(labels, gen_masks)
 

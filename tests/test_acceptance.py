@@ -17,10 +17,9 @@ from girylab.spaces import FinSpace
 from girylab.measures import IntervalMeasure, integrate_approx_bounds
 from girylab.duality import max_functional, square_functional, to_measure
 from girylab.codensity import VanishingSequence, functional_from_action
-from girylab.counterexample import (FinCofSet, cofinite_measure,
+from girylab.counterexample import (EventualFn, FinCofSet, cofinite_measure,
                                     countable_additivity_violation,
-                                    limit_functional, singleton_mass_sum,
-                                    vanishing_segment_witness)
+                                    limit_functional, singleton_mass_sum)
 from girylab.harness import (SuiteConfig, case_rng, find_naturality_refutation,
                              run_suite)
 
@@ -194,8 +193,9 @@ class TestAcceptance:
         report = countable_additivity_violation()
         ok = ok and report["respects_limits"]["result"] == "fail"
         ok = ok and report["respects_limits"]["witness"]["stuck_at"] == "1/1"
-        w = vanishing_segment_witness()
-        ok = ok and all(limit_functional(w.terms(n)) == 1 for n in range(16))
+        ok = ok and all(
+            limit_functional(EventualFn.final_segment_indicator(n)) == 1
+            for n in range(16))
         ok = ok and singleton_mass_sum(10 ** 4) == F(0)
         ok = ok and cofinite_measure(FinCofSet.whole()) == F(1)
         assert_and_report(

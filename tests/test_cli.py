@@ -451,26 +451,13 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["config"]["seed"] == 99
 
-    def test_junit_mirror(self, tmp_path, capsys):
+    def test_junit_is_written_by_report_not_verify(self, tmp_path, capsys):
         junit = tmp_path / "out.xml"
-        main(["verify", "counterexample", "--trials", "5", "--seed", "1",
-              "--junit", str(junit)])
-        capsys.readouterr()
-        text = junit.read_text()
-        assert text.startswith("<?xml")
-        assert 'failures="0"' in text
-
-    @pytest.mark.parametrize("target, reason", [
-        ("missing/out.xml", "No such file or directory"),
-        (".", "Is a directory")])
-    def test_unwritable_junit_path_exits_2(self, tmp_path, capsys, target,
-                                           reason):
-        junit = tmp_path / target
-        code = main(["verify", "counterexample", "--trials", "2",
-                     "--junit", str(junit)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err == f"error: cannot write {junit}: {reason}\n"
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "counterexample", "--junit", str(junit)])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --junit" in capsys.readouterr().err
+        assert not junit.exists()
 
     def test_usage_error_on_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -502,6 +489,23 @@ class TestVerify:
         assert proc.wait(timeout=60) == 2
         assert err == ("error: standard output was closed before all output "
                        "was written\n")
+
+    def test_closed_stderr_drops_timings_and_exits_0(self, capsys):
+        """``--timings`` with the reader of stderr gone: the timing lines
+        are dropped, and the whole report still reaches stdout."""
+        argv = ["verify", "monad-laws", "--trials", "2", "--timings"]
+        assert main(argv) == 0
+        report = capsys.readouterr().out
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "girylab.cli", *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stderr.close()  # before the command writes anything
+        out = proc.stdout.read()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert out == report
 
     @pytest.mark.parametrize("argv", [
         ["verify", "monad-laws", "--trials", "2"],
@@ -764,10 +768,8 @@ class TestUserFunctionalNaturality:
 
     @pytest.mark.parametrize("flags, message", [
         (["--space", "s.json"], "--space applies only with --functional"),
-        (["--junit", "out.xml", "--functional", "phi.json"],
-         "--junit and --timings apply only without --functional"),
         (["--timings", "--functional", "phi.json"],
-         "--junit and --timings apply only without --functional"),
+         "--timings applies only without --functional"),
     ])
     def test_ignored_flags_rejected(self, tmp_path, capsys, monkeypatch,
                                     flags, message):
@@ -779,7 +781,6 @@ class TestUserFunctionalNaturality:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
-        assert not (tmp_path / "out.xml").exists()
 
 
 class TestReport:
@@ -801,7 +802,9 @@ class TestReport:
         code = main(["report", str(path), "--format", "junit"])
         out = capsys.readouterr().out
         assert code == 0
+        assert out.startswith("<?xml")
         assert "<testsuite" in out and "testcase" in out
+        assert 'failures="0"' in out
 
     def test_deeply_nested_json_named(self, tmp_path, capsys):
         path = tmp_path / "r.json"

@@ -15,9 +15,8 @@ from girylab.duality import (Functional, evaluation_at, max_functional,
 from girylab.measures import Measure
 from girylab.codensity import (AffineMap, CodensityElement, SequenceAffineMap,
                                VanishingSequence, _compose_pointwise,
-                               action_of, check_naturality,
-                               check_vanishing_component,
-                               functional_from_action, lift, sample_affine,
+                               check_naturality, check_vanishing_component,
+                               functional_from_action, sample_affine,
                                sample_sequence_affine)
 
 F = Fraction
@@ -100,26 +99,28 @@ class TestVanishingSequence:
 class TestLift:
     def test_evaluation_family_is_pointwise(self):
         s = two_discrete()
-        alpha = lift(evaluation_at(s, "b"))
+        alpha = CodensityElement(evaluation_at(s, "b"))
         f1 = IFunction(s, (F(1, 3), F(2, 3)))
         f2 = IFunction(s, (F(1), F(0)))
         assert alpha.at_power((f1, f2)) == (F(2, 3), F(0))
 
     def test_extensional_coordinatewise(self):
         s = two_discrete()
-        alpha = lift(Functional.extensional(s, (F(1, 2), F(1, 2))))
+        alpha = CodensityElement(
+            Functional.extensional(s, (F(1, 2), F(1, 2))))
         chi_a, chi_b = atom_indicator(s, 0), atom_indicator(s, 1)
         assert alpha.at_power((chi_a, chi_b)) == (F(1, 2), F(1, 2))
 
     def test_lifting_non_affine_allowed(self):
-        alpha = lift(max_functional(two_discrete()))
+        alpha = CodensityElement(max_functional(two_discrete()))
         assert isinstance(alpha, CodensityElement)
 
 
 class TestCheckNaturality:
     def test_projection_definitional(self):
         s = two_discrete()
-        alpha = lift(max_functional(s))  # even non-affine passes projections
+        # even non-affine passes projections
+        alpha = CodensityElement(max_functional(s))
         f1 = IFunction(s, (F(1, 3), F(1, 2)))
         f2 = IFunction(s, (F(1), F(0)))
         verdict = check_naturality(alpha, AffineMap.projection(2, 0), (f1, f2))
@@ -129,7 +130,7 @@ class TestCheckNaturality:
         rng = random.Random(5)
         s = FinSpace.discrete(["a", "b", "c"])
         pi = Measure(s, (F(1, 6), F(1, 3), F(1, 2)))
-        alpha = lift(to_functional(pi))
+        alpha = CodensityElement(to_functional(pi))
         for _ in range(300):
             arity = rng.randint(1, 4)
             h = sample_affine(rng, arity)
@@ -140,7 +141,7 @@ class TestCheckNaturality:
 
     def test_max_fails_blend_with_residual_half(self):
         s = two_discrete()
-        alpha = lift(max_functional(s))
+        alpha = CodensityElement(max_functional(s))
         chi_a, chi_b = atom_indicator(s, 0), atom_indicator(s, 1)
         verdict = check_naturality(alpha, AffineMap.blend(F(1, 2)),
                                    (chi_a, chi_b))
@@ -153,7 +154,8 @@ class TestCheckNaturality:
 
     def test_sequence_square(self):
         s = two_discrete()
-        alpha = lift(Functional.extensional(s, (F(1, 4), F(3, 4))))
+        alpha = CodensityElement(
+            Functional.extensional(s, (F(1, 4), F(3, 4))))
         h = SequenceAffineMap(F(1, 8), (F(1, 2), F(1, 4)))
         fs = (IFunction(s, (F(1, 2), F(1))), IFunction(s, (F(0), F(1, 3))))
         assert check_naturality(alpha, h, fs).passed
@@ -165,23 +167,24 @@ class TestVanishingComponent:
         phi = Functional.extensional(s, (F(1, 2), F(1, 2)))
         chi = atom_indicator(s, 0)
         zero = IFunction.constant(s, F(0))
-        verdict = check_vanishing_component(lift(phi), [chi, zero, zero], 1)
+        alpha = CodensityElement(phi)
+        verdict = check_vanishing_component(alpha, [chi, zero, zero], 1)
         assert verdict.passed and verdict.witness is None
-        assert lift(phi).at_sequences([chi, zero, zero]).entries == (F(1, 2),)
+        assert alpha.at_sequences([chi, zero, zero]).entries == (F(1, 2),)
 
     def test_empty_list_gives_zero_sequence(self):
         s = two_discrete()
         phi = Functional.extensional(s, (F(1), F(0)))
-        verdict = check_vanishing_component(lift(phi), [], 0)
+        verdict = check_vanishing_component(CodensityElement(phi), [], 0)
         assert verdict.passed and verdict.witness is None
-        assert lift(phi).at_sequences([]).entries == ()
+        assert CodensityElement(phi).at_sequences([]).entries == ()
 
     def test_failure_witness(self):
         s = two_discrete()
         half = Functional.intensional(s, lambda f: F(1, 2), "constant half")
         zero = IFunction.constant(s, F(0))
         verdict = check_vanishing_component(
-            lift(half), [atom_indicator(s, 0), zero, zero], 1)
+            CodensityElement(half), [atom_indicator(s, 0), zero, zero], 1)
         assert not verdict.passed
         assert verdict.witness == {"nonzero_past_certified_index": [1, 2],
                                    "entries": ["1/2", "1/2", "1/2"],
@@ -192,7 +195,7 @@ class TestVanishingComponent:
         phi = Functional.extensional(s, (F(1), F(0)))
         chi = atom_indicator(s, 0)
         with pytest.raises(InvariantError):
-            check_vanishing_component(lift(phi), [chi], 0)
+            check_vanishing_component(CodensityElement(phi), [chi], 0)
 
 
 class TestReconstruction:
@@ -200,7 +203,8 @@ class TestReconstruction:
         rng = random.Random(11)
         s = FinSpace.discrete(["a", "b", "c"])
         phi = Functional.extensional(s, (F(1, 6), F(1, 3), F(1, 2)))
-        recovered = functional_from_action(action_of(lift(phi)), s, rng)
+        recovered = functional_from_action(
+            CodensityElement(phi).at_sequences, s, rng)
         coeffs = tuple(recovered(atom_indicator(s, i)) for i in range(3))
         assert coeffs == phi.measure.weights
         f = IFunction(s, (F(1, 5), F(2, 5), F(1)))
@@ -209,8 +213,8 @@ class TestReconstruction:
     def test_evaluation_action_recovers_evaluation(self):
         rng = random.Random(13)
         s = two_discrete()
-        alpha = lift(evaluation_at(s, "b"))
-        recovered = functional_from_action(action_of(alpha), s, rng)
+        alpha = CodensityElement(evaluation_at(s, "b"))
+        recovered = functional_from_action(alpha.at_sequences, s, rng)
         assert tuple(recovered(atom_indicator(s, i)) for i in range(2)) == \
             (F(0), F(1))
 
@@ -257,8 +261,8 @@ class TestReconstruction:
         # Per trial: the projected entry, the sampled list (shared by the
         # projection and blend squares), the blend and the constant.
         s = FinSpace.discrete(["a", "b", "c"])
-        action = action_of(lift(Functional.extensional(
-            s, (F(1, 6), F(1, 3), F(1, 2)))))
+        action = CodensityElement(Functional.extensional(
+            s, (F(1, 6), F(1, 3), F(1, 2)))).at_sequences
         inputs = []
 
         def counted(fs):

@@ -6,13 +6,11 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from girylab.counterexample import (SEGMENTS_REPORTED, EventualFn, FinCofSet,
-                                    cofinite_measure,
+from girylab.counterexample import (LIMIT_PROBE, SEGMENTS_REPORTED,
+                                    EventualFn, FinCofSet, cofinite_measure,
                                     countable_additivity_violation,
-                                    limit_functional, singleton_mass_sum,
-                                    sup_continuity_check,
-                                    vanishing_segment_witness)
-from girylab.duality import respects_limits
+                                    limit_functional, segments_respect_limits,
+                                    singleton_mass_sum, sup_continuity_check)
 
 from strategies import unit_fractions
 
@@ -117,10 +115,17 @@ class TestCountableAdditivityViolation:
         assert cofinite_measure(FinCofSet.whole()) == F(1)
 
     def test_respects_limits_fails_stuck_at_one(self):
-        verdict = respects_limits(limit_functional,
-                                  vanishing_segment_witness())
+        verdict = segments_respect_limits(limit_functional)
         assert not verdict.passed
         assert verdict.witness["stuck_at"] == "1/1"
+
+    def test_evaluation_at_a_point_respects_limits(self):
+        # the Dirac functional at 0 is countably additive: the segments
+        # [n, infinity) send it to 1, then 0 from n = 1 on
+        verdict = segments_respect_limits(lambda f: f.value(0))
+        assert verdict.passed
+        assert verdict.witness == {"mode": "probe window",
+                                   "probed": LIMIT_PROBE}
 
     def test_report_contents(self):
         report = countable_additivity_violation()

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 
 from girylab.config import SuiteConfig
-from girylab.counterexample import vanishing_segment_witness
 from girylab.errors import InvariantError, RejectionError, SpaceMismatchError
 from girylab.harness import generate_measure, generate_space
 from girylab.spaces import (FinSpace, IFunction, MeasMap, atom_indicator,
@@ -268,7 +267,7 @@ class TestRespectsLimits:
     def test_extensional_passes_by_tail_bound(self):
         s = two_discrete()
         phi = Functional.extensional(s, (F(1, 2), F(1, 2)))
-        w = LimitWitness.on_space(
+        w = LimitWitness(
             s, lambda n: IFunction(s, (F(1, n + 2) if n < 3 else F(0),
                                        F(0))), [3, 0])
         verdict = respects_limits(phi, w)
@@ -278,21 +277,32 @@ class TestRespectsLimits:
     def test_constant_zero_sequence(self):
         s = two_discrete()
         phi = Functional.extensional(s, (F(1), F(0)))
-        w = LimitWitness.on_space(
+        w = LimitWitness(
             s, lambda n: IFunction.constant(s, F(0)), [0, 0])
         assert respects_limits(phi, w).passed
 
     def test_lying_certificate_rejected(self):
         s = two_discrete()
         with pytest.raises(InvariantError):
-            LimitWitness.on_space(
+            LimitWitness(
                 s, lambda n: IFunction.constant(s, F(1, 2)), [0, 0])
+
+    @pytest.mark.parametrize("certs", [[0], [0, 0, 0]], ids=["few", "many"])
+    def test_one_certificate_per_atom(self, certs):
+        s = two_discrete()
+        with pytest.raises(InvariantError, match="one certificate index per"):
+            LimitWitness(s, lambda n: IFunction.constant(s, F(0)), certs)
+
+    def test_terms_off_the_space_rejected(self):
+        s, other = two_discrete(), FinSpace.discrete(["a", "b", "c"])
+        with pytest.raises(SpaceMismatchError, match="term 0 lives off"):
+            LimitWitness(s, lambda n: IFunction.constant(other, F(0)), [0, 0])
 
     def test_intensional_probe_path_passes(self):
         # even a non-affine functional respects an eventually-zero
-        # sequence on a finite space; the probe window sees the tail
+        # sequence on a finite space; the exact tail decision sees it
         s = two_discrete()
-        w = LimitWitness.on_space(
+        w = LimitWitness(
             s, lambda n: IFunction(s, (F(1, n + 1) if n < 4 else F(0),
                                        F(0))), [4, 0])
         verdict = respects_limits(max_functional(s), w)
@@ -305,19 +315,13 @@ class TestRespectsLimits:
         s = two_discrete()
         phi = Functional.intensional(
             s, lambda f: F(1, 8192) + sum(f.values) / 4, "offset")
-        w = LimitWitness.on_space(
+        w = LimitWitness(
             s, lambda n: IFunction(s, (F(1, n + 1) if n < 3 else F(0),
                                        F(0))), (3, 1))
         verdict = respects_limits(phi, w)
         assert not verdict.passed
         assert verdict.witness == {"mode": "exact tail evaluation",
                                    "tail_index": 3, "stuck_at": "1/8192"}
-
-    @pytest.mark.parametrize("make", [
-        lambda s: Functional.extensional(s, (F(1), F(0))), max_functional])
-    def test_functional_needs_atom_certificates(self, make):
-        with pytest.raises(InvariantError, match="needs atom certificates"):
-            respects_limits(make(two_discrete()), vanishing_segment_witness())
 
     def test_verdict_serializes_to_contract_shape(self):
         s = two_discrete()

@@ -16,9 +16,8 @@ import pytest
 from girylab import rational
 from girylab.codensity import AffineMap, SequenceAffineMap, VanishingSequence
 from girylab.counterexample import (EventualFn, FinCofSet,
-                                    vanishing_segment_witness)
-from girylab.duality import (Functional, FunctionalMixture, LimitWitness,
-                             respects_limits)
+                                    segments_respect_limits)
+from girylab.duality import Functional, FunctionalMixture, LimitWitness
 from girylab.errors import InvariantError
 from girylab.hull import extend_to_convex, hull_membership
 from girylab.measures import IntervalMeasure, Measure
@@ -55,8 +54,8 @@ ENTRY_POINTS = [
      lambda x: FunctionalMixture(S2, ((DIRAC_A, x),)).support[0][1]),
     ("MetaMeasure", "mixture weights", "float bool int",
      lambda x: MetaMeasure(S2, ((HALVES, x),)).support[0][1]),
-    ("respects_limits", "functional value", "float bool",
-     lambda x: respects_limits(lambda f: x, vanishing_segment_witness())),
+    ("segments_respect_limits", "functional value", "float bool",
+     lambda x: segments_respect_limits(lambda f: x)),
     ("IFunction", "function value", "float bool int",
      lambda x: IFunction(S1, (x,)).values[0]),
     ("IFunction.constant", "function value", "float bool",
@@ -147,9 +146,9 @@ def test_int_stored_as_fraction(what, make):
 #: passes x where the entry point takes an index and returns the index it
 #: stored for it.
 INDEX_ENTRY_POINTS = [
-    ("LimitWitness.on_space", "certificate index",
-     lambda x: LimitWitness.on_space(
-         S1, lambda n: IFunction.constant(S1, F(0)), (x,)).max_cert()),
+    ("LimitWitness", "certificate index",
+     lambda x: LimitWitness(
+         S1, lambda n: IFunction.constant(S1, F(0)), (x,)).certs[0]),
     ("FinCofSet", "element",
      lambda x: min(FinCofSet.finite((x,)).elements)),
     ("EventualFn.final_segment_indicator", "segment start",

@@ -164,6 +164,16 @@ class TestMinimization:
         assert witness is not None
         assert witness["h"]["arity"] <= 2
 
+    def test_arity_one_refutes_max_by_reflection(self):
+        # None of seed 0's random arity-1 maps refutes max, so only the
+        # reflection x -> 1 - x the ladder appends finds its square.
+        cfg = SuiteConfig(seed=0, max_arity=1)
+        records = {p.name: p.run(cfg) for p in harness.NATURALITY
+                   if p.name.startswith("naturality-refutes-")}
+        assert {r.result for r in records.values()} == {"pass"}
+        h = records["naturality-refutes-max"].witness["h"]
+        assert h == {"arity": 1, "a0": "1/1", "coefficients": ["-1/1"]}
+
     def test_ladder_finds_nothing_for_admissible(self):
         space = FinSpace.discrete(["a", "b"])
         phi = Functional.extensional(space, (F(1, 3), F(2, 3)))
@@ -411,12 +421,12 @@ def _inner_reversed(compose):
 
 
 def _probe_window(phi, w):
-    """``respects_limits`` deciding an intensional functional on a finite
-    space by the probe window meant for naturals-indexed sequences."""
-    if phi.is_extensional:
-        return duality.respects_limits(phi, w)
-    return duality.respects_limits(lambda f: phi(f),
-                                   duality.LimitWitness(w.terms, w.cert, None))
+    """``respects_limits`` accepting any tail value up to 2^-12, the finest
+    threshold of the probe window meant for naturals-indexed sequences."""
+    value = phi(w.terms(max(w.certs)))
+    if value <= F(1, 1 << counterexample.LIMIT_THRESHOLDS):
+        return passed("respects limits")
+    return failed("respects limits", {"stuck_at": value})
 
 
 class TestRefutingPower:
@@ -541,13 +551,14 @@ class TestRefutingPower:
                      {"measure-functional-consistency": 0,
                       "finite-additivity": 0, "limits-axiom-refuted": 0},
                      id="cofinite-measure-one-on-finite"),
-        pytest.param("respects_limits", lambda phi, w: passed("stub"),
+        pytest.param("segments_respect_limits", lambda phi: passed("stub"),
                      {"limits-axiom-refuted": 0}, id="respects-limits-always"),
     ])
     def test_counterexample_mutant_is_refuted(self, monkeypatch, target, stub,
                                               expected):
-        monkeypatch.setattr(harness, target, stub)
-        monkeypatch.setattr(counterexample, target, stub)
+        for module in (harness, counterexample):
+            if hasattr(module, target):
+                monkeypatch.setattr(module, target, stub)
         report = run_suite("counterexample", SuiteConfig(seed=7, trials=100))
         failing = {r.name: r.witness for r in report.records
                    if r.result != "pass"}

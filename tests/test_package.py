@@ -1,8 +1,9 @@
-"""The package surface: lazily registered submodules and the names the
-package re-exports from them."""
+"""The package surface: lazily registered submodules, and the public
+names and imports of ``src/``."""
 
 import ast
-import importlib
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 import girylab
 
-EXPORTS = girylab._EXPORTS
+SUBMODULES = girylab._SUBMODULES
 
 #: Public functions, classes and methods that nothing in ``src/`` or
 #: ``perfbench/`` names outside their own definition, and why each stays.
@@ -29,25 +30,38 @@ UNREFERENCED = {
 
 
 def test_every_submodule_but_cli_is_registered():
-    for module in EXPORTS:
+    stems = {path.stem for path in Path(girylab.__file__).parent.glob("*.py")}
+    assert set(SUBMODULES) == stems - {"__init__", "cli"}
+    for module in SUBMODULES:
         assert sys.modules[f"girylab.{module}"] is getattr(girylab, module)
         assert isinstance(getattr(girylab, module), types.ModuleType)
 
 
-@pytest.mark.parametrize("module", sorted(EXPORTS))
-def test_each_export_is_its_submodules_object(module):
-    defining = importlib.import_module(f"girylab.{module}")
-    for name in EXPORTS[module]:
-        assert getattr(girylab, name) is getattr(defining, name)
+def test_the_package_binds_no_reexports():
+    public = {name: value for name, value in vars(girylab).items()
+              if not name.startswith("_")}
+    assert set(SUBMODULES) <= set(public)
+    assert all(isinstance(value, types.ModuleType)
+               for value in public.values())
 
 
-def test_star_import_and_dir_list_the_exports():
-    names = {name for names in EXPORTS.values() for name in names}
-    star = {}
-    exec("from girylab import *", star)
-    assert set(star) - {"__builtins__"} == names
-    assert names <= set(dir(girylab))
-    assert set(EXPORTS) <= set(dir(girylab))
+#: Run with a submodule's name: prints whether it has run after ``import
+#: girylab``, and again after one of its names is read.  ``type()`` does
+#: not trigger a lazy load.
+FIRST_READ = ("import sys, types; import girylab; name = sys.argv[1]; "
+              "module = sys.modules['girylab.' + name]; "
+              "print(type(module) is types.ModuleType); "
+              "getattr(module, '__file__'); "
+              "print(type(module) is types.ModuleType)")
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_each_submodule_runs_on_first_read(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(girylab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", FIRST_READ, module], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_unknown_name_raises_attribute_error():
@@ -92,10 +106,9 @@ def test_every_public_name_is_used_or_pinned():
     """Each public function, class and method of ``girylab`` must be named
     in ``src/`` or ``perfbench/`` outside its own definition, or be pinned
     in ``UNREFERENCED`` with its reason, so an uncalled name cannot come
-    back unnoticed.  The package's ``_EXPORTS`` strings and the tests do
-    not count.  Names are matched bare, so a method counts as named when
-    another name shares its bare name: ``IntervalMeasure.dirac`` is named
-    by every call of ``monad.dirac``."""
+    back unnoticed.  The tests do not count.  Names are matched bare, so
+    a method counts as named when another name shares its bare name:
+    ``IntervalMeasure.dirac`` is named by every call of ``monad.dirac``."""
     trees = {path: ast.parse(path.read_text()) for path in SOURCES}
     reads = {path: list(_names_read(tree)) for path, tree in trees.items()}
     unreferenced = set()

@@ -54,6 +54,16 @@ def another_function(*_):
     """A second callable, unequal to ``one_function``."""
 
 
+def zero_terms(n):
+    """The terms of a LimitWitness: zero on every atom from index 0 on."""
+    return IFunction.constant(space(), F(0))
+
+
+def other_zero_terms(n):
+    """A second term function, unequal to ``zero_terms``."""
+    return IFunction.constant(space(), F(0))
+
+
 def property_record(**kw):
     return PropertyRecord(
         kw.get("name", "p"), kw.get("law", "a law"), kw.get("result", "pass"),
@@ -115,9 +125,9 @@ RECORDS = {
         kw.get("space", space()),
         kw.get("support", ((extensional(1, 1), F(1, 4)),
                            (extensional(1, 0), F(3, 4)))))),
-    LimitWitness: (("terms", "cert", "points"), lambda **kw: LimitWitness(
-        kw.get("terms", one_function), kw.get("cert", another_function),
-        kw.get("points", (0, 1)))),
+    LimitWitness: (("space", "terms", "certs"), lambda **kw: LimitWitness(
+        kw.get("space", space()), kw.get("terms", zero_terms),
+        kw.get("certs", (0, 1)))),
     EventualFn: (("prefix", "tail"), lambda **kw: EventualFn(
         kw.get("prefix", (F(1, 2), F(0))), kw.get("tail", F(1)))),
     FinCofSet: (("cofinite", "elements"), lambda **kw: FinCofSet(
@@ -173,8 +183,11 @@ VARIANTS = {
                                   "support": ((extensional(1), F(1)),)},
                         "support": {"support": ((extensional(1, 1), F(1, 2)),
                                                 (extensional(1, 0), F(1, 2)))}},
-    LimitWitness: {"terms": {"terms": another_function},
-                   "cert": {"cert": one_function}, "points": {"points": (0,)}},
+    LimitWitness: {"space": {"space": coarse(), "certs": (0,),
+                             "terms": lambda n: IFunction.constant(coarse(),
+                                                                   F(0))},
+                   "terms": {"terms": other_zero_terms},
+                   "certs": {"certs": (1, 0)}},
     EventualFn: {"prefix": {"prefix": (F(1, 2),)}, "tail": {"tail": F(1, 3)}},
     FinCofSet: {"cofinite": {"cofinite": True},
                 "elements": {"elements": frozenset({3})}},
