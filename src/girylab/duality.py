@@ -17,8 +17,8 @@ non-examples (max, square, clamped sum) enter the test suites with
 refuting power.  On an extensional body the two maps of the bijection
 hand the measure across and evaluate nothing.
 
-Affineness of an intensional body is decided by randomized search with
-reported witnesses, not proof; the limits axiom is decided exactly
+Affineness of every body is decided by randomized search with reported
+witnesses, not proof; the limits axiom is decided exactly
 against a certified sequence vanishing on a finite space.  The naturals
 sequence of the finitely additive counterexample is probed in
 ``counterexample``.
@@ -226,13 +226,10 @@ def is_affine(phi: Functional, trials: int = 200,
     """Verdict on the affine and weakly averaging axioms, with the
     derived homogeneity, additivity, and monotonicity consequences.
 
-    Extensional bodies pass exactly (they are convex coefficient
-    vectors).  Intensional bodies are probed on ``trials`` sampled
-    (f, g, r) triples; the first violation is returned as a witness.
+    Every body is probed on ``trials`` sampled (f, g, r) triples; the
+    first violation is returned as a witness.
     """
     name = "affine and weakly averaging"
-    if phi.is_extensional:
-        return passed(name, trials=0, seed=seed)
     rng = random.Random(seed)
     space = phi.space
     for t in range(trials):

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from girylab import duality
 from girylab.config import SuiteConfig
 from girylab.errors import InvariantError, RejectionError, SpaceMismatchError
 from girylab.harness import generate_measure, generate_space
@@ -235,6 +236,19 @@ class TestIsAffine:
         s = two_discrete()
         verdict = is_affine(Functional.extensional(s, (F(1, 2), F(1, 2))))
         assert verdict.passed
+        assert verdict.trials == 200  # probed, not passed by construction
+
+    def test_extensional_body_is_evaluated(self, monkeypatch):
+        # Integration that squares its value is not weakly averaging, so an
+        # extensional body evaluated through it must fail.
+        exact_integrate = duality.integrate
+        monkeypatch.setattr(duality, "integrate",
+                            lambda f, pi: exact_integrate(f, pi) ** 2)
+        s = two_discrete()
+        verdict = is_affine(Functional.extensional(s, (F(1, 2), F(1, 2))),
+                            seed=0)
+        assert not verdict.passed
+        assert {"axiom", "case"} <= set(verdict.witness)
 
     def test_max_fails_with_witness(self):
         s = two_discrete()

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -212,7 +213,8 @@ class TestFailSoftCases:
         failing = [i for i, r in enumerate(report.records)
                    if r.result != "pass"]
         assert [report.records[i].name for i in failing] == [
-            "affine-refutes-max", "affine-refutes-square"]
+            "linearity-consequences", "affine-refutes-max",
+            "affine-refutes-square"]
         for i in failing:
             assert report.records[i].trials == 1
             assert report.records[i].witness == {
@@ -271,10 +273,28 @@ class TestFailingWitnesses:
             monkeypatch, "linearity-consequences",
             to_functional=lambda pi: square_functional(pi.space))
         assert witness == {
-            "axiom": "homogeneity",
+            "axiom": "additivity: phi(f+h) = phi(f) + phi(h) when f+h <= 1",
             "f": {"atoms": ["a c", "b e", "d", "f g"],
-                  "values": ["13/17", "7/15", "1/16", "43/50"]},
-            "r": "26/27", "case": 0}
+                  "values": ["1/2", "1/1", "33/56", "0/1"]},
+            "h": {"atoms": ["a c", "b e", "d", "f g"],
+                  "values": ["1/2", "0/1", "23/56", "15/29"]},
+            "lhs": "1/1", "rhs": "1/2", "case": 0}
+
+    def test_linearity_consequences_reports_the_harness_case(self,
+                                                              monkeypatch):
+        # Square only on one-atom spaces: the first of those is case 4, and
+        # is_affine's own trial index (0) must not replace it.
+        to_functional = harness.to_functional
+        witness = _failing_witness(
+            monkeypatch, "linearity-consequences",
+            to_functional=lambda pi: (square_functional(pi.space)
+                                      if len(pi.space.atoms) == 1
+                                      else to_functional(pi)))
+        assert witness == {
+            "axiom": "affine: phi(r*f + (1-r)*g) = r*phi(f) + (1-r)*phi(g)",
+            "f": {"atoms": ["a"], "values": ["5/56"]},
+            "g": {"atoms": ["a"], "values": ["3/5"]}, "r": "1/28",
+            "lhs": "20802721/61465600", "rhs": "762673/2195200", "case": 4}
 
     def test_reconstruction_roundtrip_coefficients(self, monkeypatch):
         def first_atom(action, space, rng, trials):
@@ -375,6 +395,13 @@ class TestGoldenReport:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256
 
+    def test_the_benchmark_pins_the_same_digest(self):
+        # The benchmark checks its verify-all run at seed 7 against its own
+        # copy of the pin, so a re-baseline must move both.
+        workloads = (Path(__file__).resolve().parents[1] / "perfbench"
+                     / "workloads.py").read_text()
+        assert f'GOLDEN_SHA256 = "{GOLDEN_SHA256}"' in workloads
+
 
 def _swap_weights(fn):
     """fn with weights 0 and 2 of its resulting measure swapped, when
@@ -437,7 +464,7 @@ class TestRefutingPower:
                   "bind-is-mixture": 4}),
         ("flatten", {"flatten-point": 0, "flatten-dirac-decomposition": 0,
                      "flatten-associativity": 4, "flatten-naturality": 2,
-                     "bind-is-mixture": 4, "multiplication-diagram": 10}),
+                     "bind-is-mixture": 4, "multiplication-diagram": 12}),
     ])
     def test_weight_swap_is_refuted(self, monkeypatch, target, expected):
         monkeypatch.setattr(harness, target,
