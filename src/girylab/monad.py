@@ -13,12 +13,11 @@ matrix.
 ``bind`` and ``flatten`` work on the measures' int numerators over
 their denominators (see ``measures.Measure``): each output numerator is
 one integer dot product, and the result is divided by one common factor
-of the whole vector, not one per weight.  That factor is one gcd, except
-in Markov evolution (``n_step`` and its kernel powers, and
-``decimal_states``, the same steps on Decimals): every prime of the
-denominator there divides ``denominator_base``, so the factor is found
-from small residues (``rational._common_factor``), with no gcd of
-full-size numbers.
+of the whole vector, not one per weight: one gcd.  Markov evolution
+(``n_step``) takes that gcd too, on states and kernel powers within
+about twice ``rational.MAX_DIGITS`` digits.  Only ``decimal_states``,
+the same steps on Decimals, which have no gcd, finds the factor from
+small residues of ``denominator_base`` (``rational._common_factor``).
 ``Measure.den`` is the lcm of the reduced weights' denominators, which
 is what the digit bounds of ``n_step`` multiply.
 """
@@ -96,22 +95,20 @@ def dirac(space: FinSpace, point: str) -> Measure:
     return Measure(space, [int(j == i) for j in range(len(space.atoms))], 1)
 
 
-def _mix(space: FinSpace, cnum, cden: int, measures,
-         base: int | None = None) -> Measure:
+def _mix(space: FinSpace, cnum, cden: int, measures) -> Measure:
     """The measure sum_i (cnum[i] / cden) * measures[i] on ``space``.
 
     With D the lcm of the measures' denominators, measure i scales to D
     by one integer, which folds into its coefficient.  Each output
     numerator over cden * D is then one integer dot product of those
     scales with a column of numerators; ``Measure`` reduces the result
-    by their common factor, found from ``base`` if given (every prime
-    factor of cden * D must divide it), and no Fraction is built.
+    by their one gcd, and no Fraction is built.
     """
     rden = _den(measures)
     scales = [c * (rden // m.den) for c, m in zip(cnum, measures)]
     return Measure(space, [sum(map(mul, scales, col))
                            for col in zip(*(m.nums for m in measures))],
-                   cden * rden, base=base)
+                   cden * rden)
 
 
 def flatten(rho: MetaMeasure) -> Measure:
@@ -125,19 +122,16 @@ def flatten(rho: MetaMeasure) -> Measure:
     return _mix(rho.base, cnum, cden, [m for m, _ in rho.support])
 
 
-def bind(pi: Measure, k: Kernel, *, base: int | None = None) -> Measure:
+def bind(pi: Measure, k: Kernel) -> Measure:
     """Kleisli extension: result(A) = sum over atoms of pi(atom) * k(atom)(A).
 
     Agrees exactly with flattening the mixture of the kernel rows
     weighted by pi; on discrete spaces it is row-vector times
-    stochastic matrix.  A caller that knows a ``base`` divisible by every
-    prime factor of ``pi.den`` and of the rows' denominators (such as
-    ``denominator_base`` for a Markov state) may pass it, so that the
-    result is reduced from residues (see ``_mix``).
+    stochastic matrix, reduced by one gcd (see ``_mix``).
     """
     if pi.space != k.dom:
         raise SpaceMismatchError("measure does not live on the kernel domain")
-    return _mix(k.cod, pi.nums, pi.den, k.rows, base)
+    return _mix(k.cod, pi.nums, pi.den, k.rows)
 
 
 def kleisli_compose(k1: Kernel, k2: Kernel) -> Kernel:
@@ -169,15 +163,12 @@ def _den(measures) -> int:
 def denominator_base(k: Kernel, pi0: Measure) -> int:
     """``den(pi0) * L``, with L the lcm of the rows' denominators: every
     prime factor of the denominator of a state from ``pi0`` under the
-    endo-kernel ``k``, and of ``pi.den * den(K^m)`` for such a state
-    ``pi`` and a power K^m, divides it.  So it is a ``base`` for
-    ``rational.format_rational`` and for each ``bind(pi, K^m)``.
+    endo-kernel ``k`` divides it.  So it is the ``base`` from which
+    ``decimal_states`` reduces its Decimal states and the state form of
+    ``rational.format_rational`` writes them, where a Decimal has no gcd.
 
-    ``bind(pi, K)`` has a denominator dividing ``pi.den * den(K)``, with
-    den(K) the lcm of K's row denominators (``_mix``).  The rows of
-    ``n_step``'s K^(2^j) are those of K^(2^(j-1)) bound by it, so by
-    induction den(K^(2^j)) divides L^(2^j) (so L is a ``base`` for that
-    ``bind``), and the state at step t has a denominator dividing
+    ``bind(pi, k)`` has a denominator dividing ``pi.den * L`` (``_mix``),
+    so by induction the state at step t has a denominator dividing
     ``den(pi0) * L**t``, whose prime factors all divide ``den(pi0) * L``.
     """
     return pi0.den * _den(k.rows)
@@ -188,8 +179,9 @@ def n_step(k: Kernel, pi0: Measure, n: int) -> Measure:
 
     Binary exponentiation: associativity of Kleisli composition gives
     pi0 * K^n = pi0 * K^(2^a) * K^(2^b) * ..., so this makes O(log n)
-    kernel products, each through ``bind``: a power is squared with L as
-    the base, and a state is bound with ``denominator_base(k, pi0)``.
+    kernel products, each through ``bind`` and reduced by one gcd, whose
+    operands the digit bounds below keep within about twice
+    rational.MAX_DIGITS digits.
 
     It stops with DigitLimitError at exactly the first step whose state
     has a weight past rational.MAX_DIGITS, although it computes only some
@@ -213,17 +205,17 @@ def n_step(k: Kernel, pi0: Measure, n: int) -> Measure:
         raise InvariantError("step count must be nonnegative")
     powers = [k]          # powers[i] = K^(2^i)
     spans = [1, _den(k.rows)]  # spans[j] = den(K^1) * ... * den(K^(2^(j-1)))
-    pi, done, base = pi0, 0, denominator_base(k, pi0)
+    pi, done = pi0, 0
     while done < n:
-        left, den = n - done, _den((pi,))
+        left, den = n - done, pi.den
         while (1 << len(powers)) <= left and fits_digits(den * spans[-1]):
             p = powers[-1]
             powers.append(Kernel(k.dom, k.cod, tuple(
-                bind(row, p, base=spans[1]) for row in p.rows)))
+                bind(row, p) for row in p.rows)))
             spans.append(spans[-1] * _den(powers[-1].rows))
         j = next((j for j in range(len(powers) - 1, 0, -1)
                   if (1 << j) <= left and fits_digits(den * spans[j])), 0)
-        pi = bind(pi, powers[j], base=base)
+        pi = bind(pi, powers[j])
         done += 1 << j
         _require_digits(pi, f"a weight of the state at step {done}")
     return pi
@@ -239,11 +231,12 @@ def decimal_states(k: Kernel, pi0: Measure, n: int, last: Measure):
     with L the lcm of the rows' denominators, the numerators
     ``sum_i prev[i] * (L // den_i) * row_i.nums[j]`` over ``prev_den * L``,
     divided by their common factor (on most steps 1), found from residues
-    of ``denominator_base(k, pi0)``.  ``DECIMAL_INTEGERS`` traps any
-    result that is not exact.  This, and writing the digits, takes time
-    linear in the length, where ``str(int)`` is quadratic.  A state whose
-    numerators do not sum to its denominator, or a state at step n other
-    than ``last``, raises InvariantError.
+    of ``denominator_base(k, pi0)``, since a Decimal has no gcd.
+    ``DECIMAL_INTEGERS`` traps any result that is not exact.  This, and
+    writing the digits, takes time linear in the length, where
+    ``str(int)`` is quadratic.  A state whose numerators do not sum to
+    its denominator, or a state at step n other than ``last``, raises
+    InvariantError.
     """
     base, scale = denominator_base(k, pi0), _den(k.rows)
     cols = list(zip(*([Decimal(x * (scale // row.den)) for x in row.nums]

@@ -16,17 +16,19 @@ count: an int, not a bool, at least 0.  On the wire rationals are
 output.  Numerators and denominators are capped at ``MAX_DIGITS``
 decimal digits, on parse, on format and in Markov evolution.
 
-A Markov state's denominator has few primes: it divides
+``probability_numerators`` and ``unit_numerators`` reduce an int vector
+by one ``gcd(den, *nums)``.  Markov evolution takes that gcd too: the
+states and kernel powers of ``monad.n_step`` stay within about twice
+``MAX_DIGITS`` digits, so each gcd is bounded.  A ``Decimal`` has no
+gcd.  A Markov state's denominator has few primes: it divides
 ``den(pi0) * L**t``, with ``L`` the lcm of the kernel rows'
 denominators, so every prime factor of it divides the small
 ``den(pi0) * L`` (``monad.denominator_base``).  Given such a ``base``,
 ``_common_factor`` finds the gcd of a denominator and its numerators
 from residues no larger than a base-sized multiple of the factor found
-so far, never by a gcd of full-size numbers, which CPython computes in
-time quadratic in their length.  It reduces a whole vector in
-``probability_numerators(nums, den, what, base)`` (so ``monad.n_step``
-builds each state and kernel power) and in ``monad.decimal_states``,
-and each numerator in the state form of ``format_rational``.
+so far.  It is used only where a Decimal may stand for an int: to
+reduce each state of ``monad.decimal_states``, and each numerator in
+the state form of ``format_rational``.
 
 ``format_rational`` writes a Fraction, or an int numerator over an int
 denominator, in lowest terms.  The int form ``format_rational(n, den)``
@@ -220,12 +222,16 @@ def _common_factor(nums: Sequence, den, base: int,
     ``h`` is 1.  Since ``g`` divides every value, ``(v // g) % h`` is
     ``(v % (g * h)) // g``: a round reads residues smaller than
     ``g * b`` and divides nothing long.  ``first``, if given, is
-    ``den % base``, for a caller that reduces many vectors over one
-    ``den``.  A broken promise is not detected: the result then divides
-    G but may be smaller.
+    ``den % base``: the state writer reduces each numerator on its own
+    over one ``den``.  On the benchmark's markov-trace that residue taken
+    per numerator costs about 5 ms, and taking it once per state makes
+    the 44 ms of writing the 401 states about 3 ms faster (2 cores,
+    Python 3.11.7).  A broken promise is not detected: the result then
+    divides G but may be smaller.
 
-    The values may be ints or integral Decimals, the latter under
-    ``DECIMAL_INTEGERS``; a residue is an int either way.
+    The values are integral Decimals under ``DECIMAL_INTEGERS``, or ints
+    in the state form of ``format_rational``; a residue is an int either
+    way.
     """
     g = 1
     h = gcd(base, int(den % base) if first is None else first)
@@ -240,12 +246,10 @@ def _common_factor(nums: Sequence, den, base: int,
         h = gcd(b, int(den % (g * b)) // g)
 
 
-def _lowest_terms(nums: tuple[int, ...], den: int,
-                  base: int | None = None) -> tuple[tuple[int, ...], int]:
-    """``nums`` and ``den`` divided by their gcd: one ``gcd(den, *nums)``,
-    or, given a ``base`` holding every prime factor of ``den``, the
-    residue rounds of ``_common_factor``."""
-    g = gcd(den, *nums) if base is None else _common_factor(nums, den, base)
+def _lowest_terms(nums: tuple[int, ...],
+                  den: int) -> tuple[tuple[int, ...], int]:
+    """``nums`` and ``den`` divided by their one ``gcd(den, *nums)``."""
+    g = gcd(den, *nums)
     if g == 1:
         return nums, den
     return tuple(n // g for n in nums), den // g
@@ -273,19 +277,13 @@ def unit_numerators(nums: Iterable, den: int,
     return _lowest_terms(nums, den)
 
 
-def probability_numerators(nums: Iterable, den: int, what: str,
-                           base: int | None = None) -> tuple[tuple[int, ...], int]:
+def probability_numerators(nums: Iterable, den: int,
+                           what: str) -> tuple[tuple[int, ...], int]:
     """``nums`` over ``den`` in lowest terms if it is a probability vector:
     ``den`` and every numerator an int, not a bool, every numerator
     nonnegative, and their sum ``den``.  All are then divided by their
-    gcd; otherwise InvariantError naming ``what``.
-
-    A caller that knows a positive int ``base`` divisible by every prime
-    factor of ``den`` may pass it: the gcd is then found from residues
-    (``_common_factor``), with no gcd of full-size numbers."""
+    one gcd; otherwise InvariantError naming ``what``."""
     nums = _numerators(nums, den, what)
-    if base is not None:
-        _positive(base, "base")
     for n in nums:
         if n < 0:
             raise InvariantError(f"{what} must be nonnegative, got "
@@ -293,7 +291,7 @@ def probability_numerators(nums: Iterable, den: int, what: str,
     if sum(nums) != den:
         raise InvariantError(f"{what} must sum to 1/1, got total mass "
                              f"{format_rational(sum(nums), den)}")
-    return _lowest_terms(nums, den, base)
+    return _lowest_terms(nums, den)
 
 
 def probability(xs: Iterable, what: str) -> tuple[Fraction, ...]:
@@ -320,10 +318,9 @@ def format_rational(x, den: int | None = None,
     caller's promise that every prime factor of ``den`` divides the
     positive int ``base``.  For each ``n`` it finds ``g = gcd(n, den)``
     by the residue rounds of ``_common_factor`` on the one numerator,
-    taking ``den % base`` once per state; then ``n // g`` is one exact
-    division, and ``den // g`` and its digits are computed once per
-    distinct ``g`` in the state.  A broken promise is not detected, and
-    the result may then not be in lowest terms.
+    taking ``den % base`` once per state; then ``n // g`` and
+    ``den // g`` are exact divisions.  A broken promise is not detected,
+    and the result may then not be in lowest terms.
 
     In this form the numerators and ``den`` may also be integral
     Decimals, finite with exponent 0, so that a long one is written in
@@ -359,21 +356,16 @@ def _format_state(nums: Iterable, den, base: int) -> list[str]:
     """The state form of ``format_rational``."""
     _positive(den, "denominator to format", _integer)
     _positive(base, "base")
-    written = {}  # g -> (den // g, its digits)
     out = []
     with localcontext(DECIMAL_INTEGERS):
         first = int(den % base)
         for n in nums:
-            n = _integer(n, "numerator to format")
+            n, d = _integer(n, "numerator to format"), den
             g = _common_factor((n,), den, base, first)
             if g > 1:
-                n = n // g
-            d, digits = written.get(g) or (den // g, None)
+                n, d = n // g, den // g
             _require_pair_digits(n, d, "rational to format")
-            if digits is None:
-                digits = str(d)
-                written[g] = d, digits
-            out.append(f"{n or 0}/{digits}")  # ``or 0`` writes a Decimal -0 as 0
+            out.append(f"{n or 0}/{d}")  # ``or 0`` writes a Decimal -0 as 0
     return out
 
 

@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 
 from girylab.spaces import FinSpace, generate_sigma
 from girylab.measures import Measure
-from girylab.monad import Kernel, _require_digits, bind, denominator_base
+from girylab.monad import Kernel, _require_digits, bind
 
 LABELS = "abcdefgh"
 
@@ -94,12 +94,10 @@ def trajectory(k: Kernel, pi0: Measure, n: int) -> list[Measure]:
     """The states at steps 0..n inclusive, every one held: the int chain
     that the Markov tests compare ``n_step`` and ``decimal_states``
     against.  It stops with DigitLimitError at the first state with a
-    weight past rational.MAX_DIGITS, as ``n_step`` does.  Each step is
-    ``bind`` with ``denominator_base(k, pi0)`` as its base."""
-    base = denominator_base(k, pi0)
+    weight past rational.MAX_DIGITS, as ``n_step`` does."""
     out = [pi0]
     for step in range(1, n + 1):
-        out.append(bind(out[-1], k, base=base))
+        out.append(bind(out[-1], k))
         _require_digits(out[-1], f"a weight of the state at step {step}")
     return out
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from girylab import cli, rational
+from girylab import cli, monad, rational
 from girylab.cli import main
 from girylab.harness import generate_kernel, generate_measure
 from girylab.rational import format_rational
@@ -143,30 +143,32 @@ class TestMarkov:
         assert "more than the limit of 4,300" in err
         assert "state at step 824 has" in err
 
-    def test_no_full_size_gcd_on_the_traced_path(self, tmp_path, capsys,
-                                                 monkeypatch):
-        """Each of the 400 states of the D1 chain is reduced, and written,
-        from residues of the chain's base: no gcd that ``rational`` takes
-        sees an operand wider than 64 bits, while the last state's
-        denominator is over 6,900 bits wide."""
+    def test_no_full_size_gcd_on_the_decimal_write_path(self, monkeypatch):
+        """What ``markov --trace`` does after ``n_step``, on the D1 chain:
+        each of the 401 Decimal states of ``decimal_states`` is reduced,
+        and written by the state form, from residues of the chain's base.
+        No gcd that ``rational`` takes there sees an operand wider than 64
+        bits, while the last state's denominator is over 6,900 bits wide.
+        ``n_step``, run first and unwatched, reduces its int states by
+        full-size gcds."""
         widest = []
 
         def watched(*args):
             widest.append(max(abs(a).bit_length() for a in args))
             return gcd(*args)
 
-        space_doc = _discrete_doc([f"s{i}" for i in range(8)])
+        labels = [f"s{i}" for i in range(8)]
+        space = generate_sigma(labels, [[x] for x in labels])
         rng = random.Random(1)
-        kernel_doc, init_doc = _generated_chain_docs(rng, space_doc)
-        argv = ["markov", "--kernel", write(tmp_path, "k.json", kernel_doc),
-                "--init", write(tmp_path, "pi.json", init_doc),
-                "--steps", "400", "--trace"]
+        k, pi = generate_kernel(rng, space, space), generate_measure(rng, space)
+        last = monad.n_step(k, pi, 400)
+        base = monad.denominator_base(k, pi)
         monkeypatch.setattr(rational, "gcd", watched)
-        assert main(argv) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 401
-        last = json.loads(lines[-1])["weights"]
-        assert max(int(w.split("/")[1]) for w in last.values()).bit_length() > 6900
+        written = [format_rational(nums, den, base)
+                   for nums, den in monad.decimal_states(k, pi, 400, last)]
+        monkeypatch.undo()
+        assert len(written) == 401
+        assert max(int(w.split("/")[1]) for w in written[-1]).bit_length() > 6900
         assert len(widest) > 400 * 8 and max(widest) <= 64
 
     def test_trace_memory_does_not_grow_with_the_steps(self, tmp_path,

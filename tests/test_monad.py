@@ -4,7 +4,7 @@ import random
 import time
 from decimal import Decimal
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, log2
 
 import hypothesis.strategies as st
 import pytest
@@ -16,7 +16,8 @@ from girylab.harness import (SuiteConfig, generate_kernel, generate_measure,
                              generate_meta_measure, generate_space)
 from girylab.spaces import FinSpace, MeasMap, generate_sigma
 from girylab.measures import Measure, pushforward
-from girylab.rational import fits_digits
+from girylab import rational
+from girylab.rational import MAX_DIGITS, fits_digits
 from girylab.monad import (Kernel, MetaMeasure, bind, decimal_states,
                            denominator_base, dirac, flatten, kleisli_compose,
                            n_step)
@@ -62,9 +63,10 @@ def mix_oracle(space: FinSpace, coeffs, measures) -> Measure:
         for j in range(len(space.atoms))))
 
 
-def d1_chain():
-    """The chain of ROADMAP defect D1: 8 discrete states, random.Random(1)."""
-    space = FinSpace.discrete([f"s{i}" for i in range(8)])
+def d1_chain(states: int = 8):
+    """The chain of ROADMAP defect D1: 8 discrete states, random.Random(1).
+    Another number of states gives the chain drawn the same way."""
+    space = FinSpace.discrete([f"s{i}" for i in range(states)])
     rng = random.Random(1)
     return generate_kernel(rng, space, space), generate_measure(rng, space)
 
@@ -267,8 +269,9 @@ class TestNumeratorStorage:
     @pytest.mark.parametrize("name", ["rank one", "stationary",
                                       "split and merge"])
     def test_steps_that_reduce_equal_the_fraction_mix(self, name):
-        """Steps whose common factor is not 1 are reduced from the base as
-        the plain gcd reduces them."""
+        """Steps whose common factor is not 1 are reduced as the Fraction
+        mix reduces them, by one gcd on ints and from residues of the base
+        on the Decimal copies of ``decimal_states``."""
         k, pi = self.reducing_chain(name)
         scale = lcm(*(row.den for row in k.rows))
         want = [pi]
@@ -279,6 +282,9 @@ class TestNumeratorStorage:
             self.same(got, state)
         for n in range(13):
             self.same(n_step(k, pi, n), want[n])
+        for (nums, den), state in zip(decimal_states(k, pi, 12, want[-1]), want):
+            assert (list(map(int, nums)), int(den)) == (list(state.nums),
+                                                        state.den)
 
 
 class TestKleisliCompose:
@@ -402,11 +408,16 @@ class TestDigitLimit:
     """Markov evolution stops with DigitLimitError once a weight passes
     rational.MAX_DIGITS; stepping and squaring stop at the same step."""
 
-    def test_stepping_and_squaring_agree_on_the_d1_chain(self):
-        k, pi = d1_chain()
-        with pytest.raises(DigitLimitError, match="step \\d+ has") as info:
-            trajectory(k, pi, 900)
-        first = int(info.value.args[0].split("step ")[1].split()[0])
+    @pytest.mark.parametrize("states, first", [
+        (8, 824), (2, 3657), (11, 540), (16, 251)],
+        ids=["d1", "2-states", "11-states", "16-states"])
+    def test_stepping_and_squaring_agree(self, states, first):
+        """On the D1 chain and on seeded chains drawn the same way, up to
+        the first state past the limit; near 4,300 digits the 16-state
+        chain's gcds are the widest ``n_step`` takes."""
+        k, pi = d1_chain(states)
+        with pytest.raises(DigitLimitError, match=f"step {first} has") as info:
+            trajectory(k, pi, 10 ** 5)
         tail = trajectory(k, n_step(k, pi, first - 3), 2)
         for i, state in enumerate(tail):
             assert n_step(k, pi, first - 3 + i) == state
@@ -414,6 +425,28 @@ class TestDigitLimit:
             with pytest.raises(DigitLimitError, match="4,300") as stopped:
                 n_step(k, pi, n)
             assert stopped.value.args == info.value.args
+
+    @pytest.mark.parametrize("states, first", [
+        (8, 824), (2, 3657), (11, 540), (16, 251)],
+        ids=["d1", "2-states", "11-states", "16-states"])
+    def test_n_step_gcds_stay_within_twice_the_limit(self, states, first,
+                                                     monkeypatch):
+        """At the last step that fits, every gcd ``n_step`` takes to reduce
+        a state or a kernel power has operands of at most twice
+        rational.MAX_DIGITS digits: its digit bounds hold the full-size
+        gcds of the int path."""
+        widest = []
+
+        def watched(*args):
+            widest.append(max(abs(a).bit_length() for a in args))
+            return gcd(*args)
+
+        k, pi = d1_chain(states)
+        monkeypatch.setattr(rational, "gcd", watched)
+        last = n_step(k, pi, first - 1)
+        monkeypatch.undo()
+        assert last == trajectory(k, n_step(k, pi, first - 3), 2)[-1]
+        assert widest and max(widest) <= 2 * MAX_DIGITS * log2(10)
 
     def test_huge_step_count_stops_quickly(self):
         k, pi = d1_chain()
