@@ -30,8 +30,8 @@ from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .errors import ActionSquareError, InvariantError
-from .rational import (ONE, ZERO, exact, format_rational, lift,
-                       random_fraction, require_unit, require_unit_numerators)
+from .rational import (ONE, ZERO, _quoted, exact, lift, random_fraction,
+                       require_unit, require_unit_numerators)
 from .spaces import FinSpace, Frozen, IFunction
 from .duality import Functional
 from .verdicts import Verdict, describe, failed, passed
@@ -55,7 +55,7 @@ def _store_into_unit(m, a0, coeffs) -> None:
     if lo < 0 or hi > den:
         raise InvariantError(
             "map leaves the unit interval: extremes "
-            f"[{format_rational(lo, den)}, {format_rational(hi, den)}]")
+            f"[{_quoted(lo, den)}, {_quoted(hi, den)}]")
     object.__setattr__(m, "a0", a0)
     object.__setattr__(m, "coeffs", coeffs)
     object.__setattr__(m, "lifted", (n0, tuple(nums), den))
@@ -124,8 +124,7 @@ class AffineMap(Frozen):
         return AffineMap(m, a0, coeffs)
 
     def describe(self) -> dict:
-        return {"arity": self.arity, "a0": format_rational(self.a0),
-                "coefficients": [format_rational(c) for c in self.coeffs]}
+        return {"arity": self.arity, "a0": self.a0, "coefficients": self.coeffs}
 
 
 class VanishingSequence(Frozen):
@@ -144,8 +143,8 @@ class VanishingSequence(Frozen):
     def at(self, i: int) -> Fraction:
         return self.entries[i] if i < len(self.entries) else ZERO
 
-    def describe(self) -> list[str]:
-        return [format_rational(v) for v in self.entries]
+    def describe(self) -> tuple[Fraction, ...]:
+        return self.entries
 
 
 class SequenceAffineMap(Frozen):
@@ -166,8 +165,7 @@ class SequenceAffineMap(Frozen):
         return _value(self, *lift(x.entries))
 
     def describe(self) -> dict:
-        return {"a0": format_rational(self.a0),
-                "coefficients": [format_rational(c) for c in self.coeffs]}
+        return {"a0": self.a0, "coefficients": self.coeffs}
 
 
 # -- sampling valid affine maps ------------------------------------------

@@ -32,8 +32,8 @@ from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .errors import InvariantError, RejectionError, SpaceMismatchError
-from .rational import (HALF, ONE, ZERO, format_rational, index, lift,
-                       random_fraction, require_unit)
+from .rational import (HALF, ONE, ZERO, _quoted, index, lift, random_fraction,
+                       require_unit)
 from .spaces import (FinSpace, Frozen, IFunction, MeasMap, atom_indicator,
                      generate_ifunction)
 from .measures import Measure, integrate
@@ -104,9 +104,8 @@ class Functional(Frozen):
 
     def describe(self) -> dict:
         if self.is_extensional:
-            pi = self.measure
-            return {"kind": "extensional", "coefficients": [
-                format_rational(n, pi.den) for n in pi.nums]}
+            return {"kind": "extensional",
+                    "coefficients": self.measure.weights}
         return {"kind": "intensional", "label": self.label}
 
 
@@ -297,7 +296,7 @@ class LimitWitness(Frozen):
                 if f.nums[i]:
                     raise InvariantError(
                         f"certificate lies: term {n} is "
-                        f"{format_rational(f.nums[i], f.den)} at point {i!r}, "
+                        f"{_quoted(f.nums[i], f.den)} at point {i!r}, "
                         f"certified zero from {n0}")
         super().__init__(space, terms, certs)
 

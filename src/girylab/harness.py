@@ -260,8 +260,7 @@ def find_naturality_refutation(phi: Functional, max_arity: int,
         steps += 1
         verdict = check_naturality(alpha, h, fs)
         if not verdict.passed:
-            return dict(verdict.witness, search_steps=steps,
-                        functional=phi.describe())
+            return dict(verdict.witness, search_steps=steps, functional=phi)
     return None
 
 

@@ -33,7 +33,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .errors import InvariantError, SpaceMismatchError
-from .rational import (ONE, ZERO, exact, format_rational, lift, probability,
+from .rational import (ONE, ZERO, exact, lift, probability,
                        probability_numerators, require_unit,
                        require_unit_numerators)
 from .spaces import FinSpace, Frozen, IFunction, MeasMap
@@ -78,10 +78,8 @@ class Measure(Frozen):
                             if atom & mask == atom), self.den)
 
     def describe(self) -> dict:
-        """Atom labels and ``"p/q"`` weights, each written from its
-        numerator over ``den`` without building a Fraction."""
         return {"atoms": [" ".join(self.space.labels_of(a)) for a in self.space.atoms],
-                "weights": [format_rational(n, self.den) for n in self.nums]}
+                "weights": self.weights}
 
 
 def pushforward(g: MeasMap, pi: Measure) -> Measure:

@@ -164,8 +164,8 @@ def denominator_base(k: Kernel, pi0: Measure) -> int:
     """``den(pi0) * L``, with L the lcm of the rows' denominators: every
     prime factor of the denominator of a state from ``pi0`` under the
     endo-kernel ``k`` divides it.  So it is the ``base`` from which
-    ``decimal_states`` reduces its Decimal states and the state form of
-    ``rational.format_rational`` writes them, where a Decimal has no gcd.
+    ``decimal_states`` reduces its Decimal states and ``girylab markov``
+    writes them, where a Decimal has no gcd.
 
     ``bind(pi, k)`` has a denominator dividing ``pi.den * L`` (``_mix``),
     so by induction the state at step t has a denominator dividing
@@ -209,9 +209,7 @@ def n_step(k: Kernel, pi0: Measure, n: int) -> Measure:
     while done < n:
         left, den = n - done, pi.den
         while (1 << len(powers)) <= left and fits_digits(den * spans[-1]):
-            p = powers[-1]
-            powers.append(Kernel(k.dom, k.cod, tuple(
-                bind(row, p) for row in p.rows)))
+            powers.append(kleisli_compose(powers[-1], powers[-1]))
             spans.append(spans[-1] * _den(powers[-1].rows))
         j = next((j for j in range(len(powers) - 1, 0, -1)
                   if (1 << j) <= left and fits_digits(den * spans[j])), 0)

@@ -30,12 +30,15 @@ so far.  It is used only where a Decimal may stand for an int: to
 reduce each state of ``monad.decimal_states``, and each numerator in
 the state form of ``format_rational``.
 
-``format_rational`` writes a Fraction, or an int numerator over an int
-denominator, in lowest terms.  The int form ``format_rational(n, den)``
-takes one ``gcd(n, den)`` and builds no Fraction.  The state form
-``format_rational(nums, den, base)`` writes a whole Markov state, one
-string per numerator over the shared ``den``, each reduced by its own
-common factor with ``den`` found from ``base``.
+A number becomes text in two places.  ``format_rational`` writes a
+value of a report or of a Markov state, and has two forms: a Fraction or
+an int, and the state form ``format_rational(nums, den, base)``, which
+writes a whole Markov state, one string per numerator over the shared
+``den``, each reduced by its own common factor with ``den`` found from
+``base``.  Both enforce ``MAX_DIGITS``.  ``_quoted`` writes the number
+an error message shows: ``"p/q"`` in lowest terms, or past
+``MAX_DIGITS`` only its size, so writing a message never raises and the
+message names the check that failed.
 
 The state form alone also takes the numerators and ``den`` as integral
 ``decimal.Decimal``s: finite, with exponent 0.  CPython writes an int in
@@ -128,6 +131,20 @@ def require_digits(x: Fraction, what: str) -> Fraction:
     return x
 
 
+def _quoted(x, den: int = 1) -> str:
+    """The rational ``x / den`` as an error message shows it: ``"p/q"``
+    in lowest terms, or, past MAX_DIGITS digits, "a rational of N
+    digits".  ``x`` is an int or a Fraction and ``den`` a positive int,
+    as every caller has checked, so writing a message never raises and
+    the message names the check that failed."""
+    x = Fraction(x, den)
+    n, den = x.numerator, x.denominator
+    if fits_digits(n) and fits_digits(den):
+        return f"{n}/{den}"
+    return ("a rational of "
+            f"{max(_decimal_digits(n), _decimal_digits(den)):,} digits")
+
+
 def _shown(s: str) -> str:
     """``s`` quoted for an error message, cut short if it is long."""
     return repr(s) if len(s) <= 40 else f"{s[:40]!r}... ({len(s):,} characters)"
@@ -205,8 +222,7 @@ def _numerators(nums: Iterable, den: int, what: str) -> tuple[int, ...]:
     return nums
 
 
-def _common_factor(nums: Sequence, den, base: int,
-                   first: int | None = None) -> int:
+def _common_factor(nums: Sequence, den, base: int) -> int:
     """``gcd(den, *nums)``, found from residues, on the caller's promise
     that every prime factor of ``den`` divides the positive int ``base``.
 
@@ -221,20 +237,15 @@ def _common_factor(nums: Sequence, den, base: int,
     ``gcd(h, (v // g) % h)``, and a round stops reading numerators once
     ``h`` is 1.  Since ``g`` divides every value, ``(v // g) % h`` is
     ``(v % (g * h)) // g``: a round reads residues smaller than
-    ``g * b`` and divides nothing long.  ``first``, if given, is
-    ``den % base``: the state writer reduces each numerator on its own
-    over one ``den``.  On the benchmark's markov-trace that residue taken
-    per numerator costs about 5 ms, and taking it once per state makes
-    the 44 ms of writing the 401 states about 3 ms faster (2 cores,
-    Python 3.11.7).  A broken promise is not detected: the result then
-    divides G but may be smaller.
+    ``g * b`` and divides nothing long.  A broken promise is not
+    detected: the result then divides G but may be smaller.
 
     The values are integral Decimals under ``DECIMAL_INTEGERS``, or ints
     in the state form of ``format_rational``; a residue is an int either
     way.
     """
     g = 1
-    h = gcd(base, int(den % base) if first is None else first)
+    h = gcd(base, int(den % base))
     while True:
         for n in nums:
             if h == 1:
@@ -263,7 +274,7 @@ def require_unit_numerators(nums: Sequence[int], den: int, what: str) -> None:
         for n in nums:
             if not 0 <= n <= den:
                 raise InvariantError(f"{what} must lie in [0,1], got "
-                                     f"{format_rational(n, den)}")
+                                     f"{_quoted(n, den)}")
 
 
 def unit_numerators(nums: Iterable, den: int,
@@ -287,10 +298,10 @@ def probability_numerators(nums: Iterable, den: int,
     for n in nums:
         if n < 0:
             raise InvariantError(f"{what} must be nonnegative, got "
-                                 f"{format_rational(n, den)}")
+                                 f"{_quoted(n, den)}")
     if sum(nums) != den:
         raise InvariantError(f"{what} must sum to 1/1, got total mass "
-                             f"{format_rational(sum(nums), den)}")
+                             f"{_quoted(sum(nums), den)}")
     return _lowest_terms(nums, den)
 
 
@@ -304,23 +315,20 @@ def probability(xs: Iterable, what: str) -> tuple[Fraction, ...]:
     return ps
 
 
-def format_rational(x, den: int | None = None,
-                    base: int | None = None) -> str | list[str]:
+def format_rational(x, den=None, base: int | None = None) -> str | list[str]:
     """Render a rational canonically as ``"p/q"`` in lowest terms
     (``"3/4"``, ``"1/1"``, ``"0/1"``).
 
     ``format_rational(x)`` writes the Fraction or int ``x``.
-    ``format_rational(n, den)`` writes the int ``n`` over the positive int
-    ``den``, reduced by one ``gcd(n, den)``; no Fraction is built.
 
     ``format_rational(nums, den, base)`` writes a state: the list of the
     strings of each ``n / den`` for ``n`` in ``nums``.  It takes the
     caller's promise that every prime factor of ``den`` divides the
     positive int ``base``.  For each ``n`` it finds ``g = gcd(n, den)``
-    by the residue rounds of ``_common_factor`` on the one numerator,
-    taking ``den % base`` once per state; then ``n // g`` and
-    ``den // g`` are exact divisions.  A broken promise is not detected,
-    and the result may then not be in lowest terms.
+    by the residue rounds of ``_common_factor`` on the one numerator;
+    then ``n // g`` and ``den // g`` are exact divisions.  A broken
+    promise is not detected, and the result may then not be in lowest
+    terms.
 
     In this form the numerators and ``den`` may also be integral
     Decimals, finite with exponent 0, so that a long one is written in
@@ -333,35 +341,22 @@ def format_rational(x, den: int | None = None,
     Each written numerator and denominator must fit in MAX_DIGITS digits
     (DigitLimitError, with the message the Fraction form gives for that
     pair).  A float, a bool, a Fraction where an int is needed, a
-    Decimal that is not integral or is given outside the state form, or
-    a ``den`` or ``base`` below 1 raises InvariantError.
+    Decimal that is not integral or is given outside the state form, a
+    ``den`` or ``base`` below 1, or a ``den`` without a ``base`` or a
+    ``base`` without a ``den`` raises InvariantError.
     """
-    if base is not None:
-        if den is None:
-            raise InvariantError("base applies only with a denominator")
-        return _format_state(x, den, base)
-    if den is None:
-        f = exact(x, "rational to format")
-        n, den = f.numerator, f.denominator
-    else:
-        n = require_int(x, "numerator to format")
-        _positive(den, "denominator to format")
-        h = gcd(n, den)
-        n, den = n // h, den // h
-    _require_pair_digits(n, den, "rational to format")
-    return f"{n}/{den}"
-
-
-def _format_state(nums: Iterable, den, base: int) -> list[str]:
-    """The state form of ``format_rational``."""
+    if den is None and base is None:
+        f = require_digits(exact(x, "rational to format"), "rational to format")
+        return f"{f.numerator}/{f.denominator}"
+    if den is None or base is None:
+        raise InvariantError("a state to format needs den and base together")
     _positive(den, "denominator to format", _integer)
     _positive(base, "base")
     out = []
     with localcontext(DECIMAL_INTEGERS):
-        first = int(den % base)
-        for n in nums:
+        for n in x:
             n, d = _integer(n, "numerator to format"), den
-            g = _common_factor((n,), den, base, first)
+            g = _common_factor((n,), den, base)
             if g > 1:
                 n, d = n // g, den // g
             _require_pair_digits(n, d, "rational to format")
@@ -415,4 +410,4 @@ def require_unit(x, what: str) -> Fraction:
     x = exact(x, what)
     if 0 <= x.numerator <= x.denominator:
         return x
-    raise InvariantError(f"{what} must lie in [0,1], got {format_rational(x)}")
+    raise InvariantError(f"{what} must lie in [0,1], got {_quoted(x)}")

@@ -31,8 +31,7 @@ from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import InvariantError, NotMeasurableError, SpaceMismatchError
-from .rational import (exact, format_rational, lift, random_fraction,
-                       unit_numerators)
+from .rational import exact, lift, random_fraction, unit_numerators
 
 #: Carrier cap: a named size limit, enforced by ``sigma_from_masks``.
 MAX_CARRIER_POINTS = 16
@@ -349,7 +348,7 @@ class IFunction(Frozen):
 
     def describe(self) -> dict:
         return {"atoms": [" ".join(self.space.labels_of(a)) for a in self.space.atoms],
-                "values": [format_rational(n, self.den) for n in self.nums]}
+                "values": self.values}
 
 
 def generate_ifunction(rng: random.Random, space: FinSpace) -> IFunction:

@@ -5,8 +5,9 @@ in the package.  Checks hand ``passed`` and ``failed`` their witnesses as
 raw values: Fractions, tuples, dicts and package objects.  ``describe``
 writes them, in this one place, as plain JSON-able values: a Fraction
 becomes ``"p/q"``, tuples and lists are written element by element,
-dicts value by value, and an object with a ``describe()`` method through
-it; ints, strings, bools and None stay as they are.
+dicts value by value, and an object with a ``describe()`` method as the
+raw values that method gives, written the same way; ints, strings, bools
+and None stay as they are.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ def describe(value):
         return [describe(v) for v in value]
     if isinstance(value, dict):
         return {k: describe(v) for k, v in value.items()}
-    return value.describe() if hasattr(value, "describe") else value
+    return describe(value.describe()) if hasattr(value, "describe") else value
 
 
 class Verdict(Frozen):

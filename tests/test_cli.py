@@ -68,6 +68,20 @@ class TestMarkov:
         assert code == 2
         assert "sum to 1/1" in capsys.readouterr().err
 
+    def test_long_total_mass_named(self, tmp_path, capsys):
+        """Weights 1/p and 1/q each fit the digit limit, but their sum
+        (p + q)/(p * q) does not: the error names the sum that is wrong,
+        with its size in place of its digits."""
+        p, q = 10 ** 2999 + 1, 10 ** 2999 + 3
+        init = {"space": TWO_STATE, "weights": {"0": f"1/{p}", "1": f"1/{q}"}}
+        code = main(["markov", "--kernel", write(tmp_path, "k.json", ABSORBING),
+                     "--init", write(tmp_path, "pi.json", init),
+                     "--steps", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: measure: weights must sum to 1/1, got "
+                                "total mass a rational of 5,999 digits\n")
+
     def test_non_endo_kernel_rejected(self, tmp_path, capsys):
         one = {"carrier": ["z"], "generators": []}
         k = {"dom": TWO_STATE, "cod": one,

@@ -374,7 +374,8 @@ class TestDescribe:
     def test_objects_through_their_describe(self):
         s = FinSpace.discrete(["a", "b"])
         phi = Functional.extensional(s, (F(1, 4), F(3, 4)))
-        assert describe(phi) == phi.describe()
+        assert phi.describe()["coefficients"] == (F(1, 4), F(3, 4))
+        assert describe(phi) == describe(phi.describe())
         assert describe([phi]) == [{"kind": "extensional",
                                     "coefficients": ["1/4", "3/4"]}]
 

@@ -43,10 +43,10 @@ class TestRationalStrings:
 
 
 class TestLowestTerms:
-    """``format_rational(n, den)`` writes what ``format_rational(Fraction(n,
-    den))`` writes, and the state form ``format_rational(nums, den, base)``
-    writes that for each numerator, on ints and integral Decimals alike;
-    ``_common_factor`` finds what one gcd finds, on both alike."""
+    """The state form ``format_rational(nums, den, base)`` writes what
+    ``format_rational(Fraction(n, den))`` writes for each numerator, on
+    ints and integral Decimals alike; ``_common_factor`` finds what one
+    gcd finds, on both alike."""
 
     BASES = [2, 6, 12, 360, 2 ** 3 * 3 ** 2 * 7, 30 * 49 * 11 ** 3, 97]
 
@@ -70,7 +70,6 @@ class TestLowestTerms:
             assert format_rational(nums[::-1], den, base) == want[::-1]
             for n, s in zip(nums, want):
                 assert format_rational([n], den, base) == [s]
-                assert format_rational(n, den) == s
 
     @pytest.mark.parametrize("base", BASES)
     def test_decimal_form_equals_the_int_form(self, base):
@@ -137,24 +136,23 @@ class TestLowestTerms:
     ])
     def test_edges(self, n, den, base, want):
         assert format_rational([n], den, base) == [want]
-        assert format_rational(n, den) == want == format_rational(F(n, den))
+        assert want == format_rational(F(n, den))
 
-    @pytest.mark.parametrize("den, base", [(0, None), (-3, None), (0, 2),
-                                           (-4, 2), (4, 0), (4, -2)])
+    @pytest.mark.parametrize("den, base", [(0, 2), (-4, 2), (4, 0), (4, -2)])
     def test_nonpositive_denominator_or_base_rejected(self, den, base):
-        args = (1, den) if base is None else ([1], den, base)
         with pytest.raises(InvariantError, match="must be positive"):
-            format_rational(*args)
+            format_rational([1], den, base)
 
     def test_base_needs_a_denominator(self):
-        with pytest.raises(InvariantError, match="base applies only"):
-            format_rational([F(1, 2)], None, 2)
+        for args in [([F(1, 2)], None, 2), (1, 2), ([1], 2)]:
+            with pytest.raises(InvariantError, match="den and base together"):
+                format_rational(*args)
 
     def test_digit_limit_message_of_the_fraction_form(self):
         big = 10 ** MAX_DIGITS
         with pytest.raises(DigitLimitError) as fraction_form:
             format_rational(F(big, 3))
-        for args in [(big, 3), ([big], 3, 3), ([-big], 3, 3),
+        for args in [([big], 3, 3), ([-big], 3, 3),
                      ([1, big], 3, 3), ([1, 2], 3 * big, 30),
                      ([Decimal(big)], Decimal(3), 3), ([Decimal(-big)], 3, 3)]:
             with pytest.raises(DigitLimitError) as int_form:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import string
 from fractions import Fraction
 
@@ -9,10 +10,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from girylab.codensity import AffineMap
 from girylab.config import SuiteConfig
+from girylab.duality import LimitWitness
 from girylab.errors import InvariantError, NotMeasurableError
 from girylab.harness import generate_measurable_map, generate_space
-from girylab.rational import random_fraction
+from girylab.measures import Measure
+from girylab.rational import MAX_DIGITS, random_fraction, require_unit
 from girylab.spaces import (FinSpace, IFunction, MeasMap, characteristic,
                             generate_ifunction, generate_sigma,
                             sigma_from_masks)
@@ -21,6 +25,7 @@ from strategies import (LABELS, brute_closure, exhaustive_measurable,
                         indiscrete, mask_of, minimal_nonempty, sigma, spaces)
 
 F = Fraction
+LONG = 10 ** MAX_DIGITS
 
 
 class TestGenerateSigma:
@@ -340,17 +345,39 @@ class TestIFunctionNumerators:
         for out in (f.blend(g, r), f.scale(r), f.add(g), f.compose_with(h)):
             assert math.gcd(out.den, *out.nums) == 1
 
-    @pytest.mark.parametrize("make", [
-        lambda s: IFunction(s, (F(3, 2),)),
-        lambda s: IFunction(s, (3,), 2),
-        lambda s: IFunction(s, (6,), 4),
-        lambda s: IFunction.constant(s, F(3, 2)),
-        lambda s: IFunction(s, (F(3, 4),)).scale(2),
+    # The rows past the digit limit hold a numerator of 4,301 digits.  Each
+    # message names the check that failed and gives the number's size in
+    # place of its digits; writing it raises no DigitLimitError.
+    @pytest.mark.parametrize("make, message", [
+        (lambda s: IFunction(s, (F(3, 2),)), "function value must lie in "
+         "[0,1], got 3/2"),
+        (lambda s: IFunction(s, (3,), 2), "function value must lie in [0,1], "
+         "got 3/2"),
+        (lambda s: IFunction(s, (6,), 4), "function value must lie in [0,1], "
+         "got 3/2"),
+        (lambda s: IFunction.constant(s, F(3, 2)), "function value must lie "
+         "in [0,1], got 3/2"),
+        (lambda s: IFunction(s, (F(3, 4),)).scale(2), "function value must "
+         "lie in [0,1], got 3/2"),
+        (lambda s: IFunction(s, (LONG,), 1), "function value must lie in "
+         "[0,1], got a rational of 4,301 digits"),
+        (lambda s: Measure(FinSpace.discrete(["a", "b"]), (-LONG, LONG + 1), 1),
+         "weights must be nonnegative, got a rational of 4,301 digits"),
+        (lambda s: Measure(s, (LONG,), 1), "weights must sum to 1/1, got "
+         "total mass a rational of 4,301 digits"),
+        (lambda s: require_unit(F(LONG, 3), "x"), "x must lie in [0,1], got "
+         "a rational of 4,301 digits"),
+        (lambda s: AffineMap(1, F(0), (F(LONG),)), "map leaves the unit "
+         "interval: extremes [0/1, a rational of 4,301 digits]"),
+        (lambda s: LimitWitness(s, lambda n: IFunction(s, (LONG,), LONG + 1),
+                                (0,)),
+         "certificate lies: term 0 is a rational of 4,301 digits at point 0, "
+         "certified zero from 0"),
     ], ids=["values", "numerators", "numerators-not-reduced", "constant",
-            "scale"])
-    def test_out_of_range_message(self, make):
-        with pytest.raises(InvariantError,
-                           match=r"^function value must lie in \[0,1\], got 3/2$"):
+            "scale", "long-value", "long-negative-weight", "long-total-mass",
+            "long-require-unit", "long-affine-map", "long-lying-certificate"])
+    def test_out_of_range_message(self, make, message):
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
             make(FinSpace.discrete(["a"]))
 
     def test_negative_value_message(self):
