@@ -34,7 +34,7 @@ from .rational import (ONE, ZERO, _quoted, exact, lift, random_fraction,
                        require_unit, require_unit_numerators)
 from .spaces import FinSpace, Frozen, IFunction
 from .duality import Functional
-from .verdicts import Verdict, describe, failed, passed
+from .verdicts import Verdict, failed, passed
 
 
 def _extremes(n0: int, nums: Sequence[int]) -> tuple[int, int]:
@@ -317,10 +317,10 @@ def functional_from_action(action: Action, space: FinSpace,
     The generators are single-entry projections, the first-two-entries
     convex combination, and the constant maps; the action must commute
     with post-composition by each.  Commutation is tested on sampled
-    inputs, not assumed; a failing square raises ActionSquareError
-    naming the generator and the input.  The action is called once per
-    input list: the sampled list's image serves both the projection and
-    the blend square.  On success the returned functional is
+    inputs, not assumed; a failing square raises ActionSquareError whose
+    raw witness names the generator and the input.  The action is called
+    once per input list: the sampled list's image serves both the
+    projection and the blend square.  On success the returned functional is
     f -> first entry of action(f at the first coordinate).
     """
     def phi(f: IFunction) -> Fraction:
@@ -341,10 +341,10 @@ def functional_from_action(action: Action, space: FinSpace,
         out = action(fs)
         rhs_val = out.at(i)
         if lhs.at(0) != rhs_val or len(lhs.entries) > 1:
-            raise ActionSquareError(
-                "projection square fails", f"projection onto entry {i}",
-                describe({"input": fs, "acted_then_projected": rhs_val,
-                          "projected_then_acted": lhs, "case": t}))
+            raise ActionSquareError("projection square fails", {
+                "generator": f"projection onto entry {i}", "input": fs,
+                "acted_then_projected": rhs_val,
+                "projected_then_acted": lhs, "case": t})
 
         # affineness: blending the first two entries commutes with the action
         if k >= 2:
@@ -353,18 +353,18 @@ def functional_from_action(action: Action, space: FinSpace,
             lhs = action(blended).at(0)
             rhs = r * out.at(0) + (1 - r) * out.at(1)
             if lhs != rhs:
-                raise ActionSquareError(
-                    "convex-combination square fails",
-                    f"first-two-entries blend with weight {describe(r)}",
-                    describe({"input": fs, "blend_then_act": lhs,
-                              "act_then_blend": rhs, "case": t}))
+                raise ActionSquareError("convex-combination square fails", {
+                    "generator":
+                        f"first-two-entries blend with weight {_quoted(r)}",
+                    "input": fs, "blend_then_act": lhs,
+                    "act_then_blend": rhs, "case": t})
 
         # weak averaging: the constant map forces constants to be fixed
         r = Fraction(rng.randint(0, 8), 8)
         lhs = action([IFunction.constant(space, r)]).at(0)
         if lhs != r:
-            raise ActionSquareError(
-                "constant square fails", f"constant map at {describe(r)}",
-                describe({"expected": r, "got": lhs, "case": t}))
+            raise ActionSquareError("constant square fails", {
+                "generator": f"constant map at {_quoted(r)}",
+                "expected": r, "got": lhs, "case": t})
 
     return Functional.intensional(space, phi, "reconstructed from action")

@@ -15,7 +15,7 @@ in this order.
 from __future__ import annotations
 
 from .errors import GirylabError
-from .rational import require_int
+from .rational import _quoted_int, require_int
 from .spaces import MAX_CARRIER_POINTS, Frozen
 
 MAX_HULL_DIM = 4
@@ -60,5 +60,5 @@ class SuiteConfig(Frozen):
                 raise GirylabError(f"{name} must be at least 1")
             if cap is not None and value > cap:
                 raise GirylabError(
-                    f"{name} must be at most {cap}, got {value}")
+                    f"{name} must be at most {cap}, got {_quoted_int(value)}")
             object.__setattr__(self, name, value)

@@ -29,7 +29,7 @@ from typing import Iterable
 
 from .rational import ONE, ZERO, exact, index, require_unit
 from .spaces import Frozen
-from .verdicts import Verdict, describe, failed, passed
+from .verdicts import Verdict, failed, passed
 
 
 class EventualFn(Frozen):
@@ -203,10 +203,11 @@ def countable_additivity_violation() -> dict:
 
     The witness sequence converges pointwise to zero (certified index
     k+1 at the point k) while the functional value is pinned at one for
-    every n, which countably additive operators cannot do.
+    every n, which countably additive operators cannot do.  Its numbers
+    are raw; ``respects_limits`` is that Verdict's ``to_jsonable()``.
     """
     verdict = segments_respect_limits(limit_functional)
-    return describe({
+    return {
         "singleton_partial_sum": singleton_mass_sum(SINGLETONS_CHECKED),
         "singletons_checked": SINGLETONS_CHECKED,
         "total_mass": cofinite_measure(FinCofSet.whole()),
@@ -216,4 +217,4 @@ def countable_additivity_violation() -> dict:
         "functional_values": [
             limit_functional(EventualFn.final_segment_indicator(n))
             for n in range(SEGMENTS_REPORTED)],
-    })
+    }

@@ -32,13 +32,13 @@ from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .errors import InvariantError, RejectionError, SpaceMismatchError
-from .rational import (HALF, ONE, ZERO, _quoted, index, lift, random_fraction,
-                       require_unit)
+from .rational import (HALF, ONE, ZERO, _quoted, _quoted_int, index, lift,
+                       random_fraction, require_unit)
 from .spaces import (FinSpace, Frozen, IFunction, MeasMap, atom_indicator,
                      generate_ifunction)
 from .measures import Measure, integrate
 from .monad import MetaMeasure, mixture_support
-from .verdicts import Verdict, describe, failed, passed
+from .verdicts import Verdict, failed, passed
 
 
 class Functional(Frozen):
@@ -121,9 +121,9 @@ def to_measure(phi: Functional) -> Measure:
     checks: the indicator weights (each in [0,1], as every value of a
     Functional is) must sum to 1 and phi must fix the constants 0, 1/2,
     1.  A failing check raises RejectionError carrying the witness
-    function and values (the max functional fails the indicator sum; the
-    square functional fails at the constant 1/2).  Full affineness of
-    intensional bodies is the province of ``is_affine``.
+    function and its raw values (the max functional fails the indicator
+    sum; the square functional fails at the constant 1/2).  Full
+    affineness of intensional bodies is the province of ``is_affine``.
     """
     space = phi.space
     if phi.is_extensional:
@@ -132,18 +132,17 @@ def to_measure(phi: Functional) -> Measure:
                     for i in range(len(space.atoms)))
     total = sum(weights, ZERO)
     if total != ONE:
-        raise RejectionError(
-            "atom indicator weights do not sum to 1", describe(
-                {"check": "additivity on the atom indicators",
-                 "witness_functions": "indicator of each atom",
-                 "weights": weights, "sum": total, "expected_sum": ONE}))
+        raise RejectionError("atom indicator weights do not sum to 1", {
+            "check": "additivity on the atom indicators",
+            "witness_functions": "indicator of each atom",
+            "weights": weights, "sum": total, "expected_sum": ONE})
     for r in (ZERO, HALF, ONE):
         got = phi(IFunction.constant(space, r))
         if got != r:
-            raise RejectionError("constant function is not fixed", describe(
-                {"check": "weak averaging on constants",
-                 "witness_function": f"constant {describe(r)}",
-                 "expected": r, "got": got}))
+            raise RejectionError("constant function is not fixed", {
+                "check": "weak averaging on constants",
+                "witness_function": f"constant {_quoted(r)}",
+                "expected": r, "got": got})
     return Measure(space, weights)
 
 
@@ -292,12 +291,13 @@ class LimitWitness(Frozen):
             for n in range(n0, n0 + CERT_CHECKED_TERMS):
                 f = terms(n)
                 if f.space != space:
-                    raise SpaceMismatchError(f"term {n} lives off the space")
+                    raise SpaceMismatchError(
+                        f"term {_quoted_int(n)} lives off the space")
                 if f.nums[i]:
                     raise InvariantError(
-                        f"certificate lies: term {n} is "
+                        f"certificate lies: term {_quoted_int(n)} is "
                         f"{_quoted(f.nums[i], f.den)} at point {i!r}, "
-                        f"certified zero from {n0}")
+                        f"certified zero from {_quoted_int(n0)}")
         super().__init__(space, terms, certs)
 
 

@@ -22,8 +22,8 @@ class InvariantError(GirylabError):
 class RejectionError(GirylabError):
     """A functional failed the measure-side admissibility checks.
 
-    Carries a JSON-able ``witness`` naming the violated identity and the
-    offending values, so rejections are reproducible and reportable.
+    Carries a ``witness`` dict naming the violated identity and holding
+    the offending values raw, for a Verdict to write like any witness.
     """
 
     def __init__(self, message: str, witness: dict):
@@ -31,13 +31,9 @@ class RejectionError(GirylabError):
         self.witness = witness
 
 
-class ActionSquareError(GirylabError):
-    """A sequence-space action failed one of the monoid generator squares."""
-
-    def __init__(self, message: str, generator: str, witness: dict):
-        super().__init__(message)
-        self.generator = generator
-        self.witness = witness
+class ActionSquareError(RejectionError):
+    """A sequence-space action failed one of the monoid generator squares;
+    its witness names the generator under the key ``"generator"``."""
 
 
 class IngestionError(GirylabError):

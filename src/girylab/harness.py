@@ -766,10 +766,9 @@ def _entrywise_max_refuted(cfg, rng):
     try:
         functional_from_action(entrywise_max, space, rng, trials=64)
     except ActionSquareError as exc:
-        witness = dict(exc.witness, generator=exc.generator)
-        if "blend" not in exc.generator:
-            return dict(witness, error="expected the blend square to fail")
-        return passed("entrywise max refuted", 1, witness=witness)
+        if "blend" not in exc.witness["generator"]:
+            return dict(exc.witness, error="expected the blend square to fail")
+        return passed("entrywise max refuted", 1, witness=exc.witness)
     return {"error": "entrywise max action was not refuted"}
 
 
@@ -879,7 +878,7 @@ def _limits_refuted(cfg, rng):
     if witness.get("stuck_at") != "1/1":
         return dict(witness, error="expected the value pinned at 1")
     witness["report"] = report
-    if report["singleton_partial_sum"] != "0/1" or report["total_mass"] != "1/1":
+    if report["singleton_partial_sum"] != ZERO or report["total_mass"] != ONE:
         return dict(witness, error="mass accounting is off")
     return passed("limits refuted", 1, witness=witness)
 

@@ -38,7 +38,7 @@ writes a whole Markov state, one string per numerator over the shared
 ``base``.  Both enforce ``MAX_DIGITS``.  ``_quoted`` writes the number
 an error message shows: ``"p/q"`` in lowest terms, or past
 ``MAX_DIGITS`` only its size, so writing a message never raises and the
-message names the check that failed.
+message names the check that failed (``_quoted_int`` for an int).
 
 The state form alone also takes the numerators and ``den`` as integral
 ``decimal.Decimal``s: finite, with exponent 0.  CPython writes an int in
@@ -141,8 +141,12 @@ def _quoted(x, den: int = 1) -> str:
     n, den = x.numerator, x.denominator
     if fits_digits(n) and fits_digits(den):
         return f"{n}/{den}"
-    return ("a rational of "
-            f"{max(_decimal_digits(n), _decimal_digits(den)):,} digits")
+    return f"a rational of {max(_digits(n), _digits(den)):,} digits"
+
+
+def _quoted_int(n) -> str:
+    """``_quoted`` for an int or integral Decimal: its digits or size."""
+    return f"{n}" if _fits(n) else f"an integer of {_digits(n):,} digits"
 
 
 def _shown(s: str) -> str:
@@ -184,7 +188,7 @@ def _positive(x, what: str, admit=require_int):
     """``admit(x, what)`` if it is at least 1; otherwise InvariantError
     naming ``what``."""
     if admit(x, what) <= 0:
-        raise InvariantError(f"{what} must be positive, got {x}")
+        raise InvariantError(f"{what} must be positive, got {_quoted_int(x)}")
     return x
 
 
@@ -192,7 +196,7 @@ def index(x, what: str) -> int:
     """``x`` unchanged if it is an int, not a bool, and at least 0;
     otherwise InvariantError naming ``what``."""
     if require_int(x, what) < 0:
-        raise InvariantError(f"{what} must be nonnegative, got {x}")
+        raise InvariantError(f"{what} must be nonnegative, got {_quoted_int(x)}")
     return x
 
 

@@ -67,7 +67,7 @@ class TestAcceptance:
             ok = False
         except RejectionError as err:
             ok = ok and err.witness["check"] == "additivity on the atom indicators"
-            ok = ok and err.witness["sum"] == "3/1"
+            ok = ok and err.witness["sum"] == F(3)
         assert_and_report(
             "criterion 2: bijection round trips at 500 cases and the max "
             "functional is rejected with an additivity witness", ok)
@@ -119,7 +119,8 @@ class TestAcceptance:
                                    random.Random(0), trials=64)
             ok = False
         except ActionSquareError as err:
-            ok = ok and "blend" in err.generator and bool(err.witness)
+            ok = (ok and "blend" in err.witness["generator"]
+                  and "act_then_blend" in err.witness)
         assert_and_report(
             "criterion 6: action reconstruction round-trips 200 functionals; "
             "the entrywise-max action fails the blend square with a witness",

@@ -227,7 +227,7 @@ class TestReconstruction:
 
         with pytest.raises(ActionSquareError) as err:
             functional_from_action(entrywise_max, s, rng, trials=64)
-        assert "blend" in err.value.generator
+        assert "blend" in err.value.witness["generator"]
         assert "act_then_blend" in err.value.witness
 
 
@@ -238,12 +238,14 @@ class TestReconstruction:
         with pytest.raises(ActionSquareError) as err:
             functional_from_action(one_entry_too_many, FinSpace.discrete(["a"]),
                                    random.Random(3))
-        assert err.value.generator == "projection onto entry 0"
-        assert err.value.witness == {
-            "input": [{"atoms": ["a"], "values": ["3/4"]},
-                      {"atoms": ["a"], "values": ["2/3"]}],
-            "acted_then_projected": "1/2",
-            "projected_then_acted": ["1/2", "1/2"], "case": 0}
+        witness = err.value.witness
+        assert [f.values for f in witness.pop("input")] == [
+            (F(3, 4),), (F(2, 3),)]
+        assert witness == {
+            "generator": "projection onto entry 0",
+            "acted_then_projected": F(1, 2),
+            "projected_then_acted": VanishingSequence((F(1, 2), F(1, 2))),
+            "case": 0}
 
     def test_constant_square_witness(self):
         def halved(fs):
@@ -252,8 +254,25 @@ class TestReconstruction:
         with pytest.raises(ActionSquareError) as err:
             functional_from_action(halved, FinSpace.discrete(["a"]),
                                    random.Random(3))
-        assert err.value.generator == "constant map at 7/8"
-        assert err.value.witness == {"expected": "7/8", "got": "7/16",
+        assert err.value.witness == {"generator": "constant map at 7/8",
+                                     "expected": F(7, 8), "got": F(7, 16),
+                                     "case": 0}
+
+    def test_long_constant_square_witness(self):
+        # every entry is 1/p, of 4,301 digits past MAX_DIGITS: the
+        # projection and blend squares hold and the constant square fails,
+        # raised as itself with its value raw
+        p = 10 ** 4300 + 1
+
+        def tiny(fs):
+            return VanishingSequence((F(1, p),) * len(fs))
+
+        with pytest.raises(ActionSquareError,
+                           match="^constant square fails$") as err:
+            functional_from_action(tiny, FinSpace.discrete(["a"]),
+                                   random.Random(3))
+        assert err.value.witness == {"generator": "constant map at 7/8",
+                                     "expected": F(7, 8), "got": F(1, p),
                                      "case": 0}
 
     @pytest.mark.parametrize("trials", [1, 8, 40])

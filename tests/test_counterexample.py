@@ -129,11 +129,11 @@ class TestCountableAdditivityViolation:
 
     def test_report_contents(self):
         report = countable_additivity_violation()
-        assert report["singleton_partial_sum"] == "0/1"
-        assert report["total_mass"] == "1/1"
+        assert report["singleton_partial_sum"] == F(0)
+        assert report["total_mass"] == F(1)
         assert report["respects_limits"]["result"] == "fail"
-        assert report["functional_values"] == ["1/1"] * SEGMENTS_REPORTED
-        assert report["pointwise_limit"] == "0/1"
+        assert report["functional_values"] == [F(1)] * SEGMENTS_REPORTED
+        assert report["pointwise_limit"] == F(0)
 
 
 class TestSupContinuity:

@@ -20,6 +20,7 @@ from girylab.duality import (Functional, FunctionalMixture, LimitWitness,
                              max_functional, mix_functionals,
                              pushforward_functional, respects_limits,
                              square_functional, to_functional, to_measure)
+from girylab.verdicts import describe
 
 from strategies import LABELS, spaces, spaces_with_measures, unit_fractions
 
@@ -104,14 +105,14 @@ class TestToMeasure:
             to_measure(max_functional(s))
         witness = err.value.witness
         assert witness["check"] == "additivity on the atom indicators"
-        assert witness["sum"] == "2/1"
+        assert witness["sum"] == F(2)
 
     def test_square_rejected_on_constants(self):
         s = two_discrete()
         with pytest.raises(RejectionError) as err:
             to_measure(square_functional(s))
         assert err.value.witness["check"] == "weak averaging on constants"
-        assert err.value.witness["got"] == "1/4"
+        assert err.value.witness["got"] == F(1, 4)
 
     def test_rejection_witnesses_whole(self):
         s = two_discrete()
@@ -120,12 +121,15 @@ class TestToMeasure:
         assert err.value.witness == {
             "check": "additivity on the atom indicators",
             "witness_functions": "indicator of each atom",
-            "weights": ["1/1", "1/1"], "sum": "2/1", "expected_sum": "1/1"}
+            "weights": (F(1), F(1)), "sum": F(2), "expected_sum": F(1)}
+        # a Verdict writes the raw witness
+        assert describe(err.value.witness)["weights"] == ["1/1", "1/1"]
         with pytest.raises(RejectionError) as err:
             to_measure(square_functional(s))
         assert err.value.witness == {
             "check": "weak averaging on constants",
-            "witness_function": "constant 1/2", "expected": "1/2", "got": "1/4"}
+            "witness_function": "constant 1/2", "expected": F(1, 2),
+            "got": F(1, 4)}
         one = FinSpace.discrete(["a"])
         shifted = Functional.intensional(
             one, lambda f: (f.values[0] + 1) / 2, "shifted")
@@ -133,7 +137,20 @@ class TestToMeasure:
             to_measure(shifted)
         assert err.value.witness == {
             "check": "weak averaging on constants",
-            "witness_function": "constant 0/1", "expected": "0/1", "got": "1/2"}
+            "witness_function": "constant 0/1", "expected": F(0),
+            "got": F(1, 2)}
+
+    def test_long_indicator_sum_rejected(self):
+        # weights 1/p and 1/q sum to a rational of 5,999 digits, past
+        # MAX_DIGITS: the rejection is still the one raised, its sum raw
+        p, q = 10 ** 2999 + 1, 10 ** 2999 + 3
+        phi = Functional.intensional(
+            two_discrete(), lambda f: f.values[0] / p + f.values[1] / q,
+            "long weights")
+        with pytest.raises(RejectionError,
+                           match="^atom indicator weights do not sum to 1$") as err:
+            to_measure(phi)
+        assert err.value.witness["sum"] == F(1, p) + F(1, q)
 
     @settings(max_examples=80, deadline=None)
     @given(spaces_with_measures())

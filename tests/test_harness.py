@@ -13,6 +13,7 @@ from girylab.errors import GirylabError, InvariantError, RejectionError
 from girylab.codensity import AffineMap
 from girylab.measures import Measure
 from girylab.monad import dirac
+from girylab.rational import MAX_DIGITS
 from girylab.spaces import FinSpace, IFunction
 from girylab.duality import (Functional, clamped_sum_functional,
                              max_functional, square_functional)
@@ -41,6 +42,10 @@ class TestConfig:
         with pytest.raises(GirylabError,
                            match=f"^{field} must be at most {cap}, got {cap + 1}$"):
             SuiteConfig(**{field: cap + 1})
+        # past MAX_DIGITS digits the message gives the value's size
+        with pytest.raises(GirylabError, match=f"^{field} must be at most "
+                           f"{cap}, got an integer of 4,301 digits$"):
+            SuiteConfig(**{field: 10 ** MAX_DIGITS})
 
     @pytest.mark.parametrize("field, value, kind", [
         ("seed", 1.5, "float"), ("trials", True, "bool"),

@@ -141,3 +141,18 @@ def _unread_imports(path: Path) -> set:
     Path(girylab.__file__).parent.glob("*.py")), ids=lambda p: p.stem)
 def test_every_import_is_read(path):
     assert not _unread_imports(path)
+
+
+def test_only_verdicts_writes_witnesses():
+    """No module of ``src/`` but ``verdicts`` imports ``describe`` from
+    it or reads ``verdicts.describe``, so a witness, a raised one too,
+    stays raw values until a Verdict writes it."""
+    writers = {
+        path.stem for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and node.module in ("verdicts", "girylab.verdicts")
+        and any(alias.name == "describe" for alias in node.names)
+        or isinstance(node, ast.Attribute) and node.attr == "describe"
+        and isinstance(node.value, ast.Name) and node.value.id == "verdicts"}
+    assert writers == set()

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import string
+from decimal import Decimal
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -16,7 +17,8 @@ from girylab.duality import LimitWitness
 from girylab.errors import InvariantError, NotMeasurableError
 from girylab.harness import generate_measurable_map, generate_space
 from girylab.measures import Measure
-from girylab.rational import MAX_DIGITS, random_fraction, require_unit
+from girylab.rational import (MAX_DIGITS, format_rational, index,
+                              random_fraction, require_unit)
 from girylab.spaces import (FinSpace, IFunction, MeasMap, characteristic,
                             generate_ifunction, generate_sigma,
                             sigma_from_masks)
@@ -373,9 +375,20 @@ class TestIFunctionNumerators:
                                 (0,)),
          "certificate lies: term 0 is a rational of 4,301 digits at point 0, "
          "certified zero from 0"),
+        (lambda s: index(-LONG, "x"), "x must be nonnegative, got an integer "
+         "of 4,301 digits"),
+        (lambda s: format_rational([1], -LONG, 2), "denominator to format "
+         "must be positive, got an integer of 4,301 digits"),
+        (lambda s: format_rational([1], Decimal(-LONG), 2), "denominator to "
+         "format must be positive, got an integer of 4,301 digits"),
+        (lambda s: LimitWitness(s, lambda n: IFunction(s, (1,), 2), (LONG,)),
+         "certificate lies: term an integer of 4,301 digits is 1/2 at point "
+         "0, certified zero from an integer of 4,301 digits"),
     ], ids=["values", "numerators", "numerators-not-reduced", "constant",
             "scale", "long-value", "long-negative-weight", "long-total-mass",
-            "long-require-unit", "long-affine-map", "long-lying-certificate"])
+            "long-require-unit", "long-affine-map", "long-lying-certificate",
+            "long-negative-index", "long-negative-den", "long-decimal-den",
+            "long-certificate"])
     def test_out_of_range_message(self, make, message):
         with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
             make(FinSpace.discrete(["a"]))
