@@ -28,7 +28,7 @@ from pathlib import Path
 from . import codensity, harness, jsonio, monad
 from .config import FIELDS, SUITE_NAMES, SuiteConfig
 from .errors import DigitLimitError, GirylabError, IngestionError
-from .rational import format_rational, parse_int
+from .rational import MAX_DIGITS, _shown, format_rational, parse_int
 
 CONFIG_KEYS = tuple(FIELDS)
 DEFAULT_CONFIG_FILE = "girylab.cfg"
@@ -100,10 +100,11 @@ def _build_config(args) -> SuiteConfig:
     return SuiteConfig(**values)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, parse_float=float) -> dict:
     text = _read_text(path)
     try:
-        return json.loads(text, parse_int=parse_int)
+        return json.loads(text, parse_int=parse_int, parse_float=parse_float,
+                          parse_constant=parse_float)
     except json.JSONDecodeError as exc:
         raise IngestionError(f"{path} is not valid JSON: {exc}")
     except RecursionError:
@@ -268,8 +269,18 @@ def _check_report(doc, where: str) -> list:
     return suites
 
 
+def _load_report(path: str) -> dict:
+    """The JSON in ``path``; IngestionError naming it on a float, NaN or
+    Infinity, which no report writes and no output may hold."""
+    def inexact(token: str):
+        raise IngestionError(f"{path} is not a report: it holds the number "
+                             f"{_shown(token)}, but a report writes every "
+                             "number as an int or a 'p/q' string")
+    return _load_json(path, inexact)
+
+
 def _cmd_report(args) -> int:
-    docs = [_load_json(path) for path in args.inputs]
+    docs = [_load_report(path) for path in args.inputs]
     suites = [s for path, doc in zip(args.inputs, docs)
               for s in _check_report(doc, path)]
     merged = {"reports": docs,
@@ -344,6 +355,11 @@ def _to_stderr(line: str) -> None:
 
 
 def main(argv=None) -> int:
+    # Under a lower int-to-str limit (0 is none) not every number within
+    # MAX_DIGITS could be written or read.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < MAX_DIGITS:
+        sys.set_int_max_str_digits(MAX_DIGITS)
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {"verify": _cmd_verify, "markov": _cmd_markov,

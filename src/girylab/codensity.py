@@ -30,8 +30,8 @@ from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .errors import ActionSquareError, InvariantError
-from .rational import (ONE, ZERO, _quoted, exact, lift, random_fraction,
-                       require_unit, require_unit_numerators)
+from .rational import (ONE, ZERO, exact, format_rational, lift,
+                       random_fraction, require_unit, require_unit_numerators)
 from .spaces import FinSpace, Frozen, IFunction
 from .duality import Functional
 from .verdicts import Verdict, failed, passed
@@ -53,9 +53,9 @@ def _store_into_unit(m, a0, coeffs) -> None:
     (n0, *nums), den = lift((a0, *coeffs))
     lo, hi = _extremes(n0, nums)
     if lo < 0 or hi > den:
+        lo, hi = (format_rational(Fraction(v, den)) for v in (lo, hi))
         raise InvariantError(
-            "map leaves the unit interval: extremes "
-            f"[{_quoted(lo, den)}, {_quoted(hi, den)}]")
+            f"map leaves the unit interval: extremes [{lo}, {hi}]")
     object.__setattr__(m, "a0", a0)
     object.__setattr__(m, "coeffs", coeffs)
     object.__setattr__(m, "lifted", (n0, tuple(nums), den))
@@ -354,8 +354,8 @@ def functional_from_action(action: Action, space: FinSpace,
             rhs = r * out.at(0) + (1 - r) * out.at(1)
             if lhs != rhs:
                 raise ActionSquareError("convex-combination square fails", {
-                    "generator":
-                        f"first-two-entries blend with weight {_quoted(r)}",
+                    "generator": "first-two-entries blend with weight "
+                                 f"{format_rational(r)}",
                     "input": fs, "blend_then_act": lhs,
                     "act_then_blend": rhs, "case": t})
 
@@ -364,7 +364,7 @@ def functional_from_action(action: Action, space: FinSpace,
         lhs = action([IFunction.constant(space, r)]).at(0)
         if lhs != r:
             raise ActionSquareError("constant square fails", {
-                "generator": f"constant map at {_quoted(r)}",
+                "generator": f"constant map at {format_rational(r)}",
                 "expected": r, "got": lhs, "case": t})
 
     return Functional.intensional(space, phi, "reconstructed from action")

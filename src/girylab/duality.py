@@ -32,8 +32,8 @@ from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .errors import InvariantError, RejectionError, SpaceMismatchError
-from .rational import (HALF, ONE, ZERO, _quoted, _quoted_int, index, lift,
-                       random_fraction, require_unit)
+from .rational import (HALF, ONE, ZERO, _quoted_int, format_rational, index,
+                       lift, random_fraction, require_unit)
 from .spaces import (FinSpace, Frozen, IFunction, MeasMap, atom_indicator,
                      generate_ifunction)
 from .measures import Measure, integrate
@@ -141,7 +141,7 @@ def to_measure(phi: Functional) -> Measure:
         if got != r:
             raise RejectionError("constant function is not fixed", {
                 "check": "weak averaging on constants",
-                "witness_function": f"constant {_quoted(r)}",
+                "witness_function": f"constant {format_rational(r)}",
                 "expected": r, "got": got})
     return Measure(space, weights)
 
@@ -296,8 +296,8 @@ class LimitWitness(Frozen):
                 if f.nums[i]:
                     raise InvariantError(
                         f"certificate lies: term {_quoted_int(n)} is "
-                        f"{_quoted(f.nums[i], f.den)} at point {i!r}, "
-                        f"certified zero from {_quoted_int(n0)}")
+                        f"{format_rational(Fraction(f.nums[i], f.den))} "
+                        f"at point {i!r}, certified zero from {_quoted_int(n0)}")
         super().__init__(space, terms, certs)
 
 

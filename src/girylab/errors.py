@@ -42,4 +42,5 @@ class IngestionError(GirylabError):
 
 class DigitLimitError(GirylabError):
     """A rational's numerator or denominator has more decimal digits than
-    ``rational.MAX_DIGITS``; raised on parse, format and Markov evolution."""
+    ``rational.MAX_DIGITS``; raised on parse, in Markov evolution and on
+    writing a Markov state."""

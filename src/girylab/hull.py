@@ -34,7 +34,7 @@ from typing import Sequence
 
 from .config import MAX_HULL_DIM
 from .errors import GirylabError, InvariantError
-from .rational import ONE, _quoted, exact, lift
+from .rational import ONE, exact, format_rational, lift
 from .duality import Functional
 
 Point = tuple[Fraction, ...]
@@ -139,6 +139,6 @@ def extend_to_convex(phi: Functional,
         if len(p) != dim:
             raise GirylabError("dimension mismatch among the atom points")
         if not hull_membership(vertices, p):
-            shown = ", ".join(map(_quoted, p))
+            shown = ", ".join(map(format_rational, p))
             raise GirylabError(f"atom point ({shown}) lies outside the hull")
     return tuple(phi.dot([p[d] for p in pts]) for d in range(dim))

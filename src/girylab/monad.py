@@ -152,7 +152,7 @@ def _require_digits(pi: Measure, what: str) -> None:
     if fits_digits(pi.den):
         return
     for n in pi.nums:
-        require_digits(Fraction(n, pi.den), what)
+        require_digits(*Fraction(n, pi.den).as_integer_ratio(), what)
 
 
 def _den(measures) -> int:

@@ -14,7 +14,7 @@ alone.  ``index`` admits a natural number used as a position or a
 count: an int, not a bool, at least 0.  On the wire rationals are
 ``"p/q"`` strings, so round trips are lossless and no float appears in
 output.  Numerators and denominators are capped at ``MAX_DIGITS``
-decimal digits, on parse, on format and in Markov evolution.
+decimal digits on parse and in Markov states.
 
 ``probability_numerators`` and ``unit_numerators`` reduce an int vector
 by one ``gcd(den, *nums)``.  Markov evolution takes that gcd too: the
@@ -30,15 +30,15 @@ so far.  It is used only where a Decimal may stand for an int: to
 reduce each state of ``monad.decimal_states``, and each numerator in
 the state form of ``format_rational``.
 
-A number becomes text in two places.  ``format_rational`` writes a
-value of a report or of a Markov state, and has two forms: a Fraction or
-an int, and the state form ``format_rational(nums, den, base)``, which
-writes a whole Markov state, one string per numerator over the shared
-``den``, each reduced by its own common factor with ``den`` found from
-``base``.  Both enforce ``MAX_DIGITS``.  ``_quoted`` writes the number
-an error message shows: ``"p/q"`` in lowest terms, or past
-``MAX_DIGITS`` only its size, so writing a message never raises and the
-message names the check that failed (``_quoted_int`` for an int).
+A number becomes text in one function, ``format_rational``.  Its form
+``format_rational(x)`` writes a Fraction or an int, a witness's value or
+a message's: ``"p/q"`` in lowest terms, or past ``MAX_DIGITS`` only its
+size, so writing one never raises (``_quoted_int`` writes an int by the
+same rule).  The state form ``format_rational(nums, den, base)`` writes
+a whole Markov state, one string per numerator over the shared ``den``,
+each reduced by its own common factor with ``den`` found from ``base``;
+it enforces ``MAX_DIGITS``, within which ``monad.n_step`` keeps every
+state.
 
 The state form alone also takes the numerators and ``den`` as integral
 ``decimal.Decimal``s: finite, with exponent 0.  CPython writes an int in
@@ -65,8 +65,9 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 #: The most decimal digits a numerator or denominator may have.  It equals
-#: CPython's default int-to-str limit (the CVE-2020-10735 guard), so every
-#: number within it can be written out and read back.
+#: CPython's default int-to-str limit (the CVE-2020-10735 guard), and
+#: ``cli.main`` raises a lower limit to it, so every number within it can be
+#: written out and read back.
 MAX_DIGITS = 4300
 _DIGIT_BOUND = 10 ** MAX_DIGITS
 
@@ -82,33 +83,24 @@ def _digit_limit_error(what: str, digits: int) -> DigitLimitError:
                            f"limit of {MAX_DIGITS:,} (rational.MAX_DIGITS)")
 
 
-def _decimal_digits(n: int) -> int:
-    """Decimal digits of ``abs(n)``, counted without converting it to str."""
+def fits_digits(n) -> bool:
+    """Whether the int or integral Decimal ``n`` has at most MAX_DIGITS
+    decimal digits, a Decimal's counted by ``adjusted()``."""
+    if isinstance(n, Decimal):
+        return n.adjusted() < MAX_DIGITS
+    return abs(n) < _DIGIT_BOUND
+
+
+def _digits(n) -> int:
+    """Decimal digits of the int or integral Decimal ``n``, counted
+    without converting it to str."""
+    if isinstance(n, Decimal):
+        return n.adjusted() + 1
     n = abs(n)
     digits = max(1, n.bit_length() * 1233 >> 12)  # 1233/4096 < log10(2)
     while n >= 10 ** digits:
         digits += 1
     return digits
-
-
-def fits_digits(n: int) -> bool:
-    """Whether ``abs(n)`` has at most MAX_DIGITS decimal digits."""
-    return abs(n) < _DIGIT_BOUND
-
-
-def _fits(n) -> bool:
-    """``fits_digits`` for an int or an integral Decimal, whose digits
-    ``adjusted()`` counts without comparing it to an int."""
-    if isinstance(n, Decimal):
-        return n.adjusted() < MAX_DIGITS
-    return fits_digits(n)
-
-
-def _digits(n) -> int:
-    """Decimal digits of the int or integral Decimal ``n``."""
-    if isinstance(n, Decimal):
-        return n.adjusted() + 1
-    return _decimal_digits(n)
 
 
 def _string_digits(s: str) -> int:
@@ -117,36 +109,17 @@ def _string_digits(s: str) -> int:
     return len(s.strip().lstrip("+-").replace("_", ""))
 
 
-def _require_pair_digits(n, den, what: str) -> None:
+def require_digits(n, den, what: str) -> None:
     """DigitLimitError naming ``what`` unless the ints or integral
     Decimals ``n`` and ``den`` both fit in MAX_DIGITS decimal digits."""
-    if not (_fits(n) and _fits(den)):
+    if not (fits_digits(n) and fits_digits(den)):
         raise _digit_limit_error(what, max(_digits(n), _digits(den)))
 
 
-def require_digits(x: Fraction, what: str) -> Fraction:
-    """``x`` unchanged if its numerator and denominator fit in MAX_DIGITS
-    decimal digits; otherwise DigitLimitError naming ``what``."""
-    _require_pair_digits(x.numerator, x.denominator, what)
-    return x
-
-
-def _quoted(x, den: int = 1) -> str:
-    """The rational ``x / den`` as an error message shows it: ``"p/q"``
-    in lowest terms, or, past MAX_DIGITS digits, "a rational of N
-    digits".  ``x`` is an int or a Fraction and ``den`` a positive int,
-    as every caller has checked, so writing a message never raises and
-    the message names the check that failed."""
-    x = Fraction(x, den)
-    n, den = x.numerator, x.denominator
-    if fits_digits(n) and fits_digits(den):
-        return f"{n}/{den}"
-    return f"a rational of {max(_digits(n), _digits(den)):,} digits"
-
-
 def _quoted_int(n) -> str:
-    """``_quoted`` for an int or integral Decimal: its digits or size."""
-    return f"{n}" if _fits(n) else f"an integer of {_digits(n):,} digits"
+    """The int or integral Decimal ``n`` as a message shows it: its digits,
+    or past MAX_DIGITS only its size, by ``format_rational``'s rule."""
+    return f"{n}" if fits_digits(n) else f"an integer of {_digits(n):,} digits"
 
 
 def _shown(s: str) -> str:
@@ -278,7 +251,7 @@ def require_unit_numerators(nums: Sequence[int], den: int, what: str) -> None:
         for n in nums:
             if not 0 <= n <= den:
                 raise InvariantError(f"{what} must lie in [0,1], got "
-                                     f"{_quoted(n, den)}")
+                                     f"{format_rational(Fraction(n, den))}")
 
 
 def unit_numerators(nums: Iterable, den: int,
@@ -302,10 +275,10 @@ def probability_numerators(nums: Iterable, den: int,
     for n in nums:
         if n < 0:
             raise InvariantError(f"{what} must be nonnegative, got "
-                                 f"{_quoted(n, den)}")
+                                 f"{format_rational(Fraction(n, den))}")
     if sum(nums) != den:
         raise InvariantError(f"{what} must sum to 1/1, got total mass "
-                             f"{_quoted(sum(nums), den)}")
+                             f"{format_rational(Fraction(sum(nums), den))}")
     return _lowest_terms(nums, den)
 
 
@@ -323,7 +296,9 @@ def format_rational(x, den=None, base: int | None = None) -> str | list[str]:
     """Render a rational canonically as ``"p/q"`` in lowest terms
     (``"3/4"``, ``"1/1"``, ``"0/1"``).
 
-    ``format_rational(x)`` writes the Fraction or int ``x``.
+    ``format_rational(x)`` writes the Fraction or int ``x``; past
+    MAX_DIGITS digits it writes only its size, "a rational of N digits",
+    so a witness or a message can always be written.
 
     ``format_rational(nums, den, base)`` writes a state: the list of the
     strings of each ``n / den`` for ``n`` in ``nums``.  It takes the
@@ -342,16 +317,20 @@ def format_rational(x, den=None, base: int | None = None) -> str | list[str]:
     every division is exact.  A Decimal is written with the digits of
     the int it equals, and its digits are counted by ``adjusted()``.
 
-    Each written numerator and denominator must fit in MAX_DIGITS digits
-    (DigitLimitError, with the message the Fraction form gives for that
-    pair).  A float, a bool, a Fraction where an int is needed, a
+    Each written numerator and denominator of a state must fit in
+    MAX_DIGITS digits, as ``monad.n_step`` guarantees; otherwise
+    DigitLimitError ("rational to format has N digits, more than the
+    limit ...").  A float, a bool, a Fraction where an int is needed, a
     Decimal that is not integral or is given outside the state form, a
     ``den`` or ``base`` below 1, or a ``den`` without a ``base`` or a
     ``base`` without a ``den`` raises InvariantError.
     """
     if den is None and base is None:
-        f = require_digits(exact(x, "rational to format"), "rational to format")
-        return f"{f.numerator}/{f.denominator}"
+        x = exact(x, "rational to format")
+        n, d = x.numerator, x.denominator
+        if fits_digits(n) and fits_digits(d):
+            return f"{n}/{d}"
+        return f"a rational of {max(_digits(n), _digits(d)):,} digits"
     if den is None or base is None:
         raise InvariantError("a state to format needs den and base together")
     _positive(den, "denominator to format", _integer)
@@ -363,7 +342,7 @@ def format_rational(x, den=None, base: int | None = None) -> str | list[str]:
             g = _common_factor((n,), den, base)
             if g > 1:
                 n, d = n // g, den // g
-            _require_pair_digits(n, d, "rational to format")
+            require_digits(n, d, "rational to format")
             out.append(f"{n or 0}/{d}")  # ``or 0`` writes a Decimal -0 as 0
     return out
 
@@ -414,4 +393,4 @@ def require_unit(x, what: str) -> Fraction:
     x = exact(x, what)
     if 0 <= x.numerator <= x.denominator:
         return x
-    raise InvariantError(f"{what} must lie in [0,1], got {_quoted(x)}")
+    raise InvariantError(f"{what} must lie in [0,1], got {format_rational(x)}")

@@ -4,10 +4,12 @@ A Verdict is the uniform result type of every randomized or exact check
 in the package.  Checks hand ``passed`` and ``failed`` their witnesses as
 raw values: Fractions, tuples, dicts and package objects, as a raised
 RejectionError carries its own.  ``describe`` writes them, in this one
-place, as plain JSON-able values: a Fraction becomes ``"p/q"``, tuples
-and lists are written element by element, dicts value by value, and an
-object with a ``describe()`` method as the raw values that method gives,
-written the same way; ints, strings, bools and None stay as they are.
+place, as plain JSON-able values: a Fraction becomes ``"p/q"``, or
+past ``MAX_DIGITS`` "a rational of N digits", so building a Verdict
+never raises on size; tuples and lists are written element by element, dicts
+value by value, and an object with a ``describe()`` method as the raw
+values that method gives, written the same way; ints, strings, bools
+and None stay as they are.
 """
 
 from __future__ import annotations

@@ -260,6 +260,27 @@ class TestMarkov:
         assert code == 2
         assert "does not exist" in capsys.readouterr().err
 
+    def test_lowered_int_limit_changes_no_byte(self, tmp_path):
+        """A lower int-to-str limit of the interpreter is raised to
+        MAX_DIGITS: 400 steps of the 8-state kernel of defect D1 (see
+        ROADMAP.md) write weights longer than 640 digits either way."""
+        space_doc = _discrete_doc([f"s{i}" for i in range(8)])
+        kernel_doc, init_doc = _generated_chain_docs(random.Random(1), space_doc)
+        argv = [sys.executable, "-m", "girylab.cli", "markov",
+                "--kernel", write(tmp_path, "k.json", kernel_doc),
+                "--init", write(tmp_path, "pi.json", init_doc),
+                "--steps", "400"]
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        default, lowered = (
+            subprocess.run(argv, env=dict(env, **extra), capture_output=True)
+            for extra in ({}, {"PYTHONINTMAXSTRDIGITS": "640"}))
+        assert (lowered.returncode, lowered.stderr) == (0, b"")
+        assert lowered.stdout == default.stdout
+        weights = json.loads(default.stdout)["weights"].values()
+        assert max(len(w) for w in weights) > 2 * 640
+
 
 def _discrete_doc(labels):
     """The space document of the discrete space on ``labels``."""
@@ -855,6 +876,23 @@ class TestReport:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "r.json is not a report: 'result' must be" in captured.err
+
+    @pytest.mark.parametrize("fmt", ["json", "junit"])
+    @pytest.mark.parametrize("field, token", [
+        pytest.param('"trials": 0.5', "0.5", id="float"),
+        pytest.param('"witness": {"a": 1e400}', "1e400", id="float-past-range"),
+        pytest.param('"witness": NaN', "NaN", id="nan"),
+        pytest.param('"witness": [-Infinity]', "-Infinity", id="infinity")])
+    def test_float_is_not_a_report(self, tmp_path, capsys, field, token, fmt):
+        path = tmp_path / "r.json"
+        path.write_text('{"result": "fail", "properties": [{"property": "p", '
+                        f'"result": "fail", {field}}}]}}')
+        code = main(["report", str(path), "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: {path} is not a report: it holds the number {token!r}, "
+            "but a report writes every number as an int or a 'p/q' string\n")
 
     @pytest.mark.parametrize("fmt", ["json", "junit"])
     def test_own_reports_and_merged_output_accepted(self, tmp_path, capsys,

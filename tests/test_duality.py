@@ -293,6 +293,18 @@ class TestIsAffine:
         verdict = is_affine(clamped_sum_functional(s), trials=300, seed=5)
         assert not verdict.passed
 
+    def test_witness_past_the_digit_limit_still_fails(self):
+        """A refutation is a Verdict whatever the size of its numbers: the
+        sides of f -> f(a)**2 / p are written by their size."""
+        p = 10 ** 4300 + 1
+        phi = Functional.intensional(FinSpace.discrete(["a"]),
+                                     lambda f: f.values[0] ** 2 / p,
+                                     "square over p")
+        verdict = is_affine(phi, trials=5, seed=1)
+        assert not verdict.passed
+        assert verdict.witness["axiom"].startswith("affine")
+        assert verdict.witness["rhs"] == "a rational of 4,304 digits"
+
 
 class TestRespectsLimits:
     def test_extensional_passes_by_tail_bound(self):

@@ -389,6 +389,17 @@ class TestDescribe:
         assert passed("p", witness={"x": F(2)}).witness == {"x": "2/1"}
         assert passed("p").witness is None
 
+    def test_witness_past_the_digit_limit_written_by_its_size(self):
+        assert failed("p", {"v": F(1, 10 ** MAX_DIGITS + 1)}).witness == {
+            "v": "a rational of 4,301 digits"}
+
+    def test_case_witness_past_the_digit_limit_fails_its_property(self):
+        prop = harness.Property("long", "a law",
+                                lambda cfg, rng: {"v": F(1, 10 ** MAX_DIGITS + 1)})
+        record = prop.run(SuiteConfig(seed=7, trials=3))
+        assert (record.result, record.trials) == ("fail", 1)
+        assert record.witness == {"v": "a rational of 4,301 digits", "case": 0}
+
 
 #: sha256 of ``girylab verify all --seed 7 --trials 500`` stdout.
 GOLDEN_SHA256 = "80fc569c6bdf6c740b6e920ae368a95140b1e8706cfdef8ecaed44febcb2a099"
