@@ -253,7 +253,8 @@ def check_naturality(alpha: CodensityElement, h, fs: Sequence[IFunction]) -> Ver
     Path one applies the family at the power (or sequence) object and
     then the affine map; path two composes the affine map with the
     function tuple pointwise and applies the component at I.  The
-    verdict carries the residual when the paths disagree.
+    verdict counts its one square as one trial and carries the residual
+    when the paths disagree.
     """
     fs = tuple(fs)
     space = alpha.phi.space
@@ -274,10 +275,10 @@ def check_naturality(alpha: CodensityElement, h, fs: Sequence[IFunction]) -> Ver
 
     name = f"naturality at {target}"
     if via_family == via_component:
-        return passed(name)
+        return passed(name, trials=1)
     return failed(name, {"h": h, "functions": fs, "via_family": via_family,
                          "via_component": via_component,
-                         "residual": via_component - via_family})
+                         "residual": via_component - via_family}, trials=1)
 
 
 def check_vanishing_component(alpha: CodensityElement, fs: Sequence[IFunction],

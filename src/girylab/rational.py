@@ -65,9 +65,10 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 #: The most decimal digits a numerator or denominator may have.  It equals
-#: CPython's default int-to-str limit (the CVE-2020-10735 guard), and
-#: ``cli.main`` raises a lower limit to it, so every number within it can be
-#: written out and read back.
+#: CPython's default int-to-str limit (the CVE-2020-10735 guard).  A command
+#: raises a lower limit to it (``cli.main``), so a command can write out and
+#: read back every number within it; a library caller under a lower limit
+#: is not covered.
 MAX_DIGITS = 4300
 _DIGIT_BOUND = 10 ** MAX_DIGITS
 

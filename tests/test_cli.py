@@ -738,6 +738,8 @@ class TestUserFunctionalNaturality:
         docs = [json.loads(line) for line in out]
         assert docs[-1]["result"] == "pass"
         assert all(d["result"] == "pass" for d in docs[:-1])
+        # Each case line is the verdict of one square.
+        assert [d["trials"] for d in docs[:-1]] == [1] * 25
 
     def test_max_streams_failures_with_witnesses(self, tmp_path, capsys):
         space = {"carrier": ["a", "b"], "generators": [["a"], ["b"]]}
@@ -753,6 +755,7 @@ class TestUserFunctionalNaturality:
         assert failures
         assert all("h" in d["witness"] and "residual" in d["witness"]
                    for d in failures)
+        assert [d["trials"] for d in docs[:-1]] == [1] * 40
         assert docs[-1]["result"] == "fail"
 
     def test_inlined_space_must_be_the_supplied_one(self, tmp_path, capsys):

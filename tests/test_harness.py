@@ -1,7 +1,9 @@
 """Suite runner: determinism, generators, refutation minimization."""
 
 import hashlib
+import importlib.util
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -401,8 +403,10 @@ class TestDescribe:
         assert record.witness == {"v": "a rational of 4,301 digits", "case": 0}
 
 
-#: sha256 of ``girylab verify all --seed 7 --trials 500`` stdout.
-GOLDEN_SHA256 = "80fc569c6bdf6c740b6e920ae368a95140b1e8706cfdef8ecaed44febcb2a099"
+ROOT = Path(__file__).resolve().parents[1]
+#: The pin of ``girylab verify all --seed 7 --trials 500``: its stdout's
+#: sha256 as one line of 64 lowercase hex digits.
+GOLDEN_PIN = ROOT / "golden.sha256"
 
 
 class TestGoldenReport:
@@ -410,14 +414,30 @@ class TestGoldenReport:
         monkeypatch.chdir(tmp_path)  # no stray girylab.cfg
         assert main(["verify", "all", "--seed", "7", "--trials", "500"]) == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == GOLDEN_PIN.read_text().strip())
 
     def test_the_benchmark_pins_the_same_digest(self):
-        # The benchmark checks its verify-all run at seed 7 against its own
-        # copy of the pin, so a re-baseline must move both.
-        workloads = (Path(__file__).resolve().parents[1] / "perfbench"
-                     / "workloads.py").read_text()
-        assert f'GOLDEN_SHA256 = "{GOLDEN_SHA256}"' in workloads
+        # The benchmark checks its verify-all run at seed 7 against its
+        # GOLDEN_SHA256, whether it holds a copy of the pin or reads it.
+        spec = importlib.util.spec_from_file_location(
+            "workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        assert workloads.GOLDEN_SHA256 == GOLDEN_PIN.read_text().strip()
+
+    def test_the_pin_is_one_line_of_hex(self):
+        # The CI job compares with $(cat golden.sha256) and the tests with
+        # the stripped text: both read the same digest only in this form.
+        assert re.fullmatch(rb"[0-9a-f]{64}\n", GOLDEN_PIN.read_bytes())
+
+    def test_no_other_copy_of_the_pin(self):
+        digest = GOLDEN_PIN.read_text().strip().encode()
+        holders = [str(path.relative_to(ROOT))
+                   for top in ("src", "tests", ".github")
+                   for path in sorted((ROOT / top).rglob("*"))
+                   if path.is_file() and digest in path.read_bytes().lower()]
+        assert holders == []
 
 
 def _swap_weights(fn):

@@ -521,9 +521,13 @@ class TestDecimalStates:
         got = list(decimal_states(k, pi, n, states[-1]))
         assert len(got) == len(states)
         for (nums, den), state in zip(got, states):
-            assert all(type(d) is Decimal for d in (*nums, den))
-            assert [str(d) for d in nums] == [str(x) for x in state.nums]
-            assert str(den) == str(state.den)
+            assert len(nums) == len(state.nums)
+            pairs = zip((*nums, den), (*state.nums, state.den))
+            # The digits of x, compared without int-to-str: the same value,
+            # the same sign (no -0) and no exponent.
+            assert all(type(d) is Decimal and d == x
+                       and d.is_signed() == (x < 0)
+                       and d.as_tuple().exponent == 0 for d, x in pairs)
 
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("discrete", [True, False],
