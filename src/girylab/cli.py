@@ -192,13 +192,12 @@ def _verify_user_functional(args, cfg: SuiteConfig) -> int:
     if args.space is not None:
         space = jsonio.space_from_json(_load_json(args.space))
     phi = jsonio.functional_from_json(_load_json(args.functional), space)
-    alpha = codensity.CodensityElement(phi)
     all_pass = True
     for i in range(cfg.trials):
         h, fs = harness.generate_naturality_square(
             harness.case_rng(cfg.seed, "user-naturality", i), phi.space,
             cfg.max_arity)
-        verdict = codensity.check_naturality(alpha, h, fs)
+        verdict = codensity.check_naturality(phi, h, fs)
         all_pass = all_pass and verdict.passed
         doc = dict(verdict.to_jsonable(), case=i, seed=cfg.seed)
         print(json.dumps(doc, sort_keys=True))

@@ -14,11 +14,14 @@ sequences converging to zero; its elements and the coefficient lists of
 affine maps on it are kept as finite lists (implicit zero tail), dense
 enough to witness every identity at this scale while staying exact.
 
-A natural family is determined by its component at I: at each finite
-power it applies that functional coordinatewise, and naturality against
-affine maps is precisely what forces the functional to be affine and
-weakly averaging.  Composing with the sequence object adds the limits
-axiom.  Both directions are exercised by the checkers below.
+A natural family is determined by its component at I, the functional
+phi: at each finite power it applies phi coordinatewise, and at the
+sequence object entrywise, so phi stands for the whole family.
+``check_naturality`` compares the two paths around one square at a power
+or at the sequences; naturality against affine maps is precisely what
+forces phi to be affine and weakly averaging.  The sequence component
+lands in the vanishing set exactly when phi respects limits, which
+``duality.respects_limits`` decides on a certified witness.
 """
 
 from __future__ import annotations
@@ -212,26 +215,6 @@ def sample_sequence_affine(rng: random.Random, length: int) -> SequenceAffineMap
 # -- natural families ------------------------------------------------------
 
 
-class CodensityElement(Frozen):
-    """A natural family determined by its component at I.
-
-    The component at the n-cube applies the functional coordinatewise
-    to an n-tuple of functions; the sequence-space component applies it
-    entrywise to an eventually-zero list of functions.  Natural families
-    of the forgetful functor correspond to admissible functionals;
-    lifting a non-admissible one is allowed, and naturality checking
-    then refutes it.  Its base space is ``phi.space``.
-    """
-
-    _fields = ("phi",)
-
-    def at_power(self, fs: Sequence[IFunction]) -> tuple[Fraction, ...]:
-        return tuple(self.phi(f) for f in fs)
-
-    def at_sequences(self, fs: Sequence[IFunction]) -> VanishingSequence:
-        return VanishingSequence(tuple(self.phi(f) for f in fs))
-
-
 def _compose_pointwise(h, fs: Sequence[IFunction], space: FinSpace) -> IFunction:
     """The function x -> h(f_1(x), f_2(x), ...) on ``space``, for an affine
     map of a power or of sequences, built on integers: the coefficients
@@ -247,31 +230,31 @@ def _compose_pointwise(h, fs: Sequence[IFunction], space: FinSpace) -> IFunction
         for i in range(len(space.atoms))), den * fden)
 
 
-def check_naturality(alpha: CodensityElement, h, fs: Sequence[IFunction]) -> Verdict:
+def check_naturality(phi: Functional, h, fs: Sequence[IFunction]) -> Verdict:
     """Compare the two paths around one naturality square exactly.
 
-    Path one applies the family at the power (or sequence) object and
-    then the affine map; path two composes the affine map with the
-    function tuple pointwise and applies the component at I.  The
-    verdict counts its one square as one trial and carries the residual
-    when the paths disagree.
+    Path one applies ``phi`` to each function, as the family does at the
+    power (or sequence) object, and then the affine map; path two
+    composes the affine map with the function tuple pointwise and
+    applies ``phi``.  The verdict counts its one square as one trial and
+    carries the residual when the paths disagree.
     """
     fs = tuple(fs)
-    space = alpha.phi.space
+    space = phi.space
     for f in fs:
         if f.space != space:
             raise InvariantError("tuple component lives off the base space")
     if isinstance(h, AffineMap):
         if h.arity != len(fs):
             raise InvariantError("arity does not match the tuple length")
-        via_family = h(alpha.at_power(fs))
+        via_family = h(tuple(map(phi, fs)))
         target = "power"
     elif isinstance(h, SequenceAffineMap):
-        via_family = h(alpha.at_sequences(fs))
+        via_family = h(VanishingSequence(tuple(map(phi, fs))))
         target = "sequences"
     else:
         raise InvariantError("h must be an affine map of a power or of sequences")
-    via_component = alpha.phi(_compose_pointwise(h, fs, space))
+    via_component = phi(_compose_pointwise(h, fs, space))
 
     name = f"naturality at {target}"
     if via_family == via_component:
@@ -279,26 +262,6 @@ def check_naturality(alpha: CodensityElement, h, fs: Sequence[IFunction]) -> Ver
     return failed(name, {"h": h, "functions": fs, "via_family": via_family,
                          "via_component": via_component,
                          "residual": via_component - via_family}, trials=1)
-
-
-def check_vanishing_component(alpha: CodensityElement, fs: Sequence[IFunction],
-                              certified_len: int) -> Verdict:
-    """The sequence component must output a valid vanishing sequence:
-    entries in [0,1] and zero past the certified tail index.  A pass
-    carries no witness; a fail names the entries past that index."""
-    fs = tuple(fs)
-    for f in fs[certified_len:]:
-        if any(f.nums):
-            raise InvariantError(
-                "tail certificate lies: nonzero function past the certified index")
-    out = alpha.at_sequences(fs)
-    bad = [i for i in range(certified_len, len(out.entries))
-           if out.at(i) != ZERO]
-    name = "sequence component lands in the vanishing set"
-    if bad:
-        return failed(name, {"nonzero_past_certified_index": bad,
-                             "entries": out, "certified_len": certified_len})
-    return passed(name)
 
 
 # -- reconstruction from a sequence-space action ---------------------------

@@ -277,7 +277,10 @@ class LimitWitness(Frozen):
     ``terms(n)`` is the n-th function on ``space``; ``certs[i]`` is an
     index from which the sequence vanishes on atom i.  Building the
     witness checks each certificate on ``CERT_CHECKED_TERMS`` terms, each
-    a function on ``space``, so a witness is valid once it is built.
+    a function on ``space``, so a witness is valid once it is built.  It
+    also serves the d_0 component of a natural family (d_0 being the
+    convex set of sequences in I converging to 0): a list of functions
+    followed by zeros, certified from the list's length, is a witness.
     """
 
     _fields = ("space", "terms", "certs")
@@ -308,7 +311,8 @@ def respects_limits(phi: Functional, w: LimitWitness) -> Verdict:
     The sequence is decided exactly: beyond the largest certified index
     the terms are identically zero, so phi respects it exactly when its
     value at that tail term is zero; a fail carries the value it is
-    stuck at.
+    stuck at.  On a list-shaped witness (see ``LimitWitness``) it also
+    decides whether the family determined by phi sends the list into d_0.
     """
     name = "respects limits"
     if not isinstance(w, LimitWitness):

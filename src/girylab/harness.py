@@ -49,8 +49,7 @@ from .duality import (Functional, FunctionalMixture, LimitWitness,
                       evaluation_at, is_affine, max_functional, mix_functionals,
                       pushforward_functional, respects_limits,
                       square_functional, to_functional, to_measure)
-from .codensity import (AffineMap, CodensityElement, VanishingSequence,
-                        check_naturality, check_vanishing_component,
+from .codensity import (AffineMap, VanishingSequence, check_naturality,
                         functional_from_action, sample_affine,
                         sample_sequence_affine)
 from .hull import extend_to_convex, hull_membership
@@ -252,13 +251,12 @@ def find_naturality_refutation(phi: Functional, max_arity: int,
                                rng: random.Random) -> Optional[dict]:
     """Smallest-first search for a failing naturality square, over at
     most ``REFUTATION_BUDGET`` candidates."""
-    alpha = CodensityElement(phi)
     steps = 0
     for h, fs in _witness_ladder(phi.space, max_arity, rng):
         if steps >= REFUTATION_BUDGET:
             return None
         steps += 1
-        verdict = check_naturality(alpha, h, fs)
+        verdict = check_naturality(phi, h, fs)
         if not verdict.passed:
             return dict(verdict.witness, search_steps=steps, functional=phi)
     return None
@@ -640,7 +638,7 @@ def _lifted_naturality(cfg, rng):
     space = generate_space(rng, cfg)
     phi = to_functional(generate_measure(rng, space))
     h, fs = generate_naturality_square(rng, space, cfg.max_arity)
-    verdict = check_naturality(CodensityElement(phi), h, fs)
+    verdict = check_naturality(phi, h, fs)
     return None if verdict.passed else dict(verdict.witness, functional=phi)
 
 
@@ -650,7 +648,7 @@ def _sequence_naturality(cfg, rng):
     length = rng.randint(1, cfg.max_arity)
     h = sample_sequence_affine(rng, length)
     fs = tuple(generate_ifunction(rng, space) for _ in range(length))
-    verdict = check_naturality(CodensityElement(phi), h, fs)
+    verdict = check_naturality(phi, h, fs)
     return None if verdict.passed else dict(verdict.witness, functional=phi)
 
 
@@ -658,19 +656,20 @@ def _vanishing_component(cfg, rng):
     space = generate_space(rng, cfg)
     phi = to_functional(generate_measure(rng, space))
     length = rng.randint(0, cfg.max_arity)
+    zero = IFunction.constant(space, ZERO)
     fs = [generate_ifunction(rng, space) for _ in range(length)]
-    fs += [IFunction.constant(space, ZERO)] * rng.randint(0, 2)
-    verdict = check_vanishing_component(CodensityElement(phi), fs,
-                                        certified_len=length)
+    fs += [zero] * rng.randint(0, 2)
+    # The list, then zeros, certified to vanish from ``length`` on: phi
+    # sends it into the vanishing set exactly when phi respects limits.
+    w = LimitWitness(space, lambda n: fs[n] if n < len(fs) else zero,
+                     [length] * len(space.atoms))
+    verdict = respects_limits(phi, w)
     if not verdict.passed:
         return verdict.witness
-    # A functional fixed at 1/2 is not weakly averaging: its component
-    # sends the zero function past the certified index to 1/2, off the
-    # vanishing set, so the check that just passed must refute it.
+    # A functional fixed at 1/2 is not weakly averaging: it sends the zero
+    # tail to 1/2, off the vanishing set, so the check must refute it.
     half = Functional.intensional(space, lambda f: HALF, "constant 1/2")
-    if check_vanishing_component(CodensityElement(half),
-                                 fs + [IFunction.constant(space, ZERO)],
-                                 certified_len=len(fs)).passed:
+    if respects_limits(half, w).passed:
         return {"accepted_non_averaging": half.label}
     return None
 
@@ -678,10 +677,10 @@ def _vanishing_component(cfg, rng):
 def _unit_element_evaluation(cfg, rng):
     space = generate_space(rng, cfg)
     point = rng.choice(space.carrier)
-    alpha = CodensityElement(evaluation_at(space, point))
+    phi = evaluation_at(space, point)
     arity = rng.randint(1, cfg.max_arity)
     fs = tuple(generate_ifunction(rng, space) for _ in range(arity))
-    return (alpha.at_power(fs), tuple(f.at_point(point) for f in fs),
+    return (tuple(map(phi, fs)), tuple(f.at_point(point) for f in fs),
             {"point": point})
 
 
@@ -745,7 +744,10 @@ NATURALITY = [
 def _case_reconstruction_roundtrip(cfg, rng):
     space = generate_space(rng, cfg)
     phi = to_functional(generate_measure(rng, space))
-    action = CodensityElement(phi).at_sequences
+
+    def action(fs: Sequence[IFunction]) -> VanishingSequence:
+        return VanishingSequence(tuple(map(phi, fs)))
+
     recovered = functional_from_action(action, space, rng, trials=8)
     coeffs = tuple(recovered(atom_indicator(space, i))
                    for i in range(len(space.atoms)))

@@ -177,6 +177,13 @@ def _staircase_integral(cells: int, values: Sequence[int], vden: int,
 Modulus = Callable[[Fraction], Fraction]
 
 
+#: The most cells the certified integrator's grid may have.  A grid of
+#: 2^16 cells holds 7.5 MiB of Fractions (tracemalloc, Python 3.11.7), so
+#: this cap bounds the grid near 120 MiB; the grids of the test suite and
+#: the benchmark have at most 4,096 cells.
+MAX_GRID_CELLS = 1 << 20
+
+
 #: The finest dyadic grid built so far, Fraction(i, 2^N) for i = 0..2^N,
 #: as the one entry of a list.  Dyadic grids nest, so the grid of 2^n
 #: cells is its stride slice ``[::2^(N-n)]``.  It holds arguments of
@@ -233,7 +240,8 @@ def integrate_approx_bounds(f: Callable[[Fraction], Fraction], modulus: Modulus,
     a few per point mass or piece.  ``eps``, ``f`` and ``modulus`` must
     give ints or Fractions; a float raises InvariantError.  All samples
     are checked for a float before any is checked for its range, so an
-    integrand with both faults reports the float.
+    integrand with both faults reports the float.  A grid of more than
+    ``MAX_GRID_CELLS`` cells raises InvariantError before it is built.
     """
     eps = exact(eps, "eps")
     if eps <= 0:
@@ -247,6 +255,10 @@ def integrate_approx_bounds(f: Callable[[Fraction], Fraction], modulus: Modulus,
         n += 1
 
     cells = 1 << n
+    if cells > MAX_GRID_CELLS:
+        raise InvariantError(
+            f"eps and modulus need a grid of 2^{n} cells, past "
+            f"MAX_GRID_CELLS ({MAX_GRID_CELLS:,})")
     ys, den = _sample(f, _dyadic_grid(cells), half.denominator)
     h = half.numerator * (den // half.denominator)
     lo = [max(y, z) - h for y, z in zip(ys, ys[1:])]

@@ -360,7 +360,9 @@ def parse_rational(s: str) -> Fraction:
     """Parse ``"p/q"`` (or a bare integer string) into a Fraction.
 
     Raises ValueError on floats or malformed input; '.' is rejected
-    outright so decimal notation cannot sneak inexact values in.  A
+    outright so decimal notation cannot sneak inexact values in, and so
+    are '_' and inner space, which ``Fraction`` accepts from Python 3.11
+    and 3.12 on, so that every supported Python reads one grammar.  A
     numerator or denominator past MAX_DIGITS digits raises
     DigitLimitError (a ValueError) before any conversion.
     """
@@ -373,6 +375,8 @@ def parse_rational(s: str) -> Fraction:
         if digits > MAX_DIGITS:
             raise _digit_limit_error(f"rational {_shown(s)}", digits)
     try:
+        if "_" in text or len(text.split()) > 1:
+            raise ValueError
         return Fraction(text)
     except ValueError:
         raise ValueError(f"cannot parse rational {_shown(s)}: "

@@ -10,12 +10,11 @@ from girylab.errors import ActionSquareError, InvariantError
 from girylab.harness import generate_space
 from girylab.rational import random_fraction
 from girylab.spaces import FinSpace, IFunction, atom_indicator, generate_ifunction
-from girylab.duality import (Functional, evaluation_at, max_functional,
-                             to_functional)
+from girylab.duality import (Functional, LimitWitness, evaluation_at,
+                             max_functional, respects_limits, to_functional)
 from girylab.measures import Measure
-from girylab.codensity import (AffineMap, CodensityElement, SequenceAffineMap,
-                               VanishingSequence, _compose_pointwise,
-                               check_naturality, check_vanishing_component,
+from girylab.codensity import (AffineMap, SequenceAffineMap, VanishingSequence,
+                               _compose_pointwise, check_naturality,
                                functional_from_action, sample_affine,
                                sample_sequence_affine)
 
@@ -96,54 +95,56 @@ class TestVanishingSequence:
             VanishingSequence((F(2),))
 
 
+def sequence_action(phi):
+    """The sequence component of the family phi determines."""
+    return lambda fs: VanishingSequence(tuple(map(phi, fs)))
+
+
 class TestLift:
+    """The family's value at a power is phi applied coordinatewise."""
+
     def test_evaluation_family_is_pointwise(self):
         s = two_discrete()
-        alpha = CodensityElement(evaluation_at(s, "b"))
+        phi = evaluation_at(s, "b")
         f1 = IFunction(s, (F(1, 3), F(2, 3)))
         f2 = IFunction(s, (F(1), F(0)))
-        assert alpha.at_power((f1, f2)) == (F(2, 3), F(0))
+        assert tuple(map(phi, (f1, f2))) == (F(2, 3), F(0))
 
     def test_extensional_coordinatewise(self):
         s = two_discrete()
-        alpha = CodensityElement(
-            Functional.extensional(s, (F(1, 2), F(1, 2))))
+        phi = Functional.extensional(s, (F(1, 2), F(1, 2)))
         chi_a, chi_b = atom_indicator(s, 0), atom_indicator(s, 1)
-        assert alpha.at_power((chi_a, chi_b)) == (F(1, 2), F(1, 2))
-
-    def test_lifting_non_affine_allowed(self):
-        alpha = CodensityElement(max_functional(two_discrete()))
-        assert isinstance(alpha, CodensityElement)
+        assert tuple(map(phi, (chi_a, chi_b))) == (F(1, 2), F(1, 2))
 
 
 class TestCheckNaturality:
     def test_projection_definitional(self):
         s = two_discrete()
         # even non-affine passes projections
-        alpha = CodensityElement(max_functional(s))
+        phi = max_functional(s)
         f1 = IFunction(s, (F(1, 3), F(1, 2)))
         f2 = IFunction(s, (F(1), F(0)))
-        verdict = check_naturality(alpha, AffineMap.projection(2, 0), (f1, f2))
+        verdict = check_naturality(phi, AffineMap.projection(2, 0), (f1, f2))
         assert verdict.passed
 
     def test_extensional_passes_random_squares(self):
         rng = random.Random(5)
         s = FinSpace.discrete(["a", "b", "c"])
         pi = Measure(s, (F(1, 6), F(1, 3), F(1, 2)))
-        alpha = CodensityElement(to_functional(pi))
+        phi = to_functional(pi)
         for _ in range(300):
             arity = rng.randint(1, 4)
             h = sample_affine(rng, arity)
             fs = tuple(IFunction(s, tuple(
                 F(rng.randint(0, 12), 12) for _ in s.atoms))
                 for _ in range(arity))
-            assert check_naturality(alpha, h, fs).passed
+            assert check_naturality(phi, h, fs).passed
 
     def test_max_fails_blend_with_residual_half(self):
         s = two_discrete()
-        alpha = CodensityElement(max_functional(s))
+        phi = max_functional(s)
         chi_a, chi_b = atom_indicator(s, 0), atom_indicator(s, 1)
-        verdict = check_naturality(alpha, AffineMap.blend(F(1, 2)),
+        verdict = check_naturality(phi, AffineMap.blend(F(1, 2)),
                                    (chi_a, chi_b))
         assert not verdict.passed
         # one path blends the two unit values to 1, the other evaluates
@@ -154,48 +155,76 @@ class TestCheckNaturality:
 
     def test_sequence_square(self):
         s = two_discrete()
-        alpha = CodensityElement(
-            Functional.extensional(s, (F(1, 4), F(3, 4))))
+        phi = Functional.extensional(s, (F(1, 4), F(3, 4)))
         h = SequenceAffineMap(F(1, 8), (F(1, 2), F(1, 4)))
         fs = (IFunction(s, (F(1, 2), F(1))), IFunction(s, (F(0), F(1, 3))))
-        assert check_naturality(alpha, h, fs).passed
+        assert check_naturality(phi, h, fs).passed
+
+    def test_max_fails_sequence_square(self):
+        s = two_discrete()
+        chi_a, chi_b = atom_indicator(s, 0), atom_indicator(s, 1)
+        h = SequenceAffineMap(F(0), (F(1, 2), F(1, 2)))
+        verdict = check_naturality(max_functional(s), h, (chi_a, chi_b))
+        assert verdict.property == "naturality at sequences"
+        assert (verdict.witness["via_family"], verdict.witness["via_component"]
+                ) == ("1/1", "1/2")
+
+    @pytest.mark.parametrize("h, fs, message", [
+        (AffineMap.projection(1, 0), (IFunction.constant(
+            FinSpace.discrete(["c"]), F(0)),), "lives off the base space"),
+        (AffineMap.projection(2, 0), (), "arity does not match"),
+        (lambda xs: F(0), (), "must be an affine map"),
+    ], ids=["off-space", "arity", "not-affine"])
+    def test_malformed_square_rejected(self, h, fs, message):
+        with pytest.raises(InvariantError, match=message):
+            check_naturality(max_functional(two_discrete()), h, fs)
+
+
+def listed(space, fs, length):
+    """The list ``fs`` followed by zero functions, certified to vanish on
+    every atom from ``length`` on: the sequence-component input that the
+    vanishing-component property builds."""
+    zero = IFunction.constant(space, F(0))
+    return LimitWitness(space, lambda n: fs[n] if n < len(fs) else zero,
+                        [length] * len(space.atoms))
 
 
 class TestVanishingComponent:
+    """The sequence component lands in d_0 exactly when phi respects
+    limits, decided on a list-shaped witness."""
+
     def test_indicator_then_zeros(self):
         s = two_discrete()
         phi = Functional.extensional(s, (F(1, 2), F(1, 2)))
         chi = atom_indicator(s, 0)
         zero = IFunction.constant(s, F(0))
-        alpha = CodensityElement(phi)
-        verdict = check_vanishing_component(alpha, [chi, zero, zero], 1)
-        assert verdict.passed and verdict.witness is None
-        assert alpha.at_sequences([chi, zero, zero]).entries == (F(1, 2),)
+        verdict = respects_limits(phi, listed(s, [chi, zero, zero], 1))
+        assert verdict.passed
+        assert verdict.witness == {"mode": "exact tail evaluation",
+                                   "tail_index": 1, "value": "0/1"}
+        assert sequence_action(phi)([chi, zero, zero]).entries == (F(1, 2),)
 
     def test_empty_list_gives_zero_sequence(self):
         s = two_discrete()
         phi = Functional.extensional(s, (F(1), F(0)))
-        verdict = check_vanishing_component(CodensityElement(phi), [], 0)
-        assert verdict.passed and verdict.witness is None
-        assert CodensityElement(phi).at_sequences([]).entries == ()
+        assert respects_limits(phi, listed(s, [], 0)).passed
+        assert sequence_action(phi)([]).entries == ()
 
     def test_failure_witness(self):
         s = two_discrete()
         half = Functional.intensional(s, lambda f: F(1, 2), "constant half")
         zero = IFunction.constant(s, F(0))
-        verdict = check_vanishing_component(
-            CodensityElement(half), [atom_indicator(s, 0), zero, zero], 1)
+        verdict = respects_limits(
+            half, listed(s, [atom_indicator(s, 0), zero, zero], 1))
         assert not verdict.passed
-        assert verdict.witness == {"nonzero_past_certified_index": [1, 2],
-                                   "entries": ["1/2", "1/2", "1/2"],
-                                   "certified_len": 1}
+        assert verdict.witness == {"mode": "exact tail evaluation",
+                                   "tail_index": 1, "stuck_at": "1/2"}
 
     def test_lying_tail_certificate_rejected(self):
         s = two_discrete()
-        phi = Functional.extensional(s, (F(1), F(0)))
         chi = atom_indicator(s, 0)
-        with pytest.raises(InvariantError):
-            check_vanishing_component(CodensityElement(phi), [chi], 0)
+        with pytest.raises(InvariantError, match="certificate lies"):
+            listed(s, [chi], 0)
 
 
 class TestReconstruction:
@@ -203,8 +232,7 @@ class TestReconstruction:
         rng = random.Random(11)
         s = FinSpace.discrete(["a", "b", "c"])
         phi = Functional.extensional(s, (F(1, 6), F(1, 3), F(1, 2)))
-        recovered = functional_from_action(
-            CodensityElement(phi).at_sequences, s, rng)
+        recovered = functional_from_action(sequence_action(phi), s, rng)
         coeffs = tuple(recovered(atom_indicator(s, i)) for i in range(3))
         assert coeffs == phi.measure.weights
         f = IFunction(s, (F(1, 5), F(2, 5), F(1)))
@@ -213,8 +241,8 @@ class TestReconstruction:
     def test_evaluation_action_recovers_evaluation(self):
         rng = random.Random(13)
         s = two_discrete()
-        alpha = CodensityElement(evaluation_at(s, "b"))
-        recovered = functional_from_action(alpha.at_sequences, s, rng)
+        recovered = functional_from_action(
+            sequence_action(evaluation_at(s, "b")), s, rng)
         assert tuple(recovered(atom_indicator(s, i)) for i in range(2)) == \
             (F(0), F(1))
 
@@ -280,8 +308,8 @@ class TestReconstruction:
         # Per trial: the projected entry, the sampled list (shared by the
         # projection and blend squares), the blend and the constant.
         s = FinSpace.discrete(["a", "b", "c"])
-        action = CodensityElement(Functional.extensional(
-            s, (F(1, 6), F(1, 3), F(1, 2)))).at_sequences
+        action = sequence_action(Functional.extensional(
+            s, (F(1, 6), F(1, 3), F(1, 2))))
         inputs = []
 
         def counted(fs):

@@ -317,10 +317,10 @@ class TestFailingWitnesses:
 
     def test_reconstruction_roundtrip_values(self, monkeypatch):
         def squared(action, space, rng, trials):
-            # agrees with the original on indicators, not on other values
-            phi = action.__self__.phi
-            return Functional.intensional(space, lambda f: phi(IFunction(
-                space, tuple(v * v for v in f.values))), "squared")
+            # phi(f) is action([f]).at(0); this agrees with phi on
+            # indicators, not on other values
+            return Functional.intensional(space, lambda f: action([IFunction(
+                space, tuple(v * v for v in f.values))]).at(0), "squared")
 
         witness = _failing_witness(monkeypatch, "reconstruction-roundtrip",
                                    functional_from_action=squared)
@@ -582,8 +582,8 @@ class TestRefutingPower:
         pytest.param(hull, "_phase_one_feasible", lambda rows, rhs: True,
                      "convex-bound", {"hull-closure": 0}, "accepted_outside",
                      id="hull-feasible-always"),
-        pytest.param(harness, "check_vanishing_component",
-                     lambda alpha, fs, certified_len: passed("stub"),
+        pytest.param(harness, "respects_limits",
+                     lambda phi, w: passed("stub"),
                      "naturality", {"vanishing-component": 0},
                      "accepted_non_averaging", id="vanishing-component-always"),
         pytest.param(harness, "respects_limits", _probe_window, "duality",
@@ -636,7 +636,7 @@ class TestRefutingPower:
                      {"lifted-extensional-naturality": 1,
                       "sequence-naturality": 0}, "residual",
                      id="square-functional"),
-        pytest.param("check_naturality", lambda alpha, h, fs: passed("stub"),
+        pytest.param("check_naturality", lambda phi, h, fs: passed("stub"),
                      {"naturality-refutes-max": 0,
                       "naturality-refutes-square": 0}, "error",
                      id="naturality-always"),

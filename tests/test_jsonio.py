@@ -42,6 +42,14 @@ class TestRationalStrings:
         with pytest.raises(ValueError):
             parse_rational("1e-3")
 
+    # Fraction reads '_' from Python 3.11 on and spaces around '/' from
+    # 3.12 on; parse_rational keeps 3.10's grammar on every Python.
+    @pytest.mark.parametrize("text", ["5_00/1000", "1 / 2", " 1/ 2 "])
+    def test_one_grammar_on_every_python(self, text):
+        with pytest.raises(ValueError,
+                           match="^cannot parse rational .* expected 'p/q'"):
+            parse_rational(text)
+
 
 class TestLowestTerms:
     """The state form ``format_rational(nums, den, base)`` writes what

@@ -354,6 +354,26 @@ class TestIntegrateApprox:
             integrate_approx_bounds(lambda x: x, lambda e: e, F(0),
                                     IntervalMeasure.uniform())
 
+    def test_grid_past_the_cap_rejected(self):
+        # eps = 2^-40 with the modulus e -> e needs 2^41 cells; the cap is
+        # checked before any grid point is built or the integrand called
+        def integrand(x):
+            raise AssertionError("sampled past the grid cap")
+
+        with pytest.raises(InvariantError,
+                           match=r"2\^41 cells, past MAX_GRID_CELLS \(1,048,576\)"):
+            integrate_approx_bounds(integrand, lambda e: e, F(1, 1 << 40),
+                                    IntervalMeasure.uniform())
+
+    def test_grid_at_the_cap_accepted(self, monkeypatch):
+        # a cap of 4 cells: eps = 1/4 needs 2^3 cells, eps = 1/2 needs 2^2
+        monkeypatch.setattr(measures, "MAX_GRID_CELLS", 4)
+        m = IntervalMeasure.uniform()
+        with pytest.raises(InvariantError, match=r"2\^3 cells"):
+            integrate_approx_bounds(lambda x: x, lambda e: e, F(1, 4), m)
+        lo, hi = integrate_approx_bounds(lambda x: x, lambda e: e, F(1, 2), m)
+        assert lo <= F(1, 2) <= hi
+
     def test_sandwich(self):
         m = IntervalMeasure(((F(1, 3), F(1, 4)),), ((F(0), F(1, 2), F(3, 4)),))
         eps = F(1, 64)

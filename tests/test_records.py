@@ -16,8 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from girylab.codensity import (AffineMap, CodensityElement, SequenceAffineMap,
-                               VanishingSequence)
+from girylab.codensity import AffineMap, SequenceAffineMap, VanishingSequence
 from girylab.config import SuiteConfig
 from girylab.counterexample import EventualFn, FinCofSet
 from girylab.duality import Functional, FunctionalMixture, LimitWitness
@@ -114,8 +113,6 @@ RECORDS = {
         kw.get("entries", (F(1, 2), F(1, 4))))),
     SequenceAffineMap: (("a0", "coeffs"), lambda **kw: SequenceAffineMap(
         kw.get("a0", F(1, 4)), kw.get("coeffs", (F(1, 4), F(1, 2))))),
-    CodensityElement: (("phi",), lambda **kw: CodensityElement(
-        kw.get("phi", extensional(1, 2)))),
     Functional: (("space", "measure", "evaluator", "label"),
                  lambda **kw: Functional(
                      kw.get("space", space()), kw.get("measure"),
@@ -173,7 +170,6 @@ VARIANTS = {
     VanishingSequence: {"entries": {"entries": (F(1, 2),)}},
     SequenceAffineMap: {"a0": {"a0": F(0)},
                         "coeffs": {"coeffs": (F(1, 2), F(1, 4))}},
-    CodensityElement: {"phi": {"phi": extensional(2, 1)}},
     Functional: {"space": {"space": space(3)},
                  "measure": {"measure": measure(1, 2), "evaluator": None,
                              "label": ""},
