@@ -292,13 +292,23 @@ def _cmd_report(args) -> int:
     return 0 if merged["result"] == "pass" else 1
 
 
+def _int_flag(text: str) -> int:
+    """A flag's integer, read by ``parse_int``; its message, which shows
+    a long value cut short, goes into argparse's usage error (exit 2)."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for name, (default, help, cap) in FIELDS.items():
         if name == "seed":
             default = "GIRYLAB_SEED or 0"
         bounds = f"default {default}" + (f", at most {cap}" if cap else "")
         parser.add_argument("--" + name.replace("_", "-"), dest=name,
-                            type=int, default=None, help=f"{help} ({bounds})")
+                            type=_int_flag, default=None,
+                            help=f"{help} ({bounds})")
     parser.add_argument("--config", default=None,
                         help=f"key=value config file (default ./{DEFAULT_CONFIG_FILE} "
                              "when present)")
@@ -324,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     markov = sub.add_parser("markov", help="evolve a Markov chain exactly")
     markov.add_argument("--kernel", required=True, help="kernel JSON file")
     markov.add_argument("--init", required=True, help="initial measure JSON file")
-    markov.add_argument("--steps", type=int, required=True)
+    markov.add_argument("--steps", type=_int_flag, required=True)
     markov.add_argument("--trace", action="store_true",
                         help="print every step, not only the final one")
 

@@ -94,7 +94,7 @@ def _weights_from_json(doc, space: FinSpace, what: str) -> tuple[Fraction, ...]:
         idx = _index(key, f"{what}: atom index")
         if not 0 <= idx < n:
             raise IngestionError(
-                f"{what}: atom index {_shown(str(idx))} out of range "
+                f"{what}: atom index {_shown(str(key))} out of range "
                 f"(space has {n} atoms)")
         if idx in seen:
             raise IngestionError(f"{what}: atom index {idx} repeated")
@@ -154,7 +154,7 @@ def kernel_from_json(doc: dict) -> Kernel:
     for key, wdoc in rows_doc.items():
         idx = _index(key, "kernel row key")
         if not 0 <= idx < n:
-            raise IngestionError(f"kernel row index {_shown(str(idx))} out of range")
+            raise IngestionError(f"kernel row index {_shown(str(key))} out of range")
         weights = _weights_from_json(wdoc, cod, f"row {idx}")
         try:
             rows[idx] = Measure(cod, weights)

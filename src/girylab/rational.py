@@ -13,8 +13,11 @@ lowest terms; ``unit_numerators`` checks int numerators of values in
 alone.  ``index`` admits a natural number used as a position or a
 count: an int, not a bool, at least 0.  On the wire rationals are
 ``"p/q"`` strings, so round trips are lossless and no float appears in
-output.  Numerators and denominators are capped at ``MAX_DIGITS``
-decimal digits on parse and in Markov states.
+output.  Text becomes a number in ``_read_int`` alone, by one grammar on
+every Python: an integer is ASCII digits after an optional sign, and a
+rational is one or ``p/q`` with ``q`` unsigned and not zero.  Numerators
+and denominators are capped at ``MAX_DIGITS`` decimal digits on parse
+and in Markov states.
 
 ``probability_numerators`` and ``unit_numerators`` reduce an int vector
 by one ``gcd(den, *nums)``.  Markov evolution takes that gcd too: the
@@ -65,10 +68,10 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 #: The most decimal digits a numerator or denominator may have.  It equals
-#: CPython's default int-to-str limit (the CVE-2020-10735 guard).  A command
-#: raises a lower limit to it (``cli.main``), so a command can write out and
-#: read back every number within it; a library caller under a lower limit
-#: is not covered.
+#: CPython's default int-to-str limit (the CVE-2020-10735 guard).  Reading
+#: needs no such limit (``_read_int`` converts through Decimal); writing an
+#: int does, so a command raises a lower limit to it (``cli.main``), and a
+#: library caller under a lower limit may not write every number within it.
 MAX_DIGITS = 4300
 _DIGIT_BOUND = 10 ** MAX_DIGITS
 
@@ -102,12 +105,6 @@ def _digits(n) -> int:
     while n >= 10 ** digits:
         digits += 1
     return digits
-
-
-def _string_digits(s: str) -> int:
-    """Digits written in an integer string: its length without surrounding
-    space, sign or '_' separators, counted before any conversion."""
-    return len(s.strip().lstrip("+-").replace("_", ""))
 
 
 def require_digits(n, den, what: str) -> None:
@@ -348,41 +345,43 @@ def format_rational(x, den=None, base: int | None = None) -> str | list[str]:
     return out
 
 
+def _read_int(text: str, what: str, signed: bool) -> int:
+    """The int written in ``text``: ASCII digits, after one ``+`` or ``-``
+    when ``signed``.  Anything else raises ValueError "cannot parse
+    ``what``" before a digit is counted; past MAX_DIGITS digits,
+    DigitLimitError naming ``what``.  It converts through Decimal, which
+    the interpreter's int-to-str limit does not govern."""
+    digits = text[1:] if signed and text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"cannot parse {what}")
+    if len(digits) > MAX_DIGITS:
+        raise _digit_limit_error(what, len(digits))
+    return int(Decimal(text))
+
+
 def parse_int(s: str) -> int:
-    """Parse a decimal integer string; DigitLimitError past MAX_DIGITS digits."""
-    digits = _string_digits(s)
-    if digits > MAX_DIGITS:
-        raise _digit_limit_error(f"integer {_shown(s)}", digits)
-    return int(s)
+    """The integer the string ``s`` writes, by ``_read_int``'s grammar."""
+    return _read_int(s.strip(), f"integer {_shown(s)}", True)
 
 
 def parse_rational(s: str) -> Fraction:
-    """Parse ``"p/q"`` (or a bare integer string) into a Fraction.
-
-    Raises ValueError on floats or malformed input; '.' is rejected
-    outright so decimal notation cannot sneak inexact values in, and so
-    are '_' and inner space, which ``Fraction`` accepts from Python 3.11
-    and 3.12 on, so that every supported Python reads one grammar.  A
-    numerator or denominator past MAX_DIGITS digits raises
-    DigitLimitError (a ValueError) before any conversion.
-    """
-    text = s.strip()
-    if "." in text or "e" in text.lower():
-        raise ValueError(
-            f"rational {_shown(s)} must be written as 'p/q', not a decimal")
-    for part in text.split("/"):
-        digits = _string_digits(part)
-        if digits > MAX_DIGITS:
-            raise _digit_limit_error(f"rational {_shown(s)}", digits)
+    """The rational ``"p/q"`` or the integer ``"p"`` that the string ``s``
+    writes, by ``_read_int``'s grammar: ValueError if ``s`` is not one
+    (a decimal such as ``"0.5"`` included) or ``q`` is zero,
+    DigitLimitError if ``p`` or ``q`` has more than MAX_DIGITS digits."""
+    p, slash, q = s.strip().partition("/")
+    what = f"rational {_shown(s)}"
     try:
-        if "_" in text or len(text.split()) > 1:
-            raise ValueError
-        return Fraction(text)
+        num = _read_int(p, what, True)
+        den = _read_int(q, what, False) if slash else 1
+    except DigitLimitError:
+        raise
     except ValueError:
-        raise ValueError(f"cannot parse rational {_shown(s)}: "
-                         "expected 'p/q' with integers p and q") from None
-    except ZeroDivisionError:
-        raise ValueError(f"rational {_shown(s)} has a zero denominator") from None
+        raise ValueError(f"cannot parse {what}: expected 'p/q' with "
+                         "integers p and q") from None
+    if den == 0:
+        raise ValueError(f"{what} has a zero denominator")
+    return Fraction(num, den)
 
 
 def random_fraction(rng: random.Random, lo: int = 0, hi: int = 1,

@@ -612,9 +612,18 @@ class TestConfigPrecedence:
         assert json.loads(capsys.readouterr().out)["config"]["trials"] == 8
 
 
+def exit_code(argv) -> int:
+    """``main(argv)``'s exit code, argparse's usage errors included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestConfigDigits:
-    """Config-file integers and GIRYLAB_SEED are read like JSON integers:
-    past rational.MAX_DIGITS digits they raise DigitLimitError (exit 2)."""
+    """Flags, config-file integers and GIRYLAB_SEED are read like JSON
+    integers, by ``rational.parse_int``: past rational.MAX_DIGITS digits
+    they are named by their size, never echoed whole (exit 2)."""
 
     def assert_digit_limit(self, capsys, code):
         assert code == 2
@@ -632,6 +641,12 @@ class TestConfigDigits:
         monkeypatch.setenv("GIRYLAB_SEED", "1" * 5000)
         self.assert_digit_limit(capsys, main(["verify", "monad-laws"]))
 
+    def test_long_flag(self, capsys):
+        code = exit_code(["verify", "monad-laws", "--seed", "1" * 5000])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "5,000 digits" in err and "4,300" in err and len(err) < 1000
+
     def test_env_seed_at_the_limit_runs(self, capsys, monkeypatch):
         seed = "9" * 4300
         monkeypatch.setenv("GIRYLAB_SEED", seed)
@@ -643,6 +658,51 @@ class TestConfigDigits:
         cfg.write_text("trials = 1/2\n")
         assert main(["verify", "monad-laws", "--config", str(cfg)]) == 2
         assert "trials must be an integer" in capsys.readouterr().err
+
+
+class TestOneNumberGrammar:
+    """Every number a command reads, from a flag, the config file,
+    GIRYLAB_SEED or a JSON document, is ASCII digits after an optional
+    sign, or ``p/q`` of such integers: ``_``, inner space and digits of
+    other scripts are refused with one ``error:`` line."""
+
+    def assert_refused(self, capsys, code):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "\u0661\u0660"], ["--trials", "5_0"]], ids=["seed", "trials"])
+    def test_verify_flag(self, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        self.assert_refused(capsys, exit_code(["verify", "monad-laws", *flags]))
+
+    def test_env_seed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("GIRYLAB_SEED", "1_0")
+        self.assert_refused(capsys, exit_code(["verify", "monad-laws",
+                                               "--trials", "1"]))
+
+    def test_config_value(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "girylab.cfg").write_text("seed = \u0661\u0660\n",
+                                              encoding="utf-8")
+        self.assert_refused(capsys, exit_code(["verify", "monad-laws",
+                                               "--trials", "1"]))
+
+    @pytest.mark.parametrize("kernel, init, steps", [
+        (ABSORBING, DELTA_0, "\u0661"),
+        (dict(ABSORBING, rows={"0": {"0": "1/2", "1": "1/2"},
+                               "\u0661": {"1": "1/1"}}), DELTA_0, "1"),
+        (dict(ABSORBING, rows={"0": {"0": "\u0661/\u0662", "1": "1/2"},
+                               "1": {"1": "1/1"}}), DELTA_0, "1"),
+        (ABSORBING, {"space": TWO_STATE, "weights": {"0_1": "1/1"}}, "1"),
+    ], ids=["steps", "row-key", "weight", "weights-key"])
+    def test_markov_input(self, tmp_path, capsys, kernel, init, steps):
+        code = exit_code(["markov", "--kernel", write(tmp_path, "k.json", kernel),
+                          "--init", write(tmp_path, "pi.json", init),
+                          "--steps", steps])
+        self.assert_refused(capsys, code)
 
 
 class TestConfigSurface:
@@ -680,7 +740,7 @@ class TestConfigSurface:
         for action in flags:
             assert action.option_strings == [
                 "--" + action.dest.replace("_", "-")]
-            assert (action.type, action.default) == (int, None)
+            assert (action.type, action.default) == (cli._int_flag, None)
             assert action.help == self.HELP[action.dest]
 
 

@@ -1,14 +1,18 @@
 """JSON readers: the values each document gives, and invariant-naming
 ingestion errors."""
 
+import os
 import random
+import subprocess
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 
+from girylab import rational
 from girylab.errors import (DigitLimitError, GirylabError, IngestionError,
                             InvariantError)
 from girylab.spaces import FinSpace, generate_sigma
@@ -43,12 +47,27 @@ class TestRationalStrings:
             parse_rational("1e-3")
 
     # Fraction reads '_' from Python 3.11 on and spaces around '/' from
-    # 3.12 on; parse_rational keeps 3.10's grammar on every Python.
-    @pytest.mark.parametrize("text", ["5_00/1000", "1 / 2", " 1/ 2 "])
+    # 3.12 on, and int() and Fraction() read digits of every script;
+    # parse_rational reads ASCII digits only, on every Python.
+    @pytest.mark.parametrize("text", ["5_00/1000", "1 / 2", " 1/ 2 ",
+                                      "\u0661/\u0662", "1/\u0662", "1/+2"])
     def test_one_grammar_on_every_python(self, text):
         with pytest.raises(ValueError,
                            match="^cannot parse rational .* expected 'p/q'"):
             parse_rational(text)
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0661\u0660", "1 0", "--1"])
+    def test_int_grammar(self, text):
+        with pytest.raises(ValueError, match="^cannot parse integer"):
+            parse_int(text)
+
+    @pytest.mark.parametrize("text, value", [
+        (" -3/4 ", F(-3, 4)), ("+1/2", F(1, 2)), ("007/010", F(7, 10)),
+        ("5", F(5)), (" 7", F(7))])
+    def test_read_as_before(self, text, value):
+        assert parse_rational(text) == value
+        if "/" not in text:
+            assert parse_int(text) == value
 
 
 class TestLowestTerms:
@@ -206,6 +225,30 @@ class TestDigitLimit:
         with pytest.raises(DigitLimitError, match="4,301 digits"):
             parse_int("1" * (MAX_DIGITS + 1))
 
+    def test_readers_need_no_raised_int_to_str_limit(self):
+        """Under the interpreter's lowest int-to-str limit, a reader still
+        reads every number within MAX_DIGITS, and a long index key out
+        of range is quoted as written."""
+        code = """if True:
+            from girylab.errors import IngestionError
+            from girylab.jsonio import measure_from_json
+            from girylab.rational import parse_int, parse_rational
+            assert parse_rational("1/" + "7" * 1000).denominator % 10 == 7
+            assert parse_int("9" * 4000) == 10 ** 4000 - 1
+            doc = {"space": {"carrier": ["a"]}, "weights": {"9" * 4000: "1/1"}}
+            try:
+                measure_from_json(doc)
+            except IngestionError as exc:
+                assert "out of range" in str(exc), exc
+            else:
+                raise AssertionError("accepted an index out of range")
+            """
+        env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640",
+                   PYTHONPATH=str(Path(rational.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
     def test_ingestion_names_the_limit(self):
         doc = {"space": {"carrier": ["a", "b"]},
                "weights": {"0": "1/" + "1" * 5000, "1": "0/1"}}
@@ -292,7 +335,7 @@ class TestMeasureJson:
     @pytest.mark.parametrize("key, error", [
         ("1.5", "atom index '1.5' is not an integer"),
         ("x" * 60, "atom index 'x{40}'... \\(60 characters\\) is not an integer"),
-        ("x" * 5000, "5,000 digits"),
+        ("x" * 5000, "is not an integer"),
         ("9" * 4000, "out of range")])
     def test_bad_index_keys_quoted_short(self, key, error):
         s = FinSpace.discrete(["a"])
@@ -329,6 +372,20 @@ class TestKernelJson:
         with pytest.raises(IngestionError, match="missing rows"):
             kernel_from_json({"dom": s, "cod": s,
                               "rows": {"0": {"0": "1/1"}}})
+
+    @pytest.mark.parametrize("rows, message", [
+        ({"0": {"0": "1/0"}, "1": {"1": "1/1"}},
+         "row 0\\[0\\]: rational '1/0' has a zero denominator"),
+        ({"0": {"0": "1/1"}, "1": {"1": "1/1"}, "5": {"0": "1/1"}},
+         "kernel row index '5' out of range"),
+        (None, "kernel document needs 'rows'")],
+        ids=["zero-denominator", "row-out-of-range", "no-rows"])
+    def test_bad_rows_named(self, rows, message):
+        doc = {"dom": self.SPACE, "cod": self.SPACE}
+        if rows is not None:
+            doc["rows"] = rows
+        with pytest.raises(IngestionError, match=f"^{message}$"):
+            kernel_from_json(doc)
 
     def test_row_weight_violation_named(self):
         s = self.SPACE
