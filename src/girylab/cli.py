@@ -211,22 +211,16 @@ def _verify_user_functional(args, cfg: SuiteConfig) -> int:
 def _cmd_markov(args) -> int:
     kernel = jsonio.kernel_from_json(_load_json(args.kernel))
     init = jsonio.measure_from_json(_load_json(args.init), kernel.dom)
-    # ``n_step`` stops at the first state past the digit limit, before
-    # any line is written; its state is the one line, or the last one a
-    # trace streams from Decimal copies evolved a state at a time.
-    pi = monad.n_step(kernel, init, args.steps)
-    if args.trace:
-        shown = enumerate(monad.decimal_states(kernel, init, args.steps, pi))
-    else:
-        shown = [(args.steps, (pi.nums, pi.den))]
-    base = monad.denominator_base(kernel, init)
     # Each line is the bytes of json.dumps(doc, sort_keys=True), written
     # directly: the atom indices as keys, sorted as strings ("10" < "2").
     # On the benchmark's markov-trace (401 states) the lines take 8 ms
     # built here, against 24 ms through json.dumps (2 cores, Python 3.11.7).
+    # ``markov_weights`` stops at the first state past the digit limit
+    # before it yields one, so no line is written then.
     order = sorted(range(len(kernel.dom.atoms)), key=str)
-    for step, (nums, den) in shown:
-        written = format_rational(nums, den, base)
+    for step, pairs in monad.markov_weights(kernel, init, args.steps,
+                                            args.trace):
+        written = format_rational(pairs)
         weights = ", ".join(f'"{i}": "{written[i]}"' for i in order)
         print(f'{{"step": {step}, "weights": {{{weights}}}}}')
     return 0
@@ -364,8 +358,9 @@ def _to_stderr(line: str) -> None:
 
 
 def main(argv=None) -> int:
-    # Under a lower int-to-str limit (0 is none) not every number within
-    # MAX_DIGITS could be written or read.
+    # Under a lower int-to-str limit (0 is none) json could not write
+    # every int within MAX_DIGITS that a report holds: the seed, an int
+    # that ``report`` echoes, the step count.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if 0 < limit < MAX_DIGITS:
         sys.set_int_max_str_digits(MAX_DIGITS)

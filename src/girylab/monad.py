@@ -15,25 +15,40 @@ their denominators (see ``measures.Measure``): each output numerator is
 one integer dot product, and the result is divided by one common factor
 of the whole vector, not one per weight: one gcd.  Markov evolution
 (``n_step``) takes that gcd too, on states and kernel powers within
-about twice ``rational.MAX_DIGITS`` digits.  Only ``decimal_states``,
-the same steps on Decimals, which have no gcd, finds the factor from
-small residues of ``denominator_base`` (``rational._common_factor``).
-``Measure.den`` is the lcm of the reduced weights' denominators, which
-is what the digit bounds of ``n_step`` multiply.
+about twice ``rational.MAX_DIGITS`` digits.  ``Measure.den`` is the lcm
+of the reduced weights' denominators, which is what the digit bounds of
+``n_step`` multiply.
+
+``markov_weights`` gives the weights ``girylab markov`` writes, each a
+pair in lowest terms.  A traced run evolves its states as integral
+``decimal.Decimal``s (``decimal_states``), which CPython writes in time
+linear in their length, an int in quadratic; all their arithmetic runs
+under ``DECIMAL_INTEGERS``, which traps every inexact result.  A Decimal
+has no gcd, but a state's denominator divides ``den(pi0) * L**t``, with
+``L`` the lcm of the rows' denominators, so its primes all divide
+``denominator_base``.  From that base ``_common_factor`` finds a gcd by
+residues no larger than a base-sized multiple of the factor so far; it
+reduces each Decimal state and each weight ``markov_weights`` yields.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal, localcontext
+from decimal import (MAX_PREC, Context, Decimal, DivisionByZero, Inexact,
+                     InvalidOperation, Overflow, Rounded, localcontext)
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
+from typing import Sequence
 
 from .errors import InvariantError, SpaceMismatchError
-from .rational import (DECIMAL_INTEGERS, ONE, _common_factor, fits_digits,
-                       lift, probability, require_digits)
+from .rational import ONE, fits_digits, lift, probability, require_digits
 from .spaces import FinSpace, Frozen
 from .measures import Measure
+
+#: The context of all integer arithmetic on Decimals: precision enough for
+#: any integer, and a trap on every signal of a result that is not exact.
+DECIMAL_INTEGERS = Context(prec=MAX_PREC, traps=[
+    Inexact, Rounded, InvalidOperation, DivisionByZero, Overflow])
 
 
 def mixture_support(space: FinSpace, support) -> tuple:
@@ -164,14 +179,49 @@ def denominator_base(k: Kernel, pi0: Measure) -> int:
     """``den(pi0) * L``, with L the lcm of the rows' denominators: every
     prime factor of the denominator of a state from ``pi0`` under the
     endo-kernel ``k`` divides it.  So it is the ``base`` from which
-    ``decimal_states`` reduces its Decimal states and ``girylab markov``
-    writes them, where a Decimal has no gcd.
+    ``_common_factor`` reduces the states of ``decimal_states`` and the
+    weights of ``markov_weights``, where a Decimal has no gcd.
 
     ``bind(pi, k)`` has a denominator dividing ``pi.den * L`` (``_mix``),
     so by induction the state at step t has a denominator dividing
     ``den(pi0) * L**t``, whose prime factors all divide ``den(pi0) * L``.
     """
     return pi0.den * _den(k.rows)
+
+
+def _common_factor(nums: Sequence, den, base: int) -> int:
+    """``gcd(den, *nums)``, found from residues, on the caller's promise
+    that every prime factor of ``den`` divides the positive int ``base``
+    (``denominator_base`` proves it of every Markov state).
+
+    Starting from ``g = 1`` and ``b = base``, each round takes ``h``, the
+    gcd of ``b`` and of ``v // g`` for ``den`` and then each numerator,
+    and while ``h > 1`` sets ``g *= h`` and ``b = h * h``, so a common
+    factor of any power goes in a few rounds.  The invariant is that
+    ``g`` divides the gcd G and every prime factor of ``G // g`` divides
+    ``b``: such a prime divides ``b`` and every ``v // g``, hence ``h``,
+    and so ``h * h`` in the next round.  When ``h == 1`` no prime is
+    left, so ``g`` is G.  ``h`` is taken one value at a time, each as
+    ``gcd(h, (v // g) % h)``, and a round stops reading numerators once
+    ``h`` is 1.  Since ``g`` divides every value, ``(v // g) % h`` is
+    ``(v % (g * h)) // g``: a round reads residues smaller than
+    ``g * b`` and divides nothing long.  A broken promise is not
+    detected: the result then divides G but may be smaller.
+
+    The values are ints, or integral Decimals under ``DECIMAL_INTEGERS``;
+    a residue is an int either way.
+    """
+    g = 1
+    h = gcd(base, int(den % base))
+    while True:
+        for n in nums:
+            if h == 1:
+                break
+            h = gcd(h, int(n % (g * h)) // g)
+        if h == 1:
+            return g
+        g, b = g * h, h * h
+        h = gcd(b, int(den % (g * b)) // g)
 
 
 def n_step(k: Kernel, pi0: Measure, n: int) -> Measure:
@@ -193,8 +243,10 @@ def n_step(k: Kernel, pi0: Measure, n: int) -> Measure:
     jump of 2^j steps is taken only when that product is within the limit,
     so every state it passes over fits; the state it lands on is checked
     by ``_require_digits``.  One step (j = 0) is always allowed, and a
-    kernel power is squared only when it could be used, so the powers
-    stay within about twice the limit's digits.
+    kernel power is squared only when it could be used twice, so the
+    powers stay within about twice the limit's digits: K^(2^j) is built
+    only for 2^(j+1) <= n, and away from the limit n = 2^m costs m - 1
+    squarings and two products with the state, not m and one.
     """
     if k.dom != k.cod:
         raise SpaceMismatchError("markov evolution needs an endo-kernel "
@@ -208,7 +260,7 @@ def n_step(k: Kernel, pi0: Measure, n: int) -> Measure:
     pi, done = pi0, 0
     while done < n:
         left, den = n - done, pi.den
-        while (1 << len(powers)) <= left and fits_digits(den * spans[-1]):
+        while (2 << len(powers)) <= left and fits_digits(den * spans[-1]):
             powers.append(kleisli_compose(powers[-1], powers[-1]))
             spans.append(spans[-1] * _den(powers[-1].rows))
         j = next((j for j in range(len(powers) - 1, 0, -1)
@@ -230,11 +282,9 @@ def decimal_states(k: Kernel, pi0: Measure, n: int, last: Measure):
     ``sum_i prev[i] * (L // den_i) * row_i.nums[j]`` over ``prev_den * L``,
     divided by their common factor (on most steps 1), found from residues
     of ``denominator_base(k, pi0)``, since a Decimal has no gcd.
-    ``DECIMAL_INTEGERS`` traps any result that is not exact.  This, and
-    writing the digits, takes time linear in the length, where
-    ``str(int)`` is quadratic.  A state whose numerators do not sum to
-    its denominator, or a state at step n other than ``last``, raises
-    InvariantError.
+    ``DECIMAL_INTEGERS`` traps any result that is not exact.  A state
+    whose numerators do not sum to its denominator, or a state at step n
+    other than ``last``, raises InvariantError.
     """
     base, scale = denominator_base(k, pi0), _den(k.rows)
     cols = list(zip(*([Decimal(x * (scale // row.den)) for x in row.nums]
@@ -254,3 +304,31 @@ def decimal_states(k: Kernel, pi0: Measure, n: int, last: Measure):
             raise InvariantError(f"the state at step {step} is not "
                                  "the state given as the last")
         yield nums, den
+
+
+def _lowest_pairs(nums, den, base: int) -> list:
+    """Each ``n/den`` as a pair in lowest terms: divided by its own common
+    factor with ``den``, found by ``_common_factor`` from ``base``."""
+    with localcontext(DECIMAL_INTEGERS):
+        gs = [_common_factor((n,), den, base) for n in nums]
+        return [(n // g, den // g) if g > 1 else (n, den)
+                for n, g in zip(nums, gs)]
+
+
+def markov_weights(k: Kernel, pi0: Measure, n: int, every: bool):
+    """The weights of the state at step n from ``pi0`` under the
+    endo-kernel ``k``, or with ``every`` of each state at steps 0..n, as
+    ``(step, [(num, den), ...])``: one pair per atom, in lowest terms.
+
+    ``n_step`` runs first, so a state past the digit limit stops this
+    with DigitLimitError before anything is yielded, and every pair fits
+    the limit.  The states of ``every`` come from ``decimal_states``, one
+    held at a time, and ``_lowest_pairs`` reduces each from
+    ``denominator_base``.
+    """
+    last = n_step(k, pi0, n)
+    base = denominator_base(k, pi0)
+    states = (enumerate(decimal_states(k, pi0, n, last)) if every
+              else [(n, (last.nums, last.den))])
+    for step, (nums, den) in states:
+        yield step, _lowest_pairs(nums, den, base)

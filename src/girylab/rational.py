@@ -13,50 +13,32 @@ lowest terms; ``unit_numerators`` checks int numerators of values in
 alone.  ``index`` admits a natural number used as a position or a
 count: an int, not a bool, at least 0.  On the wire rationals are
 ``"p/q"`` strings, so round trips are lossless and no float appears in
-output.  Text becomes a number in ``_read_int`` alone, by one grammar on
+output.  Text becomes a number in ``_read_ints`` alone, by one grammar on
 every Python: an integer is ASCII digits after an optional sign, and a
 rational is one or ``p/q`` with ``q`` unsigned and not zero.  Numerators
 and denominators are capped at ``MAX_DIGITS`` decimal digits on parse
 and in Markov states.
 
 ``probability_numerators`` and ``unit_numerators`` reduce an int vector
-by one ``gcd(den, *nums)``.  Markov evolution takes that gcd too: the
-states and kernel powers of ``monad.n_step`` stay within about twice
-``MAX_DIGITS`` digits, so each gcd is bounded.  A ``Decimal`` has no
-gcd.  A Markov state's denominator has few primes: it divides
-``den(pi0) * L**t``, with ``L`` the lcm of the kernel rows'
-denominators, so every prime factor of it divides the small
-``den(pi0) * L`` (``monad.denominator_base``).  Given such a ``base``,
-``_common_factor`` finds the gcd of a denominator and its numerators
-from residues no larger than a base-sized multiple of the factor found
-so far.  It is used only where a Decimal may stand for an int: to
-reduce each state of ``monad.decimal_states``, and each numerator in
-the state form of ``format_rational``.
+by one ``gcd(den, *nums)``.
 
 A number becomes text in one function, ``format_rational``.  Its form
 ``format_rational(x)`` writes a Fraction or an int, a witness's value or
 a message's: ``"p/q"`` in lowest terms, or past ``MAX_DIGITS`` only its
 size, so writing one never raises (``_quoted_int`` writes an int by the
-same rule).  The state form ``format_rational(nums, den, base)`` writes
-a whole Markov state, one string per numerator over the shared ``den``,
-each reduced by its own common factor with ``den`` found from ``base``;
-it enforces ``MAX_DIGITS``, within which ``monad.n_step`` keeps every
-state.
-
-The state form alone also takes the numerators and ``den`` as integral
-``decimal.Decimal``s: finite, with exponent 0.  CPython writes an int in
-decimal in time quadratic in its length, while a Decimal keeps base-10**19
-limbs and writes them in linear time; a traced Markov run evolves its
-states as such Decimals (``monad.decimal_states``) and writes them here.
-All Decimal arithmetic runs under ``DECIMAL_INTEGERS``, which traps every
-result that is not exact.  Every other entry point rejects a Decimal.
+same rule).  Its pair form ``format_rational([(n, d), ...])`` writes a
+Markov state as given, one string per pair, and enforces ``MAX_DIGITS``;
+``monad.markov_weights`` yields the pairs in lowest terms.  A pair may
+hold integral ``decimal.Decimal``s (finite, with exponent 0), as a traced
+run evolves them; every other entry point rejects a Decimal.  Ints are
+written through ``Decimal`` too, which the int-to-str limit does not
+govern.
 """
 
 from __future__ import annotations
 
 import random
-from decimal import (MAX_PREC, Context, Decimal, DivisionByZero, Inexact,
-                     InvalidOperation, Overflow, Rounded, localcontext)
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -68,17 +50,12 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 #: The most decimal digits a numerator or denominator may have.  It equals
-#: CPython's default int-to-str limit (the CVE-2020-10735 guard).  Reading
-#: needs no such limit (``_read_int`` converts through Decimal); writing an
-#: int does, so a command raises a lower limit to it (``cli.main``), and a
-#: library caller under a lower limit may not write every number within it.
+#: CPython's default int-to-str limit (the CVE-2020-10735 guard), which
+#: governs neither ``_read_ints`` nor ``format_rational``: both convert
+#: through Decimal, so they read and write every number within it under
+#: any limit.
 MAX_DIGITS = 4300
 _DIGIT_BOUND = 10 ** MAX_DIGITS
-
-#: The context of all integer arithmetic on Decimals: precision enough for
-#: any integer, and a trap on every signal of a result that is not exact.
-DECIMAL_INTEGERS = Context(prec=MAX_PREC, traps=[
-    Inexact, Rounded, InvalidOperation, DivisionByZero, Overflow])
 _DECIMAL_ONE = Decimal(1)
 
 
@@ -117,7 +94,9 @@ def require_digits(n, den, what: str) -> None:
 def _quoted_int(n) -> str:
     """The int or integral Decimal ``n`` as a message shows it: its digits,
     or past MAX_DIGITS only its size, by ``format_rational``'s rule."""
-    return f"{n}" if fits_digits(n) else f"an integer of {_digits(n):,} digits"
+    if fits_digits(n):
+        return f"{Decimal(n)}"
+    return f"an integer of {_digits(n):,} digits"
 
 
 def _shown(s: str) -> str:
@@ -197,41 +176,6 @@ def _numerators(nums: Iterable, den: int, what: str) -> tuple[int, ...]:
     return nums
 
 
-def _common_factor(nums: Sequence, den, base: int) -> int:
-    """``gcd(den, *nums)``, found from residues, on the caller's promise
-    that every prime factor of ``den`` divides the positive int ``base``.
-
-    Starting from ``g = 1`` and ``b = base``, each round takes ``h``, the
-    gcd of ``b`` and of ``v // g`` for ``den`` and then each numerator,
-    and while ``h > 1`` sets ``g *= h`` and ``b = h * h``, so a common
-    factor of any power goes in a few rounds.  The invariant is that
-    ``g`` divides the gcd G and every prime factor of ``G // g`` divides
-    ``b``: such a prime divides ``b`` and every ``v // g``, hence ``h``,
-    and so ``h * h`` in the next round.  When ``h == 1`` no prime is
-    left, so ``g`` is G.  ``h`` is taken one value at a time, each as
-    ``gcd(h, (v // g) % h)``, and a round stops reading numerators once
-    ``h`` is 1.  Since ``g`` divides every value, ``(v // g) % h`` is
-    ``(v % (g * h)) // g``: a round reads residues smaller than
-    ``g * b`` and divides nothing long.  A broken promise is not
-    detected: the result then divides G but may be smaller.
-
-    The values are integral Decimals under ``DECIMAL_INTEGERS``, or ints
-    in the state form of ``format_rational``; a residue is an int either
-    way.
-    """
-    g = 1
-    h = gcd(base, int(den % base))
-    while True:
-        for n in nums:
-            if h == 1:
-                break
-            h = gcd(h, int(n % (g * h)) // g)
-        if h == 1:
-            return g
-        g, b = g * h, h * h
-        h = gcd(b, int(den % (g * b)) // g)
-
-
 def _lowest_terms(nums: tuple[int, ...],
                   den: int) -> tuple[tuple[int, ...], int]:
     """``nums`` and ``den`` divided by their one ``gcd(den, *nums)``."""
@@ -290,90 +234,73 @@ def probability(xs: Iterable, what: str) -> tuple[Fraction, ...]:
     return ps
 
 
-def format_rational(x, den=None, base: int | None = None) -> str | list[str]:
-    """Render a rational canonically as ``"p/q"`` in lowest terms
-    (``"3/4"``, ``"1/1"``, ``"0/1"``).
+def format_rational(x) -> str | list[str]:
+    """Render a rational canonically as ``"p/q"`` (``"3/4"``, ``"1/1"``,
+    ``"0/1"``), its ints written through Decimal.
 
-    ``format_rational(x)`` writes the Fraction or int ``x``; past
-    MAX_DIGITS digits it writes only its size, "a rational of N digits",
-    so a witness or a message can always be written.
+    A Fraction or an int ``x`` is written in lowest terms; past MAX_DIGITS
+    digits only its size is written, "a rational of N digits", so a
+    witness or a message can always be written.
 
-    ``format_rational(nums, den, base)`` writes a state: the list of the
-    strings of each ``n / den`` for ``n`` in ``nums``.  It takes the
-    caller's promise that every prime factor of ``den`` divides the
-    positive int ``base``.  For each ``n`` it finds ``g = gcd(n, den)``
-    by the residue rounds of ``_common_factor`` on the one numerator;
-    then ``n // g`` and ``den // g`` are exact divisions.  A broken
-    promise is not detected, and the result may then not be in lowest
-    terms.
+    A list ``x`` of pairs ``(n, d)`` is a Markov state: the list of the
+    strings ``"n/d"``, each pair written as given, so a caller that wants
+    lowest terms reduces first (``monad.markov_weights`` does).  ``n`` and
+    ``d`` are ints or integral Decimals (finite, with exponent 0), and
+    ``d`` is positive; otherwise InvariantError naming the numerator or
+    the denominator to format.  Both must fit in MAX_DIGITS digits, a
+    Decimal's counted by ``adjusted()``; otherwise DigitLimitError
+    ("rational to format has N digits, more than the limit ...").
 
-    In this form the numerators and ``den`` may also be integral
-    Decimals, finite with exponent 0, so that a long one is written in
-    linear time (see the module docstring); ``base`` stays an int.  The
-    rounds are the same and run under ``DECIMAL_INTEGERS``: every residue
-    is a small int for the gcd, and ``g`` divides ``n`` and ``den``, so
-    every division is exact.  A Decimal is written with the digits of
-    the int it equals, and its digits are counted by ``adjusted()``.
-
-    Each written numerator and denominator of a state must fit in
-    MAX_DIGITS digits, as ``monad.n_step`` guarantees; otherwise
-    DigitLimitError ("rational to format has N digits, more than the
-    limit ...").  A float, a bool, a Fraction where an int is needed, a
-    Decimal that is not integral or is given outside the state form, a
-    ``den`` or ``base`` below 1, or a ``den`` without a ``base`` or a
-    ``base`` without a ``den`` raises InvariantError.
+    A float, a bool, or a Decimal outside a pair raises InvariantError.
     """
-    if den is None and base is None:
+    if not isinstance(x, list):
         x = exact(x, "rational to format")
         n, d = x.numerator, x.denominator
         if fits_digits(n) and fits_digits(d):
-            return f"{n}/{d}"
+            return f"{Decimal(n)}/{Decimal(d)}"
         return f"a rational of {max(_digits(n), _digits(d)):,} digits"
-    if den is None or base is None:
-        raise InvariantError("a state to format needs den and base together")
-    _positive(den, "denominator to format", _integer)
-    _positive(base, "base")
     out = []
-    with localcontext(DECIMAL_INTEGERS):
-        for n in x:
-            n, d = _integer(n, "numerator to format"), den
-            g = _common_factor((n,), den, base)
-            if g > 1:
-                n, d = n // g, den // g
-            require_digits(n, d, "rational to format")
-            out.append(f"{n or 0}/{d}")  # ``or 0`` writes a Decimal -0 as 0
+    for n, d in x:
+        _integer(n, "numerator to format")
+        _positive(d, "denominator to format", _integer)
+        require_digits(n, d, "rational to format")
+        # ``or 0`` writes a Decimal -0 as 0
+        out.append(f"{Decimal(n or 0)}/{Decimal(d)}")
     return out
 
 
-def _read_int(text: str, what: str, signed: bool) -> int:
-    """The int written in ``text``: ASCII digits, after one ``+`` or ``-``
-    when ``signed``.  Anything else raises ValueError "cannot parse
-    ``what``" before a digit is counted; past MAX_DIGITS digits,
+def _read_ints(what: str, *texts: str) -> list[int]:
+    """The ints written in ``texts``: ASCII digits, the first after one
+    optional ``+`` or ``-``.  The grammar of every text is checked before
+    a digit is counted: anything else raises ValueError "cannot parse
+    ``what``", and then more than MAX_DIGITS digits in any text
     DigitLimitError naming ``what``.  It converts through Decimal, which
     the interpreter's int-to-str limit does not govern."""
-    digits = text[1:] if signed and text[:1] in ("+", "-") else text
-    if not (digits.isascii() and digits.isdigit()):
+    digits = [text[1:] if i == 0 and text[:1] in ("+", "-") else text
+              for i, text in enumerate(texts)]
+    if not all(d.isascii() and d.isdigit() for d in digits):
         raise ValueError(f"cannot parse {what}")
-    if len(digits) > MAX_DIGITS:
-        raise _digit_limit_error(what, len(digits))
-    return int(Decimal(text))
+    longest = max(map(len, digits))
+    if longest > MAX_DIGITS:
+        raise _digit_limit_error(what, longest)
+    return [int(Decimal(text)) for text in texts]
 
 
 def parse_int(s: str) -> int:
-    """The integer the string ``s`` writes, by ``_read_int``'s grammar."""
-    return _read_int(s.strip(), f"integer {_shown(s)}", True)
+    """The integer the string ``s`` writes, by ``_read_ints``' grammar."""
+    return _read_ints(f"integer {_shown(s)}", s.strip())[0]
 
 
 def parse_rational(s: str) -> Fraction:
     """The rational ``"p/q"`` or the integer ``"p"`` that the string ``s``
-    writes, by ``_read_int``'s grammar: ValueError if ``s`` is not one
-    (a decimal such as ``"0.5"`` included) or ``q`` is zero,
-    DigitLimitError if ``p`` or ``q`` has more than MAX_DIGITS digits."""
+    writes, by ``_read_ints``' grammar: ValueError if ``s`` is not one
+    (a decimal such as ``"0.5"`` included), then DigitLimitError if ``p``
+    or ``q`` has more than MAX_DIGITS digits, then ValueError if ``q`` is
+    zero."""
     p, slash, q = s.strip().partition("/")
     what = f"rational {_shown(s)}"
     try:
-        num = _read_int(p, what, True)
-        den = _read_int(q, what, False) if slash else 1
+        num, den = _read_ints(what, p, q if slash else "1")
     except DigitLimitError:
         raise
     except ValueError:

@@ -158,13 +158,13 @@ class TestMarkov:
         assert "state at step 824 has" in err
 
     def test_no_full_size_gcd_on_the_decimal_write_path(self, monkeypatch):
-        """What ``markov --trace`` does after ``n_step``, on the D1 chain:
-        each of the 401 Decimal states of ``decimal_states`` is reduced,
-        and written by the state form, from residues of the chain's base.
-        No gcd that ``rational`` takes there sees an operand wider than 64
-        bits, while the last state's denominator is over 6,900 bits wide.
-        ``n_step``, run first and unwatched, reduces its int states by
-        full-size gcds."""
+        """What ``markov --trace`` does, on the D1 chain: each of the 401
+        Decimal states of ``decimal_states`` is reduced, and each of its
+        weights, from residues of the chain's base.  No gcd that ``monad``
+        takes there sees an operand wider than 64 bits, while the last
+        state's denominator is over 6,900 bits wide.  ``n_step``, run
+        first, reduces its int states by full-size gcds, taken in
+        ``rational``."""
         widest = []
 
         def watched(*args):
@@ -175,11 +175,9 @@ class TestMarkov:
         space = generate_sigma(labels, [[x] for x in labels])
         rng = random.Random(1)
         k, pi = generate_kernel(rng, space, space), generate_measure(rng, space)
-        last = monad.n_step(k, pi, 400)
-        base = monad.denominator_base(k, pi)
-        monkeypatch.setattr(rational, "gcd", watched)
-        written = [format_rational(nums, den, base)
-                   for nums, den in monad.decimal_states(k, pi, 400, last)]
+        monkeypatch.setattr(monad, "gcd", watched)
+        written = [format_rational(pairs)
+                   for _, pairs in monad.markov_weights(k, pi, 400, True)]
         monkeypatch.undo()
         assert len(written) == 401
         assert max(int(w.split("/")[1]) for w in written[-1]).bit_length() > 6900
@@ -308,7 +306,7 @@ def _generated_chain_docs(rng, space_doc):
 
 def _oracle_lines(matrix, init, steps):
     """``markov --trace`` output by Fraction row-vector times matrix, each
-    weight written by the one-argument ``format_rational``."""
+    weight written by the Fraction form of ``format_rational``."""
     lines, vec = [], list(init)
     for step in range(steps + 1):
         doc = {"step": step, "weights": {str(i): format_rational(w)
@@ -349,8 +347,8 @@ def _chain(name):
 
 
 class TestMarkovOracle:
-    """``markov`` writes states with ``format_rational``'s state form; its
-    output equals a Fraction computation written by the one-argument
+    """``markov`` writes states with ``format_rational``'s pair form; its
+    output equals a Fraction computation written by the Fraction
     form, final state and ``--trace`` alike."""
 
     @pytest.mark.parametrize("name", [

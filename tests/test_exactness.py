@@ -3,9 +3,9 @@ be an int or a Fraction.  A float or a bool raises InvariantError naming
 the argument; an int is stored as a Fraction.  Probability vectors are
 checked by ``rational.probability``, and indices (positions and counts)
 by ``rational.index``: an int, not a bool, at least 0.  A Decimal is
-refused like a float.  The state form of ``rational.format_rational``
-takes integral Decimals too (finite, with exponent 0), for the
-numerators and the denominator but not the base."""
+refused like a float.  The pair form of ``rational.format_rational``
+takes integral Decimals too (finite, with exponent 0), for each
+numerator and denominator."""
 
 import re
 from decimal import Decimal
@@ -184,17 +184,17 @@ def test_index_stored_as_given(what, make):
 
 
 #: (entry point, the name its error gives the argument, make) for the int
-#: arguments of ``format_rational``'s state form.  ``make(x)`` passes x as
-#: that argument, with the state [1] over 2 and base 2 elsewhere.
+#: arguments of ``format_rational``'s pair form.  ``make(x)`` passes x as
+#: that argument, with the pair (1, 2) elsewhere.
 INT_ENTRY_POINTS = [
     ("format_rational numerator", "numerator to format",
-     lambda x: rational.format_rational([x], 2, 2)),
+     lambda x: rational.format_rational([(x, 2)])),
     ("format_rational later numerator", "numerator to format",
-     lambda x: rational.format_rational([1, x], 2, 2)),
+     lambda x: rational.format_rational([(1, 2), (x, 2)])),
     ("format_rational denominator", "denominator to format",
-     lambda x: rational.format_rational([1], x, 2)),
-    ("format_rational base", "base",
-     lambda x: rational.format_rational([1], 2, x)),
+     lambda x: rational.format_rational([(1, x)])),
+    ("format_rational later denominator", "denominator to format",
+     lambda x: rational.format_rational([(1, 2), (1, x)])),
 ]
 
 
@@ -209,8 +209,7 @@ def test_int_argument_not_an_int_rejected(what, make, x, kind):
 
 
 @pytest.mark.parametrize("what, make", [
-    pytest.param(what, make, id=name) for name, what, make in INT_ENTRY_POINTS
-    if name != "format_rational base"])
+    pytest.param(what, make, id=name) for name, what, make in INT_ENTRY_POINTS])
 @pytest.mark.parametrize("x", ["1.5", "NaN", "Infinity", "1E+3"])
 def test_decimal_not_integral_rejected(what, make, x):
     """1E+3 is an integer, but its exponent is 3, not 0."""
@@ -219,10 +218,10 @@ def test_decimal_not_integral_rejected(what, make, x):
         make(Decimal(x))
 
 
-@pytest.mark.parametrize("args", [([1], 2, Decimal(2))], ids=str)
-def test_decimal_outside_the_base_form_rejected(args):
-    with pytest.raises(InvariantError, match="must be an int, got Decimal$"):
-        rational.format_rational(*args)
+def test_decimal_outside_the_pair_form_rejected():
+    with pytest.raises(InvariantError, match="^rational to format must be an "
+                                             "int or a Fraction, got Decimal$"):
+        rational.format_rational(Decimal(2))
 
 
 def test_float_mixture_weights_never_reach_flatten():

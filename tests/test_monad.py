@@ -16,7 +16,7 @@ from girylab.harness import (SuiteConfig, generate_kernel, generate_measure,
                              generate_meta_measure, generate_space)
 from girylab.spaces import FinSpace, MeasMap, generate_sigma
 from girylab.measures import Measure, pushforward
-from girylab import rational
+from girylab import monad, rational
 from girylab.rational import MAX_DIGITS, fits_digits
 from girylab.monad import (Kernel, MetaMeasure, bind, decimal_states,
                            denominator_base, dirac, flatten, kleisli_compose,
@@ -358,6 +358,27 @@ class TestNStep:
         states = trajectory(k, pi, 70)
         for n in range(71):
             assert n_step(k, pi, n) == states[n]
+
+    def test_a_power_is_built_only_to_be_used_twice(self, monkeypatch):
+        """K^(2^j) is squared into K^(2^(j+1)) only while 2^(j+2) steps
+        are left, so n steps cost n.bit_length() - 2 kernel products, not
+        n.bit_length() - 1: n = 2^m uses K^(2^(m-1)) twice, not K^(2^m)
+        once.  The 2-state chain stays far from the digit limit."""
+        calls = []
+
+        def counted(k1, k2):
+            calls.append(k1)
+            return kleisli_compose(k1, k2)
+
+        s = two_state()
+        k = Kernel(s, s, (Measure(s, (F(1, 3), F(2, 3))),
+                          Measure(s, (F(1, 2), F(1, 2)))))
+        states = trajectory(k, dirac(s, "0"), 300)
+        monkeypatch.setattr(monad, "kleisli_compose", counted)
+        for n in range(1, 301):
+            calls.clear()
+            assert n_step(k, dirac(s, "0"), n) == states[n]
+            assert len(calls) == max(0, n.bit_length() - 2), n
 
     @pytest.mark.parametrize("seed", range(6))
     def test_denominator_base_holds_every_prime_of_every_state(self, seed):

@@ -377,9 +377,9 @@ class TestIFunctionNumerators:
          "certified zero from 0"),
         (lambda s: index(-LONG, "x"), "x must be nonnegative, got an integer "
          "of 4,301 digits"),
-        (lambda s: format_rational([1], -LONG, 2), "denominator to format "
+        (lambda s: format_rational([(1, -LONG)]), "denominator to format "
          "must be positive, got an integer of 4,301 digits"),
-        (lambda s: format_rational([1], Decimal(-LONG), 2), "denominator to "
+        (lambda s: format_rational([(1, Decimal(-LONG))]), "denominator to "
          "format must be positive, got an integer of 4,301 digits"),
         (lambda s: LimitWitness(s, lambda n: IFunction(s, (1,), 2), (LONG,)),
          "certificate lies: term an integer of 4,301 digits is 1/2 at point "
